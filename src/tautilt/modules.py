@@ -71,19 +71,6 @@ class Representation:
             return linalg.identity(self.dims[k], self.field)
         return self.mats[k]
 
-    def action_matrix(self, elt):
-        """Action of a Peirce-homogeneous algebra element as a matrix."""
-        ptype = elt.peirce_type()
-        if ptype is None:
-            if elt.is_zero():
-                raise TautiltError("zero element has no Peirce type; pass one explicitly")
-            raise TautiltError("element is not Peirce homogeneous")
-        i, j = ptype
-        out = linalg.zeros(self.dims[i], self.dims[j], self.field)
-        for k in elt.support():
-            out = linalg.mat_add(out, linalg.mat_scale(elt.coeffs[k], self.mat(k)))
-        return out
-
     def validate(self):
         alg = self.algebra
         for k in alg.radical_indices():

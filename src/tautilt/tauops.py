@@ -145,7 +145,9 @@ def mutate_pair(pair, index, seed=0):
     Returns (new_pair, direction) where direction is "left" when the
     torsion class shrinks.  The almost complete pair sitting under the
     chosen summand admits exactly one other completion, so the result is
-    determined by the index alone.
+    determined by the index alone.  The complex form is assembled from the
+    complexes of the pair's own summands, which it carries, so the slot is
+    found by key rather than by decomposing and matching up to isomorphism.
     """
     _require_tilting(pair)
     if not pair.is_basic():
@@ -153,17 +155,10 @@ def mutate_pair(pair, index, seed=0):
     rows = pair_summand_list(pair)
     if not 0 <= index < len(rows):
         raise TautiltError("summand index out of range")
-    kind, rep = rows[index]
-    t = twoterm.from_tau_pair(pair)
-    target = _summand_complex(pair, kind, rep)
-    parts = twoterm.decompose_complex(t, seed)
-    cindex = None
-    for idx, (c, _) in enumerate(parts):
-        if twoterm.is_isomorphic_complex(c, target, seed=seed):
-            cindex = idx
-            break
-    if cindex is None:
-        raise MatchFailure("summand not located in the complex form")
+    parts = [_summand_complex(pair, kind, rep) for kind, rep in rows]
+    t = twoterm.sum_of_summands(parts, seed)
+    keys = [c.key() for c, _ in twoterm.decompose_complex(t, seed)]
+    cindex = keys.index(parts[index].key())
     for direction in ("left", "right"):
         out = twoterm.mutate_complex(t, cindex, direction, seed=seed)
         if out is None:

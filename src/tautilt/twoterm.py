@@ -262,16 +262,6 @@ def to_tau_pair(t):
 # -- morphism spaces -----------------------------------------------------------
 
 
-def _left_mult_rows(alg, elt, i, j):
-    """Rows over peirce_basis(i, j): images q -> elt * q as coefficient rows
-    over the basis of the target block."""
-    out = []
-    for q in alg.peirce_basis(i, j):
-        prod = elt * alg.basis_element(q)
-        out.append(prod)
-    return out
-
-
 def _block_layout(x, y, shift):
     """Coordinates of potential chain maps f^i: x^i -> y^{i+shift}."""
     layout = []
@@ -589,10 +579,6 @@ def _endo_is_zero(a):
     return all(m.is_zero() for m in a.values())
 
 
-def _endo_is_iso(a):
-    return all(m.is_isomorphism() for m in a.values())
-
-
 def _endo_power(a, m):
     out = None
     base = a
@@ -751,13 +737,39 @@ def _decompose_complex_raw(t, seed):
     return [t]
 
 
+def _sort_key(t):
+    """key() with F_p coefficients read as residues, so every field sorts.
+
+    Over Q the coefficients stay Fractions, which keeps their order.
+    """
+    if not t.field.char:
+        return t.key()
+    return tuple(
+        (i, verts, tuple(tuple(tuple(c.val for c in e) for e in row) for row in blocks))
+        for i, verts, blocks in t.key()
+    )
+
+
+def sum_of_summands(parts, seed=0):
+    """Direct sum of pairwise non-isomorphic indecomposable minimal complexes.
+
+    The parts go in the canonical order of _sort_key, and the sum carries
+    them as its decomposition: decompose_complex(sum, seed) returns them
+    without a search.
+    """
+    parts = sorted(parts, key=_sort_key)
+    out = direct_sum_complexes(parts)
+    out.algebra.cache[("cdecomp", out.key(), seed)] = [(c, 1) for c in parts]
+    return out
+
+
 def basic_complex(t, seed=0):
-    """One copy of each indecomposable summand, in a deterministic order."""
+    """One copy of each indecomposable summand, in the canonical order; the
+    result carries its summands (see sum_of_summands)."""
     parts = [c for c, _ in decompose_complex(t, seed)]
-    parts.sort(key=lambda c: c.key())
     if not parts:
         return zero_complex(t.algebra)
-    return direct_sum_complexes(parts)
+    return sum_of_summands(parts, seed)
 
 
 def is_isomorphic_complex(a, b, seed=0):
@@ -1140,8 +1152,9 @@ def mutate_complex(t, summand_index, direction, seed=0):
 
     direction "left" takes the cone of the minimal left approximation of the
     summand into the other summands, "right" the cocone of the minimal right
-    approximation from them.  Returns the new complex, or None when the
-    mutation leaves the two-term window.
+    approximation from them.  That cone is indecomposable, so the result
+    carries the summands at hand (see sum_of_summands) and is not decomposed
+    again.  Returns the new complex, or None when it leaves the window.
     """
     parts = decompose_complex(t, seed)
     if any(mult > 1 for _, mult in parts):
@@ -1161,7 +1174,7 @@ def mutate_complex(t, summand_index, direction, seed=0):
         raise TautiltError("direction must be left or right")
     if not y.is_two_term():
         return None
-    out = basic_complex(direct_sum_complexes(rest + [y]))
+    out = sum_of_summands(rest + [y], seed)
     if not out.is_two_term():
         return None
     return out

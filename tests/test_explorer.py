@@ -5,14 +5,14 @@ import pytest
 from tautilt import explorer as ex
 from tautilt import modules as md
 from tautilt import tauops as to
-from tautilt.algebra import is_isomorphic_algebra, Quiver, compile_bound_quiver
+from tautilt.algebra import is_isomorphic_algebra, Quiver, Relation, compile_bound_quiver
 from tautilt.errors import (
     IncompleteGraph,
     MatchFailure,
     NotInWide,
     PreconditionViolated,
 )
-from tautilt.linalg import QQ
+from tautilt.linalg import QQ, Field
 
 
 def P(alg, i):
@@ -106,6 +106,32 @@ def test_graph_cyc3_counts(g_cyc3):
     assert len(g_cyc3.edges) == 21
     for fp in g_cyc3.nodes:
         assert g_cyc3.incident_count(fp) == 3
+
+
+def _linear_a3(field):
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    return compile_bound_quiver(q, [], field)
+
+
+def _commutative_square(field):
+    q = Quiver(
+        ["1", "2", "3", "4"],
+        [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
+    )
+    rel = Relation(q, [(1, ("a", "b")), (-1, ("c", "d"))])
+    return compile_bound_quiver(q, [rel], field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize(
+    "make, nodes, edges", [(_linear_a3, 14, 21), (_commutative_square, 46, 92)]
+)
+def test_graph_prime_field_counts(make, nodes, edges, p):
+    # the counts over Q; the walk must not depend on comparing F_p elements
+    g = ex.build_exchange_graph(make(Field(p)))
+    assert g.complete
+    assert len(g) == nodes
+    assert len(g.edges) == edges
 
 
 def test_graph_contains_green_chain(cyc3, g_cyc3):

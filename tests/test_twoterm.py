@@ -6,6 +6,7 @@ import pytest
 
 from tautilt import modules as md
 from tautilt import twoterm as tt
+from tautilt.algebra import AlgebraElement, BasicAlgebra
 from tautilt.errors import PreconditionViolated
 
 
@@ -355,6 +356,43 @@ def test_mutation_exchanges_exactly_one_summand(a3, cyc3):
                     assert sum((before & after).values()) == alg.n - 1
                     mutated += 1
         assert mutated > 0
+
+
+def _cold_twin(alg):
+    """The same algebra (same basis and products) with an empty cache."""
+    return BasicAlgebra(
+        alg.field, alg.vertex_labels, alg.names, alg.peirce, alg.mult,
+        alg.words, alg.arrows,
+    )
+
+
+def test_carried_summands_match_a_cold_decomposition(a3, cyc3):
+    # A mutation result carries the summands it was built from.  Rebuild it
+    # from its terms and differentials over a cold-cache twin of the
+    # algebra, where decompose_complex has to search, and compare.
+    for alg in (a3, cyc3):
+        twin = _cold_twin(alg)
+        checked = 0
+        for t in _mutation_closure(alg).values():
+            for idx in range(alg.n):
+                for direction in ("left", "right"):
+                    m = tt.mutate_complex(t, idx, direction)
+                    if m is None:
+                        continue
+                    carried = tt.decompose_complex(m)
+                    diffs = {
+                        i: [[AlgebraElement(twin, e.coeffs) for e in row] for row in blocks]
+                        for i, blocks in m.diffs.items()
+                    }
+                    cold = tt.ProjectiveComplex(twin, m.terms, diffs)
+                    found = tt.decompose_complex(cold)
+                    assert len(found) == alg.n
+                    assert all(mult == 1 for _, mult in found)
+                    assert Counter(c.g_vec() for c, _ in found) == Counter(
+                        c.g_vec() for c, _ in carried
+                    )
+                    checked += 1
+        assert checked > 0
 
 
 # ---------------------------------------------------------------------------
