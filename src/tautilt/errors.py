@@ -25,20 +25,12 @@ class NotAModuleMap(TautiltError):
     """Per-vertex matrices do not commute with the algebra action."""
 
 
-class DecompositionFailure(TautiltError):
-    """Indecomposable-summand search exhausted its budget without certifying."""
-
-
 class NotProjective(TautiltError):
     """A module expected to be projective is not."""
 
 
 class NotRigid(TautiltError):
     """A pair or complex failed a rigidity precondition."""
-
-
-class NotPresilting(TautiltError):
-    """A two-term complex failed the presilting (self-rigidity) test."""
 
 
 class NotSilting(TautiltError):

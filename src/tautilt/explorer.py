@@ -1,14 +1,13 @@
 """Exchange graphs, green sequences, and reduction at a rigid pair.
 
-The graph walker enumerates every basic support tilting pair of a
-tau-tilting-finite algebra together with the left-mutation order.  On top
-of it sit maximal green sequence search, reduction of the ambient algebra
-at a rigid pair (endomorphism algebra modulo the trace ideal), transport
-of green sequences through the reduction, and the verification sweeps
-used by the command line driver.
+The exchange graph holds every basic support tilting pair of a
+tau-tilting-finite algebra together with the left-mutation order, as found
+by the one cached mutation walk, tauops.silting_closure.  On top of it sit
+maximal green sequence search, reduction of the ambient algebra at a rigid
+pair (endomorphism algebra modulo the trace ideal), transport of green
+sequences through the reduction, and the verification sweeps used by the
+command line driver.
 """
-
-from collections import deque
 
 from . import linalg, modules, tauops, twoterm
 from .errors import (
@@ -77,43 +76,17 @@ class ExchangeGraph:
         return sum(1 for s, t, _ in self.edges if s == fp or t == fp)
 
 
-def _summand_token(kind, rep):
-    # mirror of TauPair.summand_fingerprints for a single slot
-    if kind == "m":
-        return ("mod", modules.g_vector(rep), rep.dims)
-    v = modules._projective_vertex(rep)
-    n = rep.algebra.n
-    return ("shift", tuple(-1 if w == v else 0 for w in range(n)), (0,) * n)
-
-
 def build_exchange_graph(algebra, budget=10000, seed=0):
-    """Breadth-first mutation closure starting from the free pair.
+    """The exchange graph of the cached mutation walk from the free pair
+    (tauops.silting_closure).
 
     Hitting the node budget returns the partial graph with the complete
     flag unset; no exception is raised.
     """
     if budget <= 0:
         raise PreconditionViolated("graph budget must be positive")
-    top = tauops.free_pair(algebra)
-    nodes = {top.fingerprint(): top}
-    edges = []
-    queue = deque([top])
-    complete = True
-    while queue:
-        pair = queue.popleft()
-        src_fp = pair.fingerprint()
-        for slot in range(len(tauops.pair_summand_list(pair))):
-            neighbour, direction = tauops.mutate_pair(pair, slot, seed=seed)
-            fp = neighbour.fingerprint()
-            if fp not in nodes:
-                if len(nodes) >= budget:
-                    complete = False
-                    continue
-                nodes[fp] = neighbour
-                queue.append(neighbour)
-            if direction == "left":
-                edges.append((src_fp, fp, slot))
-    graph = ExchangeGraph(algebra, nodes, edges, budget, complete, seed)
+    nodes, edges, complete = tauops.silting_closure(algebra, seed, budget)
+    graph = ExchangeGraph(algebra, dict(nodes), list(edges), budget, complete, seed)
     if complete:
         _certify_graph(graph)
     return graph
@@ -612,6 +585,17 @@ def _check_green_chain(chain, seed=0):
     tauops._require_tilting(chain[-1])
 
 
+def _completed_path(rel_u, path, seed, budget):
+    """Left completion of rel_u at each node of the path, with consecutive
+    repeats dropped."""
+    out = []
+    for node in path:
+        c = tauops.left_bongartz(rel_u, node, seed=seed, budget=budget)
+        if not out or c.fingerprint() != out[-1].fingerprint():
+            out.append(c)
+    return out
+
+
 def transport_mgs(rd, mgs, seed=0, budget=10000):
     """Push a maximal green sequence for the window torsion class down to
     the reduced algebra.
@@ -629,14 +613,7 @@ def transport_mgs(rd, mgs, seed=0, budget=10000):
         raise PreconditionViolated("chain must end at the window torsion class")
     _check_green_chain(mgs, seed)
 
-    completions = [
-        tauops.left_bongartz(rd.pair, node, seed=seed, budget=budget) for node in mgs
-    ]
-    chain = [completions[0]]
-    for c in completions[1:]:
-        if c.fingerprint() != chain[-1].fingerprint():
-            chain.append(c)
-
+    chain = _completed_path(rd.pair, mgs, seed, budget)
     images = [reduce_pair(rd, c, seed=seed, budget=budget) for c in chain]
     if not images[0].m.is_zero():
         raise CertificateFailure("transported chain does not start at zero")
@@ -677,13 +654,7 @@ def connect_fixed_summand(path, rel_u, seed=0, budget=10000):
         if len(gone) != 1 or len(new) != 1:
             raise PreconditionViolated("input is not a mutation path")
 
-    completions = [
-        tauops.left_bongartz(rel_u, node, seed=seed, budget=budget) for node in path
-    ]
-    out = [completions[0]]
-    for c in completions[1:]:
-        if c.fingerprint() != out[-1].fingerprint():
-            out.append(c)
+    out = _completed_path(rel_u, path, seed, budget)
     for node in out:
         if not tauops.contains_pair(node, rel_u):
             raise CertificateFailure("a rewritten node lost the fixed summand")
@@ -737,7 +708,8 @@ def verify_exchange(algebra, seed=0, budget=10000):
         failures.append({"check": "unique-sink"})
     buckets = {}
     for fp, pair in graph.nodes.items():
-        tokens = [_summand_token(k, r) for k, r in tauops.pair_summand_list(pair)]
+        rows = tauops.pair_summand_list(pair)
+        tokens = [modules.summand_token(k, r) for k, r in rows]
         for slot in range(len(tokens)):
             key = tuple(sorted(tokens[:slot] + tokens[slot + 1 :]))
             buckets.setdefault(key, set()).add(fp)

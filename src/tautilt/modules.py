@@ -912,6 +912,14 @@ def trace_submodule(gen, x):
     return submodule(x, spans)
 
 
+def _trace_quotient(gen, x):
+    """x modulo the trace of gen: (trace, inclusion, quotient, projection)."""
+    t, incl = trace_submodule(gen, x)
+    spans = [incl.mats[v] if t.dims[v] else [] for v in range(x.algebra.n)]
+    q, proj = quotient(x, spans)
+    return t, incl, q, proj
+
+
 def in_fac(gen, x):
     """Whether x lies in Fac(gen), i.e. the trace of gen fills x."""
     t, _ = trace_submodule(gen, x)
@@ -924,9 +932,7 @@ def torsion_part(gen, x):
     Returns (t, inclusion, quotient, projection).  Raises if the quotient
     still admits maps from gen, which signals a non-tau-rigid generator.
     """
-    t, incl = trace_submodule(gen, x)
-    spans = [incl.mats[v] if t.dims[v] else [] for v in range(x.algebra.n)]
-    q, proj = quotient(x, spans)
+    t, incl, q, proj = _trace_quotient(gen, x)
     if hom_basis(gen, q):
         raise PreconditionViolated(
             "trace quotient admits maps from the generator; Fac(gen) is not "
@@ -961,10 +967,7 @@ def star_membership(u_gen, m_gen, x):
     Valid when u_gen is tau-rigid: x belongs iff x modulo the trace of
     u_gen lies in Fac(m_gen).
     """
-    t, incl = trace_submodule(u_gen, x)
-    spans = [incl.mats[v] if t.dims[v] else [] for v in range(x.algebra.n)]
-    q, _ = quotient(x, spans)
-    return in_fac(m_gen, q)
+    return in_fac(m_gen, _trace_quotient(u_gen, x)[2])
 
 
 # -- bricks and filtrations --------------------------------------------------
@@ -1090,13 +1093,9 @@ class TauPair:
         """One canonical token per indecomposable summand (with multiplicity)."""
         out = []
         for rep, mult in self.m_summands():
-            token = ("mod", g_vector(rep), rep.dims)
-            out.extend([token] * mult)
+            out.extend([summand_token("m", rep)] * mult)
         for rep, mult in self.p_summands():
-            v = _projective_vertex(rep)
-            g = tuple(-1 if w == v else 0 for w in range(self.algebra.n))
-            token = ("shift", g, (0,) * self.algebra.n)
-            out.extend([token] * mult)
+            out.extend([summand_token("p", rep)] * mult)
         return sorted(out)
 
     def fingerprint(self):
@@ -1106,6 +1105,17 @@ class TauPair:
 
     def __repr__(self):
         return f"TauPair(M dims={self.m.dims}, P dims={self.p.dims})"
+
+
+def summand_token(kind, rep):
+    """Canonical token of one indecomposable pair summand: ("mod", g-vector,
+    dims) for a module summand (kind "m") and ("shift", -e_v, 0) for the
+    projective summand P_v of the shifted part (kind "p")."""
+    if kind == "m":
+        return ("mod", g_vector(rep), rep.dims)
+    v = _projective_vertex(rep)
+    n = rep.algebra.n
+    return ("shift", tuple(-1 if w == v else 0 for w in range(n)), (0,) * n)
 
 
 def _projective_vertex(rep):

@@ -6,6 +6,8 @@ against module-level criteria before being returned, so a wrong
 approximation or split cannot silently produce a wrong pair.
 """
 
+from collections import deque
+
 from . import modules, twoterm
 from .errors import (
     CertificateFailure,
@@ -108,10 +110,7 @@ def dagger_pair(pair):
 
 def summand_g_vector(kind, rep):
     """g-vector of one pair summand; shift summands contribute -e_v."""
-    if kind == "m":
-        return tuple(modules.g_vector(rep))
-    v = modules._projective_vertex(rep)
-    return tuple(-1 if i == v else 0 for i in range(rep.algebra.n))
+    return modules.summand_token(kind, rep)[1]
 
 
 def pair_summand_list(pair):
@@ -139,26 +138,25 @@ def _summand_complex(pair, kind, rep):
     return twoterm.from_tau_pair(modules.pair_from_summands(alg, [], [rep]))
 
 
-def mutate_pair(pair, index, seed=0):
-    """Exchange one summand of a support tau-tilting pair.
-
-    Returns (new_pair, direction) where direction is "left" when the
-    torsion class shrinks.  The almost complete pair sitting under the
-    chosen summand admits exactly one other completion, so the result is
-    determined by the index alone.  The complex form is assembled from the
-    complexes of the pair's own summands, which it carries, so the slot is
-    found by key rather than by decomposing and matching up to isomorphism.
-    """
-    _require_tilting(pair)
-    if not pair.is_basic():
-        raise PreconditionViolated("mutation expects a basic pair")
+def _pair_complex(pair, seed):
+    """The complex of a pair assembled from the complexes of its own
+    summands, which it carries, with the position of each g-sorted slot in
+    its decomposition; slots are found by key, not by matching up to
+    isomorphism."""
     rows = pair_summand_list(pair)
-    if not 0 <= index < len(rows):
-        raise TautiltError("summand index out of range")
     parts = [_summand_complex(pair, kind, rep) for kind, rep in rows]
+    if not parts:
+        return None, []
     t = twoterm.sum_of_summands(parts, seed)
     keys = [c.key() for c, _ in twoterm.decompose_complex(t, seed)]
-    cindex = keys.index(parts[index].key())
+    return t, [keys.index(c.key()) for c in parts]
+
+
+def _mutate_slot(pair, t, cindex, seed):
+    """Mutate the complex t of a certified pair at one summand, left first.
+
+    The result is certified on the module side before it is returned.
+    """
     for direction in ("left", "right"):
         out = twoterm.mutate_complex(t, cindex, direction, seed=seed)
         if out is None:
@@ -171,51 +169,72 @@ def mutate_pair(pair, index, seed=0):
     raise CertificateFailure("no mutation stayed in the two-term window")
 
 
-# -- the fan of completions ---------------------------------------------------
+def mutate_pair(pair, index, seed=0):
+    """Exchange one summand of a support tau-tilting pair.
+
+    Returns (new_pair, direction) where direction is "left" when the
+    torsion class shrinks.  The almost complete pair sitting under the
+    chosen summand admits exactly one other completion, so the result is
+    determined by the index alone.
+    """
+    _require_tilting(pair)
+    t, slots = _pair_complex(pair, seed)
+    if not 0 <= index < len(slots):
+        raise TautiltError("summand index out of range")
+    return _mutate_slot(pair, t, slots[index], seed)
+
+
+# -- the exchange graph -------------------------------------------------------
 
 
 def silting_closure(algebra, seed=0, budget=10000):
-    """All basic two-term silting complexes reachable from the free one.
+    """The mutation closure of the free pair: the exchange graph, walked once.
 
-    Returns (complexes, complete) where complete is False when the budget
-    stopped the walk early.
+    Breadth-first from the free pair; every mutation result is certified
+    when it is found, including results that are already nodes.  Returns
+    (nodes, edges, complete): nodes maps fingerprints to support tilting
+    pairs in discovery order, edges lists the left mutations as (source,
+    target, slot) with slot the g-sorted summand index on the source side,
+    and complete is False when a new node beyond the budget was skipped.
+    The walk is cached per (seed, budget) on the algebra.
     """
     key = ("closure", seed, budget)
     if key not in algebra.cache:
-        t0 = twoterm.free_silting(algebra)
-        seen = {twoterm.complex_fingerprint(t0, seed): t0}
-        frontier = [t0]
+        top = free_pair(algebra)
+        _require_tilting(top)
+        nodes = {top.fingerprint(): top}
+        edges = []
+        queue = deque([top])
         complete = True
-        while frontier:
-            if len(seen) > budget:
-                complete = False
-                break
-            t = frontier.pop()
-            for idx in range(len(twoterm.decompose_complex(t, seed))):
-                for direction in ("left", "right"):
-                    m = twoterm.mutate_complex(t, idx, direction, seed=seed)
-                    if m is None:
+        while queue:
+            pair = queue.popleft()
+            src_fp = pair.fingerprint()
+            t, slots = _pair_complex(pair, seed)
+            for slot, cindex in enumerate(slots):
+                neighbour, direction = _mutate_slot(pair, t, cindex, seed)
+                fp = neighbour.fingerprint()
+                if fp not in nodes:
+                    if len(nodes) >= budget:
+                        complete = False
                         continue
-                    fp = twoterm.complex_fingerprint(m, seed)
-                    if fp not in seen:
-                        seen[fp] = m
-                        frontier.append(m)
-        algebra.cache[key] = (list(seen.values()), complete)
+                    nodes[fp] = neighbour
+                    queue.append(neighbour)
+                if direction == "left":
+                    edges.append((src_fp, fp, slot))
+        algebra.cache[key] = (nodes, edges, complete)
     return algebra.cache[key]
 
 
 def all_pairs(algebra, seed=0, budget=10000):
-    """Every support tau-tilting pair of a tau-tilting finite algebra."""
-    key = ("allpairs", seed, budget)
-    if key not in algebra.cache:
-        complexes, complete = silting_closure(algebra, seed, budget)
-        if not complete:
-            raise SearchBudgetExceeded(
-                "mutation walk hit the budget; the algebra may not be "
-                "tau-tilting finite"
-            )
-        algebra.cache[key] = [twoterm.to_tau_pair(t) for t in complexes]
-    return algebra.cache[key]
+    """Every support tau-tilting pair of a tau-tilting finite algebra, in
+    the discovery order of the exchange graph."""
+    nodes, _, complete = silting_closure(algebra, seed, budget)
+    if not complete:
+        raise SearchBudgetExceeded(
+            "mutation walk hit the budget; the algebra may not be "
+            "tau-tilting finite"
+        )
+    return list(nodes.values())
 
 
 # -- Bongartz completions -----------------------------------------------------
@@ -230,10 +249,7 @@ def _star_quotient(u_pair, x):
     """x modulo the torsion part for Fac(U)."""
     if u_pair.m.is_zero():
         return x
-    t, incl = modules.trace_submodule(u_pair.m, x)
-    spans = [incl.mats[v] if t.dims[v] else [] for v in range(x.algebra.n)]
-    q, _ = modules.quotient(x, spans)
-    return q
+    return modules._trace_quotient(u_pair.m, x)[2]
 
 
 def _certify_left(u_pair, anchor, result):
@@ -369,14 +385,12 @@ def brick_label(old, new, seed=0):
     token = only_old[0]
     x = None
     for rep, _ in old.m_summands():
-        if ("mod", modules.g_vector(rep), rep.dims) == token:
+        if modules.summand_token("m", rep) == token:
             x = rep
             break
     if x is None:
         raise MatchFailure("exchanged summand not found in the old pair")
-    t, incl = modules.trace_submodule(new.m, x)
-    spans = [incl.mats[v] if t.dims[v] else [] for v in range(x.algebra.n)]
-    q, _ = modules.quotient(x, spans)
+    q = modules._trace_quotient(new.m, x)[2]
     d = modules.brick_shrink(q, seed=seed)
     if not modules.is_brick(d, seed=seed):
         raise CertificateFailure("label failed the brick test")

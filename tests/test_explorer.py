@@ -5,6 +5,7 @@ import pytest
 from tautilt import explorer as ex
 from tautilt import modules as md
 from tautilt import tauops as to
+from tautilt import twoterm as tw
 from tautilt.algebra import is_isomorphic_algebra, Quiver, Relation, compile_bound_quiver
 from tautilt.errors import (
     IncompleteGraph,
@@ -132,6 +133,54 @@ def test_graph_prime_field_counts(make, nodes, edges, p):
     assert g.complete
     assert len(g) == nodes
     assert len(g.edges) == edges
+
+
+def _cycle3(field):
+    q = Quiver(["1", "2", "3"], [("a3", "1", "2"), ("a1", "2", "3"), ("a2", "3", "1")])
+    rels = [
+        Relation(q, [(1, ("a1", "a2"))]),
+        Relation(q, [(1, ("a2", "a3"))]),
+        Relation(q, [(1, ("a3", "a1"))]),
+    ]
+    return compile_bound_quiver(q, rels, field)
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_one_walk_serves_all_pairs_and_the_fan(make, monkeypatch):
+    # a freshly compiled algebra, so no earlier test has warmed its cache
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    calls = []
+    mutate_complex = tw.mutate_complex
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mutate_complex(*args, **kwargs)
+
+    monkeypatch.setattr(tw, "mutate_complex", counted)
+    assert to.all_pairs(alg) == graph.node_list()
+    u = pair(alg, [P(alg, 0)])
+    for anchor in (None, to.free_pair(alg)):
+        to.fan_left_completion(u, anchor)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_mutate_pair_agrees_with_the_walk(make):
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    edges = set(graph.edges)
+    for fp, node in graph.nodes.items():
+        for slot, (kind, rep) in enumerate(to.pair_summand_list(node)):
+            nb, direction = to.mutate_pair(node, slot)
+            nb_fp = nb.fingerprint()
+            assert nb_fp in graph.nodes
+            # the neighbour at this slot exchanges exactly this summand
+            gone, _ = to.exchanged_summands(node, nb)
+            assert gone == [md.summand_token(kind, rep)]
+            assert (direction == "left") == ((fp, nb_fp, slot) in edges)
+            if direction == "right":
+                assert (nb_fp, fp) in graph.edge_set()
 
 
 def test_graph_contains_green_chain(cyc3, g_cyc3):
