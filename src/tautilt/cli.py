@@ -242,9 +242,6 @@ def _cmd_reduce(args):
 def _cmd_transport(args):
     ws = _load(args)
     pair = ws.pair(args.pair)
-    rd = explorer.tau_reduction(pair, seed=args.seed, budget=args.budget)
-    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
-    seqs = explorer.maximal_green_sequences(g, rd.bongartz, seed=args.seed)
     idx = args.mgs_id
     if idx.startswith("mgs-"):
         idx = idx[4:]
@@ -252,6 +249,9 @@ def _cmd_transport(args):
         k = int(idx)
     except ValueError:
         raise _UsageError(f"mgs id {args.mgs_id!r} is not an integer")
+    rd = explorer.tau_reduction(pair, seed=args.seed, budget=args.budget)
+    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
+    seqs = explorer.maximal_green_sequences(g, rd.bongartz, seed=args.seed)
     if not 0 <= k < len(seqs):
         raise TautiltError(
             f"mgs id {k} out of range; the target has {len(seqs)} sequences"

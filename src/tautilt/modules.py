@@ -269,15 +269,20 @@ class ModuleMap:
         return quotient(self.target, [m for m in self.mats])
 
     def power(self, m):
-        out = identity_map(self.source)
-        base = self
-        while m:
-            if m & 1:
-                out = out.then(base)
-            m >>= 1
-            if m:
-                base = base.then(base)
-        return out
+        return _compose_power(self, m) if m else identity_map(self.source)
+
+
+def _compose_power(f, m):
+    """f composed with itself m >= 1 times by repeated squaring; it starts
+    from the first factor, so no identity map is multiplied."""
+    out = None
+    while True:
+        if m & 1:
+            out = f if out is None else out.then(f)
+        m >>= 1
+        if not m:
+            return out
+        f = f.then(f)
 
 
 def identity_map(x):
@@ -765,12 +770,6 @@ def ext1_dim(x, y):
 # -- decomposition ---------------------------------------------------------
 
 
-def _power_ranks_stabilized(f, n):
-    p = f.power(max(n, 1))
-    p2 = p.then(p)
-    return p if p.rank() == p2.rank() else p2
-
-
 def _eigen_shifts(f):
     """Rational eigenvalues of the total action of an endomorphism."""
     field = f.field
@@ -786,22 +785,13 @@ def _eigen_shifts(f):
     return sorted(values, key=str)
 
 
-def _try_split(x, f):
-    """Fitting split along f if it is neither nilpotent nor invertible."""
-    n = x.total_dim()
-    p = _power_ranks_stabilized(f, n)
-    r = p.rank()
-    if r == 0 or r == n:
-        return None
-    ker, _ = p.kernel()
-    img, _ = p.image()
-    if ker.total_dim() + img.total_dim() != n:
-        raise CertificateFailure("Fitting split dimensions do not add up")
-    return ker, img
-
-
-def _splitting_candidates(x, endos, seed):
-    ident = identity_map(x)
+def _splitting_candidates(endos, ident, seed):
+    """Endomorphisms to try for a Fitting split: the basis, its pair sums and
+    products, and seeded random combinations, each followed by its rational
+    eigenvalue shifts.  Any type with ModuleMap's operations will do; twoterm
+    passes degreewise chain endomorphisms.
+    """
+    field = ident.field
     for f in endos:
         yield f
         for lam in _eigen_shifts(f):
@@ -816,36 +806,62 @@ def _splitting_candidates(x, endos, seed):
                 yield h - ident.scale(lam)
     rng = random.Random(seed)
     for _ in range(24):
-        f = zero_map(x, x)
+        f = ident.scale(field.zero)
         for g in endos:
-            f = f + g.scale(x.field(rng.randint(-5, 5)))
+            f = f + g.scale(field(rng.randint(-5, 5)))
         yield f
         for lam in _eigen_shifts(f):
             if lam:
                 yield f - ident.scale(lam)
 
 
+def _fitting_split(candidates, n):
+    """Stabilized power p of the first nonzero candidate with 0 < rank(p) < n
+    (n the total dimension), which splits the object as ker(p) + im(p), or None.
+
+    None is a guess, not a certificate: the candidates are finitely many
+    seeded endomorphisms, and all may be nilpotent or invertible although
+    the endomorphism ring is not local.
+    """
+    for f in candidates:
+        if f.is_zero():
+            continue
+        p = f.power(max(n, 1))
+        p2 = p.then(p)
+        r, r2 = p.rank(), p2.rank()
+        if r != r2:
+            p, r = p2, r2
+        if 0 < r < n:
+            return p
+    return None
+
+
+def _group_isomorphic(pieces, iso):
+    """(piece, multiplicity) pairs, grouping pieces that iso(a, b) calls
+    isomorphic; each group keeps its first piece."""
+    grouped = []
+    for piece in pieces:
+        for entry in grouped:
+            if iso(entry[0], piece):
+                entry[1] += 1
+                break
+        else:
+            grouped.append([piece, 1])
+    return [(piece, mult) for piece, mult in grouped]
+
+
 def decompose(x, seed=0):
     """Indecomposable summands with multiplicities: list of (rep, mult).
 
-    Splits along Fitting decompositions of endomorphisms drawn from the Hom
-    basis, their rational eigenvalue shifts, products, and seeded random
-    combinations; a piece is declared indecomposable when every candidate is
-    nilpotent or invertible (local endomorphism ring certificate).
+    Splits along Fitting decompositions of seeded candidate endomorphisms; a
+    piece none of them splits is declared indecomposable (see _fitting_split).
     """
     alg = x.algebra
     key = ("decomp", x.key(), seed)
     if key not in alg.cache:
-        pieces = _decompose_raw(x, seed)
-        grouped = []
-        for piece in pieces:
-            for entry in grouped:
-                if is_isomorphic(entry[0], piece, seed=seed):
-                    entry[1] += 1
-                    break
-            else:
-                grouped.append([piece, 1])
-        alg.cache[key] = [(rep, mult) for rep, mult in grouped]
+        alg.cache[key] = _group_isomorphic(
+            _decompose_raw(x, seed), lambda a, b: is_isomorphic(a, b, seed=seed)
+        )
     # intern on the way out so the chosen objects do not depend on which
     # equal-content input hit the cache first
     return [(canonical_rep(rep), mult) for rep, mult in alg.cache[key]]
@@ -857,14 +873,15 @@ def _decompose_raw(x, seed):
     endos = hom_basis(x, x)
     if len(endos) == 1:
         return [x]
-    for f in _splitting_candidates(x, endos, seed):
-        if f.is_zero():
-            continue
-        split = _try_split(x, f)
-        if split is not None:
-            ker, img = split
-            return _decompose_raw(ker, seed) + _decompose_raw(img, seed)
-    return [x]
+    n = x.total_dim()
+    p = _fitting_split(_splitting_candidates(endos, identity_map(x), seed), n)
+    if p is None:
+        return [x]
+    ker, _ = p.kernel()
+    img, _ = p.image()
+    if ker.total_dim() + img.total_dim() != n:
+        raise CertificateFailure("Fitting split dimensions do not add up")
+    return _decompose_raw(ker, seed) + _decompose_raw(img, seed)
 
 
 def is_isomorphic(x, y, seed=0):
@@ -979,18 +996,16 @@ def find_noninvertible_endo(y, seed=0):
     endos = hom_basis(y, y)
     if len(endos) <= 1:
         return None
-    for f in _splitting_candidates(y, endos, seed):
+    for f in _splitting_candidates(endos, identity_map(y), seed):
         if not f.is_zero() and not f.is_isomorphism():
             return f
     return None
 
 
 def is_brick(y, seed=0):
-    """Whether every nonzero endomorphism of y is invertible."""
+    """Whether the seeded search finds no nonzero non-invertible endomorphism."""
     if y.is_zero():
         return False
-    if len(hom_basis(y, y)) == 1:
-        return True
     return find_noninvertible_endo(y, seed) is None
 
 

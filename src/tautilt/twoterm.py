@@ -10,7 +10,6 @@ Morphism spaces are computed in the homotopy category: chain maps minus
 null-homotopic ones, all as exact linear algebra over the ground field.
 """
 
-import itertools
 import random
 
 from . import linalg, modules
@@ -540,100 +539,57 @@ def minimalize(t):
 
 
 def realize(t):
-    """Representations of each degree plus realized differential maps."""
-    psums = {i: t.projsum(i) for i in t.support()}
-    dmaps = {}
-    for i in t.diffs:
-        dmaps[i] = psums[i].block_to_map(psums[i + 1], t.diffs[i])
-    return psums, dmaps
+    """The ProjSum of each degree, which carries its representation."""
+    return {i: t.projsum(i) for i in t.support()}
 
 
-def _endo_from_vec(t, psums, layout, vec):
-    blocks = vec_to_blocks(t, t, 0, layout, vec)
-    out = {}
-    for i in t.support():
+class _ChainEndo:
+    """Degreewise chain endomorphism, one ModuleMap per degree, with the
+    operations the split search in modules uses.  Its mats are the vertex
+    matrices of each degree in turn: one charpoly per degree and vertex."""
+
+    def __init__(self, maps, field):
+        self.maps = maps
+        self.field = field
+
+    @property
+    def mats(self):
+        return [m for f in self.maps.values() for m in f.mats]
+
+    def _each(self, op):
+        return _ChainEndo({i: op(i, f) for i, f in self.maps.items()}, self.field)
+
+    def then(self, other):
+        return self._each(lambda i, f: f.then(other.maps[i]))
+
+    def __add__(self, other):
+        return self._each(lambda i, f: f + other.maps[i])
+
+    def __sub__(self, other):
+        return self._each(lambda i, f: f - other.maps[i])
+
+    def scale(self, c):
+        return self._each(lambda i, f: f.scale(c))
+
+    def is_zero(self):
+        return all(f.is_zero() for f in self.maps.values())
+
+    def rank(self):
+        return sum(f.rank() for f in self.maps.values())
+
+    def power(self, m):
+        return modules._compose_power(self, m)
+
+
+def _degree_maps(a, b, psums_a, psums_b, layout, vec):
+    """(degree, ModuleMap) for each degree of a, of the chain map a -> b with
+    coordinates vec, built lazily."""
+    blocks = vec_to_blocks(a, b, 0, layout, vec)
+    for i in a.support():
         if i in blocks:
-            out[i] = psums[i].block_to_map(psums[i], blocks[i])
+            yield i, psums_a[i].block_to_map(psums_b[i], blocks[i])
         else:
-            out[i] = modules.zero_map(psums[i].rep, psums[i].rep)
-    return out
-
-
-def _endo_compose(a, b):
-    return {i: a[i].then(b[i]) for i in a}
-
-
-def _endo_add(a, b):
-    return {i: a[i] + b[i] for i in a}
-
-
-def _endo_scale(c, a):
-    return {i: a[i].scale(c) for i in a}
-
-
-def _endo_identity(psums):
-    return {i: modules.identity_map(ps.rep) for i, ps in psums.items()}
-
-
-def _endo_is_zero(a):
-    return all(m.is_zero() for m in a.values())
-
-
-def _endo_power(a, m):
-    out = None
-    base = a
-    while m:
-        if m & 1:
-            out = base if out is None else _endo_compose(out, base)
-        m >>= 1
-        if m:
-            base = _endo_compose(base, base)
-    return out
-
-
-def _endo_rank(a):
-    return sum(m.rank() for m in a.values())
-
-
-def _endo_eigen_shifts(a, field):
-    values = set()
-    for m in a.values():
-        for mat in m.mats:
-            if not mat:
-                continue
-            try:
-                roots = linalg.rational_roots(linalg.charpoly(mat, field), field)
-            except TautiltError:
-                roots = []
-            values.update(roots)
-    return sorted(values, key=str)
-
-
-def _complex_split_candidates(t, psums, endos, seed):
-    field = t.field
-    ident = _endo_identity(psums)
-    for f in endos:
-        yield f
-        for lam in _endo_eigen_shifts(f, field):
-            if lam:
-                yield _endo_add(f, _endo_scale(-lam, ident))
-    for f, g in itertools.islice(itertools.combinations(endos, 2), 64):
-        yield _endo_add(f, g)
-        h = _endo_compose(f, g)
-        yield h
-        for lam in _endo_eigen_shifts(h, field):
-            if lam:
-                yield _endo_add(h, _endo_scale(-lam, ident))
-    rng = random.Random(seed)
-    zero = {i: modules.zero_map(ps.rep, ps.rep) for i, ps in psums.items()}
-    for _ in range(24):
-        f = zero
-        for g in endos:
-            f = _endo_add(f, _endo_scale(field(rng.randint(-5, 5)), g))
-        yield f
-        for lam in _endo_eigen_shifts(f, field):
-            if lam:
-                yield _endo_add(f, _endo_scale(-lam, ident))
+            yield i, modules.zero_map(psums_a[i].rep, psums_b[i].rep)
 
 
 def _split_projective_part(sub, incl, other_incl, ambient):
@@ -694,47 +650,36 @@ def _rebuild_from_endo(t, psums, p):
 
 
 def decompose_complex(t, seed=0):
-    """Indecomposable summands with multiplicities, minimal representatives."""
+    """Indecomposable summands with multiplicities, minimal representatives,
+    by the split search of modules.decompose (see modules._fitting_split)."""
     alg = t.algebra
     key = ("cdecomp", t.key(), seed)
     if key not in alg.cache:
-        pieces = _decompose_complex_raw(minimalize(t), seed)
-        grouped = []
-        for piece in pieces:
-            for entry in grouped:
-                if is_isomorphic_complex(entry[0], piece, seed=seed):
-                    entry[1] += 1
-                    break
-            else:
-                grouped.append([piece, 1])
-        alg.cache[key] = [(c, mult) for c, mult in grouped]
+        alg.cache[key] = modules._group_isomorphic(
+            _decompose_complex_raw(minimalize(t), seed),
+            lambda a, b: is_isomorphic_complex(a, b, seed=seed),
+        )
     return alg.cache[key]
 
 
 def _decompose_complex_raw(t, seed):
     if t.is_zero():
         return []
-    psums, _ = realize(t)
+    psums = realize(t)
     chains, _, layout = chain_hom_data(t, t, 0)
-    endos = [_endo_from_vec(t, psums, layout, vec) for vec in chains]
+    endos = [
+        _ChainEndo(dict(_degree_maps(t, t, psums, psums, layout, vec)), t.field)
+        for vec in chains
+    ]
     if len(endos) == 1:
         return [t]
+    ident = _ChainEndo({i: modules.identity_map(ps.rep) for i, ps in psums.items()}, t.field)
     total = sum(ps.rep.total_dim() for ps in psums.values())
-    for f in _complex_split_candidates(t, psums, endos, seed):
-        if _endo_is_zero(f):
-            continue
-        p = _endo_power(f, max(total, 1))
-        p2 = _endo_compose(p, p)
-        if _endo_rank(p2) != _endo_rank(p):
-            p = p2
-        r = _endo_rank(p)
-        if r == 0 or r == total:
-            continue
-        halves = _rebuild_from_endo(t, psums, p)
-        return _decompose_complex_raw(halves[0], seed) + _decompose_complex_raw(
-            halves[1], seed
-        )
-    return [t]
+    p = modules._fitting_split(modules._splitting_candidates(endos, ident, seed), total)
+    if p is None:
+        return [t]
+    halves = _rebuild_from_endo(t, psums, p.maps)
+    return _decompose_complex_raw(halves[0], seed) + _decompose_complex_raw(halves[1], seed)
 
 
 def _sort_key(t):
@@ -783,8 +728,8 @@ def is_isomorphic_complex(a, b, seed=0):
     for i in a.terms:
         if sorted(a.term_vertices(i)) != sorted(b.term_vertices(i)):
             return False
-    psums_a, _ = realize(a)
-    psums_b, _ = realize(b)
+    psums_a = realize(a)
+    psums_b = realize(b)
     chains, _, layout = chain_hom_data(a, b, 0)
     if not chains:
         return a.is_zero()
@@ -797,16 +742,8 @@ def is_isomorphic_complex(a, b, seed=0):
             vec = [x + s * y for x, y in zip(vec, c)]
         candidates.append(vec)
     for vec in candidates:
-        blocks = vec_to_blocks(a, b, 0, layout, vec)
-        ok = True
-        for i in a.support():
-            f = psums_a[i].block_to_map(psums_b[i], blocks.get(i)) if i in blocks else None
-            if f is None:
-                f = modules.zero_map(psums_a[i].rep, psums_b[i].rep)
-            if not f.is_isomorphism():
-                ok = False
-                break
-        if ok:
+        maps = _degree_maps(a, b, psums_a, psums_b, layout, vec)
+        if all(f.is_isomorphism() for _, f in maps):
             return True
     return False
 
@@ -1189,7 +1126,7 @@ def complex_fingerprint(t, seed=0):
                 g = tuple(-1 if w == v else 0 for w in range(t.algebra.n))
                 out.extend([("shift", g, (0,) * t.algebra.n)] * mult)
         else:
-            psums, _ = realize(c)
+            psums = realize(c)
             if -1 in c.terms:
                 d = psums[-1].block_to_map(psums[0], c.diff(-1))
                 h0, _ = d.cokernel()

@@ -151,12 +151,19 @@ def test_transport(ws3, capsys):
     assert out2 == out
 
 
-def test_transport_bad_id(ws3, capsys):
+def test_transport_bad_id(ws3, capsys, monkeypatch):
     code, _, err = run(capsys, ["transport", ws3, "PairP1", "99"])
     assert code == 1
     assert "out of range" in err
+
+    # a malformed id is rejected before the reduction runs
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("tau_reduction ran before the mgs id was parsed")
+
+    monkeypatch.setattr(explorer, "tau_reduction", no_reduction)
     code, _, err = run(capsys, ["transport", ws3, "PairP1", "five"])
     assert code == 1
+    assert "mgs id 'five' is not an integer" in err
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,13 @@ Nakayama and hereditary algebras) and then frozen.
 import pytest
 
 from tautilt import modules as M
+from tautilt.algebra import Quiver, compile_bound_quiver
 from tautilt.errors import (
     InvalidRepresentation,
     NotAModuleMap,
     PreconditionViolated,
 )
+from tautilt.linalg import QQ, Field
 
 
 def P(alg, i):
@@ -221,13 +223,36 @@ def test_decompose_free_module(cyc3):
     assert dims == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
 
-def test_decompose_multiplicity(a2):
+def a2_over(field):
+    return compile_bound_quiver(Quiver(["1", "2"], [("a", "1", "2")]), [], field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(3)], ids=["Q", "F2", "F3"])
+def test_decompose_multiplicity(field):
+    a2 = a2_over(field)
     x = M.direct_sum([P(a2, 0), P(a2, 0), S(a2, 0)])[0]
     parts = M.decompose(x)
     assert sorted((rep.dims, mult) for rep, mult in parts) == [
         ((1, 0), 1),
         ((1, 1), 2),
     ]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3)], ids=["Q", "F3"])
+def test_map_power(field):
+    a2 = a2_over(field)
+    x = M.direct_sum([P(a2, 0), P(a2, 0), S(a2, 0)])[0]
+    f = M.zero_map(x, x)
+    for k, g in enumerate(M.hom_basis(x, x)):
+        f = f + g.scale(field(k + 1))
+    assert f.power(0).mats == M.identity_map(x).mats
+    assert f.power(1).mats == f.mats
+    assert f.power(2).mats == f.then(f).mats
+    repeated = f
+    for _ in range(4):
+        repeated = repeated.then(f)
+    assert f.power(5).mats == repeated.mats
+    assert not f.power(5).is_zero() and f.power(5).mats != f.mats
 
 
 def test_decompose_indecomposable(a3):

@@ -6,8 +6,9 @@ import pytest
 
 from tautilt import modules as md
 from tautilt import twoterm as tt
-from tautilt.algebra import AlgebraElement, BasicAlgebra
+from tautilt.algebra import AlgebraElement, BasicAlgebra, Quiver, compile_bound_quiver
 from tautilt.errors import PreconditionViolated
+from tautilt.linalg import QQ, Field
 
 
 def P(alg, i):
@@ -218,7 +219,9 @@ def test_decompose_zero(a2):
     assert tt.decompose_complex(tt.zero_complex(a2)) == []
 
 
-def test_decompose_with_multiplicity(a2):
+@pytest.mark.parametrize("field", [QQ, Field(2), Field(3)], ids=["Q", "F2", "F3"])
+def test_decompose_with_multiplicity(field):
+    a2 = compile_bound_quiver(Quiver(["1", "2"], [("a", "1", "2")]), [], field)
     c = cplx(a2, [S(a2, 0)])
     t = tt.direct_sum_complexes([c, c, tt.stalk_complex(a2, [0])])
     parts = tt.decompose_complex(t)
