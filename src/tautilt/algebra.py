@@ -403,7 +403,8 @@ def compile_bound_quiver(quiver, relations, field, length_bound=12):
         if sum(len(lv) for lv in by_length) > PATH_CAP:
             raise NotFiniteDimensional(
                 f"more than {PATH_CAP} paths below length {length_bound}; "
-                "the quiver is too wild for this tool or the bound is too large"
+                "the quiver is too wild for this tool or the bound is too large; "
+                "lower length_bound (workspace directive 'bound <n>')"
             )
     all_paths = [p for layer in by_length for p in layer]
     all_paths.sort(key=lambda p: (len(p[1]), p[1]))

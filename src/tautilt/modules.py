@@ -819,6 +819,9 @@ def _fitting_split(candidates, n):
     """Stabilized power p of the first nonzero candidate with 0 < rank(p) < n
     (n the total dimension), which splits the object as ker(p) + im(p), or None.
 
+    By Fitting's lemma f^n has stable rank, degreewise too for a chain
+    endomorphism, since no degree has dimension above n.
+
     None is a guess, not a certificate: the candidates are finitely many
     seeded endomorphisms, and all may be nilpotent or invertible although
     the endomorphism ring is not local.
@@ -827,11 +830,7 @@ def _fitting_split(candidates, n):
         if f.is_zero():
             continue
         p = f.power(max(n, 1))
-        p2 = p.then(p)
-        r, r2 = p.rank(), p2.rank()
-        if r != r2:
-            p, r = p2, r2
-        if 0 < r < n:
+        if 0 < p.rank() < n:
             return p
     return None
 

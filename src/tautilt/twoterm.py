@@ -463,11 +463,6 @@ def cone(x, y, f_blocks):
     return ProjectiveComplex(alg, terms, diffs, check=False)
 
 
-def cocone(x, y, g_blocks):
-    """Cocone (shifted cone) of g: x -> y: fits in cocone -> x -> y."""
-    return cone(x, y, g_blocks).shift(-1)
-
-
 def minimalize(t):
     """Strip contractible summands [e_vA = e_vA] by Gaussian elimination.
 
@@ -903,27 +898,6 @@ def _is_left_approximation(f, parts):
     return True
 
 
-def _is_right_approximation(g, parts):
-    """Every map from each part into g.target must factor through g."""
-    x = g.target
-    field = x.algebra.field
-    for part in parts:
-        chains, boundaries, _ = chain_hom_data(part, x, 0)
-        if not linalg.rank(chains, field):
-            continue
-        psis, _, psi_layout = chain_hom_data(part, g.source, 0)
-        comps = list(boundaries)
-        for vec in psis:
-            psi_blocks = vec_to_blocks(part, g.source, 0, psi_layout, vec)
-            comp = _compose_blocks(g.blocks, psi_blocks, part, g.source, x)
-            comps.append(_blocks_to_vec(part, x, comp))
-        if linalg.rank(comps, field) < linalg.rank(
-            list(boundaries) + list(chains), field
-        ):
-            return False
-    return True
-
-
 def min_left_approx(x, u, seed=0):
     """Minimal left add(u)-approximation f: x -> U'.
 
@@ -956,32 +930,6 @@ def _min_left_approx(x, parts):
     return _assemble_into(x, keep)
 
 
-def min_right_approx(x, u, seed=0):
-    """Minimal right add(u)-approximation g: U' -> x (mirror case)."""
-    return _min_right_approx(x, [p for p, _ in decompose_complex(u, seed)])
-
-
-def _min_right_approx(x, parts):
-    """min_right_approx out of the sum of the given indecomposable parts."""
-    candidates = []
-    for part in parts:
-        reps, layout = _hom_rep_basis(part, x)
-        for vec in reps:
-            candidates.append((part, vec_to_blocks(part, x, 0, layout, vec)))
-    keep = list(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(keep)):
-            trial = keep[:idx] + keep[idx + 1 :]
-            g = _assemble_from(x, trial)
-            if _is_right_approximation(g, parts):
-                keep = trial
-                changed = True
-                break
-    return _assemble_from(x, keep)
-
-
 def _assemble_into(x, pieces):
     """Stack maps x -> part_i into one map x -> (+) part_i."""
     target = (
@@ -1003,32 +951,6 @@ def _assemble_into(x, pieces):
             rows.extend(bl)
         blocks[i] = rows
     return ChainMap(x, target, blocks)
-
-
-def _assemble_from(x, pieces):
-    """Join maps part_i -> x into one map (+) part_i -> x."""
-    source = (
-        direct_sum_complexes([p for p, _ in pieces])
-        if pieces
-        else zero_complex(x.algebra)
-    )
-    zero = x.algebra.zero_element()
-    blocks = {}
-    for i in source.support():
-        if not x.term_vertices(i):
-            continue
-        rows = [[] for _ in x.term_vertices(i)]
-        for part, pblocks in pieces:
-            pv = part.term_vertices(i)
-            if not pv:
-                continue
-            bl = pblocks.get(i)
-            if bl is None:
-                bl = [[zero for _ in pv] for _ in x.term_vertices(i)]
-            for l in range(len(rows)):
-                rows[l].extend(bl[l])
-        blocks[i] = rows
-    return ChainMap(source, x, blocks)
 
 
 def complex_dagger(t):
@@ -1085,14 +1007,20 @@ def right_completion_silting(u, t):
 
 
 def mutate_complex(t, summand_index, direction, seed=0):
-    """Irreducible mutation of a basic silting complex at one summand.
+    """Irreducible mutation of a two-term basic silting complex at one summand.
 
     direction "left" takes the cone of the minimal left approximation of the
-    summand into the other summands, "right" the cocone of the minimal right
-    approximation from them.  That cone is indecomposable, so the result
-    carries the summands at hand (see sum_of_summands) and is not decomposed
-    again.  Returns the new complex, or None when it leaves the window.
+    summand into the other summands.  "right" is its dual: complex_dagger
+    sends right approximations over A to left ones over A^op, so it takes
+    the same cone over A^op and reads it back.  That cone is indecomposable,
+    so the result carries the summands at hand (see sum_of_summands) and is
+    not decomposed again.  Returns the new complex, or None when it leaves
+    the window.
     """
+    if direction not in ("left", "right"):
+        raise TautiltError("direction must be left or right")
+    if not t.is_two_term():
+        raise PreconditionViolated("mutation expects a two-term complex")
     parts = decompose_complex(t, seed)
     if any(mult > 1 for _, mult in parts):
         raise PreconditionViolated("mutation expects a basic complex")
@@ -1101,20 +1029,17 @@ def mutate_complex(t, summand_index, direction, seed=0):
         raise TautiltError("summand index out of range")
     x = reps[summand_index]
     rest = [c for idx, c in enumerate(reps) if idx != summand_index]
-    if direction == "left":
-        f = _min_left_approx(x, rest)
-        y = minimalize(cone(x, f.target, f.blocks))
-    elif direction == "right":
-        g = _min_right_approx(x, rest)
-        y = minimalize(cocone(g.source, x, g.blocks))
-    else:
-        raise TautiltError("direction must be left or right")
+    others = rest
+    if direction == "right":
+        x, others = complex_dagger(x), [complex_dagger(c) for c in rest]
+    f = _min_left_approx(x, others)
+    y = minimalize(cone(x, f.target, f.blocks))
+    # complex_dagger raises outside the window, so test before reading back
     if not y.is_two_term():
         return None
-    out = sum_of_summands(rest + [y], seed)
-    if not out.is_two_term():
-        return None
-    return out
+    if direction == "right":
+        y = complex_dagger(y)
+    return sum_of_summands(rest + [y], seed)
 
 
 def complex_fingerprint(t, seed=0):

@@ -6,7 +6,13 @@ import pytest
 
 from tautilt import modules as md
 from tautilt import twoterm as tt
-from tautilt.algebra import AlgebraElement, BasicAlgebra, Quiver, compile_bound_quiver
+from tautilt.algebra import (
+    AlgebraElement,
+    BasicAlgebra,
+    Quiver,
+    Relation,
+    compile_bound_quiver,
+)
 from tautilt.errors import PreconditionViolated
 from tautilt.linalg import QQ, Field
 
@@ -325,15 +331,39 @@ def test_single_mutations_of_free(a2):
     assert tt.mutate_complex(free, 0, "right") is None
 
 
-def test_mutation_is_involutive(a2):
-    free = tt.free_silting(a2)
-    t = tt.mutate_complex(free, 0, "left")
-    moved = None
-    for idx in range(len(tt.decompose_complex(t))):
-        back = tt.mutate_complex(t, idx, "right")
-        if back is not None and tt.complex_fingerprint(back) == tt.complex_fingerprint(free):
-            moved = idx
-    assert moved is not None
+def test_mutation_expects_two_term_input(a2):
+    outside = tt.free_silting(a2).shift(-1)
+    for direction in ("left", "right"):
+        with pytest.raises(PreconditionViolated):
+            tt.mutate_complex(outside, 0, direction)
+
+
+def _cycle3(field):
+    q = Quiver(["1", "2", "3"], [("a3", "1", "2"), ("a1", "2", "3"), ("a2", "3", "1")])
+    paths = [("a1", "a2"), ("a2", "a3"), ("a3", "a1")]
+    rels = [Relation(q, [(1, path)]) for path in paths]
+    return compile_bound_quiver(q, rels, field)
+
+
+def test_mutation_is_involutive(a2, a3, cyc3):
+    # right mutation is the dual of left mutation, so it must undo every left
+    # move at the slot of the new summand and stay over the same algebra
+    for alg in (a2, a3, cyc3, _cycle3(Field(3))):
+        moves = 0
+        for t in _mutation_closure(alg).values():
+            keys = [c.key() for c, _ in tt.decompose_complex(t)]
+            for idx in range(len(keys)):
+                m = tt.mutate_complex(t, idx, "left")
+                if m is None:
+                    continue
+                new = [c.key() not in keys for c, _ in tt.decompose_complex(m)]
+                assert new.count(True) == 1
+                back = tt.mutate_complex(m, new.index(True), "right")
+                assert back is not None
+                assert back.algebra is t.algebra
+                assert tt.complex_fingerprint(back) == tt.complex_fingerprint(t)
+                moves += 1
+        assert moves > 0
 
 
 def test_mutation_closure_matches_pair_count_cyc3(cyc3):
@@ -482,19 +512,14 @@ def test_min_left_approx_minimal_target(a2):
     assert len(tt.decompose_complex(f.target)) == 1
 
 
-def test_min_right_approx_minimal_source(a2):
-    x = cplx(a2, [S(a2, 0)])
-    g = tt.min_right_approx(x, tt.free_silting(a2))
-    g.validate()
-    want = tt.complex_fingerprint(tt.stalk_complex(a2, [0]))
-    assert tt.complex_fingerprint(g.source) == want
-
-
-def test_dagger_involution(a2, cyc3):
-    for alg in (a2, cyc3):
-        for t in (tt.free_silting(alg), tt.shifted_silting(alg)):
+def test_dagger_involution(a3, cyc3):
+    # exact, not up to isomorphism: daggering twice returns the same blocks
+    # over the same algebra object, so carried summands and caches stay on A
+    for alg in (a3, cyc3):
+        for t in _mutation_closure(alg).values():
             back = tt.complex_dagger(tt.complex_dagger(t))
-            assert tt.is_isomorphic_complex(back, t)
+            assert back.algebra is t.algebra
+            assert back.key() == t.key()
 
 
 def test_dagger_swaps_extremes(a2):

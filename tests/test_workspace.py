@@ -125,6 +125,33 @@ def test_parse_error_line_number():
     assert str(err.value).startswith("line 5:")
 
 
+PI_A4 = """
+# preprojective algebra of A4, dimension 20
+vertex 1 2 3 4
+arrow a1 1 2
+arrow a2 2 3
+arrow a3 3 4
+arrow b1 2 1
+arrow b2 3 2
+arrow b3 4 3
+relation a1*b1
+relation b1*a1 - a2*b2
+relation b2*a2 - a3*b3
+relation b3*a3
+"""
+
+
+def test_too_wild_error_names_the_bound_directive():
+    # at the default bound of 12 the path count overflows; the error says
+    # how to lower it, and a lower bound compiles the algebra
+    with pytest.raises(ParseError) as err:
+        wk.parse_workspace(PI_A4)
+    assert "bound <n>" in str(err.value)
+    ws = wk.parse_workspace(PI_A4 + "bound 7\n")
+    assert ws.algebra.dim == 20
+    assert ws.algebra.n == 4
+
+
 def test_field_twice():
     with pytest.raises(ParseError):
         wk.parse_workspace("field Q\nfield Q\nvertex 1")
