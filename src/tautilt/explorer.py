@@ -9,6 +9,8 @@ sequences through the reduction, and the verification sweeps used by the
 command line driver.
 """
 
+from collections import Counter
+
 from . import linalg, modules, tauops, twoterm
 from .errors import (
     CertificateFailure,
@@ -94,22 +96,33 @@ def build_exchange_graph(algebra, budget=10000, seed=0):
 
 def _certify_graph(graph):
     """Structural invariants of a complete graph; raises on violation."""
+    failures = _shape_failures(graph)
+    if failures:
+        checks = ", ".join(sorted({f["check"] for f in failures}))
+        raise CertificateFailure(f"exchange graph fails its shape checks: {checks}")
+
+
+def _shape_failures(graph):
+    """Failure records of the graph shape: n incident edges at every node,
+    the free pair as the only source and the shifted pair as the only sink."""
     alg = graph.algebra
-    n = alg.n
     incoming = {fp: 0 for fp in graph.nodes}
     outgoing = {fp: 0 for fp in graph.nodes}
     for s, t, _ in graph.edges:
         outgoing[s] += 1
         incoming[t] += 1
-    for fp in graph.nodes:
-        if incoming[fp] + outgoing[fp] != n:
-            raise CertificateFailure("a node does not have exactly n incident edges")
+    failures = [
+        {"check": "degree", "node": modules.describe_pair(pair)}
+        for fp, pair in graph.nodes.items()
+        if incoming[fp] + outgoing[fp] != alg.n
+    ]
     sources = [fp for fp in graph.nodes if incoming[fp] == 0]
     sinks = [fp for fp in graph.nodes if outgoing[fp] == 0]
-    top = tauops.free_pair(alg).fingerprint()
-    bottom = tauops.shifted_pair(alg).fingerprint()
-    if sources != [top] or sinks != [bottom]:
-        raise CertificateFailure("graph extremes are not the free and shifted pairs")
+    if sources != [tauops.free_pair(alg).fingerprint()]:
+        failures.append({"check": "unique-source"})
+    if sinks != [tauops.shifted_pair(alg).fingerprint()]:
+        failures.append({"check": "unique-sink"})
+    return failures
 
 
 def maximal_green_sequences(graph, target, seed=0):
@@ -264,17 +277,13 @@ def tau_reduction(pair, seed=0, budget=10000):
     parts.sort(key=lambda r: (modules.g_vector(r), r.dims))
     s = len(parts)
 
-    u_slots = set()
-    for rep, mult in pair.m_summands():
-        hits = 0
-        for i in range(s):
-            if i not in u_slots and modules.is_isomorphic(parts[i], rep, seed=seed):
-                u_slots.add(i)
-                hits += 1
-                if hits == mult:
-                    break
-        if hits != mult:
-            raise CertificateFailure("completion lost a summand of the input pair")
+    # pair and completion are basic, and their summands are determined by
+    # their g-vectors (AIR Thm 5.5), so slots are found by token
+    tokens = [modules.summand_token("m", r) for r in parts]
+    u_tokens = [modules.summand_token("m", r) for r, _ in pair.m_summands()]
+    if any(t not in tokens for t in u_tokens):
+        raise CertificateFailure("completion lost a summand of the input pair")
+    u_slots = {tokens.index(t) for t in u_tokens}
     kept_slots = [i for i in range(s) if i not in u_slots]
 
     cells = {}
@@ -686,26 +695,12 @@ def verify_exchange(algebra, seed=0, budget=10000):
     failures = []
     if not graph.complete:
         failures.append({"check": "complete"})
-    incoming = {fp: 0 for fp in graph.nodes}
-    outgoing = {fp: 0 for fp in graph.nodes}
-    for s, t, _ in graph.edges:
-        outgoing[s] += 1
-        incoming[t] += 1
-    for fp, pair in graph.nodes.items():
-        if incoming[fp] + outgoing[fp] != algebra.n:
-            failures.append(
-                {"check": "degree", "node": modules.describe_pair(pair)}
-            )
+    failures.extend(_shape_failures(graph))
+    for pair in graph.nodes.values():
         if not _det_pm_one(pair):
             failures.append(
                 {"check": "unimodular", "node": modules.describe_pair(pair)}
             )
-    sources = [fp for fp in graph.nodes if incoming[fp] == 0]
-    sinks = [fp for fp in graph.nodes if outgoing[fp] == 0]
-    if sources != [tauops.free_pair(algebra).fingerprint()]:
-        failures.append({"check": "unique-source"})
-    if sinks != [tauops.shifted_pair(algebra).fingerprint()]:
-        failures.append({"check": "unique-sink"})
     buckets = {}
     for fp, pair in graph.nodes.items():
         rows = tauops.pair_summand_list(pair)
@@ -738,8 +733,9 @@ def verify_mutation_compat(rel_u, graph, seed=0, budget=10000):
     """Sweep the completion dichotomy over every left edge in the window.
 
     Per edge the exchange brick predicts whether the two completions
-    coincide or differ by one left mutation; the completion computed on
-    the complex side must agree with the module side at every node."""
+    coincide or differ by one left mutation.  At every window node the
+    completion of freshly searched complexes (from_tau_pair) must agree
+    with left_bongartz, which completes from the pairs' carried summands."""
     tauops._require_rigid(rel_u)
     if not graph.complete:
         raise IncompleteGraph("compatibility sweep needs a complete graph")
@@ -759,7 +755,7 @@ def verify_mutation_compat(rel_u, graph, seed=0, budget=10000):
             continue
         bp = tauops.left_bongartz(rel_u, node, seed=seed, budget=budget)
         completion[fp] = bp
-        sc = twoterm.left_completion_silting(u_c, twoterm.from_tau_pair(node))
+        sc = twoterm.left_completion_silting(u_c, twoterm.from_tau_pair(node), seed)
         if twoterm.to_tau_pair(sc).fingerprint() != bp.fingerprint():
             failures.append(
                 {"check": "route", "node": modules.describe_pair(node)}
@@ -815,26 +811,6 @@ def verify_mutation_compat(rel_u, graph, seed=0, budget=10000):
     }
 
 
-def _common_summand_count(a, b, seed=0):
-    fps_a = [
-        twoterm.complex_fingerprint(c, seed)
-        for c, m in twoterm.decompose_complex(a, seed)
-        for _ in range(m)
-    ]
-    fps_b = [
-        twoterm.complex_fingerprint(c, seed)
-        for c, m in twoterm.decompose_complex(b, seed)
-        for _ in range(m)
-    ]
-    count = 0
-    rest = list(fps_b)
-    for fp in fps_a:
-        if fp in rest:
-            rest.remove(fp)
-            count += 1
-    return count
-
-
 def verify_silting_compat(rel_u, graph, seed=0, budget=10000):
     """Left-mutation compatibility on the complex side: the completion of
     the smaller node stays silting, sits below, and shares all but at
@@ -863,15 +839,18 @@ def verify_silting_compat(rel_u, graph, seed=0, budget=10000):
             continue
         if twoterm.hom_k(u_c, ts, 2) or twoterm.hom_k(u_c, tt, 2):
             failures.append({"check": "higher-ext", "edge": edge_name})
-        ss = twoterm.left_completion_silting(u_c, ts)
-        st = twoterm.left_completion_silting(u_c, tt)
+        ss = twoterm.left_completion_silting(u_c, ts, seed)
+        st = twoterm.left_completion_silting(u_c, tt, seed)
         if not (twoterm.is_silting(ss, seed) and twoterm.is_silting(st, seed)):
             failures.append({"check": "silting", "edge": edge_name})
             continue
-        common = _common_summand_count(ss, st, seed)
-        if twoterm.is_isomorphic_complex(ss, st, seed=seed):
+        # silting summands are determined by their g-vectors (AIR Thm 5.5)
+        fs = Counter(twoterm.complex_fingerprint(ss, seed))
+        ft = Counter(twoterm.complex_fingerprint(st, seed))
+        if fs == ft:
             identity_steps += 1
             continue
+        common = sum((fs & ft).values())
         mutation_steps += 1
         if common != n - 1 or not twoterm.silting_leq(st, ss):
             failures.append({"check": "mutation-branch", "edge": edge_name})

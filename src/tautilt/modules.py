@@ -1134,12 +1134,14 @@ def summand_token(kind, rep):
 
 def _projective_vertex(rep):
     """The vertex v with rep isomorphic to e_v A (rep must be an
-    indecomposable projective)."""
+    indecomposable projective).  A module with simple top S_v is a quotient
+    of e_v A, so it is isomorphic to e_v A exactly when the dimensions
+    agree."""
     t = top_dims(rep)
     if sum(t) != 1:
         raise NotProjective("summand of the projective part is not indecomposable projective")
     v = t.index(1)
-    if not is_isomorphic(rep, projective(rep.algebra, v)):
+    if rep.dims != projective(rep.algebra, v).dims:
         raise NotProjective("summand of the projective part is not projective")
     return v
 

@@ -6,7 +6,7 @@ against module-level criteria before being returned, so a wrong
 approximation or split cannot silently produce a wrong pair.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 from . import modules, twoterm
 from .errors import (
@@ -57,26 +57,13 @@ def _proj_vertex_or_none(rep):
 
 
 def contains_pair(big, small):
-    """Whether every summand of small occurs among the summands of big."""
-    used = {}
-    for rep, mult in small.m_summands():
-        for _ in range(mult):
-            for idx, (cand, cmult) in enumerate(big.m_summands()):
-                if cmult - used.get(idx, 0) > 0 and modules.is_isomorphic(cand, rep):
-                    used[idx] = used.get(idx, 0) + 1
-                    break
-            else:
-                return False
-    p_have = []
-    for rep, mult in big.p_summands():
-        p_have.extend([modules._projective_vertex(rep)] * mult)
-    for rep, mult in small.p_summands():
-        v = modules._projective_vertex(rep)
-        for _ in range(mult):
-            if v not in p_have:
-                return False
-            p_have.remove(v)
-    return True
+    """Whether every summand of small occurs among the summands of big.
+
+    Both pairs must be tau-rigid.  Then a summand is determined by its
+    g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so the
+    summands are matched as fingerprint tokens, with multiplicity.
+    """
+    return not Counter(small.fingerprint()) - Counter(big.fingerprint())
 
 
 # -- duality ------------------------------------------------------------------
@@ -142,11 +129,11 @@ def _pair_complex(pair, seed):
     """The complex of a pair assembled from the complexes of its own
     summands, which it carries, with the position of each g-sorted slot in
     its decomposition; slots are found by key, not by matching up to
-    isomorphism."""
+    isomorphism.  The empty pair gives the zero complex."""
     rows = pair_summand_list(pair)
     parts = [_summand_complex(pair, kind, rep) for kind, rep in rows]
     if not parts:
-        return None, []
+        return twoterm.zero_complex(pair.algebra), []
     t = twoterm.sum_of_summands(parts, seed)
     keys = [c.key() for c, _ in twoterm.decompose_complex(t, seed)]
     return t, [keys.index(c.key()) for c in parts]
@@ -272,8 +259,8 @@ def left_bongartz(u_pair, anchor=None, seed=0, budget=10000):
     class containing Fac U together with Fac M of the anchor; defined when
     Fac M sits inside perp(tau U) ∩ perp(Q).  anchor=None means (0, A),
     the absolute left completion with Fac equal to Fac U.  The answer is
-    computed on the silting side from one approximation cone and certified
-    back on the module side.
+    computed on the silting side from the complexes of both pairs' own
+    summands (see _pair_complex) and certified back on the module side.
     """
     alg = u_pair.algebra
     if anchor is None:
@@ -287,9 +274,9 @@ def left_bongartz(u_pair, anchor=None, seed=0, budget=10000):
         raise PreconditionViolated(
             "anchor torsion class leaves perp(tau U) ∩ perp(Q)"
         )
-    t = twoterm.from_tau_pair(anchor)
-    uc = twoterm.from_tau_pair(u_pair)
-    out = twoterm.left_completion_silting(uc, t)
+    uc, _ = _pair_complex(u_pair, seed)
+    t, _ = _pair_complex(anchor, seed)
+    out = twoterm.left_completion_silting(uc, t, seed)
     result = twoterm.to_tau_pair(out)
     _certify_left(u_pair, anchor, result)
     alg.cache[key] = result

@@ -703,15 +703,6 @@ def sum_of_summands(parts, seed=0):
     return out
 
 
-def basic_complex(t, seed=0):
-    """One copy of each indecomposable summand, in the canonical order; the
-    result carries its summands (see sum_of_summands)."""
-    parts = [c for c, _ in decompose_complex(t, seed)]
-    if not parts:
-        return zero_complex(t.algebra)
-    return sum_of_summands(parts, seed)
-
-
 def is_isomorphic_complex(a, b, seed=0):
     """Isomorphism in the homotopy category of two minimal complexes."""
     a = a if _looks_minimal(a) else minimalize(a)
@@ -898,19 +889,15 @@ def _is_left_approximation(f, parts):
     return True
 
 
-def min_left_approx(x, u, seed=0):
-    """Minimal left add(u)-approximation f: x -> U'.
+def min_left_approx(x, parts):
+    """Minimal left add(U)-approximation f: x -> U', for U the sum of the
+    given pairwise non-isomorphic indecomposable parts.
 
-    Built greedily: start from one copy of each indecomposable summand of u
-    per Hom-basis element, then drop copies while the factoring property
-    survives.  Krull-Schmidt makes the greedy endpoint minimal.  Mutation and
-    Bongartz completion take the cone of this map.
+    Built greedily: start from one copy of each part per Hom-basis element,
+    then drop copies while the factoring property survives.  Krull-Schmidt
+    makes the greedy endpoint minimal.  Mutation and Bongartz completion
+    take the cone of this map.
     """
-    return _min_left_approx(x, [p for p, _ in decompose_complex(u, seed)])
-
-
-def _min_left_approx(x, parts):
-    """min_left_approx into the sum of the given indecomposable parts."""
     candidates = []
     for part in parts:
         reps, layout = _hom_rep_basis(x, part)
@@ -981,19 +968,40 @@ def complex_dagger(t):
     return ProjectiveComplex(op, terms, diffs, check=False)
 
 
-def left_completion_silting(u, t):
+def left_completion_silting(u, t, seed=0):
     """Left Bongartz completion of presilting u with respect to silting t.
 
-    Cone over the minimal left add(u)-approximation of t[-1], joined with
-    u and reduced to a basic complex.  Defined when Hom(u, t[1]) = 0, which
-    matches the torsion window of the pair picture; callers certify the
-    output independently.
+    The completion is u joined with the cone of the minimal left
+    add(u)-approximation of t[-1]; it is defined when Hom(u, t[1]) = 0,
+    which matches the torsion window of the pair picture, and callers
+    certify the output independently.
+
+    It is built from summands: read from decompose_complex, which costs
+    nothing when u and t carry theirs (see sum_of_summands; pass the seed
+    they were stored with).  Each summand t_i[-1] is approximated on its
+    own and only its small cone is split.  This gives the same basic
+    complex: the sum of the per-summand approximations is a left
+    approximation of t[-1], and any left approximation is the minimal one
+    plus a summand 0 -> U'' with U'' in add(u), so its cone is the minimal
+    cone plus U'', which u already holds.  The cones' summands are merged
+    into u's by g-vector, keeping u's copy on a tie, with no isomorphism
+    search.  That merge is exact because u joined with the cones is
+    presilting, and two-term presilting complexes are determined by their
+    g-vectors (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so u must
+    be presilting.
     """
+    if not is_presilting(u):
+        raise PreconditionViolated("completion expects a presilting u")
     if hom_k(u, t, 1):
         raise PreconditionViolated("Hom(u, t[1]) must vanish for completion")
-    f = min_left_approx(t.shift(-1), u)
-    x = minimalize(cone(f.source, f.target, f.blocks))
-    return basic_complex(direct_sum_complexes([u, x]))
+    u_parts = [c for c, _ in decompose_complex(u, seed)]
+    merged = {c.g_vec(): c for c in u_parts}
+    for ti, _ in decompose_complex(t, seed):
+        f = min_left_approx(ti.shift(-1), u_parts)
+        x = minimalize(cone(f.source, f.target, f.blocks))
+        for c in _decompose_complex_raw(x, seed):
+            merged.setdefault(c.g_vec(), c)
+    return sum_of_summands(list(merged.values()), seed)
 
 
 def right_completion_silting(u, t):
@@ -1032,7 +1040,7 @@ def mutate_complex(t, summand_index, direction, seed=0):
     others = rest
     if direction == "right":
         x, others = complex_dagger(x), [complex_dagger(c) for c in rest]
-    f = _min_left_approx(x, others)
+    f = min_left_approx(x, others)
     y = minimalize(cone(x, f.target, f.blocks))
     # complex_dagger raises outside the window, so test before reading back
     if not y.is_two_term():

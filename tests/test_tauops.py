@@ -2,14 +2,18 @@
 
 import pytest
 
+from tautilt import explorer as ex
 from tautilt import modules as md
 from tautilt import tauops as to
+from tautilt import twoterm as tt
+from tautilt.algebra import Quiver, Relation, compile_bound_quiver
 from tautilt.errors import (
     CertificateFailure,
     MatchFailure,
     NotRigid,
     PreconditionViolated,
 )
+from tautilt.linalg import Field
 
 
 def P(alg, i):
@@ -353,6 +357,48 @@ def test_left_and_right_agree_on_completions(a2):
             continue
         assert to.left_bongartz(pr, pr).fingerprint() == pr.fingerprint()
         assert to.right_bongartz(pr, pr).fingerprint() == pr.fingerprint()
+
+
+def _cycle3(field):
+    q = Quiver(["1", "2", "3"], [("a3", "1", "2"), ("a1", "2", "3"), ("a2", "3", "1")])
+    rels = [Relation(q, [(1, path)]) for path in [("a1", "a2"), ("a2", "a3"), ("a3", "a1")]]
+    return compile_bound_quiver(q, rels, field)
+
+
+def _contains_by_isomorphism(big, small):
+    # reference for contains_pair: match summands up to isomorphism
+    have = [("m", r) for r, mult in big.m_summands() for _ in range(mult)]
+    have += [("p", r) for r, mult in big.p_summands() for _ in range(mult)]
+    for kind, rep in to.pair_summand_list(small):
+        hits = [k for k, (k2, r2) in enumerate(have) if k2 == kind and md.is_isomorphic(r2, rep)]
+        if not hits:
+            return False
+        have.pop(hits[0])
+    return True
+
+
+def test_carried_completion_matches_searched_and_fan(a3, cyc3):
+    # left_bongartz completes from the pairs' carried summands; the same
+    # completion from freshly searched complexes and the fan search must
+    # agree at every window node of every rigid subpair, the empty one too
+    for alg in (a3, cyc3, _cycle3(Field(3))):
+        graph = ex.build_exchange_graph(alg)
+        subs = ex.rigid_subpairs(graph, alg.n - 1)
+        assert subs[0].m.is_zero() and subs[0].p.is_zero()
+        checked = 0
+        for u in subs:
+            for node in graph.node_list():
+                assert to.contains_pair(node, u) == _contains_by_isomorphism(node, u)
+                if not to.left_precondition(u, node):
+                    continue
+                carried = to.left_bongartz(u, node).fingerprint()
+                searched = tt.left_completion_silting(
+                    tt.from_tau_pair(u), tt.from_tau_pair(node)
+                )
+                assert tt.to_tau_pair(searched).fingerprint() == carried
+                assert to.fan_left_completion(u, node).fingerprint() == carried
+                checked += 1
+        assert checked > len(subs)
 
 
 # ---------------------------------------------------------------------------
