@@ -19,6 +19,7 @@ counterexample, 1 on any error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -216,7 +217,7 @@ def _cmd_mgs(args):
 def _cmd_reduce(args):
     ws = _load(args)
     pair = ws.pair(args.pair)
-    rd = explorer.tau_reduction(pair, seed=args.seed, budget=args.budget)
+    rd = explorer.tau_reduction(pair, seed=args.seed)
     report = {
         "command": "reduce",
         "pair": args.pair,
@@ -249,7 +250,7 @@ def _cmd_transport(args):
         k = int(idx)
     except ValueError:
         raise _UsageError(f"mgs id {args.mgs_id!r} is not an integer")
-    rd = explorer.tau_reduction(pair, seed=args.seed, budget=args.budget)
+    rd = explorer.tau_reduction(pair, seed=args.seed)
     g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
     seqs = explorer.maximal_green_sequences(g, rd.bongartz, seed=args.seed)
     if not 0 <= k < len(seqs):
@@ -298,16 +299,16 @@ def _cmd_verify(args):
         fn = {
             "compat": explorer.verify_mutation_compat,
             "silting-compat": explorer.verify_silting_compat,
-            "route": explorer.verify_route,
+            "route": functools.partial(explorer.verify_route, budget=args.budget),
         }[suite]
         g = explorer.build_exchange_graph(alg, budget=args.budget, seed=args.seed)
         if args.rel is not None:
-            report = fn(ws.pair(args.rel), g, seed=args.seed, budget=args.budget)
+            report = fn(ws.pair(args.rel), g, seed=args.seed)
             report["rel"] = args.rel
         else:
             runs = []
             for rel in _one_summand_sweep(g):
-                sub = fn(rel, g, seed=args.seed, budget=args.budget)
+                sub = fn(rel, g, seed=args.seed)
                 sub["rel"] = modules.describe_pair(rel)
                 runs.append(sub)
             report = {
@@ -383,7 +384,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_mgs)
 
     p = sub.add_parser("reduce", help="reduction of the algebra at a pair")
-    common(p)
+    common(p, budget=False)
     p.add_argument("pair")
     p.set_defaults(fn=_cmd_reduce)
 

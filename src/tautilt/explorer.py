@@ -249,7 +249,7 @@ def _build_basic(field, labels, names, peirce, mult):
     return alg
 
 
-def tau_reduction(pair, seed=0, budget=10000):
+def tau_reduction(pair, seed=0):
     """Reduce the ambient algebra at a rigid pair.
 
     Builds B = End(M) for the maximal completion (M, P), with basis the
@@ -259,7 +259,7 @@ def tau_reduction(pair, seed=0, budget=10000):
     """
     alg = pair.algebra
     field = alg.field
-    bon = tauops.right_bongartz(pair, seed=seed, budget=budget)
+    bon = tauops.right_bongartz(pair, seed=seed)
     own = sorted(
         modules._projective_vertex(rep)
         for rep, mult in pair.p_summands()
@@ -594,12 +594,12 @@ def _check_green_chain(chain, seed=0):
     tauops._require_tilting(chain[-1])
 
 
-def _completed_path(rel_u, path, seed, budget):
+def _completed_path(rel_u, path, seed):
     """Left completion of rel_u at each node of the path, with consecutive
     repeats dropped."""
     out = []
     for node in path:
-        c = tauops.left_bongartz(rel_u, node, seed=seed, budget=budget)
+        c = tauops.left_bongartz(rel_u, node, seed=seed)
         if not out or c.fingerprint() != out[-1].fingerprint():
             out.append(c)
     return out
@@ -622,7 +622,7 @@ def transport_mgs(rd, mgs, seed=0, budget=10000):
         raise PreconditionViolated("chain must end at the window torsion class")
     _check_green_chain(mgs, seed)
 
-    chain = _completed_path(rd.pair, mgs, seed, budget)
+    chain = _completed_path(rd.pair, mgs, seed)
     images = [reduce_pair(rd, c, seed=seed, budget=budget) for c in chain]
     if not images[0].m.is_zero():
         raise CertificateFailure("transported chain does not start at zero")
@@ -641,7 +641,7 @@ def transport_mgs(rd, mgs, seed=0, budget=10000):
     return images
 
 
-def connect_fixed_summand(path, rel_u, seed=0, budget=10000):
+def connect_fixed_summand(path, rel_u, seed=0):
     """Rewrite a mutation path so a fixed projective pair survives it.
 
     rel_u must be (U, 0) with U projective; the completion is then defined
@@ -663,7 +663,7 @@ def connect_fixed_summand(path, rel_u, seed=0, budget=10000):
         if len(gone) != 1 or len(new) != 1:
             raise PreconditionViolated("input is not a mutation path")
 
-    out = _completed_path(rel_u, path, seed, budget)
+    out = _completed_path(rel_u, path, seed)
     for node in out:
         if not tauops.contains_pair(node, rel_u):
             raise CertificateFailure("a rewritten node lost the fixed summand")
@@ -729,7 +729,7 @@ def verify_exchange(algebra, seed=0, budget=10000):
     }
 
 
-def verify_mutation_compat(rel_u, graph, seed=0, budget=10000):
+def verify_mutation_compat(rel_u, graph, seed=0):
     """Sweep the completion dichotomy over every left edge in the window.
 
     Per edge the exchange brick predicts whether the two completions
@@ -753,7 +753,7 @@ def verify_mutation_compat(rel_u, graph, seed=0, budget=10000):
         window[fp] = w_mod
         if not w_mod:
             continue
-        bp = tauops.left_bongartz(rel_u, node, seed=seed, budget=budget)
+        bp = tauops.left_bongartz(rel_u, node, seed=seed)
         completion[fp] = bp
         sc = twoterm.left_completion_silting(u_c, twoterm.from_tau_pair(node), seed)
         if twoterm.to_tau_pair(sc).fingerprint() != bp.fingerprint():
@@ -811,7 +811,7 @@ def verify_mutation_compat(rel_u, graph, seed=0, budget=10000):
     }
 
 
-def verify_silting_compat(rel_u, graph, seed=0, budget=10000):
+def verify_silting_compat(rel_u, graph, seed=0):
     """Left-mutation compatibility on the complex side: the completion of
     the smaller node stays silting, sits below, and shares all but at
     most one summand with the completion of the larger node."""
@@ -877,7 +877,7 @@ def verify_route(rel_u, graph, seed=0, budget=10000):
         if not tauops.left_precondition(rel_u, node):
             continue
         checked += 1
-        via_cone = tauops.left_bongartz(rel_u, node, seed=seed, budget=budget)
+        via_cone = tauops.left_bongartz(rel_u, node, seed=seed)
         via_fan = tauops.fan_left_completion(rel_u, node, seed=seed, budget=budget)
         if via_cone.fingerprint() != via_fan.fingerprint():
             failures.append(
@@ -966,7 +966,7 @@ def verify_reduction(algebra, seed=0, budget=10000):
     failures = []
     reports = []
     for cand in candidates:
-        rd = tau_reduction(cand, seed=seed, budget=budget)
+        rd = tau_reduction(cand, seed=seed)
         rep = reduction_bijection_check(rd, seed=seed, budget=budget)
         reports.append(
             {

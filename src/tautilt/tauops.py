@@ -177,13 +177,21 @@ def mutate_pair(pair, index, seed=0):
 def silting_closure(algebra, seed=0, budget=10000):
     """The mutation closure of the free pair: the exchange graph, walked once.
 
-    Breadth-first from the free pair; every mutation result is certified
-    when it is found, including results that are already nodes.  Returns
-    (nodes, edges, complete): nodes maps fingerprints to support tilting
-    pairs in discovery order, edges lists the left mutations as (source,
-    target, slot) with slot the g-sorted summand index on the source side,
-    and complete is False when a new node beyond the budget was skipped.
-    The walk is cached per (seed, budget) on the algebra.
+    Breadth-first from the free pair, building and certifying each edge
+    once, from the end that reaches it first.  An almost complete pair is
+    a summand of exactly two support tau-tilting pairs (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Thm 2.18) and is determined by the tokens of its
+    summands (Thm 5.5), so each exchange is recorded under the sorted
+    tokens left after removing one slot.  The other end reads its
+    neighbour from that record, with the direction reversed, and raises
+    CertificateFailure if it is not the recorded result, since the almost
+    complete pair would then have a third completion.  Every node is
+    certified once, when it is first built.  Returns (nodes, edges,
+    complete): nodes maps fingerprints to support tilting pairs in
+    discovery order, edges lists the left mutations as (source, target,
+    slot) with slot the g-sorted summand index on the source side, and
+    complete is False when a new node beyond the budget was skipped.  The
+    walk is cached per (seed, budget) on the algebra.
     """
     key = ("closure", seed, budget)
     if key not in algebra.cache:
@@ -191,21 +199,37 @@ def silting_closure(algebra, seed=0, budget=10000):
         _require_tilting(top)
         nodes = {top.fingerprint(): top}
         edges = []
+        exchanges = {}
         queue = deque([top])
         complete = True
         while queue:
             pair = queue.popleft()
             src_fp = pair.fingerprint()
-            t, slots = _pair_complex(pair, seed)
-            for slot, cindex in enumerate(slots):
-                neighbour, direction = _mutate_slot(pair, t, cindex, seed)
-                fp = neighbour.fingerprint()
-                if fp not in nodes:
-                    if len(nodes) >= budget:
-                        complete = False
-                        continue
-                    nodes[fp] = neighbour
-                    queue.append(neighbour)
+            tokens = [modules.summand_token(*row) for row in pair_summand_list(pair)]
+            built = None
+            for slot in range(len(tokens)):
+                rest = tuple(sorted(tokens[:slot] + tokens[slot + 1:]))
+                if rest in exchanges:
+                    first, other, first_direction = exchanges[rest]
+                    if other != src_fp:
+                        raise CertificateFailure(
+                            "an almost complete pair has a third completion"
+                        )
+                    fp = first
+                    direction = "right" if first_direction == "left" else "left"
+                else:
+                    if built is None:
+                        built = _pair_complex(pair, seed)
+                    t, slots = built
+                    neighbour, direction = _mutate_slot(pair, t, slots[slot], seed)
+                    fp = neighbour.fingerprint()
+                    exchanges[rest] = (src_fp, fp, direction)
+                    if fp not in nodes:
+                        if len(nodes) >= budget:
+                            complete = False
+                            continue
+                        nodes[fp] = neighbour
+                        queue.append(neighbour)
                 if direction == "left":
                     edges.append((src_fp, fp, slot))
         algebra.cache[key] = (nodes, edges, complete)
@@ -252,7 +276,7 @@ def _certify_left(u_pair, anchor, result):
             )
 
 
-def left_bongartz(u_pair, anchor=None, seed=0, budget=10000):
+def left_bongartz(u_pair, anchor=None, seed=0):
     """Left Bongartz completion of a tau-rigid pair relative to an anchor.
 
     Returns the support tau-tilting pair generating the smallest torsion
@@ -320,7 +344,7 @@ def fan_left_completion(u_pair, anchor=None, seed=0, budget=10000):
     raise CertificateFailure("the certified completions have no maximum")
 
 
-def right_bongartz(u_pair, anchor=None, seed=0, budget=10000):
+def right_bongartz(u_pair, anchor=None, seed=0):
     """Right Bongartz completion, computed through the duality.
 
     anchor=None means (A, 0); that case is the classical Bongartz
@@ -331,7 +355,7 @@ def right_bongartz(u_pair, anchor=None, seed=0, budget=10000):
         anchor = free_pair(alg)
     _require_rigid(u_pair)
     _require_tilting(anchor)
-    out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor), seed, budget)
+    out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor), seed)
     result = dagger_pair(out)
     _require_tilting(result)
     if not contains_pair(result, u_pair):

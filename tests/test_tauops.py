@@ -1,5 +1,7 @@
 """Pair-level operations: mutation, duality, completions, brick labels."""
 
+from collections import deque
+
 import pytest
 
 from tautilt import explorer as ex
@@ -13,7 +15,7 @@ from tautilt.errors import (
     NotRigid,
     PreconditionViolated,
 )
-from tautilt.linalg import Field
+from tautilt.linalg import QQ, Field
 
 
 def P(alg, i):
@@ -359,9 +361,18 @@ def test_left_and_right_agree_on_completions(a2):
         assert to.right_bongartz(pr, pr).fingerprint() == pr.fingerprint()
 
 
-def _cycle3(field):
-    q = Quiver(["1", "2", "3"], [("a3", "1", "2"), ("a1", "2", "3"), ("a2", "3", "1")])
-    rels = [Relation(q, [(1, path)]) for path in [("a1", "a2"), ("a2", "a3"), ("a3", "a1")]]
+def _linear(n, field):
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
+    return compile_bound_quiver(Quiver(labels, arrows), [], field)
+
+
+def _cycle(n, field):
+    # the oriented n-cycle with all paths of length two killed
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
+    q = Quiver(labels, arrows)
+    rels = [Relation(q, [(1, (f"a{i}", f"a{(i + 1) % n}"))]) for i in range(n)]
     return compile_bound_quiver(q, rels, field)
 
 
@@ -381,7 +392,7 @@ def test_carried_completion_matches_searched_and_fan(a3, cyc3):
     # left_bongartz completes from the pairs' carried summands; the same
     # completion from freshly searched complexes and the fan search must
     # agree at every window node of every rigid subpair, the empty one too
-    for alg in (a3, cyc3, _cycle3(Field(3))):
+    for alg in (a3, cyc3, _cycle(3, Field(3))):
         graph = ex.build_exchange_graph(alg)
         subs = ex.rigid_subpairs(graph, alg.n - 1)
         assert subs[0].m.is_zero() and subs[0].p.is_zero()
@@ -399,6 +410,86 @@ def test_carried_completion_matches_searched_and_fan(a3, cyc3):
                 assert to.fan_left_completion(u, node).fingerprint() == carried
                 checked += 1
         assert checked > len(subs)
+
+
+# ---------------------------------------------------------------------------
+# the exchange-graph walk
+
+# freshly compiled algebras, so no earlier test has cached a walk on them
+FRESH = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc4": lambda: _cycle(4, QQ),
+    "A3/F3": lambda: _linear(3, Field(3)),
+}
+
+
+def _reference_walk(alg, budget):
+    # breadth-first from the free pair without the exchange record: every
+    # slot of every node is mutated by mutate_pair, under the same budget rule
+    top = to.free_pair(alg)
+    nodes = {top.fingerprint(): top}
+    edges = []
+    complete = True
+    queue = deque([top])
+    while queue:
+        node = queue.popleft()
+        for slot in range(len(to.pair_summand_list(node))):
+            nb, direction = to.mutate_pair(node, slot)
+            fp = nb.fingerprint()
+            if fp not in nodes:
+                if len(nodes) >= budget:
+                    complete = False
+                    continue
+                nodes[fp] = nb
+                queue.append(nb)
+            if direction == "left":
+                edges.append((node.fingerprint(), fp, slot))
+    return list(nodes), edges, complete
+
+
+@pytest.mark.parametrize("budget", [7, 20, 10000])
+@pytest.mark.parametrize("name", sorted(FRESH))
+def test_walk_matches_unmemoised_reference(name, budget):
+    alg = FRESH[name]()
+    nodes, edges, complete = to.silting_closure(alg, budget=budget)
+    assert (list(nodes), edges, complete) == _reference_walk(alg, budget)
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3", "cyc4"])
+def test_walk_builds_each_edge_once(name, monkeypatch):
+    # the other end of an exchange reads it from the walk's record
+    alg = FRESH[name]()
+    calls = []
+    mutate_slot = to._mutate_slot
+
+    def counted(*args):
+        calls.append(args)
+        return mutate_slot(*args)
+
+    monkeypatch.setattr(to, "_mutate_slot", counted)
+    graph = ex.build_exchange_graph(alg)
+    assert graph.complete
+    assert len(calls) == len(graph.edges)
+
+
+def test_walk_rejects_a_third_completion(monkeypatch):
+    # the first exchange from the free pair returns a wrong neighbour; the
+    # true neighbour then finds its almost complete pair already completed
+    # by two other pairs
+    alg = FRESH["A3"]()
+    mutate_slot = to._mutate_slot
+    calls = []
+
+    def wrong_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return to.shifted_pair(alg), "left"
+        return mutate_slot(*args)
+
+    monkeypatch.setattr(to, "_mutate_slot", wrong_first)
+    with pytest.raises(CertificateFailure, match="third completion"):
+        to.silting_closure(alg)
 
 
 # ---------------------------------------------------------------------------
