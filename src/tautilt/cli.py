@@ -199,7 +199,7 @@ def _cmd_mgs(args):
     ws = _load(args)
     target = ws.pair(args.pair)
     g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
-    seqs = explorer.maximal_green_sequences(g, target, seed=args.seed)
+    seqs = explorer.maximal_green_sequences(g, target)
     report = {
         "command": "mgs",
         "target": args.pair,
@@ -252,7 +252,7 @@ def _cmd_transport(args):
         raise _UsageError(f"mgs id {args.mgs_id!r} is not an integer")
     rd = explorer.tau_reduction(pair, seed=args.seed)
     g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
-    seqs = explorer.maximal_green_sequences(g, rd.bongartz, seed=args.seed)
+    seqs = explorer.maximal_green_sequences(g, rd.bongartz)
     if not 0 <= k < len(seqs):
         raise TautiltError(
             f"mgs id {k} out of range; the target has {len(seqs)} sequences"
@@ -273,12 +273,6 @@ def _cmd_transport(args):
     ]
     _emit(args, report, lines)
     return 0
-
-
-def _one_summand_sweep(graph):
-    """All rigid pairs with at most one summand, the sweep domain for the
-    edge-compatibility suites."""
-    return explorer.rigid_subpairs(graph, 1)
 
 
 def _cmd_verify(args):
@@ -307,7 +301,7 @@ def _cmd_verify(args):
             report["rel"] = args.rel
         else:
             runs = []
-            for rel in _one_summand_sweep(g):
+            for rel in explorer.rigid_subpairs(g, 1):
                 sub = fn(rel, g, seed=args.seed)
                 sub["rel"] = modules.describe_pair(rel)
                 runs.append(sub)

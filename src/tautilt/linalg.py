@@ -160,10 +160,8 @@ def mat_mul(a, b, field, out_cols=None):
     return out
 
 
-def mat_transpose(a, out_rows=0):
-    if not a:
-        return [[] for _ in range(0)]
-    if not a[0]:
+def mat_transpose(a):
+    if not a or not a[0]:
         return []
     return [list(col) for col in zip(*a)]
 

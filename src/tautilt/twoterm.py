@@ -853,10 +853,11 @@ def _compose_blocks(second, first, src, mid, tgt):
 
 
 def _hom_rep_basis(x, y):
-    """Representatives of a basis of Hom(x, y) modulo homotopy."""
+    """Representatives of a basis of Hom(x, y) modulo homotopy, and the
+    null-homotopic maps and layout of the same coordinates."""
     chains, boundaries, layout = chain_hom_data(x, y, 0)
     if not chains:
-        return [], layout
+        return [], boundaries, layout
     width = len(chains[0])
     solver = linalg.RowSolver(boundaries, x.algebra.field, width)
     kept = []
@@ -864,57 +865,48 @@ def _hom_rep_basis(x, y):
         if not solver.contains(vec):
             kept.append(vec)
             solver = linalg.RowSolver(boundaries + kept, x.algebra.field, width)
-    return kept, layout
-
-
-def _is_left_approximation(f, parts):
-    """Every map from f.source into each part must factor through f."""
-    x = f.source
-    field = x.algebra.field
-    for part in parts:
-        chains, boundaries, _ = chain_hom_data(x, part, 0)
-        target_rank = linalg.rank(chains, field)
-        if not target_rank:
-            continue
-        phis, _, phi_layout = chain_hom_data(f.target, part, 0)
-        comps = list(boundaries)
-        for vec in phis:
-            phi_blocks = vec_to_blocks(f.target, part, 0, phi_layout, vec)
-            comp = _compose_blocks(phi_blocks, f.blocks, x, f.target, part)
-            comps.append(_blocks_to_vec(x, part, comp))
-        if linalg.rank(comps, field) < linalg.rank(
-            list(boundaries) + list(chains), field
-        ):
-            return False
-    return True
+    return kept, boundaries, layout
 
 
 def min_left_approx(x, parts):
     """Minimal left add(U)-approximation f: x -> U', for U the sum of the
     given pairwise non-isomorphic indecomposable parts.
 
-    Built greedily: start from one copy of each part per Hom-basis element,
-    then drop copies while the factoring property survives.  Krull-Schmidt
-    makes the greedy endpoint minimal.  Mutation and Bongartz completion
-    take the cone of this map.
+    The candidates, a basis of each Hom(x, U_j) modulo homotopy in part
+    order, together form a left approximation.  One pass drops candidate c
+    of part j when it lies in the span of the null-homotopic maps x -> U_j
+    and of phi.d for every other kept candidate d and chain map phi from
+    d's part to U_j.  That span is the U_j-component of the submodule
+    generated under End(U) by the other kept candidates, so c lies in it
+    exactly when they still form a left approximation.  Dropping only
+    shrinks the spans, so a candidate found necessary stays necessary, and
+    the pass keeps what a loop dropping one candidate and restarting keeps;
+    Krull-Schmidt makes that minimal.  Each phi.d is composed once, when
+    first needed.  Mutation and Bongartz completion take the cone of this map.
     """
-    candidates = []
-    for part in parts:
-        reps, layout = _hom_rep_basis(x, part)
-        for vec in reps:
-            candidates.append((part, vec_to_blocks(x, part, 0, layout, vec)))
-    keep = list(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(keep)):
-            trial = keep[:idx] + keep[idx + 1 :]
-            f = _assemble_into(x, trial)
-            if _is_left_approximation(f, parts):
-                keep = trial
-                changed = True
-                break
-    return _assemble_into(x, keep)
+    candidates, homotopic = [], []
+    for j, part in enumerate(parts):
+        reps, boundaries, layout = _hom_rep_basis(x, part)
+        homotopic.append(boundaries)
+        candidates += [(j, v, vec_to_blocks(x, part, 0, layout, v)) for v in reps]
+    kept = [True] * len(candidates)
+    maps, comps = {}, {}
+    for c, (j, vec, _) in enumerate(candidates):
+        rows = list(homotopic[j])
+        for d, (i, _, blocks) in enumerate(candidates):
+            if d == c or not kept[d]:
+                continue
+            if (i, j) not in maps:
+                chains, _, layout = chain_hom_data(parts[i], parts[j], 0)
+                maps[i, j] = [vec_to_blocks(parts[i], parts[j], 0, layout, v) for v in chains]
+            if (d, j) not in comps:
+                comps[d, j] = [
+                    _blocks_to_vec(x, parts[j], _compose_blocks(phi, blocks, x, parts[i], parts[j]))
+                    for phi in maps[i, j]
+                ]
+            rows += comps[d, j]
+        kept[c] = not linalg.RowSolver(rows, x.algebra.field, len(vec)).contains(vec)
+    return _assemble_into(x, [(parts[j], b) for (j, _, b), k in zip(candidates, kept) if k])
 
 
 def _assemble_into(x, pieces):

@@ -219,35 +219,6 @@ def _parse_relation(lineno, rest):
     return terms
 
 
-def _arrow_matrices_to_rad(algebra, dims, arrow_mats):
-    """Action matrices for every radical basis path from the arrow matrices."""
-    arrow_of = {lbl: k for k, (lbl, _, _) in enumerate(algebra.arrows)}
-    field = algebra.field
-    mats = {}
-    for lbl, (lineno, mat) in arrow_mats.items():
-        a = arrow_of[lbl]
-        src, tgt = algebra.arrows[a][1], algebra.arrows[a][2]
-        if len(mat) != dims[src] or any(len(row) != dims[tgt] for row in mat):
-            raise _err(
-                lineno,
-                f"map for arrow {lbl!r} must be {dims[src]} x {dims[tgt]}",
-            )
-        mats[a] = mat
-    rad = {}
-    for k in algebra.radical_indices():
-        word = algebra.words[k]
-        i, j = algebra.peirce[k]
-        acc = linalg.identity(dims[i], field)
-        cols = dims[i]
-        for a in word:
-            tgt = algebra.arrows[a][2]
-            step = mats.get(a) or linalg.zeros(cols, dims[tgt], field)
-            acc = linalg.mat_mul(acc, step, field, out_cols=dims[tgt])
-            cols = dims[tgt]
-        rad[k] = acc
-    return rad
-
-
 def parse_workspace(text):
     """Parse a workspace file into validated objects.
 
@@ -280,10 +251,24 @@ def parse_workspace(text):
         kind, lineno, name, data = block
         block = None
         if kind == "module":
-            if data["dims"] is None:
+            dims = data["dims"]
+            if dims is None:
                 raise _err(lineno, f"module {name!r} has no dim line")
-            rad = _arrow_matrices_to_rad(algebra, data["dims"], data["maps"])
-            mods[name] = modules.Representation(algebra, data["dims"], rad)
+            ends = {lbl: (src, tgt) for lbl, src, tgt in algebra.arrows}
+            # an arrow without a map line acts as zero
+            mats = {
+                lbl: linalg.zeros(dims[src], dims[tgt], algebra.field)
+                for lbl, (src, tgt) in ends.items()
+            }
+            for lbl, (map_line, mat) in data["maps"].items():
+                src, tgt = ends[lbl]
+                if len(mat) != dims[src] or any(len(r) != dims[tgt] for r in mat):
+                    raise _err(
+                        map_line,
+                        f"map for arrow {lbl!r} must be {dims[src]} x {dims[tgt]}",
+                    )
+                mats[lbl] = mat
+            mods[name] = modules.rep_from_arrows(algebra, dims, mats)
         else:
             if not data["terms"]:
                 complexes[name] = twoterm.zero_complex(algebra)

@@ -15,7 +15,7 @@ from tautilt.errors import (
     NotRigid,
     PreconditionViolated,
 )
-from tautilt.linalg import QQ, Field
+from tautilt.linalg import QQ, Field, rank
 
 
 def P(alg, i):
@@ -412,6 +412,67 @@ def test_carried_completion_matches_searched_and_fan(a3, cyc3):
         assert checked > len(subs)
 
 
+def _restart_greedy(x, parts):
+    # reference for min_left_approx: from the same candidates, drop the
+    # first one whose removal leaves a left approximation, then start over
+    field = x.algebra.field
+    candidates = []
+    for part in parts:
+        reps, _, layout = tt._hom_rep_basis(x, part)
+        candidates += [(part, tt.vec_to_blocks(x, part, 0, layout, v)) for v in reps]
+
+    def approximates(pieces):
+        f = tt._assemble_into(x, pieces)
+        for part in parts:
+            chains, boundaries, _ = tt.chain_hom_data(x, part, 0)
+            if not chains:
+                continue
+            phis, _, layout = tt.chain_hom_data(f.target, part, 0)
+            comps = list(boundaries)
+            for v in phis:
+                phi = tt.vec_to_blocks(f.target, part, 0, layout, v)
+                comp = tt._compose_blocks(phi, f.blocks, x, f.target, part)
+                comps.append(tt._blocks_to_vec(x, part, comp))
+            if rank(comps, field) < rank(boundaries + chains, field):
+                return False
+        return True
+
+    keep = candidates
+    while True:
+        for idx in range(len(keep)):
+            trial = keep[:idx] + keep[idx + 1:]
+            if approximates(trial):
+                keep = trial
+                break
+        else:
+            return tt._assemble_into(x, keep)
+
+
+def test_one_pass_approximation_matches_restart_greedy(monkeypatch):
+    # every approximation made by the walks and the left_bongartz sweeps
+    calls = []
+    one_pass = tt.min_left_approx
+
+    def recorded(x, parts):
+        f = one_pass(x, parts)
+        calls.append((x, parts, f))
+        return f
+
+    monkeypatch.setattr(tt, "min_left_approx", recorded)
+    for alg in (_linear(3, QQ), _cycle(3, QQ), _cycle(3, Field(3))):
+        graph = ex.build_exchange_graph(alg)
+        for u in ex.rigid_subpairs(graph, alg.n - 1):
+            for node in graph.node_list():
+                if to.left_precondition(u, node):
+                    to.left_bongartz(u, node)
+    assert len(calls) > 100
+    for x, parts, f in calls:
+        ref = _restart_greedy(x, parts)
+        assert f.target.key() == ref.target.key()
+        got = tt._blocks_to_vec(x, f.target, f.blocks)
+        assert got == tt._blocks_to_vec(x, ref.target, ref.blocks)
+
+
 # ---------------------------------------------------------------------------
 # the exchange-graph walk
 
@@ -490,6 +551,69 @@ def test_walk_rejects_a_third_completion(monkeypatch):
     monkeypatch.setattr(to, "_mutate_slot", wrong_first)
     with pytest.raises(CertificateFailure, match="third completion"):
         to.silting_closure(alg)
+
+
+# ---------------------------------------------------------------------------
+# one certified completion per window node in the compat sweeps
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_compat_completes_each_window_node_once(name, monkeypatch):
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    calls = []
+    complete = tt.left_completion_silting
+
+    def counted(*args):
+        calls.append(args)
+        return complete(*args)
+
+    monkeypatch.setattr(tt, "left_completion_silting", counted)
+    for rel in ex.rigid_subpairs(graph, 1):
+        before = len(calls)
+        rep = ex.verify_mutation_compat(rel, graph)
+        assert rep["pass"], rep["failures"]
+        window = [n for n in graph.node_list() if to.left_precondition(rel, n)]
+        assert len(calls) - before == len(window)
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_compat_sweeps_search_no_complex_isomorphism(name, monkeypatch):
+    # the sweeps read complexes that carry their summands
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex isomorphism search in a compat sweep")
+
+    monkeypatch.setattr(tt, "is_isomorphic_complex", refuse)
+    for rel in ex.rigid_subpairs(graph, 1):
+        for sweep in (ex.verify_mutation_compat, ex.verify_silting_compat):
+            rep = sweep(rel, graph)
+            assert rep["pass"], rep["failures"]
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
+    # the silting side returns another node that contains U; the
+    # module-side certificate, which the compat sweep relies on, refuses it
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    rejected = 0
+    for u in ex.rigid_subpairs(graph, 1):
+        for anchor in graph.node_list():
+            if not to.left_precondition(u, anchor):
+                continue
+            right = to.fan_left_completion(u, anchor).fingerprint()
+            for other in graph.node_list():
+                if other.fingerprint() == right or not to.contains_pair(other, u):
+                    continue
+                wrong, _ = to._pair_complex(other, 0)
+                monkeypatch.setattr(tt, "left_completion_silting", lambda *a: wrong)
+                with pytest.raises(CertificateFailure):
+                    to.left_bongartz(u, anchor)
+                rejected += 1
+    assert rejected > 100
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,21 @@ def test_parse_module_with_maps():
     assert md.is_isomorphic(ws.modules["X"], ws.modules["P1"])
 
 
+def test_module_without_a_map_line_acts_as_zero():
+    text = "vertex 1 2 3\narrow a 1 2\narrow b 2 3\nmodule X\ndim 1 1 1\nmap a [[1]]\n"
+    ws = wk.parse_workspace(text)
+    alg = ws.algebra
+    a = next(k for k, (lbl, _, _) in enumerate(alg.arrows) if lbl == "a")
+    # the path a acts as the identity, the paths b and a*b as zero
+    rad = {
+        k: [[QQ.one]] if list(alg.words[k]) == [a] else [[QQ.zero]]
+        for k in alg.radical_indices()
+    }
+    assert ws.modules["X"].key() == md.Representation(alg, (1, 1, 1), rad).key()
+    explicit = wk.parse_workspace(text + "map b [[0]]\n")
+    assert explicit.modules["X"].key() == ws.modules["X"].key()
+
+
 def test_multiline_matrix():
     text = A2 + "module W\ndim 2 2\nmap a [[1,0],\n       [0,1]]"
     ws = wk.parse_workspace(text)
