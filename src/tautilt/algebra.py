@@ -19,6 +19,21 @@ from .errors import (
 PATH_CAP = 1500
 
 
+class ContentKey(tuple):
+    """A content tuple that computes its hash once.
+
+    Cache keys nest whole module and complex contents, and a plain tuple
+    hashes all of its entries again at every lookup.  Equality, ordering
+    and the hash value are those of the plain tuple."""
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+
 class Quiver:
     """Finite quiver with labelled vertices and arrows."""
 

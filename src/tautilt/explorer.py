@@ -493,9 +493,19 @@ def _reduced_pairs(rd, seed=0, budget=10000):
 
 def reduce_pair(rd, apair, seed=0, budget=10000):
     """The reduced-side pair whose torsion class matches the image of
-    Fac(apair) under the reduction; apair must contain the rigid pair."""
+    Fac(apair) under the reduction; apair must contain the rigid pair.
+
+    Cached per reduction on the reduced algebra, by the (M, P) content of
+    apair, seed and budget."""
     if not tauops.contains_pair(apair, rd.pair):
         raise PreconditionViolated("pair does not contain the reduction pair")
+    key = ("reduce_pair", apair.m.key(), apair.p.key(), seed, budget)
+    if key not in rd.quotient.cache:
+        rd.quotient.cache[key] = _reduce_pair(rd, apair, seed, budget)
+    return rd.quotient.cache[key]
+
+
+def _reduce_pair(rd, apair, seed, budget):
     q = tauops._star_quotient(rd.pair, apair.m)
     y = reduction_functor(rd, q)
     hits = [

@@ -268,8 +268,9 @@ def det(mat, field):
 class RowSolver:
     """Expresses vectors in the span of a fixed list of rows.
 
-    Tracks elimination coefficients so answers come back in terms of the
-    original rows, which may be linearly dependent.
+    Answers come back in terms of the original rows, which may be linearly
+    dependent.  Elimination records its steps; the nrows-wide coefficient
+    transform that only express needs is built from them on its first call.
     """
 
     def __init__(self, rows, field, width=None):
@@ -277,46 +278,61 @@ class RowSolver:
         self.nrows = len(rows)
         self.width = width if width is not None else ncols(rows)
         self.reduced = []
-        self.transform = []
         self.pivots = []
+        self._steps = []  # per kept row: (row index, [(r, f)] subtracted, scale)
+        self._transform = None
         for i, row in enumerate(rows):
-            coeffs = [field.zero] * self.nrows
-            coeffs[i] = field.one
-            vec, coeffs = self._reduce(list(row), coeffs)
+            vec = list(row)
+            subtracted = []
+            for r, piv in enumerate(self.pivots):
+                if vec[piv]:
+                    f = vec[piv]
+                    vec = [x - f * y for x, y in zip(vec, self.reduced[r])]
+                    subtracted.append((r, f))
             piv = next((c for c in range(self.width) if vec[c]), None)
             if piv is None:
                 continue
             inv = field.one / vec[piv]
             self.reduced.append([inv * x for x in vec])
-            self.transform.append([inv * x for x in coeffs])
             self.pivots.append(piv)
+            self._steps.append((i, subtracted, inv))
 
-    def _reduce(self, vec, coeffs):
-        for r, piv in enumerate(self.pivots):
-            if vec[piv]:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, self.reduced[r])]
-                if coeffs is not None:
-                    coeffs = [x - f * y for x, y in zip(coeffs, self.transform[r])]
-        return vec, coeffs
+    @property
+    def transform(self):
+        """Row k: the coefficients of reduced row k over the original rows."""
+        if self._transform is None:
+            field = self.field
+            self._transform = []
+            for i, subtracted, inv in self._steps:
+                coeffs = [field.zero] * self.nrows
+                coeffs[i] = field.one
+                for r, f in subtracted:
+                    coeffs = [x - f * y for x, y in zip(coeffs, self._transform[r])]
+                self._transform.append([inv * x for x in coeffs])
+        return self._transform
 
     @property
     def rank(self):
         return len(self.pivots)
 
     def contains(self, vec):
-        residue, _ = self._reduce(list(vec), None)
+        residue = list(vec)
+        for r, piv in enumerate(self.pivots):
+            if residue[piv]:
+                f = residue[piv]
+                residue = [x - f * y for x, y in zip(residue, self.reduced[r])]
         return not any(residue)
 
     def express(self, vec):
         """Coefficients over the original rows, or None if vec is outside."""
+        transform = self.transform
         out = [self.field.zero] * self.nrows
         residue = list(vec)
         for r, piv in enumerate(self.pivots):
             if residue[piv]:
                 f = residue[piv]
                 residue = [x - f * y for x, y in zip(residue, self.reduced[r])]
-                out = [x + f * y for x, y in zip(out, self.transform[r])]
+                out = [x + f * y for x, y in zip(out, transform[r])]
         if any(residue):
             return None
         return out

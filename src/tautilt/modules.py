@@ -11,7 +11,7 @@ import itertools
 import random
 
 from . import linalg
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, ContentKey
 from .errors import (
     CertificateFailure,
     InvalidRepresentation,
@@ -94,13 +94,13 @@ class Representation:
     def key(self):
         """Content key for caching; equal keys mean equal representations."""
         if self._key is None:
-            self._key = (
+            self._key = ContentKey((
                 self.dims,
                 tuple(
                     tuple(tuple(row) for row in self.mats[k])
                     for k in self.algebra.radical_indices()
                 ),
-            )
+            ))
         return self._key
 
     def __repr__(self):
@@ -920,20 +920,30 @@ def is_isomorphic(x, y, seed=0):
 
 
 def trace_submodule(gen, x):
-    """The trace of gen in x: sum of images of all maps gen -> x."""
-    spans = [[] for _ in range(x.algebra.n)]
-    for f in hom_basis(gen, x):
-        for v in range(x.algebra.n):
-            spans[v].extend(f.mats[v])
-    return submodule(x, spans)
+    """The trace of gen in x: sum of images of all maps gen -> x.
+
+    Cached per (gen, x) content; returns (trace, inclusion)."""
+    alg = x.algebra
+    key = ("trace", gen.key(), x.key())
+    if key not in alg.cache:
+        spans = [[] for _ in range(alg.n)]
+        for f in hom_basis(gen, x):
+            for v in range(alg.n):
+                spans[v].extend(f.mats[v])
+        alg.cache[key] = submodule(x, spans)
+    return alg.cache[key]
 
 
 def _trace_quotient(gen, x):
-    """x modulo the trace of gen: (trace, inclusion, quotient, projection)."""
-    t, incl = trace_submodule(gen, x)
-    spans = [incl.mats[v] if t.dims[v] else [] for v in range(x.algebra.n)]
-    q, proj = quotient(x, spans)
-    return t, incl, q, proj
+    """x modulo the trace of gen: (trace, inclusion, quotient, projection),
+    cached per (gen, x) content."""
+    alg = x.algebra
+    key = ("trace_quotient", gen.key(), x.key())
+    if key not in alg.cache:
+        t, incl = trace_submodule(gen, x)
+        spans = [incl.mats[v] if t.dims[v] else [] for v in range(alg.n)]
+        alg.cache[key] = (t, incl) + quotient(x, spans)
+    return alg.cache[key]
 
 
 def in_fac(gen, x):
@@ -1165,8 +1175,18 @@ def check_pair(pair):
 
     Returns a dict with keys: projective_ok, rigid, hom_p_m_zero, role.
     The role is one of not_rigid, rigid, almost, tilting by the count of
-    indecomposable summands against the number of vertices.
+    indecomposable summands against the number of vertices.  Cached per
+    (M, P, seed) content; only a basic pair is cached, so a non-basic one
+    raises on every call.
     """
+    alg = pair.algebra
+    key = ("check_pair", pair.m.key(), pair.p.key(), pair.seed)
+    if key not in alg.cache:
+        alg.cache[key] = _check_pair(pair)
+    return dict(alg.cache[key])
+
+
+def _check_pair(pair):
     alg = pair.algebra
     if not pair.is_basic():
         raise PreconditionViolated("pair is not basic; call normalize_pair first")

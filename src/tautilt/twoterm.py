@@ -13,7 +13,7 @@ null-homotopic ones, all as exact linear algebra over the ground field.
 import random
 
 from . import linalg, modules
-from .algebra import AlgebraElement, local_inverse
+from .algebra import AlgebraElement, ContentKey, local_inverse
 from .errors import (
     CertificateFailure,
     NotSilting,
@@ -121,7 +121,7 @@ class ProjectiveComplex:
                         tuple(tuple(e.coeffs for e in row) for row in blocks),
                     )
                 )
-            self._key = tuple(bits)
+            self._key = ContentKey(bits)
         return self._key
 
     def shift(self, s):
@@ -980,18 +980,23 @@ def left_completion_silting(u, t, seed=0):
     search.  That merge is exact because u joined with the cones is
     presilting, and two-term presilting complexes are determined by their
     g-vectors (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so u must
-    be presilting.
+    be presilting.  The split cone of each summand is cached per
+    (u, t_i, seed) content, so anchors that share a summand share its cone.
     """
     if not is_presilting(u):
         raise PreconditionViolated("completion expects a presilting u")
     if hom_k(u, t, 1):
         raise PreconditionViolated("Hom(u, t[1]) must vanish for completion")
+    alg = u.algebra
     u_parts = [c for c, _ in decompose_complex(u, seed)]
     merged = {c.g_vec(): c for c in u_parts}
     for ti, _ in decompose_complex(t, seed):
-        f = min_left_approx(ti.shift(-1), u_parts)
-        x = minimalize(cone(f.source, f.target, f.blocks))
-        for c in _decompose_complex_raw(x, seed):
+        key = ("left_cone", u.key(), ti.key(), seed)
+        if key not in alg.cache:
+            f = min_left_approx(ti.shift(-1), u_parts)
+            x = minimalize(cone(f.source, f.target, f.blocks))
+            alg.cache[key] = tuple(_decompose_complex_raw(x, seed))
+        for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()), seed)
 

@@ -1,0 +1,170 @@
+"""Content caches on the algebra: each trace, trace quotient, pair check,
+per-summand completion cone and reduction image is computed once per
+content, and a warm cache answers as a cold one does."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from tautilt import explorer as ex
+from tautilt import modules as md
+from tautilt import tauops as to
+from tautilt import twoterm as tt
+from tautilt import workspace as wk
+from tautilt.errors import PreconditionViolated
+
+TEXT = {
+    "A3": "vertex 1 2 3\narrow a 1 2\narrow b 2 3\n",
+    "cyc3": (
+        "vertex 1 2 3\narrow a 1 2\narrow b 2 3\narrow c 3 1\n"
+        "relation a*b\nrelation b*c\nrelation c*a\n"
+    ),
+}
+
+
+def _fresh(name):
+    return wk.parse_workspace(TEXT[name]).algebra
+
+
+def test_compat_sweeps_take_each_trace_once(monkeypatch):
+    alg = _fresh("cyc3")
+    graph = ex.build_exchange_graph(alg)
+    traced = Counter()
+    submodule = md.submodule
+
+    def counted(x, spans):
+        # count only the submodules that trace_submodule builds
+        caller = sys._getframe(1)
+        if caller.f_code is md.trace_submodule.__code__:
+            traced[caller.f_locals["gen"].key(), x.key()] += 1
+        return submodule(x, spans)
+
+    monkeypatch.setattr(md, "submodule", counted)
+    for rel in ex.rigid_subpairs(graph, 1):
+        for sweep in (ex.verify_mutation_compat, ex.verify_silting_compat):
+            assert sweep(rel, graph)["pass"]
+    assert len(traced) > 50
+    assert max(traced.values()) == 1
+
+
+def test_transport_reads_the_bijection_images(monkeypatch):
+    alg = _fresh("cyc3")
+    graph = ex.build_exchange_graph(alg)
+    functor = ex.reduction_functor
+    armed = []
+
+    def refuse_when_armed(rd, x):
+        if armed:
+            raise AssertionError("transport recomputed a reduction image")
+        return functor(rd, x)
+
+    monkeypatch.setattr(ex, "reduction_functor", refuse_when_armed)
+    transported = 0
+    for rel in ex.rigid_subpairs(graph, 1):
+        rd = ex.tau_reduction(rel)
+        assert ex.reduction_bijection_check(rd)["pass"]
+        armed.append(True)
+        for chain in ex.maximal_green_sequences(graph, rd.bongartz):
+            assert ex.transport_mgs(rd, chain)
+            transported += 1
+        armed.clear()
+    assert transported > 20
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_left_bongartz_sweep_approximates_each_input_once(name, monkeypatch):
+    alg = _fresh(name)
+    graph = ex.build_exchange_graph(alg)
+    inputs = Counter()
+    approx = tt.min_left_approx
+
+    def counted(x, parts):
+        inputs[x.key(), tuple(p.key() for p in parts)] += 1
+        return approx(x, parts)
+
+    monkeypatch.setattr(tt, "min_left_approx", counted)
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        for node in graph.node_list():
+            if to.left_precondition(u, node):
+                to.left_bongartz(u, node)
+    assert len(inputs) > 50
+    assert max(inputs.values()) == 1
+
+
+FAMILIES = ("trace", "trace_quotient", "check_pair", "left_cone")
+
+
+def _answers(alg, reductions):
+    # the answers of every new cache family over the one-summand rigid
+    # pairs of the graph and its nodes; reductions are kept per algebra so
+    # a second call reads the reduction images of the first
+    graph = ex.build_exchange_graph(alg)
+    out = []
+    for k, u in enumerate(ex.rigid_subpairs(graph, 1)):
+        if k not in reductions:
+            reductions[k] = ex.tau_reduction(u)
+        rd = reductions[k]
+        uc, _ = to._pair_complex(u, 0)
+        for node in graph.node_list():
+            t, incl = md.trace_submodule(u.m, node.m)
+            _, _, q, proj = md._trace_quotient(u.m, node.m)
+            out.append((t.key(), incl.mats, q.key(), proj.mats, md.check_pair(node)))
+            if to.left_precondition(u, node):
+                tc, _ = to._pair_complex(node, 0)
+                out.append(tt.left_completion_silting(uc, tc, 0).key())
+            if to.contains_pair(node, u):
+                image = ex.reduce_pair(rd, node)
+                out.append((image.fingerprint(), image.m.key(), image.p.key()))
+    return out
+
+
+def _entries(alg, reductions):
+    families = Counter(key[0] for key in alg.cache if isinstance(key, tuple))
+    images = sum(
+        1 for rd in reductions.values() for key in rd.quotient.cache if key[0] == "reduce_pair"
+    )
+    return [families[f] for f in FAMILIES] + [images]
+
+
+def test_warm_caches_answer_as_a_cold_twin():
+    warm, warm_rds = _fresh("cyc3"), {}
+    _answers(warm, warm_rds)
+    filled = _entries(warm, warm_rds)
+    assert min(filled) > 0
+    again = _answers(warm, warm_rds)
+    assert _entries(warm, warm_rds) == filled  # every answer was a hit
+    assert again == _answers(_fresh("cyc3"), {})
+
+
+def test_check_pair_refuses_a_non_basic_pair_on_every_call():
+    alg = _fresh("cyc3")
+    p1 = md.projective(alg, 0)
+    twice = md.pair_from_summands(alg, [p1, p1], [])
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated):
+            md.check_pair(twice)
+    once = md.pair_from_summands(alg, [p1], [])
+    report = md.check_pair(once)
+    report["role"] = "changed"
+    assert md.check_pair(once)["role"] == "rigid"
+
+
+def test_content_keys_behave_as_plain_tuples():
+    alg = _fresh("cyc3")
+    graph = ex.build_exchange_graph(alg)
+    module_keys, complex_keys = [], []
+    for node in graph.node_list():
+        module_keys += [node.m.key(), node.p.key()]
+        t, _ = to._pair_complex(node, 0)
+        complex_keys += [t.key()] + [c.key() for c, _ in tt.decompose_complex(t, 0)]
+    for keys in (module_keys, complex_keys):
+        plain = [tuple(k) for k in keys]
+        for k, p in zip(keys, plain):
+            assert type(p) is tuple and isinstance(k, tuple)
+            assert k == p and p == k
+            assert hash(k) == hash(p)  # computed
+            assert hash(k) == hash(p)  # read back
+        order = sorted(range(len(keys)), key=lambda i: keys[i])
+        assert order == sorted(range(len(plain)), key=lambda i: plain[i])
+        assert len(set(keys)) == len(set(plain))

@@ -448,8 +448,61 @@ def _restart_greedy(x, parts):
             return tt._assemble_into(x, keep)
 
 
+def _preprojective_a3():
+    q = Quiver(
+        ["1", "2", "3"],
+        [("a1", "1", "2"), ("a2", "2", "3"), ("b1", "2", "1"), ("b2", "3", "2")],
+    )
+    rels = [
+        Relation(q, [(1, ("a1", "b1"))]),
+        Relation(q, [(1, ("b1", "a1")), (-1, ("a2", "b2"))]),
+        Relation(q, [(1, ("b2", "a2"))]),
+    ]
+    return compile_bound_quiver(q, rels, QQ)
+
+
+def _hard_approximations():
+    # inputs on which wrong variants of the one pass differ from the
+    # restart loop; the A3, cyc3 and cyc3/F_3 sweeps have none.  First
+    # the distinct ones of the Pi(A3) walk and left_bongartz sweep with two
+    # candidates into one part (x = P2, whose endomorphisms modulo homotopy
+    # are e_2 and b1*a1), then the two of that sweep whose drop needs the
+    # null-homotopic maps, rebuilt instead of swept.
+    alg = _preprojective_a3()
+
+    def stalk(v):
+        return tt.stalk_complex(alg, [v])
+
+    def two_term(lower, upper, labels):
+        diff = [[alg.path_element([lbl]) for lbl in row] for row in labels]
+        return tt.ProjectiveComplex(alg, {-1: lower, 0: upper}, {-1: diff})
+
+    x = stalk(1)
+    out = [
+        (x, [stalk(1)]),
+        (x, [stalk(1), stalk(2)]),
+        (x, [stalk(0), stalk(1)]),
+        (x, [two_term([0], [1], [["b1"]]), stalk(1)]),
+        (x, [two_term([2], [1], [["a2"]]), stalk(1)]),
+        (two_term([0, 2], [1], [["b1", "a2"]]).shift(-1), [stalk(1), stalk(2)]),
+        (x, [two_term([1], [0, 2], [["a1"], ["b2"]]), stalk(2)]),
+    ]
+    # Hom(P_a, P_b) has the basis p1*p2, q1*q2, and the one map P_a -> P_c
+    # composes with s to their sum: dropping p1*p2 must keep q1*q2
+    q = Quiver(
+        ["a", "b", "c", "m", "n"],
+        [("p1", "b", "m"), ("p2", "m", "a"), ("q1", "b", "n"), ("q2", "n", "a"),
+         ("s", "b", "c"), ("r", "c", "a")],
+    )
+    rel = Relation(q, [(1, ("s", "r")), (-1, ("p1", "p2")), (-1, ("q1", "q2"))])
+    sum_alg = compile_bound_quiver(q, [rel], QQ)
+    p_a, p_b, p_c = (tt.stalk_complex(sum_alg, [v]) for v in range(3))
+    return out + [(p_a, [p_c, p_b])]
+
+
 def test_one_pass_approximation_matches_restart_greedy(monkeypatch):
-    # every approximation made by the walks and the left_bongartz sweeps
+    # every approximation made by the walks and the left_bongartz sweeps,
+    # and the hard inputs above
     calls = []
     one_pass = tt.min_left_approx
 
@@ -466,6 +519,8 @@ def test_one_pass_approximation_matches_restart_greedy(monkeypatch):
                 if to.left_precondition(u, node):
                     to.left_bongartz(u, node)
     assert len(calls) > 100
+    for x, parts in _hard_approximations():
+        tt.min_left_approx(x, parts)
     for x, parts, f in calls:
         ref = _restart_greedy(x, parts)
         assert f.target.key() == ref.target.key()
