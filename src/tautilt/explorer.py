@@ -658,16 +658,6 @@ def connect_fixed_summand(path, rel_u, seed=0):
 # -- verification sweeps ----------------------------------------------------------
 
 
-def _det_pm_one(pair):
-    rows = tauops.pair_summand_list(pair)
-    mat = [
-        [linalg.QQ(c) for c in tauops.summand_g_vector(kind, rep)]
-        for kind, rep in rows
-    ]
-    d = linalg.det(mat, linalg.QQ)
-    return d == linalg.QQ(1) or d == linalg.QQ(-1)
-
-
 def verify_exchange(algebra, seed=0, budget=10000):
     """Structural sweep of the exchange graph: degree counts, extremes,
     two completions per almost pair, unimodular g-matrices, and (on small
@@ -678,7 +668,7 @@ def verify_exchange(algebra, seed=0, budget=10000):
         failures.append({"check": "complete"})
     failures.extend(_shape_failures(graph))
     for pair in graph.nodes.values():
-        if not _det_pm_one(pair):
+        if not tauops._det_pm_one(pair):
             failures.append(
                 {"check": "unimodular", "node": modules.describe_pair(pair)}
             )
@@ -722,13 +712,13 @@ def verify_mutation_compat(rel_u, graph, seed=0):
     tauops._require_rigid(rel_u)
     if not graph.complete:
         raise IncompleteGraph("compatibility sweep needs a complete graph")
-    u_c = twoterm.from_tau_pair(rel_u)
+    u_c = tauops._pair_complex(rel_u)[0]
     failures = []
     window = {}
     completion = {}
     for fp, node in graph.nodes.items():
         w_mod = tauops.left_precondition(rel_u, node)
-        w_sil = twoterm.hom_k(u_c, twoterm.from_tau_pair(node), 1) == 0
+        w_sil = twoterm.hom_k(u_c, tauops._pair_complex(node)[0], 1) == 0
         if w_mod != w_sil:
             failures.append(
                 {"check": "window", "node": modules.describe_pair(node)}
@@ -796,9 +786,9 @@ def verify_silting_compat(rel_u, graph, seed=0):
     if not graph.complete:
         raise IncompleteGraph("compatibility sweep needs a complete graph")
     # complexes that carry their summands, so the completions read them
-    u_c = tauops._pair_complex(rel_u, seed)[0]
+    u_c = tauops._pair_complex(rel_u)[0]
     n = graph.algebra.n
-    cx = {fp: tauops._pair_complex(node, seed)[0] for fp, node in graph.nodes.items()}
+    cx = {fp: tauops._pair_complex(node)[0] for fp, node in graph.nodes.items()}
     failures = []
     identity_steps = 0
     mutation_steps = 0

@@ -1080,16 +1080,33 @@ def filt_member(d, x, seed=0, budget=32):
 
 
 class TauPair:
-    """A pair (M, P): a module and a projective, kept with its summand data."""
+    """A pair (M, P): a module and a projective, kept with its summand data.
 
-    def __init__(self, m, p, seed=0):
+    A pair built from its indecomposable summands (pair_from_summands, the
+    mutation walk) carries them as rows (kind, rep, complex), with the
+    token of each: kind "m" for a summand of M and "p" for a summand P_v
+    of P, with its two-term complex.  Its summands, size and fingerprint
+    are read from the tokens, and rows with one token count as one summand
+    with multiplicity; on a tau-rigid pair the token determines the
+    summand (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).  A pair built
+    from bare (M, P), as from a workspace, has rows None and finds its
+    summands by decompose when first asked.
+    """
+
+    def __init__(self, m, p, seed=0, rows=None):
         if m.algebra is not p.algebra:
             raise TautiltError("pair members live over different algebras")
         self.m = m
         self.p = p
         self.seed = seed
+        self.rows = self.tokens = None
         self._summands = None
         self._fingerprint = None
+        if rows is not None:
+            self.rows = tuple(rows)
+            self.tokens = tuple(summand_token(kind, rep) for kind, rep, _ in rows)
+            self._fingerprint = tuple(sorted(self.tokens))
+            self._summands = tuple(_group_rows(self.rows, self.tokens, kind) for kind in "mp")
 
     @property
     def algebra(self):
@@ -1101,8 +1118,7 @@ class TauPair:
         return self._summands[0]
 
     def p_summands(self):
-        if self._summands is None:
-            self._summands = (decompose(self.m, self.seed), decompose(self.p, self.seed))
+        self.m_summands()
         return self._summands[1]
 
     def is_basic(self):
@@ -1146,20 +1162,45 @@ def _projective_vertex(rep):
     """The vertex v with rep isomorphic to e_v A (rep must be an
     indecomposable projective).  A module with simple top S_v is a quotient
     of e_v A, so it is isomorphic to e_v A exactly when the dimensions
-    agree."""
-    t = top_dims(rep)
-    if sum(t) != 1:
-        raise NotProjective("summand of the projective part is not indecomposable projective")
-    v = t.index(1)
-    if rep.dims != projective(rep.algebra, v).dims:
-        raise NotProjective("summand of the projective part is not projective")
-    return v
+    agree.  Cached per content of rep."""
+    alg = rep.algebra
+    key = ("proj_vertex", rep.key())
+    if key not in alg.cache:
+        t = top_dims(rep)
+        if sum(t) != 1:
+            raise NotProjective("summand of the projective part is not indecomposable projective")
+        v = t.index(1)
+        if rep.dims != projective(alg, v).dims:
+            raise NotProjective("summand of the projective part is not projective")
+        alg.cache[key] = v
+    return alg.cache[key]
+
+
+def _group_rows(rows, tokens, kind):
+    """(rep, multiplicity) per token among the rows of one kind, in row order."""
+    grouped = {}
+    for (k, rep, _), token in zip(rows, tokens):
+        if k == kind:
+            grouped.setdefault(token, [rep, 0])[1] += 1
+    return [(rep, mult) for rep, mult in grouped.values()]
+
+
+def sum_or_zero(algebra, parts):
+    """The direct sum of the given modules, or 0 when there are none."""
+    return direct_sum(list(parts))[0] if parts else zero_rep(algebra)
 
 
 def pair_from_summands(algebra, m_parts, p_parts):
-    m = direct_sum(list(m_parts))[0] if m_parts else zero_rep(algebra)
-    p = direct_sum(list(p_parts))[0] if p_parts else zero_rep(algebra)
-    return TauPair(m, p)
+    """The pair (sum of m_parts, sum of p_parts), carrying the parts and
+    their complexes as its summands.  Each part must be indecomposable,
+    and each of p_parts some P_v."""
+    from . import twoterm  # twoterm builds on this module
+
+    rows = [("m", rep, twoterm.summand_complex("m", rep)) for rep in m_parts]
+    rows += [("p", rep, twoterm.summand_complex("p", rep)) for rep in p_parts]
+    return TauPair(
+        sum_or_zero(algebra, m_parts), sum_or_zero(algebra, p_parts), rows=rows
+    )
 
 
 def normalize_pair(pair):
@@ -1218,16 +1259,20 @@ def _check_pair(pair):
 
 
 def describe_module(x):
-    """Short display name: P<i>, S<i>, 0, or the dimension vector."""
+    """Short display name: P<i>, S<i>, 0, or the dimension vector.
+
+    Both names are exact: x is P_v when _projective_vertex accepts it, and
+    S_v when it is one-dimensional; a simple projective is named P_v.
+    """
     alg = x.algebra
     if x.is_zero():
         return "0"
-    for i in range(alg.n):
-        if is_isomorphic(x, projective(alg, i)):
-            return f"P{alg.vertex_labels[i]}"
-    for i in range(alg.n):
-        if is_isomorphic(x, simple(alg, i)):
-            return f"S{alg.vertex_labels[i]}"
+    try:
+        return f"P{alg.vertex_labels[_projective_vertex(x)]}"
+    except NotProjective:
+        pass
+    if x.total_dim() == 1:
+        return f"S{alg.vertex_labels[x.dims.index(1)]}"
     return "M(" + ",".join(str(d) for d in x.dims) + ")"
 
 

@@ -8,7 +8,7 @@ approximation or split cannot silently produce a wrong pair.
 
 from collections import Counter, deque
 
-from . import modules, twoterm
+from . import linalg, modules, twoterm
 from .errors import (
     CertificateFailure,
     MatchFailure,
@@ -19,14 +19,18 @@ from .errors import (
 )
 
 
+def _projectives(algebra):
+    return [modules.projective(algebra, v) for v in range(algebra.n)]
+
+
 def free_pair(algebra):
     """The pair (A, 0), the maximum of the support tau-tilting order."""
-    return modules.TauPair(modules.free_module(algebra), modules.zero_rep(algebra))
+    return modules.pair_from_summands(algebra, _projectives(algebra), [])
 
 
 def shifted_pair(algebra):
     """The pair (0, A), the minimum of the order."""
-    return modules.TauPair(modules.zero_rep(algebra), modules.free_module(algebra))
+    return modules.pair_from_summands(algebra, [], _projectives(algebra))
 
 
 def _require_tilting(pair):
@@ -107,6 +111,8 @@ def pair_summand_list(pair):
     order on the summands of any presilting pair, so mutation slots are
     stable across runs and presentations.
     """
+    if pair.rows is not None:
+        return [pair.rows[k][:2] for k in _g_order(pair)]
     rows = []
     for rep, mult in pair.m_summands():
         rows.extend([("m", rep)] * mult)
@@ -116,42 +122,105 @@ def pair_summand_list(pair):
     return rows
 
 
-def _summand_complex(pair, kind, rep):
-    alg = pair.algebra
-    if kind == "m":
-        return twoterm.from_tau_pair(
-            modules.pair_from_summands(alg, [rep], [])
-        )
-    return twoterm.from_tau_pair(modules.pair_from_summands(alg, [], [rep]))
+def _g_order(pair):
+    """The positions of a carried pair's rows in g-vector order."""
+    return sorted(range(len(pair.rows)), key=lambda k: pair.tokens[k][1])
 
 
-def _pair_complex(pair, seed):
-    """The complex of a pair assembled from the complexes of its own
-    summands, which it carries, with the position of each g-sorted slot in
-    its decomposition; slots are found by key, not by matching up to
-    isomorphism.  The empty pair gives the zero complex."""
-    rows = pair_summand_list(pair)
-    parts = [_summand_complex(pair, kind, rep) for kind, rep in rows]
+def _summand_rows(pair):
+    """(kind, rep, complex) per summand, in the order of pair_summand_list.
+    A pair without carried rows gets the complexes built here, each from
+    the minimal presentation of its summand."""
+    if pair.rows is not None:
+        return [pair.rows[k] for k in _g_order(pair)]
+    return [
+        (kind, rep, twoterm.summand_complex(kind, rep))
+        for kind, rep in pair_summand_list(pair)
+    ]
+
+
+def _summand_tokens(pair):
+    """The token of each summand, in the order of pair_summand_list."""
+    if pair.rows is not None:
+        return [pair.tokens[k] for k in _g_order(pair)]
+    return [modules.summand_token(*row) for row in pair_summand_list(pair)]
+
+
+def _pair_complex(pair):
+    """The complex of a pair, the sum of the complexes of its own summands,
+    which it carries, with the position of each g-sorted slot among the
+    sum's parts.  The empty pair gives the zero complex."""
+    parts = [c for _, _, c in _summand_rows(pair)]
     if not parts:
         return twoterm.zero_complex(pair.algebra), []
-    t = twoterm.sum_of_summands(parts, seed)
-    keys = [c.key() for c, _ in twoterm.decompose_complex(t, seed)]
-    return t, [keys.index(c.key()) for c in parts]
+    t = twoterm.sum_of_summands(parts)
+    return t, [t.parts.index(c) for c in parts]
+
+
+def _det_pm_one(pair):
+    """Whether the g-vectors of the pair's summands have determinant +-1."""
+    mat = [[linalg.QQ(c) for c in token[1]] for token in _summand_tokens(pair)]
+    d = linalg.det(mat, linalg.QQ)
+    return d == linalg.QQ(1) or d == linalg.QQ(-1)
+
+
+def _certify_exchange(pair, new_pair, fresh):
+    """Certify a mutation of a support tau-tilting pair without decomposing.
+
+    new_pair must carry its summands, and fresh lists the positions among
+    them of those not kept from pair: one new summand Y, the rest R.  R is
+    tau-rigid, being part of the certified pair, so the new pair is
+    tau-rigid when these vanish: Hom(Y, tau Y), Hom(Y, tau R_M),
+    Hom(R_M, tau Y) and Hom(R_P, Y) if Y is a module, or (R_M)_v if Y is
+    P_v[1].  With n summands of distinct tokens it is then support
+    tau-tilting, its summands pairwise non-isomorphic (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Thm 5.5), and its g-matrix must be unimodular.  What
+    stands in for decomposing M: Y is the cone of a minimal approximation
+    of an indecomposable summand, which is indecomposable, and an
+    indecomposable two-term presilting complex is P_v[1] or the minimal
+    presentation of an indecomposable tau-rigid H^0 (AIR, Sect. 3), which
+    to_tau_pair checks per summand.  tau and the Hom spaces are cached per
+    summand content.
+    """
+    if len(fresh) != 1:
+        raise CertificateFailure("mutation did not exchange exactly one summand")
+    kind, y, _ = new_pair.rows[fresh[0]]
+    rest = [row for k, row in enumerate(new_pair.rows) if k != fresh[0]]
+    r_m = [rep for k, rep, _ in rest if k == "m"]
+    r_p = [modules._projective_vertex(rep) for k, rep, _ in rest if k == "p"]
+    if kind == "m":
+        tau_y = modules.ar_translate(y)
+        homs = [(y, tau_y)] + [(y, modules.ar_translate(z)) for z in r_m]
+        homs += [(z, tau_y) for z in r_m]
+        if any(y.dims[v] for v in r_p) or any(
+            not t.is_zero() and modules.hom_basis(x, t) for x, t in homs
+        ):
+            raise CertificateFailure("the new summand is not tau-rigid with the kept ones")
+    elif any(z.dims[modules._projective_vertex(y)] for z in r_m):
+        raise CertificateFailure("the new shifted P_v meets the kept modules at v")
+    tokens = new_pair.fingerprint()
+    if len(tokens) != pair.algebra.n or len(set(tokens)) != len(tokens):
+        raise CertificateFailure("mutation did not give n distinct summands")
+    if tokens == pair.fingerprint():
+        raise CertificateFailure("mutation returned the same pair")
+    if not _det_pm_one(new_pair):
+        raise CertificateFailure("the g-vectors of the mutation are not a basis")
 
 
 def _mutate_slot(pair, t, cindex, seed):
     """Mutate the complex t of a certified pair at one summand, left first.
 
-    The result is certified on the module side before it is returned.
+    t must carry its summands (see _pair_complex).  The result is
+    certified by _certify_exchange before it is returned.
     """
+    kept = {c.key() for k, c in enumerate(t.parts) if k != cindex}
     for direction in ("left", "right"):
         out = twoterm.mutate_complex(t, cindex, direction, seed=seed)
         if out is None:
             continue
         new_pair = twoterm.to_tau_pair(out)
-        _require_tilting(new_pair)
-        if new_pair.fingerprint() == pair.fingerprint():
-            raise CertificateFailure("mutation returned the same pair")
+        fresh = [k for k, c in enumerate(out.parts) if c.key() not in kept]
+        _certify_exchange(pair, new_pair, fresh)
         return new_pair, direction
     raise CertificateFailure("no mutation stayed in the two-term window")
 
@@ -165,7 +234,7 @@ def mutate_pair(pair, index, seed=0):
     determined by the index alone.
     """
     _require_tilting(pair)
-    t, slots = _pair_complex(pair, seed)
+    t, slots = _pair_complex(pair)
     if not 0 <= index < len(slots):
         raise TautiltError("summand index out of range")
     return _mutate_slot(pair, t, slots[index], seed)
@@ -205,7 +274,7 @@ def silting_closure(algebra, seed=0, budget=10000):
         while queue:
             pair = queue.popleft()
             src_fp = pair.fingerprint()
-            tokens = [modules.summand_token(*row) for row in pair_summand_list(pair)]
+            tokens = _summand_tokens(pair)
             built = None
             for slot in range(len(tokens)):
                 rest = tuple(sorted(tokens[:slot] + tokens[slot + 1:]))
@@ -219,7 +288,7 @@ def silting_closure(algebra, seed=0, budget=10000):
                     direction = "right" if first_direction == "left" else "left"
                 else:
                     if built is None:
-                        built = _pair_complex(pair, seed)
+                        built = _pair_complex(pair)
                     t, slots = built
                     neighbour, direction = _mutate_slot(pair, t, slots[slot], seed)
                     fp = neighbour.fingerprint()
@@ -298,8 +367,8 @@ def left_bongartz(u_pair, anchor=None, seed=0):
         raise PreconditionViolated(
             "anchor torsion class leaves perp(tau U) ∩ perp(Q)"
         )
-    uc, _ = _pair_complex(u_pair, seed)
-    t, _ = _pair_complex(anchor, seed)
+    uc, _ = _pair_complex(u_pair)
+    t, _ = _pair_complex(anchor)
     out = twoterm.left_completion_silting(uc, t, seed)
     result = twoterm.to_tau_pair(out)
     _certify_left(u_pair, anchor, result)
@@ -356,7 +425,9 @@ def right_bongartz(u_pair, anchor=None, seed=0):
     _require_rigid(u_pair)
     _require_tilting(anchor)
     out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor), seed)
-    result = dagger_pair(out)
+    # dualize the bare (M, P): the block of the result lists the summands
+    # in the order decompose finds them, as it always has
+    result = dagger_pair(modules.TauPair(out.m, out.p, out.seed))
     _require_tilting(result)
     if not contains_pair(result, u_pair):
         raise CertificateFailure("dual completion lost a summand of the input")

@@ -43,6 +43,9 @@ class ProjectiveComplex:
                 self.diffs[i] = [list(row) for row in blocks]
         self._key = None
         self._psums = {}
+        # the indecomposable summands the complex was built from, in order
+        # (set by sum_of_summands), else None
+        self.parts = None
         if check:
             self.validate()
 
@@ -203,15 +206,10 @@ def direct_sum_complexes(parts):
 # -- conversion with module pairs ---------------------------------------------
 
 
-def from_tau_pair(pair):
-    """Two-term complex of a pair: minimal presentation of M plus P[1]."""
-    alg = pair.algebra
-    pres = modules.min_proj_presentation(pair.m)
-    p_vertices = []
-    for rep, mult in pair.p_summands():
-        v = modules._projective_vertex(rep)
-        p_vertices.extend([v] * mult)
-    lower = list(pres.p1.vertices) + p_vertices
+def _presentation_complex(alg, pres, p_vertices):
+    """The two-term complex P1 -> P0 of a presentation, plus P_v[1] for
+    each listed vertex."""
+    lower = list(pres.p1.vertices) + list(p_vertices)
     upper = list(pres.p0.vertices)
     zero = alg.zero_element()
     blocks = [
@@ -230,8 +228,48 @@ def from_tau_pair(pair):
     return ProjectiveComplex(alg, terms, diffs, check=False)
 
 
+def from_tau_pair(pair):
+    """Two-term complex of a pair: minimal presentation of M plus P[1]."""
+    p_vertices = []
+    for rep, mult in pair.p_summands():
+        p_vertices.extend([modules._projective_vertex(rep)] * mult)
+    return _presentation_complex(
+        pair.algebra, modules.min_proj_presentation(pair.m), p_vertices
+    )
+
+
+def summand_complex(kind, rep):
+    """Two-term complex of one pair summand: the minimal presentation of a
+    summand of M (kind "m"), or P_v[1] for a summand P_v of P (kind "p")."""
+    alg = rep.algebra
+    if kind == "m":
+        return _presentation_complex(alg, modules.min_proj_presentation(rep), [])
+    return stalk_complex(alg, [modules._projective_vertex(rep)], -1)
+
+
 def to_tau_pair(t):
-    """Pair (H^0, shifted part) of a minimal two-term complex."""
+    """Pair (H^0, shifted part) of a minimal two-term complex.
+
+    A complex that carries its summands (see sum_of_summands) gives a pair
+    that carries them too, one row per summand from _summand_row, and M is
+    the direct sum of their H^0s in the complex's part order.
+    """
+    alg = t.algebra
+    if t.parts is None:
+        m, shift = _h0_and_shift(t)
+        rows = None
+    else:
+        rows = [_summand_row(c) for c in t.parts]
+        m = modules.sum_or_zero(alg, [rep for kind, rep, _ in rows if kind == "m"])
+        shift = [c.term_vertices(-1)[0] for kind, _, c in rows if kind == "p"]
+    p = modules.ProjSum(alg, sorted(shift)).rep if shift else modules.zero_rep(alg)
+    return modules.TauPair(m, p, rows=rows)
+
+
+def _h0_and_shift(t):
+    """H^0 of a two-term complex and the vertices of its shifted part,
+    after the degree-0 term is checked to be a minimal cover of H^0 and
+    the degree -1 term to hold the syzygy part."""
     alg = t.algebra
     t = minimalize(t)
     if not t.is_two_term():
@@ -254,8 +292,32 @@ def to_tau_pair(t):
         if v not in remaining:
             raise CertificateFailure("degree--1 term does not contain the syzygy part")
         remaining.remove(v)
-    p = modules.ProjSum(alg, sorted(remaining)).rep if remaining else modules.zero_rep(alg)
-    return modules.TauPair(m, p)
+    return m, remaining
+
+
+def _summand_row(c):
+    """The pair row (kind, rep, complex) of one summand c of a carried
+    complex, cached per content of c.
+
+    P_v[1] gives ("p", P_v, c).  Any other summand must be the minimal
+    presentation of its H^0, with no P_v[1] or contractible piece, and
+    gives ("m", H^0, the minimal presentation of H^0).  An indecomposable
+    two-term presilting complex is one of the two, with H^0 indecomposable
+    and tau-rigid (Adachi-Iyama-Reiten, arXiv:1210.1036, Sect. 3).
+    """
+    alg = c.algebra
+    key = ("summand_h0", c.key())
+    if key not in alg.cache:
+        h0, shift = _h0_and_shift(c)
+        if h0.is_zero() and len(shift) == 1:
+            row = ("p", modules.projective(alg, shift[0]), c)
+        elif h0.is_zero() or shift:
+            raise CertificateFailure("a summand of the complex is not indecomposable")
+        else:
+            h0 = modules.canonical_rep(h0)
+            row = ("m", h0, summand_complex("m", h0))
+        alg.cache[key] = row
+    return alg.cache[key]
 
 
 # -- morphism spaces -----------------------------------------------------------
@@ -645,8 +707,11 @@ def _rebuild_from_endo(t, psums, p):
 
 
 def decompose_complex(t, seed=0):
-    """Indecomposable summands with multiplicities, minimal representatives,
-    by the split search of modules.decompose (see modules._fitting_split)."""
+    """Indecomposable summands with multiplicities, minimal representatives:
+    the parts a complex carries (see sum_of_summands), else found by the
+    split search of modules.decompose (see modules._fitting_split)."""
+    if t.parts is not None:
+        return [(c, 1) for c in t.parts]
     alg = t.algebra
     key = ("cdecomp", t.key(), seed)
     if key not in alg.cache:
@@ -690,16 +755,16 @@ def _sort_key(t):
     )
 
 
-def sum_of_summands(parts, seed=0):
+def sum_of_summands(parts):
     """Direct sum of pairwise non-isomorphic indecomposable minimal complexes.
 
     The parts go in the canonical order of _sort_key, and the sum carries
-    them as its decomposition: decompose_complex(sum, seed) returns them
-    without a search.
+    them as its decomposition: decompose_complex returns them without a
+    search.
     """
     parts = sorted(parts, key=_sort_key)
     out = direct_sum_complexes(parts)
-    out.algebra.cache[("cdecomp", out.key(), seed)] = [(c, 1) for c in parts]
+    out.parts = tuple(parts)
     return out
 
 
@@ -969,8 +1034,7 @@ def left_completion_silting(u, t, seed=0):
     certify the output independently.
 
     It is built from summands: read from decompose_complex, which costs
-    nothing when u and t carry theirs (see sum_of_summands; pass the seed
-    they were stored with).  Each summand t_i[-1] is approximated on its
+    nothing when u and t carry theirs (see sum_of_summands).  Each summand t_i[-1] is approximated on its
     own and only its small cone is split.  This gives the same basic
     complex: the sum of the per-summand approximations is a left
     approximation of t[-1], and any left approximation is the minimal one
@@ -998,7 +1062,7 @@ def left_completion_silting(u, t, seed=0):
             alg.cache[key] = tuple(_decompose_complex_raw(x, seed))
         for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
-    return sum_of_summands(list(merged.values()), seed)
+    return sum_of_summands(list(merged.values()))
 
 
 def right_completion_silting(u, t):
@@ -1044,7 +1108,7 @@ def mutate_complex(t, summand_index, direction, seed=0):
         return None
     if direction == "right":
         y = complex_dagger(y)
-    return sum_of_summands(rest + [y], seed)
+    return sum_of_summands(rest + [y])
 
 
 def complex_fingerprint(t, seed=0):

@@ -393,8 +393,11 @@ def parse_workspace(text):
                 return out
 
             try:
-                built = modules.pair_from_summands(
-                    algebra, side(m.group(2)), side(m.group(3))
+                # a workspace module may be decomposable, so the pair
+                # finds its summands by decompose
+                built = modules.TauPair(
+                    modules.sum_or_zero(algebra, side(m.group(2))),
+                    modules.sum_or_zero(algebra, side(m.group(3))),
                 )
                 built.fingerprint()  # forces the projectivity check on P
                 pairs[name] = built

@@ -92,6 +92,32 @@ def test_left_bongartz_sweep_approximates_each_input_once(name, monkeypatch):
     assert max(inputs.values()) == 1
 
 
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
+    # graph nodes carry the complexes of their summands from the walk, and
+    # rigid subpairs from pair_from_summands, so the sweep builds none
+    alg = _fresh(name)
+    graph = ex.build_exchange_graph(alg)
+    subs = ex.rigid_subpairs(graph, alg.n - 1)
+    built = []
+    for fn in ("from_tau_pair", "summand_complex"):
+        real = getattr(tt, fn)
+
+        def counted(*args, _real=real, _fn=fn):
+            built.append(_fn)
+            return _real(*args)
+
+        monkeypatch.setattr(tt, fn, counted)
+    completed = 0
+    for u in subs:
+        for node in graph.node_list():
+            if to.left_precondition(u, node):
+                to.left_bongartz(u, node)
+                completed += 1
+    assert completed > 50
+    assert built == []
+
+
 FAMILIES = ("trace", "trace_quotient", "check_pair", "left_cone")
 
 
@@ -105,13 +131,13 @@ def _answers(alg, reductions):
         if k not in reductions:
             reductions[k] = ex.tau_reduction(u)
         rd = reductions[k]
-        uc, _ = to._pair_complex(u, 0)
+        uc, _ = to._pair_complex(u)
         for node in graph.node_list():
             t, incl = md.trace_submodule(u.m, node.m)
             _, _, q, proj = md._trace_quotient(u.m, node.m)
             out.append((t.key(), incl.mats, q.key(), proj.mats, md.check_pair(node)))
             if to.left_precondition(u, node):
-                tc, _ = to._pair_complex(node, 0)
+                tc, _ = to._pair_complex(node)
                 out.append(tt.left_completion_silting(uc, tc, 0).key())
             if to.contains_pair(node, u):
                 image = ex.reduce_pair(rd, node)
@@ -156,7 +182,7 @@ def test_content_keys_behave_as_plain_tuples():
     module_keys, complex_keys = [], []
     for node in graph.node_list():
         module_keys += [node.m.key(), node.p.key()]
-        t, _ = to._pair_complex(node, 0)
+        t, _ = to._pair_complex(node)
         complex_keys += [t.key()] + [c.key() for c, _ in tt.decompose_complex(t, 0)]
     for keys in (module_keys, complex_keys):
         plain = [tuple(k) for k in keys]

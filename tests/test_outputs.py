@@ -1,0 +1,166 @@
+"""Walk dumps and CLI --json output, pinned to recorded sha1 digests.
+
+A walk dump is the node order, each node's workspace pair block, the
+edges and the completeness flag.  Changing how the walk builds or
+certifies its pairs must leave every byte of these the same; run this
+file as a script to print the digests of the current tree.
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from tautilt import cli
+from tautilt import tauops as to
+from tautilt import workspace as wk
+from tautilt.algebra import Quiver, Relation, compile_bound_quiver
+from tautilt.linalg import QQ, Field
+
+
+def _linear(n, field):
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
+    return compile_bound_quiver(Quiver(labels, arrows), [], field)
+
+
+def _cycle(n, field):
+    # the oriented n-cycle with all paths of length two killed
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
+    q = Quiver(labels, arrows)
+    rels = [Relation(q, [(1, (f"a{i}", f"a{(i + 1) % n}"))]) for i in range(n)]
+    return compile_bound_quiver(q, rels, field)
+
+
+ALGEBRAS = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc4": lambda: _cycle(4, QQ),
+    "A4": lambda: _linear(4, QQ),
+    "cyc3/F2": lambda: _cycle(3, Field(2)),
+    "A3/F3": lambda: _linear(3, Field(3)),
+}
+
+WALKS = {
+    "A3": "c5e102fe07cc98d691d4169c7603cfe11fa95483",
+    "cyc3": "334e49236dcd9a5920b59286473c7201263edbe3",
+    "cyc4": "e2deb215803337cc73939c9ae05e53800217ce41",
+    "A4": "2bdfd18d6edba5d844ccbc79d88a13b0e5ca5cd2",
+    "cyc3/F2": "334e49236dcd9a5920b59286473c7201263edbe3",
+    "A3/F3": "c5e102fe07cc98d691d4169c7603cfe11fa95483",
+}
+
+
+def walk_digest(alg):
+    nodes, edges, complete = to.silting_closure(alg)
+    h = hashlib.sha1()
+    for k, (fp, node) in enumerate(nodes.items()):
+        h.update(repr(fp).encode())
+        h.update(wk.pair_block(f"N{k}", node).encode())
+    h.update(repr(edges).encode())
+    h.update(repr(complete).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_walk_dump_is_pinned(name):
+    assert walk_digest(ALGEBRAS[name]()) == WALKS[name]
+
+
+WORKSPACES = {
+    "A3": """
+field Q
+vertex 1 2 3
+arrow a 1 2
+arrow b 2 3
+pair PairP1 : M = P1 ; P = 0
+pair PairS2 : M = S2 ; P = 0
+pair Mid : M = P3 S1 ; P = P2
+pair Top : M = P1 P2 P3 ; P = 0
+pair Bottom : M = 0 ; P = P1 P2 P3
+""",
+    "cyc3": """
+field Q
+vertex 1 2 3
+arrow a3 1 2
+arrow a1 2 3
+arrow a2 3 1
+relation a1*a2
+relation a2*a3
+relation a3*a1
+pair PairP1 : M = P1 ; P = 0
+pair PairS3 : M = S3 ; P = P1 P2
+pair Top : M = P1 P2 P3 ; P = 0
+pair Bottom : M = 0 ; P = P1 P2 P3
+""",
+}
+
+TILTING = {"A3": ["Top", "Bottom", "Mid"], "cyc3": ["Top", "Bottom", "PairS3"]}
+RIGID = {"A3": ["PairP1", "PairS2"], "cyc3": ["PairP1"]}
+
+
+def cli_runs(name):
+    """Every pinned argv, with the workspace path left as {ws}."""
+    runs = [["graph", "{ws}"], ["graph", "{ws}", "--budget", "7"]]
+    for pair in TILTING[name]:
+        runs += [["mutate", "{ws}", pair, str(slot)] for slot in range(3)]
+    for side in ("--left", "--right"):
+        for pair in TILTING[name] + RIGID[name]:
+            runs.append(["bongartz", "{ws}", pair, side])
+            for rel in RIGID[name]:
+                runs.append(["bongartz", "{ws}", pair, side, "--rel", rel])
+    return [argv + ["--json"] for argv in runs]
+
+
+CLI = {
+    "A3": "b74bb6debaa9da2555e3887f151b97a06b198499",
+    "cyc3": "ebb91e141c76c7408bd79b14d423bc0955a86730",
+}
+
+
+def cli_digest(name, path, capture):
+    """sha1 over the exit code and stdout of every pinned run; capture()
+    returns the stdout written since its last call."""
+    h = hashlib.sha1()
+    for argv in cli_runs(name):
+        code = cli.main([path if a == "{ws}" else a for a in argv])
+        h.update(f"{' '.join(argv)} -> {code}\n".encode())
+        h.update(capture().encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI))
+def test_cli_json_is_pinned(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.alg"
+    path.write_text(WORKSPACES[name], encoding="utf-8")
+    assert cli_digest(name, str(path), lambda: capsys.readouterr().out) == CLI[name]
+
+
+if __name__ == "__main__":
+    import io
+    import os
+    import tempfile
+
+    for name in WALKS:
+        print(f"walk {name!r}: {walk_digest(ALGEBRAS[name]())!r}")
+    real = sys.stdout
+    for name in CLI:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"{name}.alg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(WORKSPACES[name])
+            buf = io.StringIO()
+
+            def capture():
+                out = buf.getvalue()
+                buf.seek(0)
+                buf.truncate()
+                return out
+
+            sys.stdout = buf
+            try:
+                digest = cli_digest(name, path, capture)
+            finally:
+                sys.stdout = real
+        print(f"cli {name!r}: {digest!r}")

@@ -609,6 +609,196 @@ def test_walk_rejects_a_third_completion(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the walk carries summands and certifies only the new one
+
+NO_SEARCH = {
+    "A5": lambda: _linear(5, QQ),
+    "cyc5": lambda: _cycle(5, QQ),
+    "PiA3": lambda: _preprojective_a3(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_SEARCH))
+def test_walk_makes_no_decomposition_or_isomorphism_search(name, monkeypatch):
+    alg = NO_SEARCH[name]()
+    calls = []
+    for fn in ("_decompose_raw", "_fitting_split", "is_isomorphic"):
+        real = getattr(md, fn)
+
+        def counted(*args, _real=real, _fn=fn, **kwargs):
+            calls.append(_fn)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(md, fn, counted)
+    graph = ex.build_exchange_graph(alg)
+    assert graph.complete and len(graph) == {"A5": 132, "cyc5": 82, "PiA3": 24}[name]
+    assert calls == []
+
+
+CROSS = {
+    **FRESH,
+    "A4": lambda: _linear(4, QQ),
+    "cyc3/F3": lambda: _cycle(3, Field(3)),
+    "A3/F2": lambda: _linear(3, Field(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS))
+def test_carried_tokens_match_a_fresh_decomposition(name):
+    # the same (M, P) without carried summands decomposes by search and is
+    # classified by the full check, which shares no step with the walk's
+    # incremental certificate
+    alg = CROSS[name]()
+    graph = ex.build_exchange_graph(alg)
+    assert graph.complete
+    for node in graph.node_list():
+        assert node.rows is not None
+        bare = md.TauPair(node.m, node.p)
+        assert bare.rows is None
+        assert bare.fingerprint() == node.fingerprint()
+        assert md._check_pair(bare)["role"] == "tilting"
+
+
+def _exchange_with(monkeypatch, pair, slot, pick):
+    # mutate pair at slot with the new summand replaced by pick(rest, x),
+    # rest the kept summands' complexes and x the exchanged one
+    t, slots = to._pair_complex(pair)
+    x = t.parts[slots[slot]]
+    rest = [c for c in t.parts if c is not x]
+
+    def patched(*args, **kwargs):
+        return tt.sum_of_summands(rest + [pick(rest, x)])
+
+    monkeypatch.setattr(tt, "mutate_complex", patched)
+    try:
+        return to._mutate_slot(pair, t, slots[slot], 0)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_exchange_certificate_rejects_a_kept_or_returned_summand(name, monkeypatch):
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    two = alg.field(2)
+    repeats = 0
+    for node in graph.node_list():
+        for slot in range(alg.n):
+            with pytest.raises(CertificateFailure, match="exactly one"):
+                _exchange_with(monkeypatch, node, slot, lambda rest, x: rest[0])
+            with pytest.raises(CertificateFailure, match="same pair"):
+                _exchange_with(monkeypatch, node, slot, lambda rest, x: x)
+            # a kept summand with its differential doubled: an isomorphic
+            # complex of new content, whose token repeats a kept one
+            t, slots = to._pair_complex(node)
+            for c in t.parts:
+                if c is t.parts[slots[slot]] or -1 not in c.diffs:
+                    continue
+                diffs = {-1: [[e.scale(two) for e in row] for row in c.diffs[-1]]}
+                copy = tt.ProjectiveComplex(alg, c.terms, diffs)
+                with pytest.raises(CertificateFailure, match="distinct"):
+                    _exchange_with(monkeypatch, node, slot, lambda rest, x: copy)
+                repeats += 1
+    assert repeats > 10
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_exchange_certificate_rejects_a_shift_met_by_the_kept_modules(name, monkeypatch):
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    rejected = 0
+    for node in graph.node_list():
+        for slot in range(alg.n):
+            rows = to.pair_summand_list(node)
+            kept_m = [rep for k, (kind, rep) in enumerate(rows) if k != slot and kind == "m"]
+            for v in range(alg.n):
+                if not any(rep.dims[v] for rep in kept_m):
+                    continue
+                shift = tt.stalk_complex(alg, [v], -1)
+                with pytest.raises(CertificateFailure, match="meets"):
+                    _exchange_with(monkeypatch, node, slot, lambda rest, x: shift)
+                rejected += 1
+    assert rejected > 20
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3", "cyc4"])
+def test_exchange_certificate_rejects_a_module_not_rigid_with_the_rest(name, monkeypatch):
+    # every module summand of the graph, put in as the new summand next to
+    # a rest it is not tau-rigid with (as the full check on the bare pair
+    # says), is refused
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    modules_seen = {}
+    for node in graph.node_list():
+        for kind, rep in to.pair_summand_list(node):
+            if kind == "m":
+                modules_seen.setdefault(md.summand_token(kind, rep), rep)
+    rejected = 0
+    for node in graph.node_list()[::3]:
+        rows = to.pair_summand_list(node)
+        for slot in range(alg.n):
+            rest = rows[:slot] + rows[slot + 1:]
+            kept = {md.summand_token(*row) for row in rest}
+            r_m = [rep for kind, rep in rest if kind == "m"]
+            r_p = [rep for kind, rep in rest if kind == "p"]
+            for token, y in modules_seen.items():
+                if token in kept:
+                    continue
+                bare = md.TauPair(md.sum_or_zero(alg, r_m + [y]), md.sum_or_zero(alg, r_p))
+                if md._check_pair(bare)["rigid"]:
+                    continue
+                y_c = tt.summand_complex("m", y)
+                with pytest.raises(CertificateFailure, match="tau-rigid"):
+                    _exchange_with(monkeypatch, node, slot, lambda rest, x: y_c)
+                rejected += 1
+    assert rejected > 20
+
+
+def test_exchange_certificate_rejects_a_module_not_rigid_by_itself(monkeypatch):
+    # over k[x]/(x^2) the simple S has tau S = S, so Hom(S, tau S) != 0
+    q = Quiver(["1"], [("x", "1", "1")])
+    alg = compile_bound_quiver(q, [Relation(q, [(1, ("x", "x"))])], QQ)
+    s_c = tt.summand_complex("m", md.simple(alg, 0))
+    with pytest.raises(CertificateFailure, match="tau-rigid"):
+        _exchange_with(monkeypatch, to.free_pair(alg), 0, lambda rest, x: s_c)
+
+
+def _searched_name(x):
+    # describe_module as it was: isomorphism search against P_i, then S_i
+    alg = x.algebra
+    if x.is_zero():
+        return "0"
+    for i in range(alg.n):
+        if md.is_isomorphic(x, md.projective(alg, i)):
+            return f"P{alg.vertex_labels[i]}"
+    for i in range(alg.n):
+        if md.is_isomorphic(x, md.simple(alg, i)):
+            return f"S{alg.vertex_labels[i]}"
+    return "M(" + ",".join(str(d) for d in x.dims) + ")"
+
+
+NAMED = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc4": lambda: _cycle(4, QQ),
+    "A4": lambda: _linear(4, QQ),
+    "PiA3": lambda: _preprojective_a3(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_module_names_match_the_isomorphism_search(name):
+    alg = NAMED[name]()
+    graph = ex.build_exchange_graph(alg)
+    checked = 0
+    for node in graph.node_list():
+        for kind, rep in to.pair_summand_list(node):
+            assert md.describe_module(rep) == _searched_name(rep)
+            checked += 1
+    assert checked == alg.n * len(graph)
+
+
+# ---------------------------------------------------------------------------
 # one certified completion per window node in the compat sweeps
 
 
@@ -663,7 +853,7 @@ def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
             for other in graph.node_list():
                 if other.fingerprint() == right or not to.contains_pair(other, u):
                     continue
-                wrong, _ = to._pair_complex(other, 0)
+                wrong, _ = to._pair_complex(other)
                 monkeypatch.setattr(tt, "left_completion_silting", lambda *a: wrong)
                 with pytest.raises(CertificateFailure):
                     to.left_bongartz(u, anchor)
