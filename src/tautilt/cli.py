@@ -13,7 +13,7 @@ Every subcommand takes a workspace file first:
     tautilt verify ws.alg exchange
 
 Reports print as aligned text by default, or as stable JSON with --json
-(sorted keys; identical input and seed give byte-identical output).
+(sorted keys; identical input gives byte-identical output).
 Exit status: 0 on success, 2 when a verification suite finds a
 counterexample, 1 on any error.
 """
@@ -111,7 +111,7 @@ def _cmd_tau(args):
 def _cmd_mutate(args):
     ws = _load(args)
     pair = ws.pair(args.pair)
-    new, direction = tauops.mutate_pair(pair, args.slot, seed=args.seed)
+    new, direction = tauops.mutate_pair(pair, args.slot)
     block = workspace.pair_block(f"{args.pair}_mut{args.slot}", new)
     report = {
         "command": "mutate",
@@ -138,14 +138,14 @@ def _cmd_bongartz(args):
     if args.rel is not None:
         rel = ws.pair(args.rel)
         if side == "left":
-            out = tauops.left_bongartz(rel, anchor, seed=args.seed)
+            out = tauops.left_bongartz(rel, anchor)
         else:
-            out = tauops.right_bongartz(rel, anchor, seed=args.seed)
+            out = tauops.right_bongartz(rel, anchor)
     else:
         if side == "left":
-            out = tauops.left_bongartz(anchor, seed=args.seed)
+            out = tauops.left_bongartz(anchor)
         else:
-            out = tauops.right_bongartz(anchor, seed=args.seed)
+            out = tauops.right_bongartz(anchor)
     block = workspace.pair_block(f"{args.anchor}_{side}", out)
     report = {
         "command": "bongartz",
@@ -161,7 +161,7 @@ def _cmd_bongartz(args):
 
 def _cmd_graph(args):
     ws = _load(args)
-    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
+    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget)
     names = {fp: modules.describe_pair(p) for fp, p in g.nodes.items()}
     order = list(g.nodes)
     report = {
@@ -184,7 +184,7 @@ def _cmd_graph(args):
     lines += [""] + [f"n{k}  {names[fp]}" for k, fp in enumerate(order)]
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(explorer.graph_dot(g, seed=args.seed))
+            fh.write(explorer.graph_dot(g))
         lines.append(f"wrote {args.dot}")
         report["dot"] = args.dot
     _emit(args, report, lines)
@@ -198,7 +198,7 @@ def _chain_text(chain):
 def _cmd_mgs(args):
     ws = _load(args)
     target = ws.pair(args.pair)
-    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
+    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget)
     seqs = explorer.maximal_green_sequences(g, target)
     report = {
         "command": "mgs",
@@ -217,7 +217,7 @@ def _cmd_mgs(args):
 def _cmd_reduce(args):
     ws = _load(args)
     pair = ws.pair(args.pair)
-    rd = explorer.tau_reduction(pair, seed=args.seed)
+    rd = explorer.tau_reduction(pair)
     report = {
         "command": "reduce",
         "pair": args.pair,
@@ -250,14 +250,14 @@ def _cmd_transport(args):
         k = int(idx)
     except ValueError:
         raise _UsageError(f"mgs id {args.mgs_id!r} is not an integer")
-    rd = explorer.tau_reduction(pair, seed=args.seed)
-    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget, seed=args.seed)
+    rd = explorer.tau_reduction(pair)
+    g = explorer.build_exchange_graph(ws.algebra, budget=args.budget)
     seqs = explorer.maximal_green_sequences(g, rd.bongartz)
     if not 0 <= k < len(seqs):
         raise TautiltError(
             f"mgs id {k} out of range; the target has {len(seqs)} sequences"
         )
-    out = explorer.transport_mgs(rd, seqs[k], seed=args.seed, budget=args.budget)
+    out = explorer.transport_mgs(rd, seqs[k], budget=args.budget)
     report = {
         "command": "transport",
         "pair": args.pair,
@@ -280,14 +280,14 @@ def _cmd_verify(args):
     alg = ws.algebra
     suite = args.suite
     if suite == "exchange":
-        report = explorer.verify_exchange(alg, seed=args.seed, budget=args.budget)
+        report = explorer.verify_exchange(alg, budget=args.budget)
     elif suite == "dagger":
-        report = explorer.verify_dagger(alg, seed=args.seed, budget=args.budget)
+        report = explorer.verify_dagger(alg, budget=args.budget)
     elif suite == "reduction":
-        report = explorer.verify_reduction(alg, seed=args.seed, budget=args.budget)
+        report = explorer.verify_reduction(alg, budget=args.budget)
     elif suite == "order-criteria":
         report = explorer.verify_order_criteria(
-            alg, seed=args.seed, budget=args.budget
+            alg, budget=args.budget
         )
     else:
         fn = {
@@ -295,14 +295,14 @@ def _cmd_verify(args):
             "silting-compat": explorer.verify_silting_compat,
             "route": functools.partial(explorer.verify_route, budget=args.budget),
         }[suite]
-        g = explorer.build_exchange_graph(alg, budget=args.budget, seed=args.seed)
+        g = explorer.build_exchange_graph(alg, budget=args.budget)
         if args.rel is not None:
-            report = fn(ws.pair(args.rel), g, seed=args.seed)
+            report = fn(ws.pair(args.rel), g)
             report["rel"] = args.rel
         else:
             runs = []
             for rel in explorer.rigid_subpairs(g, 1):
-                sub = fn(rel, g, seed=args.seed)
+                sub = fn(rel, g)
                 sub["rel"] = modules.describe_pair(rel)
                 runs.append(sub)
             report = {
@@ -337,7 +337,8 @@ def build_parser():
     def common(p, budget=True):
         p.add_argument("workspace", help="workspace file")
         p.add_argument("--json", action="store_true", help="print the JSON report")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted and ignored; every answer is exact")
         if budget:
             p.add_argument("--budget", type=int, default=10000,
                            help="exchange graph node cap")

@@ -33,10 +33,6 @@ class NotRigid(TautiltError):
     """A pair or complex failed a rigidity precondition."""
 
 
-class NotSilting(TautiltError):
-    """A two-term complex failed the silting test."""
-
-
 class PreconditionViolated(TautiltError):
     """An operation was called outside its documented domain."""
 

@@ -36,13 +36,12 @@ class ExchangeGraph:
     source side.
     """
 
-    def __init__(self, algebra, nodes, edges, budget, complete, seed=0):
+    def __init__(self, algebra, nodes, edges, budget, complete):
         self.algebra = algebra
         self.nodes = nodes
         self.edges = edges
         self.budget = budget
         self.complete = complete
-        self.seed = seed
         self._edge_set = None
         self._up = None
         self._index = None
@@ -78,7 +77,7 @@ class ExchangeGraph:
         return sum(1 for s, t, _ in self.edges if s == fp or t == fp)
 
 
-def build_exchange_graph(algebra, budget=10000, seed=0):
+def build_exchange_graph(algebra, budget=10000):
     """The exchange graph of the cached mutation walk from the free pair
     (tauops.silting_closure).
 
@@ -87,8 +86,8 @@ def build_exchange_graph(algebra, budget=10000, seed=0):
     """
     if budget <= 0:
         raise PreconditionViolated("graph budget must be positive")
-    nodes, edges, complete = tauops.silting_closure(algebra, seed, budget)
-    graph = ExchangeGraph(algebra, dict(nodes), list(edges), budget, complete, seed)
+    nodes, edges, complete = tauops.silting_closure(algebra, budget)
+    graph = ExchangeGraph(algebra, dict(nodes), list(edges), budget, complete)
     if complete:
         _certify_graph(graph)
     return graph
@@ -150,7 +149,7 @@ def maximal_green_sequences(graph, target):
     return [[graph.nodes[fp] for fp in path] for path in found]
 
 
-def graph_dot(graph, bricks=True, seed=0):
+def graph_dot(graph, bricks=True):
     """DOT rendering; node labels carry summand names and the g-matrix,
     edge labels the dimension vector of the exchange brick."""
     ids = {fp: f"n{k}" for k, fp in enumerate(graph.nodes)}
@@ -165,7 +164,7 @@ def graph_dot(graph, bricks=True, seed=0):
         lines.append(f'  {ids[fp]} [label="{label}"];')
     for s, t, slot in graph.edges:
         if bricks:
-            d = tauops.brick_label(graph.nodes[s], graph.nodes[t], seed)
+            d = tauops.brick_label(graph.nodes[s], graph.nodes[t])
             dims = ",".join(str(x) for x in d.dims)
             lines.append(f'  {ids[s]} -> {ids[t]} [label="({dims})"];')
         else:
@@ -243,7 +242,7 @@ def _build_basic(field, labels, names, peirce, mult):
     return alg
 
 
-def tau_reduction(pair, seed=0):
+def tau_reduction(pair):
     """Reduce the ambient algebra at a rigid pair.
 
     Builds B = End(M) for the maximal completion (M, P), with basis the
@@ -253,7 +252,7 @@ def tau_reduction(pair, seed=0):
     """
     alg = pair.algebra
     field = alg.field
-    bon = tauops.right_bongartz(pair, seed=seed)
+    bon = tauops.right_bongartz(pair)
     own = sorted(
         modules._projective_vertex(rep)
         for rep, mult in pair.p_summands()
@@ -484,33 +483,33 @@ def _same_torsion(a, b):
     return modules.in_fac(a, b) and modules.in_fac(b, a)
 
 
-def _reduced_pairs(rd, seed=0, budget=10000):
+def _reduced_pairs(rd, budget=10000):
     if rd.quotient.n == 0:
         zero = modules.zero_rep(rd.quotient)
         return [modules.TauPair(zero, zero)]
-    return tauops.all_pairs(rd.quotient, seed=seed, budget=budget)
+    return tauops.all_pairs(rd.quotient, budget=budget)
 
 
-def reduce_pair(rd, apair, seed=0, budget=10000):
+def reduce_pair(rd, apair, budget=10000):
     """The reduced-side pair whose torsion class matches the image of
     Fac(apair) under the reduction; apair must contain the rigid pair.
 
     Cached per reduction on the reduced algebra, by the (M, P) content of
-    apair, seed and budget."""
+    apair and the budget."""
     if not tauops.contains_pair(apair, rd.pair):
         raise PreconditionViolated("pair does not contain the reduction pair")
-    key = ("reduce_pair", apair.m.key(), apair.p.key(), seed, budget)
+    key = ("reduce_pair", apair.m.key(), apair.p.key(), budget)
     if key not in rd.quotient.cache:
-        rd.quotient.cache[key] = _reduce_pair(rd, apair, seed, budget)
+        rd.quotient.cache[key] = _reduce_pair(rd, apair, budget)
     return rd.quotient.cache[key]
 
 
-def _reduce_pair(rd, apair, seed, budget):
+def _reduce_pair(rd, apair, budget):
     q = tauops._star_quotient(rd.pair, apair.m)
     y = reduction_functor(rd, q)
     hits = [
         c
-        for c in _reduced_pairs(rd, seed, budget)
+        for c in _reduced_pairs(rd, budget)
         if _same_torsion(c.m, y)
     ]
     if len(hits) != 1:
@@ -521,16 +520,16 @@ def _reduce_pair(rd, apair, seed, budget):
     return hits[0]
 
 
-def reduction_bijection_check(rd, seed=0, budget=10000):
+def reduction_bijection_check(rd, budget=10000):
     """Certify the order bijection between pairs over the rigid pair and
     pairs of the reduced algebra; returns a JSON-ready report."""
     ambient = [
         p
-        for p in tauops.all_pairs(rd.pair.algebra, seed=seed, budget=budget)
+        for p in tauops.all_pairs(rd.pair.algebra, budget=budget)
         if tauops.contains_pair(p, rd.pair)
     ]
-    reduced = _reduced_pairs(rd, seed, budget)
-    images = [reduce_pair(rd, p, seed=seed, budget=budget) for p in ambient]
+    reduced = _reduced_pairs(rd, budget)
+    images = [reduce_pair(rd, p, budget=budget) for p in ambient]
     image_fps = [im.fingerprint() for im in images]
     bijective = len(set(image_fps)) == len(ambient) == len(reduced)
     failures = []
@@ -562,12 +561,12 @@ def reduction_bijection_check(rd, seed=0, budget=10000):
 # -- transport of green sequences ------------------------------------------------
 
 
-def _check_green_chain(chain, seed=0):
+def _check_green_chain(chain):
     """Each ascending step must be a reversed left-mutation edge."""
     for k in range(len(chain) - 1):
         tauops._require_tilting(chain[k])
         try:
-            tauops.brick_label(chain[k + 1], chain[k], seed=seed)
+            tauops.brick_label(chain[k + 1], chain[k])
         except TautiltError as exc:
             raise PreconditionViolated(
                 f"step {k} of the chain is not a left mutation: {exc}"
@@ -575,18 +574,18 @@ def _check_green_chain(chain, seed=0):
     tauops._require_tilting(chain[-1])
 
 
-def _completed_path(rel_u, path, seed):
+def _completed_path(rel_u, path):
     """Left completion of rel_u at each node of the path, with consecutive
     repeats dropped."""
     out = []
     for node in path:
-        c = tauops.left_bongartz(rel_u, node, seed=seed)
+        c = tauops.left_bongartz(rel_u, node)
         if not out or c.fingerprint() != out[-1].fingerprint():
             out.append(c)
     return out
 
 
-def transport_mgs(rd, mgs, seed=0, budget=10000):
+def transport_mgs(rd, mgs, budget=10000):
     """Push a maximal green sequence for the window torsion class down to
     the reduced algebra.
 
@@ -601,17 +600,17 @@ def transport_mgs(rd, mgs, seed=0, budget=10000):
         raise PreconditionViolated("chain must start at the zero torsion class")
     if mgs[-1].fingerprint() != rd.bongartz.fingerprint():
         raise PreconditionViolated("chain must end at the window torsion class")
-    _check_green_chain(mgs, seed)
+    _check_green_chain(mgs)
 
-    chain = _completed_path(rd.pair, mgs, seed)
-    images = [reduce_pair(rd, c, seed=seed, budget=budget) for c in chain]
+    chain = _completed_path(rd.pair, mgs)
+    images = [reduce_pair(rd, c, budget=budget) for c in chain]
     if not images[0].m.is_zero():
         raise CertificateFailure("transported chain does not start at zero")
     if rd.quotient.n:
         top = tauops.free_pair(rd.quotient).fingerprint()
         if images[-1].fingerprint() != top:
             raise CertificateFailure("transported chain misses the full module class")
-        reduced_graph = build_exchange_graph(rd.quotient, budget=budget, seed=seed)
+        reduced_graph = build_exchange_graph(rd.quotient, budget=budget)
         edge_set = reduced_graph.edge_set()
         for k in range(len(images) - 1):
             key = (images[k + 1].fingerprint(), images[k].fingerprint())
@@ -622,7 +621,7 @@ def transport_mgs(rd, mgs, seed=0, budget=10000):
     return images
 
 
-def connect_fixed_summand(path, rel_u, seed=0):
+def connect_fixed_summand(path, rel_u):
     """Rewrite a mutation path so a fixed projective pair survives it.
 
     rel_u must be (U, 0) with U projective; the completion is then defined
@@ -644,7 +643,7 @@ def connect_fixed_summand(path, rel_u, seed=0):
         if len(gone) != 1 or len(new) != 1:
             raise PreconditionViolated("input is not a mutation path")
 
-    out = _completed_path(rel_u, path, seed)
+    out = _completed_path(rel_u, path)
     for node in out:
         if not tauops.contains_pair(node, rel_u):
             raise CertificateFailure("a rewritten node lost the fixed summand")
@@ -658,11 +657,11 @@ def connect_fixed_summand(path, rel_u, seed=0):
 # -- verification sweeps ----------------------------------------------------------
 
 
-def verify_exchange(algebra, seed=0, budget=10000):
+def verify_exchange(algebra, budget=10000):
     """Structural sweep of the exchange graph: degree counts, extremes,
     two completions per almost pair, unimodular g-matrices, and (on small
     graphs) fingerprint soundness against explicit isomorphism tests."""
-    graph = build_exchange_graph(algebra, budget=budget, seed=seed)
+    graph = build_exchange_graph(algebra, budget=budget)
     failures = []
     if not graph.complete:
         failures.append({"check": "complete"})
@@ -686,8 +685,8 @@ def verify_exchange(algebra, seed=0, budget=10000):
         pairs = graph.node_list()
         for a in range(len(pairs)):
             for b in range(a + 1, len(pairs)):
-                same_m = modules.is_isomorphic(pairs[a].m, pairs[b].m, seed=seed)
-                same_p = modules.is_isomorphic(pairs[a].p, pairs[b].p, seed=seed)
+                same_m = modules.is_isomorphic(pairs[a].m, pairs[b].m)
+                same_p = modules.is_isomorphic(pairs[a].p, pairs[b].p)
                 if same_m and same_p:
                     failures.append({"check": "fingerprint-soundness"})
     return {
@@ -700,7 +699,7 @@ def verify_exchange(algebra, seed=0, budget=10000):
     }
 
 
-def verify_mutation_compat(rel_u, graph, seed=0):
+def verify_mutation_compat(rel_u, graph):
     """Sweep the completion dichotomy over every left edge in the window.
 
     Per edge the exchange brick predicts whether the two completions
@@ -726,7 +725,7 @@ def verify_mutation_compat(rel_u, graph, seed=0):
         window[fp] = w_mod
         if not w_mod:
             continue
-        completion[fp] = tauops.left_bongartz(rel_u, node, seed=seed)
+        completion[fp] = tauops.left_bongartz(rel_u, node)
     identity_steps = 0
     mutation_steps = 0
     skipped = 0
@@ -739,7 +738,7 @@ def verify_mutation_compat(rel_u, graph, seed=0):
             failures.append({"check": "window-shrink"})
             continue
         src, tgt = graph.nodes[s], graph.nodes[t]
-        d = tauops.brick_label(src, tgt, seed=seed)
+        d = tauops.brick_label(src, tgt)
         bs, bt = completion[s], completion[t]
         if modules.dim_hom(rel_u.m, d) == 0:
             mutation_steps += 1
@@ -778,7 +777,7 @@ def verify_mutation_compat(rel_u, graph, seed=0):
     }
 
 
-def verify_silting_compat(rel_u, graph, seed=0):
+def verify_silting_compat(rel_u, graph):
     """Left-mutation compatibility on the complex side: the completion of
     the smaller node stays silting, sits below, and shares all but at
     most one summand with the completion of the larger node."""
@@ -807,14 +806,14 @@ def verify_silting_compat(rel_u, graph, seed=0):
             continue
         if twoterm.hom_k(u_c, ts, 2) or twoterm.hom_k(u_c, tt, 2):
             failures.append({"check": "higher-ext", "edge": edge_name})
-        ss = twoterm.left_completion_silting(u_c, ts, seed)
-        st = twoterm.left_completion_silting(u_c, tt, seed)
-        if not (twoterm.is_silting(ss, seed) and twoterm.is_silting(st, seed)):
+        ss = twoterm.left_completion_silting(u_c, ts)
+        st = twoterm.left_completion_silting(u_c, tt)
+        if not (twoterm.is_silting(ss) and twoterm.is_silting(st)):
             failures.append({"check": "silting", "edge": edge_name})
             continue
         # silting summands are determined by their g-vectors (AIR Thm 5.5)
-        fs = Counter(twoterm.complex_fingerprint(ss, seed))
-        ft = Counter(twoterm.complex_fingerprint(st, seed))
+        fs = Counter(twoterm.complex_fingerprint(ss))
+        ft = Counter(twoterm.complex_fingerprint(st))
         if fs == ft:
             identity_steps += 1
             continue
@@ -833,7 +832,7 @@ def verify_silting_compat(rel_u, graph, seed=0):
     }
 
 
-def verify_route(rel_u, graph, seed=0, budget=10000):
+def verify_route(rel_u, graph, budget=10000):
     """The cone construction and the fan search must return the same
     completion at every node inside the window."""
     tauops._require_rigid(rel_u)
@@ -845,8 +844,8 @@ def verify_route(rel_u, graph, seed=0, budget=10000):
         if not tauops.left_precondition(rel_u, node):
             continue
         checked += 1
-        via_cone = tauops.left_bongartz(rel_u, node, seed=seed)
-        via_fan = tauops.fan_left_completion(rel_u, node, seed=seed, budget=budget)
+        via_cone = tauops.left_bongartz(rel_u, node)
+        via_fan = tauops.fan_left_completion(rel_u, node, budget=budget)
         if via_cone.fingerprint() != via_fan.fingerprint():
             failures.append(
                 {"check": "route", "node": modules.describe_pair(node)}
@@ -860,11 +859,11 @@ def verify_route(rel_u, graph, seed=0, budget=10000):
     }
 
 
-def verify_dagger(algebra, seed=0, budget=10000):
+def verify_dagger(algebra, budget=10000):
     """The duality must map the graph to the opposite-algebra graph with
     all edges reversed and the order flipped."""
-    graph = build_exchange_graph(algebra, budget=budget, seed=seed)
-    op_graph = build_exchange_graph(algebra.opposite(), budget=budget, seed=seed)
+    graph = build_exchange_graph(algebra, budget=budget)
+    op_graph = build_exchange_graph(algebra.opposite(), budget=budget)
     failures = []
     if not (graph.complete and op_graph.complete):
         failures.append({"check": "complete"})
@@ -921,10 +920,10 @@ def rigid_subpairs(graph, max_size):
     return [out[fp] for fp in sorted(out)]
 
 
-def verify_reduction(algebra, seed=0, budget=10000):
+def verify_reduction(algebra, budget=10000):
     """Reduce at the empty pair, the free pair, and every one-summand
     rigid pair, certifying the order bijection each time."""
-    graph = build_exchange_graph(algebra, budget=budget, seed=seed)
+    graph = build_exchange_graph(algebra, budget=budget)
     if not graph.complete:
         raise IncompleteGraph("reduction sweep needs a complete graph")
     candidates = rigid_subpairs(graph, 1)
@@ -934,8 +933,8 @@ def verify_reduction(algebra, seed=0, budget=10000):
     failures = []
     reports = []
     for cand in candidates:
-        rd = tau_reduction(cand, seed=seed)
-        rep = reduction_bijection_check(rd, seed=seed, budget=budget)
+        rd = tau_reduction(cand)
+        rep = reduction_bijection_check(rd, budget=budget)
         reports.append(
             {
                 "pair": rep["pair"],
@@ -955,11 +954,11 @@ def verify_reduction(algebra, seed=0, budget=10000):
     }
 
 
-def verify_order_criteria(algebra, seed=0, budget=10000):
+def verify_order_criteria(algebra, budget=10000):
     """Equivalence of the window tests: vanishing of positive-shift maps
     against the node complex, against its module part, the two module
     side conditions, and the torsion class inclusion."""
-    graph = build_exchange_graph(algebra, budget=budget, seed=seed)
+    graph = build_exchange_graph(algebra, budget=budget)
     if not graph.complete:
         raise IncompleteGraph("order-criteria sweep needs a complete graph")
     subs = rigid_subpairs(graph, algebra.n)

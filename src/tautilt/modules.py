@@ -8,7 +8,6 @@ shape dims[i] x dims[j].
 """
 
 import itertools
-import random
 
 from . import linalg
 from .algebra import AlgebraElement, ContentKey
@@ -293,18 +292,6 @@ def zero_map(x, y):
     return ModuleMap(
         x, y, [linalg.zeros(x.dims[v], y.dims[v], x.field) for v in range(x.algebra.n)], check=False
     )
-
-
-def map_factorization(f):
-    """Kernel, image and cokernel of a map, each with its witness map."""
-    ker, ker_incl = f.kernel()
-    img, img_incl = f.image()
-    cok, cok_proj = f.cokernel()
-    return {
-        "kernel": (ker, ker_incl),
-        "image": (img, img_incl),
-        "cokernel": (cok, cok_proj),
-    }
 
 
 def _sub_spans(x, spans):
@@ -713,60 +700,6 @@ def ar_translate(x):
     return alg.cache[key]
 
 
-def _proj_hom_space_dim(ps, y):
-    return sum(y.dims[v] for v in ps.vertices)
-
-
-def _proj_hom_matrix(blocks, src, tgt, y):
-    """Matrix of Hom(tgt, y) -> Hom(src, y) induced by blocks: src -> tgt.
-
-    Hom(e_v A, Y) = Y_v; coordinates are concatenated per summand.
-    """
-    field = y.field
-    rows = _proj_hom_space_dim(tgt, y)
-    cols = _proj_hom_space_dim(src, y)
-    out = linalg.zeros(rows, cols, field)
-    roff = []
-    t = 0
-    for v in tgt.vertices:
-        roff.append(t)
-        t += y.dims[v]
-    coff = []
-    t = 0
-    for v in src.vertices:
-        coff.append(t)
-        t += y.dims[v]
-    for l, w in enumerate(tgt.vertices):
-        for s, v in enumerate(src.vertices):
-            elt = blocks[l][s]
-            if elt.is_zero():
-                continue
-            act = linalg.zeros(y.dims[w], y.dims[v], field)
-            for k in elt.support():
-                act = linalg.mat_add(act, linalg.mat_scale(elt.coeffs[k], y.mat(k)))
-            for a in range(y.dims[w]):
-                for b in range(y.dims[v]):
-                    out[roff[l] + a][coff[s] + b] = out[roff[l] + a][coff[s] + b] + act[a][b]
-    return out
-
-
-def ext1_dim(x, y):
-    """dim Ext^1(x, y) via Hom(P_i, y) on a minimal resolution of x."""
-    alg = x.algebra
-    pres = min_proj_presentation(x)
-    ker2, incl2 = pres.d_map.kernel()
-    p2, cover2 = projective_cover(ker2)
-    d2_map = cover2.then(incl2)
-    d2_blocks = p2.map_to_blocks(pres.p1, d2_map)
-    m1 = _proj_hom_matrix(pres.blocks, pres.p1, pres.p0, y)
-    m2 = _proj_hom_matrix(d2_blocks, p2, pres.p1, y)
-    dim_hom_p1 = _proj_hom_space_dim(pres.p1, y)
-    # phi in Hom(P1,Y) is a row vector; the induced maps compose on the right
-    rank_into = linalg.rank(m1, x.field)
-    kernel_dim = dim_hom_p1 - linalg.rank(m2, x.field)
-    return kernel_dim - rank_into
-
-
 # -- decomposition ---------------------------------------------------------
 
 
@@ -785,13 +718,12 @@ def _eigen_shifts(f):
     return sorted(values, key=str)
 
 
-def _splitting_candidates(endos, ident, seed):
+def _splitting_candidates(endos, ident):
     """Endomorphisms to try for a Fitting split: the basis, its pair sums and
-    products, and seeded random combinations, each followed by its rational
-    eigenvalue shifts.  Any type with ModuleMap's operations will do; twoterm
-    passes degreewise chain endomorphisms.
+    products, each followed by its rational eigenvalue shifts.  Any type
+    with ModuleMap's operations will do; twoterm passes degreewise chain
+    endomorphisms.
     """
-    field = ident.field
     for f in endos:
         yield f
         for lam in _eigen_shifts(f):
@@ -804,35 +736,109 @@ def _splitting_candidates(endos, ident, seed):
         for lam in _eigen_shifts(h):
             if lam:
                 yield h - ident.scale(lam)
-    rng = random.Random(seed)
-    for _ in range(24):
-        f = ident.scale(field.zero)
-        for g in endos:
-            f = f + g.scale(field(rng.randint(-5, 5)))
-        yield f
-        for lam in _eigen_shifts(f):
-            if lam:
-                yield f - ident.scale(lam)
 
 
-def _fitting_split(candidates, n):
-    """Stabilized power p of the first nonzero candidate with 0 < rank(p) < n
-    (n the total dimension), which splits the object as ker(p) + im(p), or None.
+def _flat(f):
+    """Coordinates of a map: its matrices, row after row."""
+    return [c for m in f.mats for row in m for c in row]
+
+
+def _nilpotent(gens, ident):
+    """Whether the algebra generated by gens is nilpotent.  The maps act on
+    each vertex space V (of each degree, for chain maps) on their own, and
+    V, V·N, V·N², ... is a falling chain, with N the span of gens; the
+    algebra is nilpotent iff that chain reaches 0 in every V."""
+    field = ident.field
+    gen_mats = [g.mats for g in gens]
+    for s, space in enumerate(ident.mats):
+        width = len(space)
+        while space:
+            image = [
+                row
+                for mats in gen_mats
+                for row in linalg.mat_mul(space, mats[s], field, out_cols=width)
+            ]
+            smaller = linalg.row_space_basis(image, field)
+            if len(smaller) == len(space):
+                return False
+            space = smaller
+    return True
+
+
+def _local_radical(endos, ident):
+    """rad End(X) when End(X) is certified local with residue field k, as a
+    RowSolver over flattened maps (see _flat); else None.
+
+    endos is a basis f_1, ..., f_r of End(X) and ident the identity, of any
+    type with ModuleMap's operations.  Each f_i must have a single
+    eigenvalue λ_i, in k.  Then End(X) = k·id + N with
+    N = span(f_i − λ_i·id).  If the algebra N generates is nilpotent, it
+    is a proper ideal of End(X) that contains N, so it has dimension
+    r − 1 and equals N.  Hence N·N ⊆ N, End(X)/N = k, and End(X) is local
+    with radical N, in any characteristic.
+    """
+    gens = []
+    for f in endos:
+        lams = _eigen_shifts(f)
+        if len(lams) != 1:
+            return None
+        gens.append(f - ident.scale(lams[0]))
+    if not _nilpotent(gens, ident):
+        return None
+    return linalg.RowSolver([_flat(g) for g in gens], ident.field, len(_flat(ident)))
+
+
+def _fitting_split(endos, ident, n):
+    """Stabilized power p of the first nonzero splitting candidate with
+    0 < rank(p) < n (n the total dimension), which splits the object as
+    ker(p) + im(p).  endos is a basis of End and ident the identity.
 
     By Fitting's lemma f^n has stable rank, degreewise too for a chain
     endomorphism, since no degree has dimension above n.
 
-    None is a guess, not a certificate: the candidates are finitely many
-    seeded endomorphisms, and all may be nilpotent or invertible although
-    the endomorphism ring is not local.
+    When no candidate splits, returns None if End is certified local (see
+    _local_radical), so the object is indecomposable, and raises
+    SearchBudgetExceeded otherwise.
     """
-    for f in candidates:
+    for f in _splitting_candidates(endos, ident):
         if f.is_zero():
             continue
         p = f.power(max(n, 1))
         if 0 < p.rank() < n:
             return p
+    if _local_radical(endos, ident) is None:
+        raise SearchBudgetExceeded(
+            "no splitting candidate, and End is not certified local over the field"
+        )
     return None
+
+
+def _iso_certificate(xy, yx, end_x, ident_x, dim_end_y):
+    """Whether x ≅ y, for x and y of equal dimensions, from bases of
+    Hom(x, y), Hom(y, x) and End(x) with the identity of x and dim End(y);
+    None when this cannot decide.
+
+    Isomorphic objects have Hom spaces of one dimension, so a mismatch
+    means no.  When End(x) is certified local (see _local_radical),
+    x ≅ y iff g∘f lies outside rad End(x) for some f and g of the two
+    bases: such a g∘f is invertible, so x is a summand of y, of the same
+    dimensions; and an isomorphism f with inverse g gives g∘f = id, which
+    lies in the span of the basis products but not in the radical.
+    """
+    if not len(xy) == len(yx) == len(end_x) == dim_end_y:
+        return False
+    rad = _local_radical(end_x, ident_x)
+    if rad is None:
+        return None
+    return any(not rad.contains(_flat(f.then(g))) for f in xy for g in yx)
+
+
+def _same_pieces(xs, ys, iso):
+    """Krull-Schmidt: whether two decompositions, lists of (piece,
+    multiplicity) with pairwise non-isomorphic pieces, match."""
+    return len(xs) == len(ys) and all(
+        any(mult == m and iso(a, b) for b, mult in ys) for a, m in xs
+    )
 
 
 def _group_isomorphic(pieces, iso):
@@ -849,71 +855,72 @@ def _group_isomorphic(pieces, iso):
     return [(piece, mult) for piece, mult in grouped]
 
 
-def decompose(x, seed=0):
+def decompose(x):
     """Indecomposable summands with multiplicities: list of (rep, mult).
 
-    Splits along Fitting decompositions of seeded candidate endomorphisms; a
-    piece none of them splits is declared indecomposable (see _fitting_split).
+    Splits along Fitting decompositions of the splitting candidates.  A
+    piece none of them splits is indecomposable when its End is certified
+    local; otherwise SearchBudgetExceeded is raised (see _fitting_split).
     """
     alg = x.algebra
-    key = ("decomp", x.key(), seed)
+    key = ("decomp", x.key())
     if key not in alg.cache:
-        alg.cache[key] = _group_isomorphic(
-            _decompose_raw(x, seed), lambda a, b: is_isomorphic(a, b, seed=seed)
-        )
+        alg.cache[key] = _group_isomorphic(_decompose_raw(x), is_isomorphic)
     # intern on the way out so the chosen objects do not depend on which
     # equal-content input hit the cache first
     return [(canonical_rep(rep), mult) for rep, mult in alg.cache[key]]
 
 
-def _decompose_raw(x, seed):
+def _decompose_raw(x):
     if x.is_zero():
         return []
     endos = hom_basis(x, x)
     if len(endos) == 1:
         return [x]
     n = x.total_dim()
-    p = _fitting_split(_splitting_candidates(endos, identity_map(x), seed), n)
+    p = _fitting_split(endos, identity_map(x), n)
     if p is None:
         return [x]
     ker, _ = p.kernel()
     img, _ = p.image()
     if ker.total_dim() + img.total_dim() != n:
         raise CertificateFailure("Fitting split dimensions do not add up")
-    return _decompose_raw(ker, seed) + _decompose_raw(img, seed)
+    return _decompose_raw(ker) + _decompose_raw(img)
 
 
-def is_isomorphic(x, y, seed=0):
-    """Isomorphism test: exact determinant check on generic Hom combinations."""
+def is_isomorphic(x, y):
+    """Isomorphism test with a certified answer either way.
+
+    Tries the basis of Hom(x, y) and its pair sums for an isomorphism,
+    then decides by _iso_certificate, and otherwise compares the
+    decompositions of x and y.  Raises SearchBudgetExceeded when a
+    decomposition is not certified.
+    """
     if x.dims != y.dims:
         return False
-    if x.is_zero():
-        return True
-    if x.key() == y.key():
+    if x.is_zero() or x.key() == y.key():
         return True
     alg = x.algebra
     key = ("iso", x.key(), y.key())
-    if key in alg.cache:
-        return alg.cache[key]
+    if key not in alg.cache:
+        result = _isomorphic(x, y)
+        alg.cache[key] = alg.cache[("iso", y.key(), x.key())] = result
+    return alg.cache[key]
+
+
+def _isomorphic(x, y):
     homs = hom_basis(x, y)
-    result = False
-    if homs:
-        candidates = list(homs)
-        for f, g in itertools.islice(itertools.combinations(homs, 2), 32):
-            candidates.append(f + g)
-        rng = random.Random(seed)
-        for _ in range(20):
-            f = zero_map(x, y)
-            for g in homs:
-                f = f + g.scale(x.field(rng.randint(-7, 7)))
-            candidates.append(f)
-        for f in candidates:
-            if f.is_isomorphism():
-                result = True
-                break
-    alg.cache[key] = result
-    alg.cache[("iso", y.key(), x.key())] = result
-    return result
+    if not homs:
+        return False
+    sums = (f + g for f, g in itertools.islice(itertools.combinations(homs, 2), 32))
+    if any(f.is_isomorphism() for f in itertools.chain(homs, sums)):
+        return True
+    found = _iso_certificate(
+        homs, hom_basis(y, x), hom_basis(x, x), identity_map(x), dim_hom(y, y)
+    )
+    if found is None:
+        found = _same_pieces(decompose(x), decompose(y), is_isomorphic)
+    return found
 
 
 # -- torsion machinery ------------------------------------------------------
@@ -952,21 +959,6 @@ def in_fac(gen, x):
     return t.dims == x.dims
 
 
-def torsion_part(gen, x):
-    """Torsion part of x for the torsion class Fac(gen), gen tau-rigid.
-
-    Returns (t, inclusion, quotient, projection).  Raises if the quotient
-    still admits maps from gen, which signals a non-tau-rigid generator.
-    """
-    t, incl, q, proj = _trace_quotient(gen, x)
-    if hom_basis(gen, q):
-        raise PreconditionViolated(
-            "trace quotient admits maps from the generator; Fac(gen) is not "
-            "a torsion class here"
-        )
-    return t, incl, q, proj
-
-
 def in_perp_pair(u, q_proj, x):
     """Whether x lies in perp(tau u) intersected with the perp of q_proj."""
     if not u.is_zero():
@@ -996,36 +988,46 @@ def star_membership(u_gen, m_gen, x):
     return in_fac(m_gen, _trace_quotient(u_gen, x)[2])
 
 
-# -- bricks and filtrations --------------------------------------------------
+# -- bricks -----------------------------------------------------------------
 
 
-def find_noninvertible_endo(y, seed=0):
-    """A nonzero non-invertible endomorphism of y, or None if none is found
-    among the basis, products, eigenvalue shifts and seeded combinations."""
+def find_noninvertible_endo(y):
+    """A nonzero non-invertible endomorphism of y, or None when End(y) = k.
+
+    Otherwise the splitting candidates are tried.  When End(y) is local
+    with residue field k, its radical is nonzero and holds a nonzero basis
+    element or eigenvalue shift of one (see _local_radical), which the
+    candidates include; so when none of them is found, End(y) is not
+    certified local (a division ring larger than k, say) and
+    SearchBudgetExceeded is raised.
+    """
     endos = hom_basis(y, y)
     if len(endos) <= 1:
         return None
-    for f in _splitting_candidates(endos, identity_map(y), seed):
+    for f in _splitting_candidates(endos, identity_map(y)):
         if not f.is_zero() and not f.is_isomorphism():
             return f
-    return None
+    raise SearchBudgetExceeded(
+        "no non-invertible endomorphism among the candidates, and End is not k"
+    )
 
 
-def is_brick(y, seed=0):
-    """Whether the seeded search finds no nonzero non-invertible endomorphism."""
+def is_brick(y):
+    """Whether y is a brick with End(y) = k; raises where
+    find_noninvertible_endo does."""
     if y.is_zero():
         return False
-    return find_noninvertible_endo(y, seed) is None
+    return find_noninvertible_endo(y) is None
 
 
-def brick_shrink(y, seed=0):
+def brick_shrink(y):
     """Iterates y <- image(f) over nonzero non-invertible endomorphisms f
     until only invertible ones remain."""
     steps = y.total_dim() + 1
     for _ in range(steps):
         if y.is_zero():
             raise CertificateFailure("brick search collapsed to zero")
-        f = find_noninvertible_endo(y, seed)
+        f = find_noninvertible_endo(y)
         if f is None:
             return y
         img, _ = f.image()
@@ -1033,47 +1035,6 @@ def brick_shrink(y, seed=0):
             raise CertificateFailure("endomorphism image failed to shrink")
         y = img
     raise CertificateFailure("brick search did not converge")
-
-
-def filt_member(d, x, seed=0, budget=32):
-    """Whether x has a filtration with all factors isomorphic to d.
-
-    Sound for the intended call sites where the filtration closure of d is
-    a wide subcategory (kernels of surjections between filtered modules stay
-    filtered).  Indeterminate searches raise SearchBudgetExceeded rather
-    than answering False.
-    """
-    if x.is_zero():
-        return True
-    dd = d.total_dim()
-    if dd == 0:
-        return False
-    if x.total_dim() % dd:
-        return False
-    ratio = x.total_dim() // dd
-    if any(x.dims[v] != ratio * d.dims[v] for v in range(x.algebra.n)):
-        return False
-    if ratio == 1:
-        return is_isomorphic(d, x, seed=seed)
-    homs = hom_basis(x, d)
-    if not homs:
-        return False
-    surj = None
-    candidates = list(homs)
-    rng = random.Random(seed)
-    for _ in range(budget):
-        f = zero_map(x, d)
-        for g in homs:
-            f = f + g.scale(x.field(rng.randint(-5, 5)))
-        candidates.append(f)
-    for f in candidates:
-        if f.is_surjective():
-            surj = f
-            break
-    if surj is None:
-        raise SearchBudgetExceeded("no surjection onto the brick was found")
-    ker, _ = surj.kernel()
-    return filt_member(d, ker, seed=seed, budget=budget)
 
 
 # -- pairs -------------------------------------------------------------------
@@ -1093,12 +1054,11 @@ class TauPair:
     summands by decompose when first asked.
     """
 
-    def __init__(self, m, p, seed=0, rows=None):
+    def __init__(self, m, p, rows=None):
         if m.algebra is not p.algebra:
             raise TautiltError("pair members live over different algebras")
         self.m = m
         self.p = p
-        self.seed = seed
         self.rows = self.tokens = None
         self._summands = None
         self._fingerprint = None
@@ -1114,7 +1074,7 @@ class TauPair:
 
     def m_summands(self):
         if self._summands is None:
-            self._summands = (decompose(self.m, self.seed), decompose(self.p, self.seed))
+            self._summands = (decompose(self.m), decompose(self.p))
         return self._summands[0]
 
     def p_summands(self):
@@ -1217,11 +1177,11 @@ def check_pair(pair):
     Returns a dict with keys: projective_ok, rigid, hom_p_m_zero, role.
     The role is one of not_rigid, rigid, almost, tilting by the count of
     indecomposable summands against the number of vertices.  Cached per
-    (M, P, seed) content; only a basic pair is cached, so a non-basic one
+    (M, P) content; only a basic pair is cached, so a non-basic one
     raises on every call.
     """
     alg = pair.algebra
-    key = ("check_pair", pair.m.key(), pair.p.key(), pair.seed)
+    key = ("check_pair", pair.m.key(), pair.p.key())
     if key not in alg.cache:
         alg.cache[key] = _check_pair(pair)
     return dict(alg.cache[key])

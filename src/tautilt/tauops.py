@@ -207,7 +207,7 @@ def _certify_exchange(pair, new_pair, fresh):
         raise CertificateFailure("the g-vectors of the mutation are not a basis")
 
 
-def _mutate_slot(pair, t, cindex, seed):
+def _mutate_slot(pair, t, cindex):
     """Mutate the complex t of a certified pair at one summand, left first.
 
     t must carry its summands (see _pair_complex).  The result is
@@ -215,7 +215,7 @@ def _mutate_slot(pair, t, cindex, seed):
     """
     kept = {c.key() for k, c in enumerate(t.parts) if k != cindex}
     for direction in ("left", "right"):
-        out = twoterm.mutate_complex(t, cindex, direction, seed=seed)
+        out = twoterm.mutate_complex(t, cindex, direction)
         if out is None:
             continue
         new_pair = twoterm.to_tau_pair(out)
@@ -225,7 +225,7 @@ def _mutate_slot(pair, t, cindex, seed):
     raise CertificateFailure("no mutation stayed in the two-term window")
 
 
-def mutate_pair(pair, index, seed=0):
+def mutate_pair(pair, index):
     """Exchange one summand of a support tau-tilting pair.
 
     Returns (new_pair, direction) where direction is "left" when the
@@ -237,13 +237,13 @@ def mutate_pair(pair, index, seed=0):
     t, slots = _pair_complex(pair)
     if not 0 <= index < len(slots):
         raise TautiltError("summand index out of range")
-    return _mutate_slot(pair, t, slots[index], seed)
+    return _mutate_slot(pair, t, slots[index])
 
 
 # -- the exchange graph -------------------------------------------------------
 
 
-def silting_closure(algebra, seed=0, budget=10000):
+def silting_closure(algebra, budget=10000):
     """The mutation closure of the free pair: the exchange graph, walked once.
 
     Breadth-first from the free pair, building and certifying each edge
@@ -260,9 +260,9 @@ def silting_closure(algebra, seed=0, budget=10000):
     discovery order, edges lists the left mutations as (source, target,
     slot) with slot the g-sorted summand index on the source side, and
     complete is False when a new node beyond the budget was skipped.  The
-    walk is cached per (seed, budget) on the algebra.
+    walk is cached per budget on the algebra.
     """
-    key = ("closure", seed, budget)
+    key = ("closure", budget)
     if key not in algebra.cache:
         top = free_pair(algebra)
         _require_tilting(top)
@@ -290,7 +290,7 @@ def silting_closure(algebra, seed=0, budget=10000):
                     if built is None:
                         built = _pair_complex(pair)
                     t, slots = built
-                    neighbour, direction = _mutate_slot(pair, t, slots[slot], seed)
+                    neighbour, direction = _mutate_slot(pair, t, slots[slot])
                     fp = neighbour.fingerprint()
                     exchanges[rest] = (src_fp, fp, direction)
                     if fp not in nodes:
@@ -305,10 +305,10 @@ def silting_closure(algebra, seed=0, budget=10000):
     return algebra.cache[key]
 
 
-def all_pairs(algebra, seed=0, budget=10000):
+def all_pairs(algebra, budget=10000):
     """Every support tau-tilting pair of a tau-tilting finite algebra, in
     the discovery order of the exchange graph."""
-    nodes, _, complete = silting_closure(algebra, seed, budget)
+    nodes, _, complete = silting_closure(algebra, budget)
     if not complete:
         raise SearchBudgetExceeded(
             "mutation walk hit the budget; the algebra may not be "
@@ -345,7 +345,7 @@ def _certify_left(u_pair, anchor, result):
             )
 
 
-def left_bongartz(u_pair, anchor=None, seed=0):
+def left_bongartz(u_pair, anchor=None):
     """Left Bongartz completion of a tau-rigid pair relative to an anchor.
 
     Returns the support tau-tilting pair generating the smallest torsion
@@ -358,7 +358,7 @@ def left_bongartz(u_pair, anchor=None, seed=0):
     alg = u_pair.algebra
     if anchor is None:
         anchor = shifted_pair(alg)
-    key = ("left_bongartz", u_pair.fingerprint(), anchor.fingerprint(), seed)
+    key = ("left_bongartz", u_pair.fingerprint(), anchor.fingerprint())
     if key in alg.cache:
         return alg.cache[key]
     _require_rigid(u_pair)
@@ -369,14 +369,14 @@ def left_bongartz(u_pair, anchor=None, seed=0):
         )
     uc, _ = _pair_complex(u_pair)
     t, _ = _pair_complex(anchor)
-    out = twoterm.left_completion_silting(uc, t, seed)
+    out = twoterm.left_completion_silting(uc, t)
     result = twoterm.to_tau_pair(out)
     _certify_left(u_pair, anchor, result)
     alg.cache[key] = result
     return result
 
 
-def fan_left_completion(u_pair, anchor=None, seed=0, budget=10000):
+def fan_left_completion(u_pair, anchor=None, budget=10000):
     """Left completion located inside the enumerated completion fan.
 
     Independent route used for cross-checks: a completion C of (U, Q) is
@@ -391,7 +391,7 @@ def fan_left_completion(u_pair, anchor=None, seed=0, budget=10000):
     _require_rigid(u_pair)
     _require_tilting(anchor)
     keepers = []
-    for cand in all_pairs(alg, seed, budget):
+    for cand in all_pairs(alg, budget):
         if not contains_pair(cand, u_pair):
             continue
         ok = True
@@ -413,7 +413,7 @@ def fan_left_completion(u_pair, anchor=None, seed=0, budget=10000):
     raise CertificateFailure("the certified completions have no maximum")
 
 
-def right_bongartz(u_pair, anchor=None, seed=0):
+def right_bongartz(u_pair, anchor=None):
     """Right Bongartz completion, computed through the duality.
 
     anchor=None means (A, 0); that case is the classical Bongartz
@@ -424,10 +424,10 @@ def right_bongartz(u_pair, anchor=None, seed=0):
         anchor = free_pair(alg)
     _require_rigid(u_pair)
     _require_tilting(anchor)
-    out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor), seed)
+    out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor))
     # dualize the bare (M, P): the block of the result lists the summands
     # in the order decompose finds them, as it always has
-    result = dagger_pair(modules.TauPair(out.m, out.p, out.seed))
+    result = dagger_pair(modules.TauPair(out.m, out.p))
     _require_tilting(result)
     if not contains_pair(result, u_pair):
         raise CertificateFailure("dual completion lost a summand of the input")
@@ -452,7 +452,7 @@ def exchanged_summands(old, new):
     return only_old, only_new
 
 
-def brick_label(old, new, seed=0):
+def brick_label(old, new):
     """The brick labelling a left mutation edge old -> new.
 
     For the exchange X -> Y the label is X modulo the torsion part of the
@@ -473,8 +473,8 @@ def brick_label(old, new, seed=0):
     if x is None:
         raise MatchFailure("exchanged summand not found in the old pair")
     q = modules._trace_quotient(new.m, x)[2]
-    d = modules.brick_shrink(q, seed=seed)
-    if not modules.is_brick(d, seed=seed):
+    d = modules.brick_shrink(q)
+    if not modules.is_brick(d):
         raise CertificateFailure("label failed the brick test")
     if modules.hom_basis(new.m, d):
         raise CertificateFailure("label is not orthogonal to the new pair")

@@ -10,13 +10,10 @@ Morphism spaces are computed in the homotopy category: chain maps minus
 null-homotopic ones, all as exact linear algebra over the ground field.
 """
 
-import random
-
 from . import linalg, modules
 from .algebra import AlgebraElement, ContentKey, local_inverse
 from .errors import (
     CertificateFailure,
-    NotSilting,
     PreconditionViolated,
     TautiltError,
 )
@@ -600,10 +597,11 @@ def realize(t):
     return {i: t.projsum(i) for i in t.support()}
 
 
-class _ChainEndo:
-    """Degreewise chain endomorphism, one ModuleMap per degree, with the
-    operations the split search in modules uses.  Its mats are the vertex
-    matrices of each degree in turn: one charpoly per degree and vertex."""
+class _DegreewiseMap:
+    """Chain map given degreewise, one ModuleMap per degree, with the
+    operations the split search and the certificates in modules use.  Its
+    mats are the vertex matrices of each degree in turn: one charpoly per
+    degree and vertex."""
 
     def __init__(self, maps, field):
         self.maps = maps
@@ -614,7 +612,7 @@ class _ChainEndo:
         return [m for f in self.maps.values() for m in f.mats]
 
     def _each(self, op):
-        return _ChainEndo({i: op(i, f) for i, f in self.maps.items()}, self.field)
+        return _DegreewiseMap({i: op(i, f) for i, f in self.maps.items()}, self.field)
 
     def then(self, other):
         return self._each(lambda i, f: f.then(other.maps[i]))
@@ -634,19 +632,31 @@ class _ChainEndo:
     def rank(self):
         return sum(f.rank() for f in self.maps.values())
 
+    def is_isomorphism(self):
+        return all(f.is_isomorphism() for f in self.maps.values())
+
     def power(self, m):
         return modules._compose_power(self, m)
 
 
-def _degree_maps(a, b, psums_a, psums_b, layout, vec):
-    """(degree, ModuleMap) for each degree of a, of the chain map a -> b with
-    coordinates vec, built lazily."""
-    blocks = vec_to_blocks(a, b, 0, layout, vec)
-    for i in a.support():
-        if i in blocks:
-            yield i, psums_a[i].block_to_map(psums_b[i], blocks[i])
-        else:
-            yield i, modules.zero_map(psums_a[i].rep, psums_b[i].rep)
+def _chain_maps(a, b, psums_a, psums_b):
+    """A basis of the chain maps a -> b, each as a _DegreewiseMap."""
+    chains, _, layout = chain_hom_data(a, b, 0)
+    out = []
+    for vec in chains:
+        blocks = vec_to_blocks(a, b, 0, layout, vec)
+        maps = {
+            i: psums_a[i].block_to_map(psums_b[i], blocks[i])
+            if i in blocks
+            else modules.zero_map(psums_a[i].rep, psums_b[i].rep)
+            for i in a.support()
+        }
+        out.append(_DegreewiseMap(maps, a.field))
+    return out
+
+
+def _identity(psums, field):
+    return _DegreewiseMap({i: modules.identity_map(ps.rep) for i, ps in psums.items()}, field)
 
 
 def _split_projective_part(sub, incl, other_incl, ambient):
@@ -706,40 +716,34 @@ def _rebuild_from_endo(t, psums, p):
     return halves
 
 
-def decompose_complex(t, seed=0):
+def decompose_complex(t):
     """Indecomposable summands with multiplicities, minimal representatives:
     the parts a complex carries (see sum_of_summands), else found by the
     split search of modules.decompose (see modules._fitting_split)."""
     if t.parts is not None:
         return [(c, 1) for c in t.parts]
     alg = t.algebra
-    key = ("cdecomp", t.key(), seed)
+    key = ("cdecomp", t.key())
     if key not in alg.cache:
         alg.cache[key] = modules._group_isomorphic(
-            _decompose_complex_raw(minimalize(t), seed),
-            lambda a, b: is_isomorphic_complex(a, b, seed=seed),
+            _decompose_complex_raw(minimalize(t)), is_isomorphic_complex
         )
     return alg.cache[key]
 
 
-def _decompose_complex_raw(t, seed):
+def _decompose_complex_raw(t):
     if t.is_zero():
         return []
     psums = realize(t)
-    chains, _, layout = chain_hom_data(t, t, 0)
-    endos = [
-        _ChainEndo(dict(_degree_maps(t, t, psums, psums, layout, vec)), t.field)
-        for vec in chains
-    ]
+    endos = _chain_maps(t, t, psums, psums)
     if len(endos) == 1:
         return [t]
-    ident = _ChainEndo({i: modules.identity_map(ps.rep) for i, ps in psums.items()}, t.field)
     total = sum(ps.rep.total_dim() for ps in psums.values())
-    p = modules._fitting_split(modules._splitting_candidates(endos, ident, seed), total)
+    p = modules._fitting_split(endos, _identity(psums, t.field), total)
     if p is None:
         return [t]
     halves = _rebuild_from_endo(t, psums, p.maps)
-    return _decompose_complex_raw(halves[0], seed) + _decompose_complex_raw(halves[1], seed)
+    return _decompose_complex_raw(halves[0]) + _decompose_complex_raw(halves[1])
 
 
 def _sort_key(t):
@@ -768,8 +772,17 @@ def sum_of_summands(parts):
     return out
 
 
-def is_isomorphic_complex(a, b, seed=0):
-    """Isomorphism in the homotopy category of two minimal complexes."""
+def is_isomorphic_complex(a, b):
+    """Isomorphism in the homotopy category of two complexes, decided on
+    their minimal forms, where it is isomorphism of complexes.
+
+    Tries the basis of chain maps a -> b for an isomorphism, then decides
+    by modules._iso_certificate on the chain endomorphisms (on a minimal
+    complex the null-homotopic ones lie in the radical, so that ring is
+    local exactly when the complex is indecomposable), and otherwise
+    compares the decompositions.  Raises SearchBudgetExceeded when a
+    decomposition is not certified.
+    """
     a = a if _looks_minimal(a) else minimalize(a)
     b = b if _looks_minimal(b) else minimalize(b)
     if a.key() == b.key():
@@ -781,22 +794,23 @@ def is_isomorphic_complex(a, b, seed=0):
             return False
     psums_a = realize(a)
     psums_b = realize(b)
-    chains, _, layout = chain_hom_data(a, b, 0)
-    if not chains:
+    ab = _chain_maps(a, b, psums_a, psums_b)
+    if not ab:
         return a.is_zero()
-    candidates = list(chains)
-    rng = random.Random(seed)
-    for _ in range(20):
-        vec = [a.field.zero] * len(chains[0])
-        for c in chains:
-            s = a.field(rng.randint(-7, 7))
-            vec = [x + s * y for x, y in zip(vec, c)]
-        candidates.append(vec)
-    for vec in candidates:
-        maps = _degree_maps(a, b, psums_a, psums_b, layout, vec)
-        if all(f.is_isomorphism() for _, f in maps):
-            return True
-    return False
+    if any(f.is_isomorphism() for f in ab):
+        return True
+    found = modules._iso_certificate(
+        ab,
+        _chain_maps(b, a, psums_b, psums_a),
+        _chain_maps(a, a, psums_a, psums_a),
+        _identity(psums_a, a.field),
+        len(chain_hom_data(b, b, 0)[0]),
+    )
+    if found is None:
+        found = modules._same_pieces(
+            decompose_complex(a), decompose_complex(b), is_isomorphic_complex
+        )
+    return found
 
 
 def _looks_minimal(t):
@@ -820,30 +834,20 @@ def is_presilting(t):
     return hom_k(t, t, 1) == 0
 
 
-def is_silting(t, seed=0):
+def is_silting(t):
     """Two-term silting: presilting with n distinct indecomposable summands."""
     if not is_presilting(t):
         return False
-    parts = decompose_complex(t, seed)
+    parts = decompose_complex(t)
     if any(mult > 1 for _, mult in parts):
         return False
     return len(parts) == t.algebra.n
 
 
-def assert_silting(t, seed=0):
-    if not is_silting(t, seed):
-        raise NotSilting("complex is not a basic two-term silting object")
-    g_rows = [list(c.g_vec()) for c, _ in decompose_complex(t, seed)]
-    d = linalg.det(g_rows, linalg.QQ)
-    if d * d != linalg.QQ(1):
-        raise CertificateFailure("g-matrix of a silting object must have det +-1")
-    return True
-
-
-def g_matrix(t, seed=0):
+def g_matrix(t):
     """Rows are the g-vectors of the indecomposable summands, sorted."""
     rows = []
-    for c, mult in decompose_complex(t, seed):
+    for c, mult in decompose_complex(t):
         rows.extend([c.g_vec()] * mult)
     return sorted(rows)
 
@@ -1025,7 +1029,7 @@ def complex_dagger(t):
     return ProjectiveComplex(op, terms, diffs, check=False)
 
 
-def left_completion_silting(u, t, seed=0):
+def left_completion_silting(u, t):
     """Left Bongartz completion of presilting u with respect to silting t.
 
     The completion is u joined with the cone of the minimal left
@@ -1045,21 +1049,21 @@ def left_completion_silting(u, t, seed=0):
     presilting, and two-term presilting complexes are determined by their
     g-vectors (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so u must
     be presilting.  The split cone of each summand is cached per
-    (u, t_i, seed) content, so anchors that share a summand share its cone.
+    (u, t_i) content, so anchors that share a summand share its cone.
     """
     if not is_presilting(u):
         raise PreconditionViolated("completion expects a presilting u")
     if hom_k(u, t, 1):
         raise PreconditionViolated("Hom(u, t[1]) must vanish for completion")
     alg = u.algebra
-    u_parts = [c for c, _ in decompose_complex(u, seed)]
+    u_parts = [c for c, _ in decompose_complex(u)]
     merged = {c.g_vec(): c for c in u_parts}
-    for ti, _ in decompose_complex(t, seed):
-        key = ("left_cone", u.key(), ti.key(), seed)
+    for ti, _ in decompose_complex(t):
+        key = ("left_cone", u.key(), ti.key())
         if key not in alg.cache:
             f = min_left_approx(ti.shift(-1), u_parts)
             x = minimalize(cone(f.source, f.target, f.blocks))
-            alg.cache[key] = tuple(_decompose_complex_raw(x, seed))
+            alg.cache[key] = tuple(_decompose_complex_raw(x))
         for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()))
@@ -1075,7 +1079,7 @@ def right_completion_silting(u, t):
     return complex_dagger(out)
 
 
-def mutate_complex(t, summand_index, direction, seed=0):
+def mutate_complex(t, summand_index, direction):
     """Irreducible mutation of a two-term basic silting complex at one summand.
 
     direction "left" takes the cone of the minimal left approximation of the
@@ -1090,7 +1094,7 @@ def mutate_complex(t, summand_index, direction, seed=0):
         raise TautiltError("direction must be left or right")
     if not t.is_two_term():
         raise PreconditionViolated("mutation expects a two-term complex")
-    parts = decompose_complex(t, seed)
+    parts = decompose_complex(t)
     if any(mult > 1 for _, mult in parts):
         raise PreconditionViolated("mutation expects a basic complex")
     reps = [c for c, _ in parts]
@@ -1111,10 +1115,10 @@ def mutate_complex(t, summand_index, direction, seed=0):
     return sum_of_summands(rest + [y])
 
 
-def complex_fingerprint(t, seed=0):
+def complex_fingerprint(t):
     """Canonical token multiset matching TauPair.summand_fingerprints."""
     out = []
-    for c, mult in decompose_complex(t, seed):
+    for c, mult in decompose_complex(t):
         if 0 not in c.terms:
             for v in c.term_vertices(-1):
                 g = tuple(-1 if w == v else 0 for w in range(t.algebra.n))

@@ -1,5 +1,6 @@
 import pytest
 
+from tautilt import modules
 from tautilt.algebra import Quiver, Relation, compile_bound_quiver
 from tautilt.linalg import QQ
 
@@ -38,3 +39,30 @@ def cyc3():
 def point():
     """One vertex, no arrows: the ground field as an algebra."""
     return compile_bound_quiver(Quiver(["1"], []), [], QQ)
+
+
+@pytest.fixture(scope="session")
+def pi_a3():
+    """Preprojective algebra of A3: arrows a1: 1 -> 2, a2: 2 -> 3 and their
+    reverses b1, b2, with a1*b1 = b1*a1 - a2*b2 = b2*a2 = 0.  End(P2) is
+    local of dimension 2."""
+    q = Quiver(
+        ["1", "2", "3"],
+        [("a1", "1", "2"), ("a2", "2", "3"), ("b1", "2", "1"), ("b2", "3", "2")],
+    )
+    rels = [
+        Relation(q, [(1, ("a1", "b1"))]),
+        Relation(q, [(1, ("b1", "a1")), (-1, ("a2", "b2"))]),
+        Relation(q, [(1, ("b2", "a2"))]),
+    ]
+    return compile_bound_quiver(q, rels, QQ)
+
+
+@pytest.fixture(scope="session")
+def sqrt2_module():
+    """Kronecker module over Q with arrows I and b = [[0, 2], [1, 0]].  Its
+    End is Q[b] with b^2 = 2, a field larger than Q, so it is an
+    indecomposable brick whose End is not local with residue field Q."""
+    q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    alg = compile_bound_quiver(q, [], QQ)
+    return modules.rep_from_arrows(alg, (2, 2), {"a": [[1, 0], [0, 1]], "b": [[0, 2], [1, 0]]})

@@ -138,7 +138,7 @@ def _answers(alg, reductions):
             out.append((t.key(), incl.mats, q.key(), proj.mats, md.check_pair(node)))
             if to.left_precondition(u, node):
                 tc, _ = to._pair_complex(node)
-                out.append(tt.left_completion_silting(uc, tc, 0).key())
+                out.append(tt.left_completion_silting(uc, tc).key())
             if to.contains_pair(node, u):
                 image = ex.reduce_pair(rd, node)
                 out.append((image.fingerprint(), image.m.key(), image.p.key()))
@@ -183,7 +183,7 @@ def test_content_keys_behave_as_plain_tuples():
     for node in graph.node_list():
         module_keys += [node.m.key(), node.p.key()]
         t, _ = to._pair_complex(node)
-        complex_keys += [t.key()] + [c.key() for c, _ in tt.decompose_complex(t, 0)]
+        complex_keys += [t.key()] + [c.key() for c, _ in tt.decompose_complex(t)]
     for keys in (module_keys, complex_keys):
         plain = [tuple(k) for k in keys]
         for k, p in zip(keys, plain):

@@ -1,9 +1,14 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
+import ast
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import tautilt
 from tautilt import cli, explorer
 from tautilt import modules as md
 from tautilt import workspace as wk
@@ -191,7 +196,7 @@ def test_verify_rel(ws3, capsys):
 
 
 def test_verify_counterexample_exit(ws2, capsys, monkeypatch):
-    def fake(algebra, seed=0, budget=10000):
+    def fake(algebra, budget=10000):
         return {"suite": "exchange", "failures": [["boom"]], "pass": False}
 
     monkeypatch.setattr(explorer, "verify_exchange", fake)
@@ -205,6 +210,32 @@ def test_json_deterministic(ws3, capsys):
     _, out2, _ = run(capsys, ["verify", ws3, "exchange", "--json"])
     assert out1 == out2
     json.loads(out1)  # valid JSON
+
+
+def test_seed_is_accepted_and_changes_no_output(ws3, capsys):
+    commands = (["graph", ws3], ["bongartz", ws3, "PairP1", "--right"], ["verify", ws3, "exchange"])
+    for argv in commands:
+        runs = [run(capsys, argv + ["--json", "--seed", seed]) for seed in ("0", "7")]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+
+def test_no_module_draws_random_numbers_or_takes_a_seed():
+    for info in pkgutil.iter_modules(tautilt.__path__):
+        mod = importlib.import_module(f"tautilt.{info.name}")
+        tree = ast.parse(inspect.getsource(mod))
+        nodes = list(ast.walk(tree))
+        imported = {a.name for n in nodes if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in nodes if isinstance(n, ast.ImportFrom)}
+        assert "random" not in imported, mod.__name__
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            fns = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                fns = [f for f in vars(obj).values() if inspect.isfunction(f)]
+            for fn in fns:
+                assert "seed" not in inspect.signature(fn).parameters, f"{mod.__name__}.{name}"
 
 
 def test_error_exits(ws3, capsys):

@@ -671,7 +671,7 @@ def _exchange_with(monkeypatch, pair, slot, pick):
 
     monkeypatch.setattr(tt, "mutate_complex", patched)
     try:
-        return to._mutate_slot(pair, t, slots[slot], 0)
+        return to._mutate_slot(pair, t, slots[slot])
     finally:
         monkeypatch.undo()
 

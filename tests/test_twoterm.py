@@ -13,8 +13,8 @@ from tautilt.algebra import (
     Relation,
     compile_bound_quiver,
 )
-from tautilt.errors import PreconditionViolated
-from tautilt.linalg import QQ, Field
+from tautilt.errors import PreconditionViolated, SearchBudgetExceeded
+from tautilt.linalg import QQ, Field, det
 
 
 def P(alg, i):
@@ -31,6 +31,12 @@ def pair(alg, m_parts, p_parts=()):
 
 def cplx(alg, m_parts, p_parts=()):
     return tt.from_tau_pair(pair(alg, m_parts, p_parts))
+
+
+def assert_silting(t):
+    # basic two-term silting, with a g-matrix of determinant +-1
+    assert tt.is_silting(t)
+    assert det([list(g) for g in tt.g_matrix(t)], QQ) in (QQ(1), QQ(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +250,29 @@ def test_iso_invariant_under_basis_change(a2):
     assert not tt.is_isomorphic_complex(c1, tt.stalk_complex(a2, [0]))
 
 
+def test_isomorphic_complexes_by_their_pieces(a2):
+    # the isomorphism swaps the summands, a sum of two basis chain maps;
+    # the chain endomorphisms are not local, so the pieces decide
+    a = tt.stalk_complex(a2, [0, 1])
+    b = tt.stalk_complex(a2, [1, 0])
+    assert not any(f.is_isomorphism() for f in tt._chain_maps(a, b, tt.realize(a), tt.realize(b)))
+    assert tt.is_isomorphic_complex(a, b)
+
+
+def test_decompose_complex_raises_when_end_is_a_larger_field(sqrt2_module):
+    t = tt.summand_complex("m", sqrt2_module)
+    with pytest.raises(SearchBudgetExceeded):
+        tt.decompose_complex(t)
+
+
 # ---------------------------------------------------------------------------
 # silting objects, order, mutation
 
 
 def test_assert_silting_accepts_extremes(a2, cyc3):
     for alg in (a2, cyc3):
-        tt.assert_silting(tt.free_silting(alg))
-        tt.assert_silting(tt.shifted_silting(alg))
+        assert_silting(tt.free_silting(alg))
+        assert_silting(tt.shifted_silting(alg))
 
 
 def test_silting_needs_full_rank(a2):
@@ -439,7 +460,7 @@ def test_left_completion_values_a2(a2):
         em, ep = expect[(tuple(m_names), tuple(p_names))]
         want = pair(a2, _named(a2, em), _named(a2, ep)).fingerprint()
         assert tt.complex_fingerprint(out) == want
-        tt.assert_silting(out)
+        assert_silting(out)
 
 
 def test_left_completion_minimal_cyc3(cyc3):
