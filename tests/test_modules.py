@@ -291,6 +291,19 @@ def test_decomposable_end_is_not_local(a2):
     assert radical(M.direct_sum([S(a2, 0), S(a2, 0)])[0]) is None
 
 
+def test_single_eigenvalues_without_a_nilpotent_span_are_not_local(a2):
+    # End(S1+S1) = M_2(k) on a basis whose elements each have one
+    # eigenvalue; their shifts span E12, E21, ... which is not nilpotent
+    x = M.direct_sum([S(a2, 0), S(a2, 0)])[0]
+    one, zero = a2.field.one, a2.field.zero
+    basis = [
+        M.ModuleMap(x, x, [m, []])
+        for m in ([[one, zero], [zero, one]], [[zero, one], [zero, zero]],
+                  [[zero, zero], [one, zero]], [[one, one], [-one, -one]])
+    ]
+    assert M._local_radical(basis, M.identity_map(x)) is None
+
+
 def test_is_isomorphic_says_no_by_certificate(a2, pi_a3):
     # inputs where no candidate isomorphism is found: S1+S2 against P1 over
     # A2 (Hom dimensions differ), and P1, P3 and the module with top S1+S3
