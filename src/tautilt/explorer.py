@@ -187,12 +187,10 @@ def _hom_width(src, tgt):
 def _local_scalar(f):
     """Residue-field scalar of an endomorphism of an indecomposable."""
     x = f.source
-    field = x.field
     v = next(v for v in range(x.algebra.n) if x.dims[v])
-    ident = modules.identity_map(x)
-    for c in linalg.rational_roots(linalg.charpoly(f.mats[v], field), field):
-        if (f - ident.scale(c)).power(x.total_dim()).is_zero():
-            return c
+    c = modules._single_eigenvalue(f.mats[v], x.field)
+    if (f - modules.identity_map(x).scale(c)).power(x.total_dim()).is_zero():
+        return c
     raise NotBasic("endomorphism ring of a summand is not split local")
 
 

@@ -268,20 +268,18 @@ class ModuleMap:
         return quotient(self.target, [m for m in self.mats])
 
     def power(self, m):
-        return _compose_power(self, m) if m else identity_map(self.source)
-
-
-def _compose_power(f, m):
-    """f composed with itself m >= 1 times by repeated squaring; it starts
-    from the first factor, so no identity map is multiplied."""
-    out = None
-    while True:
-        if m & 1:
-            out = f if out is None else out.then(f)
-        m >>= 1
+        """self composed with itself m times by repeated squaring; for m >= 1
+        it starts from the first factor, so no identity map is multiplied."""
         if not m:
-            return out
-        f = f.then(f)
+            return identity_map(self.source)
+        f, out = self, None
+        while True:
+            if m & 1:
+                out = f if out is None else out.then(f)
+            m >>= 1
+            if not m:
+                return out
+            f = f.then(f)
 
 
 def identity_map(x):
@@ -720,10 +718,7 @@ def _eigen_shifts(f):
 
 def _splitting_candidates(endos, ident):
     """Endomorphisms to try for a Fitting split: the basis, its pair sums and
-    products, each followed by its rational eigenvalue shifts.  Any type
-    with ModuleMap's operations will do; twoterm passes degreewise chain
-    endomorphisms.
-    """
+    products, each followed by its rational eigenvalue shifts."""
     for f in endos:
         yield f
         for lam in _eigen_shifts(f):
@@ -745,9 +740,9 @@ def _flat(f):
 
 def _nilpotent(gens, ident):
     """Whether the algebra generated by gens is nilpotent.  The maps act on
-    each vertex space V (of each degree, for chain maps) on their own, and
-    V, V·N, V·N², ... is a falling chain, with N the span of gens; the
-    algebra is nilpotent iff that chain reaches 0 in every V."""
+    each vertex space V on its own, and V, V·N, V·N², ... is a falling
+    chain, with N the span of gens; the algebra is nilpotent iff that chain
+    reaches 0 in every V."""
     field = ident.field
     gen_mats = [g.mats for g in gens]
     for s, space in enumerate(ident.mats):
@@ -765,27 +760,47 @@ def _nilpotent(gens, ident):
     return True
 
 
+def _single_eigenvalue(mat, field):
+    """The eigenvalue λ of a square matrix, in k, if it has only one.
+
+    Its characteristic polynomial is then (t − λ)^d = (t^q − λ)^(d/q), for
+    q the largest power of char k dividing d (q = 1 over Q; over F_p
+    λ^q = λ), so λ is minus its t^(d−q) coefficient over d/q.  With q = 1
+    that is trace / d, which needs no characteristic polynomial.  The
+    answer is unchecked: a matrix with more eigenvalues gets some scalar.
+    """
+    d = len(mat)
+    q = 1
+    while field.char and (d // q) % field.char == 0:
+        q *= field.char
+    if q == 1:
+        return sum((mat[i][i] for i in range(d)), field.zero) / field(d)
+    return -linalg.charpoly(mat, field)[d - q] / field(d // q)
+
+
 def _local_radical(endos, ident):
     """rad End(X) when End(X) is certified local with residue field k, as a
     RowSolver over flattened maps (see _flat); else None.
 
-    endos is a basis f_1, ..., f_r of End(X) and ident the identity, of any
-    type with ModuleMap's operations.  Each f_i must have a single
-    eigenvalue λ_i, in k.  Then End(X) = k·id + N with
-    N = span(f_i − λ_i·id).  If the algebra N generates is nilpotent, it
-    is a proper ideal of End(X) that contains N, so it has dimension
-    r − 1 and equals N.  Hence N·N ⊆ N, End(X)/N = k, and End(X) is local
-    with radical N, in any characteristic.
+    endos is a basis f_1, ..., f_r of End(X) and ident the identity.  Each
+    λ_i is read as the single eigenvalue of f_i on one vertex space V_v
+    (see _single_eigenvalue), at a vertex whose dimension char k does not
+    divide when there is one, where it is trace / dim V_v.  Then
+    End(X) ⊆ k·id + N with N = span(f_i − λ_i·id).  If the algebra N
+    generates is nilpotent, it does not hold id, so it is a proper ideal
+    of End(X) that contains N, of dimension r − 1, and equals N.  Hence
+    N·N ⊆ N, End(X)/N = k, and End(X) is local with radical N, in any
+    characteristic.  An f_i without a single eigenvalue in k has no
+    nilpotent shift, so then the test fails whatever λ_i was read.
     """
-    gens = []
-    for f in endos:
-        lams = _eigen_shifts(f)
-        if len(lams) != 1:
-            return None
-        gens.append(f - ident.scale(lams[0]))
+    field = ident.field
+    dims = ident.source.dims
+    nonzero = [v for v, d in enumerate(dims) if d]
+    v = next((v for v in nonzero if not field.char or dims[v] % field.char), nonzero[0])
+    gens = [f - ident.scale(_single_eigenvalue(f.mats[v], field)) for f in endos]
     if not _nilpotent(gens, ident):
         return None
-    return linalg.RowSolver([_flat(g) for g in gens], ident.field, len(_flat(ident)))
+    return linalg.RowSolver([_flat(g) for g in gens], field, len(_flat(ident)))
 
 
 def _fitting_split(endos, ident, n):
@@ -793,8 +808,7 @@ def _fitting_split(endos, ident, n):
     0 < rank(p) < n (n the total dimension), which splits the object as
     ker(p) + im(p).  endos is a basis of End and ident the identity.
 
-    By Fitting's lemma f^n has stable rank, degreewise too for a chain
-    endomorphism, since no degree has dimension above n.
+    By Fitting's lemma f^n has stable rank.
 
     When no candidate splits, returns None if End is certified local (see
     _local_radical), so the object is indecomposable, and raises
@@ -833,21 +847,21 @@ def _iso_certificate(xy, yx, end_x, ident_x, dim_end_y):
     return any(not rad.contains(_flat(f.then(g))) for f in xy for g in yx)
 
 
-def _same_pieces(xs, ys, iso):
-    """Krull-Schmidt: whether two decompositions, lists of (piece,
-    multiplicity) with pairwise non-isomorphic pieces, match."""
+def _same_pieces(xs, ys):
+    """Krull-Schmidt: whether two decompositions, lists of (module,
+    multiplicity) with pairwise non-isomorphic modules, match."""
     return len(xs) == len(ys) and all(
-        any(mult == m and iso(a, b) for b, mult in ys) for a, m in xs
+        any(mult == m and is_isomorphic(a, b) for b, mult in ys) for a, m in xs
     )
 
 
-def _group_isomorphic(pieces, iso):
-    """(piece, multiplicity) pairs, grouping pieces that iso(a, b) calls
-    isomorphic; each group keeps its first piece."""
+def _group_isomorphic(pieces):
+    """(module, multiplicity) pairs, grouping isomorphic pieces; each group
+    keeps its first piece."""
     grouped = []
     for piece in pieces:
         for entry in grouped:
-            if iso(entry[0], piece):
+            if is_isomorphic(entry[0], piece):
                 entry[1] += 1
                 break
         else:
@@ -865,7 +879,7 @@ def decompose(x):
     alg = x.algebra
     key = ("decomp", x.key())
     if key not in alg.cache:
-        alg.cache[key] = _group_isomorphic(_decompose_raw(x), is_isomorphic)
+        alg.cache[key] = _group_isomorphic(_decompose_raw(x))
     # intern on the way out so the chosen objects do not depend on which
     # equal-content input hit the cache first
     return [(canonical_rep(rep), mult) for rep, mult in alg.cache[key]]
@@ -919,7 +933,7 @@ def _isomorphic(x, y):
         homs, hom_basis(y, x), hom_basis(x, x), identity_map(x), dim_hom(y, y)
     )
     if found is None:
-        found = _same_pieces(decompose(x), decompose(y), is_isomorphic)
+        found = _same_pieces(decompose(x), decompose(y))
     return found
 
 

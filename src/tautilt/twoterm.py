@@ -589,161 +589,32 @@ def minimalize(t):
     return ProjectiveComplex(alg, terms, diffs, check=False)
 
 
-# -- realization and decomposition ------------------------------------------------
-
-
-def realize(t):
-    """The ProjSum of each degree, which carries its representation."""
-    return {i: t.projsum(i) for i in t.support()}
-
-
-class _DegreewiseMap:
-    """Chain map given degreewise, one ModuleMap per degree, with the
-    operations the split search and the certificates in modules use.  Its
-    mats are the vertex matrices of each degree in turn: one charpoly per
-    degree and vertex."""
-
-    def __init__(self, maps, field):
-        self.maps = maps
-        self.field = field
-
-    @property
-    def mats(self):
-        return [m for f in self.maps.values() for m in f.mats]
-
-    def _each(self, op):
-        return _DegreewiseMap({i: op(i, f) for i, f in self.maps.items()}, self.field)
-
-    def then(self, other):
-        return self._each(lambda i, f: f.then(other.maps[i]))
-
-    def __add__(self, other):
-        return self._each(lambda i, f: f + other.maps[i])
-
-    def __sub__(self, other):
-        return self._each(lambda i, f: f - other.maps[i])
-
-    def scale(self, c):
-        return self._each(lambda i, f: f.scale(c))
-
-    def is_zero(self):
-        return all(f.is_zero() for f in self.maps.values())
-
-    def rank(self):
-        return sum(f.rank() for f in self.maps.values())
-
-    def is_isomorphism(self):
-        return all(f.is_isomorphism() for f in self.maps.values())
-
-    def power(self, m):
-        return modules._compose_power(self, m)
-
-
-def _chain_maps(a, b, psums_a, psums_b):
-    """A basis of the chain maps a -> b, each as a _DegreewiseMap."""
-    chains, _, layout = chain_hom_data(a, b, 0)
-    out = []
-    for vec in chains:
-        blocks = vec_to_blocks(a, b, 0, layout, vec)
-        maps = {
-            i: psums_a[i].block_to_map(psums_b[i], blocks[i])
-            if i in blocks
-            else modules.zero_map(psums_a[i].rep, psums_b[i].rep)
-            for i in a.support()
-        }
-        out.append(_DegreewiseMap(maps, a.field))
-    return out
-
-
-def _identity(psums, field):
-    return _DegreewiseMap({i: modules.identity_map(ps.rep) for i, ps in psums.items()}, field)
-
-
-def _split_projective_part(sub, incl, other_incl, ambient):
-    """ProjSum form of a direct summand of a projective module.
-
-    Returns (psum, map psum.rep -> ambient rep, map ambient rep -> psum.rep)
-    using the complementary summand to build the splitting projection.
-    """
-    alg = sub.algebra
-    field = sub.field
-    cover, cov = modules.projective_cover(sub)
-    if cover.rep.dims != sub.dims:
-        raise CertificateFailure("summand of a projective failed to be projective")
-    into = cov.then(incl)
-    proj_mats = []
-    for v in range(alg.n):
-        stacked = [list(r) for r in incl.mats[v]] + [list(r) for r in other_incl.mats[v]]
-        d = ambient.dims[v]
-        if len(stacked) != d:
-            raise CertificateFailure("splitting basis does not fill the space")
-        if d == 0:
-            proj_mats.append([])
-            continue
-        aug = [row + ident for row, ident in zip(stacked, linalg.identity(d, field))]
-        red, _ = linalg.rref(aug, field)
-        inv = [row[d:] for row in red]  # inverse of the stacked basis matrix
-        proj_mats.append([row[: sub.dims[v]] for row in inv])
-    onto_sub = modules.ModuleMap(ambient, sub, proj_mats, check=False)
-    back = onto_sub.then(cov.inverse())
-    return cover, into, back
-
-
-def _rebuild_from_endo(t, psums, p):
-    """Split t along the Fitting decomposition of the stabilized endo p."""
-    halves = []
-    kernels = {i: p[i].kernel() for i in p}
-    images = {i: p[i].image() for i in p}
-    for pick, other in ((kernels, images), (images, kernels)):
-        covers = {}
-        intos = {}
-        backs = {}
-        for i in t.support():
-            sub, incl = pick[i]
-            _, other_incl = other[i]
-            covers[i], intos[i], backs[i] = _split_projective_part(
-                sub, incl, other_incl, psums[i].rep
-            )
-        terms = {i: list(covers[i].vertices) for i in t.support() if covers[i].vertices}
-        diffs = {}
-        for i in t.diffs:
-            if i not in terms or i + 1 not in terms:
-                continue
-            d = psums[i].block_to_map(psums[i + 1], t.diffs[i])
-            restricted = intos[i].then(d).then(backs[i + 1])
-            diffs[i] = covers[i].map_to_blocks(covers[i + 1], restricted)
-        halves.append(ProjectiveComplex(t.algebra, terms, diffs, check=False))
-    return halves
+# -- decomposition ------------------------------------------------------------------
 
 
 def decompose_complex(t):
-    """Indecomposable summands with multiplicities, minimal representatives:
-    the parts a complex carries (see sum_of_summands), else found by the
-    split search of modules.decompose (see modules._fitting_split)."""
+    """Indecomposable summands with multiplicities, minimal representatives.
+
+    A complex that carries its parts (see sum_of_summands) returns them.
+    Otherwise the split goes through H^0: a minimal two-term complex Z is
+    P(H^0 Z) + Q[1], with P(X) the minimal presentation of X and Q the rest
+    of Z^{-1} (Adachi-Iyama-Reiten, arXiv:1210.1036, Sect. 3), and P(-) is
+    additive and sends indecomposables to indecomposables.  So the summands
+    are P(X) for each summand X of H^0 from modules.decompose, then P_v[1]
+    for each shifted vertex v.  Two-term only: raises PreconditionViolated
+    outside the window, and SearchBudgetExceeded where modules.decompose
+    does.
+    """
     if t.parts is not None:
         return [(c, 1) for c in t.parts]
     alg = t.algebra
     key = ("cdecomp", t.key())
     if key not in alg.cache:
-        alg.cache[key] = modules._group_isomorphic(
-            _decompose_complex_raw(minimalize(t)), is_isomorphic_complex
-        )
+        h0, shift = _h0_and_shift(t)
+        alg.cache[key] = [
+            (summand_complex("m", x), mult) for x, mult in modules.decompose(h0)
+        ] + [(stalk_complex(alg, [v], -1), shift.count(v)) for v in sorted(set(shift))]
     return alg.cache[key]
-
-
-def _decompose_complex_raw(t):
-    if t.is_zero():
-        return []
-    psums = realize(t)
-    endos = _chain_maps(t, t, psums, psums)
-    if len(endos) == 1:
-        return [t]
-    total = sum(ps.rep.total_dim() for ps in psums.values())
-    p = modules._fitting_split(endos, _identity(psums, t.field), total)
-    if p is None:
-        return [t]
-    halves = _rebuild_from_endo(t, psums, p.maps)
-    return _decompose_complex_raw(halves[0]) + _decompose_complex_raw(halves[1])
 
 
 def _sort_key(t):
@@ -773,55 +644,16 @@ def sum_of_summands(parts):
 
 
 def is_isomorphic_complex(a, b):
-    """Isomorphism in the homotopy category of two complexes, decided on
-    their minimal forms, where it is isomorphism of complexes.
+    """Isomorphism in the homotopy category of two two-term complexes.
 
-    Tries the basis of chain maps a -> b for an isomorphism, then decides
-    by modules._iso_certificate on the chain endomorphisms (on a minimal
-    complex the null-homotopic ones lie in the radical, so that ring is
-    local exactly when the complex is indecomposable), and otherwise
-    compares the decompositions.  Raises SearchBudgetExceeded when a
-    decomposition is not certified.
+    By the split of decompose_complex, a and b are isomorphic exactly when
+    they have the same shifted vertices, with multiplicity, and isomorphic
+    H^0.  Raises PreconditionViolated outside the window, and
+    SearchBudgetExceeded where modules.is_isomorphic does.
     """
-    a = a if _looks_minimal(a) else minimalize(a)
-    b = b if _looks_minimal(b) else minimalize(b)
-    if a.key() == b.key():
-        return True
-    if sorted(a.terms) != sorted(b.terms):
-        return False
-    for i in a.terms:
-        if sorted(a.term_vertices(i)) != sorted(b.term_vertices(i)):
-            return False
-    psums_a = realize(a)
-    psums_b = realize(b)
-    ab = _chain_maps(a, b, psums_a, psums_b)
-    if not ab:
-        return a.is_zero()
-    if any(f.is_isomorphism() for f in ab):
-        return True
-    found = modules._iso_certificate(
-        ab,
-        _chain_maps(b, a, psums_b, psums_a),
-        _chain_maps(a, a, psums_a, psums_a),
-        _identity(psums_a, a.field),
-        len(chain_hom_data(b, b, 0)[0]),
-    )
-    if found is None:
-        found = modules._same_pieces(
-            decompose_complex(a), decompose_complex(b), is_isomorphic_complex
-        )
-    return found
-
-
-def _looks_minimal(t):
-    for i, blocks in t.diffs.items():
-        src = t.term_vertices(i)
-        tgt = t.term_vertices(i + 1)
-        for l in range(len(tgt)):
-            for k in range(len(src)):
-                if src[k] == tgt[l] and blocks[l][k].scalar_part(src[k]):
-                    return False
-    return True
+    h0_a, shift_a = _h0_and_shift(a)
+    h0_b, shift_b = _h0_and_shift(b)
+    return sorted(shift_a) == sorted(shift_b) and modules.is_isomorphic(h0_a, h0_b)
 
 
 # -- silting tests -----------------------------------------------------------------
@@ -1038,8 +870,9 @@ def left_completion_silting(u, t):
     certify the output independently.
 
     It is built from summands: read from decompose_complex, which costs
-    nothing when u and t carry theirs (see sum_of_summands).  Each summand t_i[-1] is approximated on its
-    own and only its small cone is split.  This gives the same basic
+    nothing when u and t carry theirs (see sum_of_summands).  Each summand
+    t_i[-1] is approximated on its own and only its small cone is split,
+    through its H^0 (see decompose_complex).  This gives the same basic
     complex: the sum of the per-summand approximations is a left
     approximation of t[-1], and any left approximation is the minimal one
     plus a summand 0 -> U'' with U'' in add(u), so its cone is the minimal
@@ -1063,7 +896,7 @@ def left_completion_silting(u, t):
         if key not in alg.cache:
             f = min_left_approx(ti.shift(-1), u_parts)
             x = minimalize(cone(f.source, f.target, f.blocks))
-            alg.cache[key] = tuple(_decompose_complex_raw(x))
+            alg.cache[key] = tuple(c for c, _ in decompose_complex(x))
         for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()))
@@ -1119,16 +952,6 @@ def complex_fingerprint(t):
     """Canonical token multiset matching TauPair.summand_fingerprints."""
     out = []
     for c, mult in decompose_complex(t):
-        if 0 not in c.terms:
-            for v in c.term_vertices(-1):
-                g = tuple(-1 if w == v else 0 for w in range(t.algebra.n))
-                out.extend([("shift", g, (0,) * t.algebra.n)] * mult)
-        else:
-            psums = realize(c)
-            if -1 in c.terms:
-                d = psums[-1].block_to_map(psums[0], c.diff(-1))
-                h0, _ = d.cokernel()
-            else:
-                h0 = psums[0].rep
-            out.extend([("mod", c.g_vec(), h0.dims)] * mult)
+        kind, rep, _ = _summand_row(c)
+        out.extend([modules.summand_token(kind, rep)] * mult)
     return tuple(sorted(out))

@@ -95,16 +95,33 @@ def test_left_bongartz_sweep_approximates_each_input_once(name, monkeypatch):
 @pytest.mark.parametrize("name", ["A3", "cyc3"])
 def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
     # graph nodes carry the complexes of their summands from the walk, and
-    # rigid subpairs from pair_from_summands, so the sweep builds none
+    # rigid subpairs from pair_from_summands, so the sweep builds none; only
+    # the split of a cone, which carries no parts, builds the complex of
+    # each summand of its H^0
     alg = _fresh(name)
     graph = ex.build_exchange_graph(alg)
     subs = ex.rigid_subpairs(graph, alg.n - 1)
-    built = []
+    built, from_cones, splitting = [], [], []
+    decompose = tt.decompose_complex
+    completion = tt.left_completion_silting.__code__
+
+    def split(t):
+        cone = t.parts is None and sys._getframe(1).f_code is completion
+        splitting.append(cone)
+        try:
+            return decompose(t)
+        finally:
+            splitting.pop()
+
+    monkeypatch.setattr(tt, "decompose_complex", split)
     for fn in ("from_tau_pair", "summand_complex"):
         real = getattr(tt, fn)
 
         def counted(*args, _real=real, _fn=fn):
-            built.append(_fn)
+            if _fn == "summand_complex" and splitting and splitting[-1]:
+                from_cones.append(args)
+            else:
+                built.append(_fn)
             return _real(*args)
 
         monkeypatch.setattr(tt, fn, counted)
@@ -116,6 +133,7 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
                 completed += 1
     assert completed > 50
     assert built == []
+    assert from_cones
 
 
 FAMILIES = ("trace", "trace_quotient", "check_pair", "left_cone")

@@ -119,11 +119,28 @@ CLI = {
 }
 
 
-def cli_digest(name, path, capture):
+def verify_runs(name):
+    """The verifier suites that complete and split cones, swept over the
+    rigid subpairs of the graph and run on each rigid workspace pair."""
+    runs = []
+    for suite in ("compat", "silting-compat", "route"):
+        runs.append(["verify", "{ws}", suite])
+        runs += [["verify", "{ws}", suite, "--rel", rel] for rel in RIGID[name]]
+    runs.append(["verify", "{ws}", "order-criteria"])
+    return [argv + ["--json"] for argv in runs]
+
+
+VERIFY = {
+    "A3": "562bdf1ad285ea9c3314290c31eb099a5bb1bae9",
+    "cyc3": "88b0fbc801f0168c45469eadf57eb0674b3cadf2",
+}
+
+
+def cli_digest(name, path, capture, runs=cli_runs):
     """sha1 over the exit code and stdout of every pinned run; capture()
     returns the stdout written since its last call."""
     h = hashlib.sha1()
-    for argv in cli_runs(name):
+    for argv in runs(name):
         code = cli.main([path if a == "{ws}" else a for a in argv])
         h.update(f"{' '.join(argv)} -> {code}\n".encode())
         h.update(capture().encode())
@@ -135,6 +152,14 @@ def test_cli_json_is_pinned(name, tmp_path, capsys):
     path = tmp_path / f"{name}.alg"
     path.write_text(WORKSPACES[name], encoding="utf-8")
     assert cli_digest(name, str(path), lambda: capsys.readouterr().out) == CLI[name]
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY))
+def test_verify_json_is_pinned(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.alg"
+    path.write_text(WORKSPACES[name], encoding="utf-8")
+    digest = cli_digest(name, str(path), lambda: capsys.readouterr().out, verify_runs)
+    assert digest == VERIFY[name]
 
 
 if __name__ == "__main__":
@@ -161,6 +186,8 @@ if __name__ == "__main__":
             sys.stdout = buf
             try:
                 digest = cli_digest(name, path, capture)
+                verify = cli_digest(name, path, capture, verify_runs)
             finally:
                 sys.stdout = real
         print(f"cli {name!r}: {digest!r}")
+        print(f"verify {name!r}: {verify!r}")

@@ -251,11 +251,10 @@ def test_iso_invariant_under_basis_change(a2):
 
 
 def test_isomorphic_complexes_by_their_pieces(a2):
-    # the isomorphism swaps the summands, a sum of two basis chain maps;
-    # the chain endomorphisms are not local, so the pieces decide
+    # the isomorphism swaps the summands; End(H^0) is not local, so the
+    # pieces of H^0 decide
     a = tt.stalk_complex(a2, [0, 1])
     b = tt.stalk_complex(a2, [1, 0])
-    assert not any(f.is_isomorphism() for f in tt._chain_maps(a, b, tt.realize(a), tt.realize(b)))
     assert tt.is_isomorphic_complex(a, b)
 
 
@@ -263,6 +262,98 @@ def test_decompose_complex_raises_when_end_is_a_larger_field(sqrt2_module):
     t = tt.summand_complex("m", sqrt2_module)
     with pytest.raises(SearchBudgetExceeded):
         tt.decompose_complex(t)
+
+
+def _linear3(field):
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    return compile_bound_quiver(q, [], field)
+
+
+def _unitriangular(alg, verts, coeff):
+    """An invertible base change of the sum of the e_vA: the identity plus
+    coeff times each Peirce basis element below the diagonal."""
+    zero = alg.zero_element()
+    scaled = [alg.basis_element(q).scale(alg.field(coeff)) for q in range(alg.dim)]
+    return [
+        [
+            alg.e(v) if k == l
+            else sum((scaled[q] for q in alg.peirce_basis(w, v)), zero) if k < l
+            else zero
+            for k, v in enumerate(verts)
+        ]
+        for l, w in enumerate(verts)
+    ]
+
+
+def _mat_mul(a, b, alg):
+    zero = alg.zero_element()
+    out = []
+    for row in a:
+        new = []
+        for k in range(len(b[0])):
+            acc = zero
+            for l, x in enumerate(row):
+                acc = acc + x * b[l][k]
+            new.append(acc)
+        out.append(new)
+    return out
+
+
+def _scrambled(t, coeff):
+    """t with its differential d replaced by G d H and its degree -1 term
+    listed backwards, for G and H unitriangular base changes of degrees 0
+    and -1; isomorphic to t as a complex."""
+    alg = t.algebra
+    lower, upper = t.term_vertices(-1), t.term_vertices(0)
+    g, h = _unitriangular(alg, upper, coeff), _unitriangular(alg, lower, coeff + 1)
+    d = _mat_mul(_mat_mul(g, t.diff(-1), alg), h, alg)
+    return tt.ProjectiveComplex(
+        alg, {-1: lower[::-1], 0: list(upper)}, {-1: [row[::-1] for row in d]}
+    )
+
+
+FIELDS = [QQ, Field(2), Field(3)]
+
+
+def _not_presilting_parts(alg):
+    # P(S1) + P(S2)^2 + P2[1]^2 over A3: minimal and decomposable, and not
+    # presilting since Hom(P2, S2) != 0
+    s1, s2, p2 = S(alg, 0), S(alg, 1), P(alg, 1)
+    parts = [tt.summand_complex("m", s1)] + [tt.summand_complex("m", s2)] * 2
+    parts += [tt.summand_complex("p", p2)] * 2
+    return parts, pair(alg, [s1, s2, s2], [p2, p2])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F3"])
+def test_decompose_complex_splits_through_h0(field):
+    alg = _linear3(field)
+    parts, pr = _not_presilting_parts(alg)
+    t = _scrambled(tt.direct_sum_complexes(parts), 1)
+    assert t.key() != tt.direct_sum_complexes(parts).key()
+    assert not tt.is_presilting(t)
+    assert sorted(mult for _, mult in tt.decompose_complex(t)) == [1, 2, 2]
+    assert tt.complex_fingerprint(t) == pr.fingerprint()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F3"])
+def test_is_isomorphic_complex_reads_h0_and_the_shifted_part(field):
+    alg = _linear3(field)
+    parts, _ = _not_presilting_parts(alg)
+    t = _scrambled(tt.direct_sum_complexes(parts), 1)
+    assert tt.is_isomorphic_complex(t, _scrambled(tt.direct_sum_complexes(parts[::-1]), 2))
+    moved = parts[:4] + [tt.stalk_complex(alg, [2], -1)]
+    assert not tt.is_isomorphic_complex(t, _scrambled(tt.direct_sum_complexes(moved), 2))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F3"])
+def test_complex_splits_are_two_term_only(field):
+    alg = _linear3(field)
+    parts, _ = _not_presilting_parts(alg)
+    three = tt.direct_sum_complexes(parts + [tt.stalk_complex(alg, [0], -2)])
+    with pytest.raises(PreconditionViolated):
+        tt.decompose_complex(three)
+    with pytest.raises(PreconditionViolated):
+        tt.is_isomorphic_complex(three, three)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +506,7 @@ def _cold_twin(alg):
 def test_carried_summands_match_a_cold_decomposition(a3, cyc3):
     # A mutation result carries the summands it was built from.  Rebuild it
     # from its terms and differentials over a cold-cache twin of the
-    # algebra, where decompose_complex has to search, and compare.
+    # algebra, where decompose_complex splits it through H^0, and compare.
     for alg in (a3, cyc3):
         twin = _cold_twin(alg)
         checked = 0
