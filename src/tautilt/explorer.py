@@ -251,27 +251,20 @@ def tau_reduction(pair):
     alg = pair.algebra
     field = alg.field
     bon = tauops.right_bongartz(pair)
-    own = sorted(
-        modules._projective_vertex(rep)
-        for rep, mult in pair.p_summands()
-        for _ in range(mult)
-    )
-    got = sorted(
-        modules._projective_vertex(rep)
-        for rep, mult in bon.p_summands()
-        for _ in range(mult)
-    )
-    if own != got:
-        raise CertificateFailure("completion changed the projective leg of the pair")
 
-    parts = [rep for rep, mult in bon.m_summands() for _ in range(mult)]
-    parts.sort(key=lambda r: (modules.g_vector(r), r.dims))
-    s = len(parts)
+    def tokens_of(p, kind):
+        return sorted(token for token in p.tokens if token[0] == kind)
+
+    if tokens_of(pair, "shift") != tokens_of(bon, "shift"):
+        raise CertificateFailure("completion changed the projective leg of the pair")
 
     # pair and completion are basic, and their summands are determined by
     # their g-vectors (AIR Thm 5.5), so slots are found by token
-    tokens = [modules.summand_token("m", r) for r in parts]
-    u_tokens = [modules.summand_token("m", r) for r, _ in pair.m_summands()]
+    tokens = tokens_of(bon, "mod")
+    rep_of = {token: rep for (_, rep, _), token in zip(bon.rows, bon.tokens)}
+    parts = [rep_of[token] for token in tokens]
+    s = len(parts)
+    u_tokens = tokens_of(pair, "mod")
     if any(t not in tokens for t in u_tokens):
         raise CertificateFailure("completion lost a summand of the input pair")
     u_slots = {tokens.index(t) for t in u_tokens}
@@ -671,8 +664,7 @@ def verify_exchange(algebra, budget=10000):
             )
     buckets = {}
     for fp, pair in graph.nodes.items():
-        rows = tauops.pair_summand_list(pair)
-        tokens = [modules.summand_token(k, r) for k, r in rows]
+        tokens = list(pair.tokens)
         for slot in range(len(tokens)):
             key = tuple(sorted(tokens[:slot] + tokens[slot + 1 :]))
             buckets.setdefault(key, set()).add(fp)

@@ -1055,17 +1055,19 @@ def brick_shrink(y):
 
 
 class TauPair:
-    """A pair (M, P): a module and a projective, kept with its summand data.
+    """A pair (M, P): a module and a projective, with its summand rows.
 
-    A pair built from its indecomposable summands (pair_from_summands, the
-    mutation walk) carries them as rows (kind, rep, complex), with the
-    token of each: kind "m" for a summand of M and "p" for a summand P_v
-    of P, with its two-term complex.  Its summands, size and fingerprint
-    are read from the tokens, and rows with one token count as one summand
-    with multiplicity; on a tau-rigid pair the token determines the
-    summand (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).  A pair built
-    from bare (M, P), as from a workspace, has rows None and finds its
-    summands by decompose when first asked.
+    Each indecomposable summand, with multiplicity, is one row (kind, rep,
+    complex): kind "m" for a summand of M and "p" for a summand P_v of P,
+    with its two-term complex, and one token (see summand_token).  A pair
+    built from its summands (pair_from_summands, the mutation walk) is
+    given its rows, and groups them by token into summands with
+    multiplicity; on a tau-rigid pair the token determines the summand
+    (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).  A pair built from
+    bare (M, P), as from a workspace, builds its rows when first asked,
+    from the summands that decompose finds, and keeps decompose's grouping
+    by isomorphism: two summands of a pair that is not tau-rigid can share
+    a token.  The fingerprint is the sorted tokens.
     """
 
     def __init__(self, m, p, rows=None):
@@ -1073,22 +1075,38 @@ class TauPair:
             raise TautiltError("pair members live over different algebras")
         self.m = m
         self.p = p
-        self.rows = self.tokens = None
-        self._summands = None
-        self._fingerprint = None
-        if rows is not None:
-            self.rows = tuple(rows)
-            self.tokens = tuple(summand_token(kind, rep) for kind, rep, _ in rows)
-            self._fingerprint = tuple(sorted(self.tokens))
-            self._summands = tuple(_group_rows(self.rows, self.tokens, kind) for kind in "mp")
+        self._rows = None if rows is None else tuple(rows)
+        self._tokens = self._summands = self._fingerprint = None
 
     @property
     def algebra(self):
         return self.m.algebra
 
+    @property
+    def rows(self):
+        if self._rows is None:
+            from . import twoterm  # twoterm builds on this module
+
+            self._rows = tuple(
+                (kind, rep, twoterm.summand_complex(kind, rep))
+                for kind, parts in zip("mp", (self.m_summands(), self.p_summands()))
+                for rep, mult in parts
+                for _ in range(mult)
+            )
+        return self._rows
+
+    @property
+    def tokens(self):
+        if self._tokens is None:
+            self._tokens = tuple(summand_token(kind, rep) for kind, rep, _ in self.rows)
+        return self._tokens
+
     def m_summands(self):
         if self._summands is None:
-            self._summands = (decompose(self.m), decompose(self.p))
+            if self._rows is None:
+                self._summands = (decompose(self.m), decompose(self.p))
+            else:
+                self._summands = tuple(_group_rows(self.rows, self.tokens, kind) for kind in "mp")
         return self._summands[0]
 
     def p_summands(self):
@@ -1103,18 +1121,9 @@ class TauPair:
     def size(self):
         return sum(m for _, m in self.m_summands()) + sum(m for _, m in self.p_summands())
 
-    def summand_fingerprints(self):
-        """One canonical token per indecomposable summand (with multiplicity)."""
-        out = []
-        for rep, mult in self.m_summands():
-            out.extend([summand_token("m", rep)] * mult)
-        for rep, mult in self.p_summands():
-            out.extend([summand_token("p", rep)] * mult)
-        return sorted(out)
-
     def fingerprint(self):
         if self._fingerprint is None:
-            self._fingerprint = tuple(self.summand_fingerprints())
+            self._fingerprint = tuple(sorted(self.tokens))
         return self._fingerprint
 
     def __repr__(self):
@@ -1177,22 +1186,15 @@ def pair_from_summands(algebra, m_parts, p_parts):
     )
 
 
-def normalize_pair(pair):
-    """Basic version of a pair: one copy of each indecomposable summand."""
-    alg = pair.algebra
-    m_parts = [rep for rep, _ in pair.m_summands()]
-    p_parts = [rep for rep, _ in pair.p_summands()]
-    return pair_from_summands(alg, m_parts, p_parts)
-
-
 def check_pair(pair):
     """Classification of a basic pair.
 
-    Returns a dict with keys: projective_ok, rigid, hom_p_m_zero, role.
-    The role is one of not_rigid, rigid, almost, tilting by the count of
-    indecomposable summands against the number of vertices.  Cached per
-    (M, P) content; only a basic pair is cached, so a non-basic one
-    raises on every call.
+    Returns a dict with keys: projective_ok, rigid, hom_p_m_zero,
+    self_rigid, role and size.  The role is one of not_rigid, rigid,
+    almost, tilting by the count of indecomposable summands against the
+    number of vertices.  hom_p_m_zero is None when P is not projective.
+    Cached per (M, P) content; only a basic pair is cached, so a non-basic
+    one raises on every call.
     """
     alg = pair.algebra
     key = ("check_pair", pair.m.key(), pair.p.key())
@@ -1202,16 +1204,19 @@ def check_pair(pair):
 
 
 def _check_pair(pair):
+    """check_pair uncached: tau-rigidity summand by summand (see
+    tau_rigid_summands), so a pair that carries its summands reads the
+    tau and Hom spaces its walk cached."""
     alg = pair.algebra
     if not pair.is_basic():
-        raise PreconditionViolated("pair is not basic; call normalize_pair first")
+        raise PreconditionViolated("pair is not basic: a summand occurs more than once")
     projective_ok = pair.p.is_zero() or is_projective(pair.p)
-    hom_p_m_zero = pair.p.is_zero() or pair.m.is_zero() or not hom_basis(pair.p, pair.m)
-    if pair.m.is_zero():
-        self_rigid = True
-    else:
-        tau_m = ar_translate(pair.m)
-        self_rigid = tau_m.is_zero() or not hom_basis(pair.m, tau_m)
+    rows = [("m", rep) for rep, _ in pair.m_summands()]
+    if projective_ok:
+        rows += [("p", rep) for rep, _ in pair.p_summands()]
+    self_rigid, hom_p_m_zero = tau_rigid_summands(rows)
+    if not projective_ok:
+        hom_p_m_zero = None
     rigid = projective_ok and hom_p_m_zero and self_rigid
     size = pair.size()
     if not rigid:
@@ -1230,6 +1235,29 @@ def _check_pair(pair):
         "role": role,
         "size": size,
     }
+
+
+def tau_rigid_summands(new, rest=()):
+    """(self_rigid, hom_p_m_zero) of the pair summands new joined with
+    rest, all given as (kind, rep) rows, with rest taken to be tau-rigid.
+
+    M = (+) X_i is tau-rigid when Hom(X_i, tau X_j) = 0 for every ordered
+    pair of module summands, and Hom(P_v, X_i) = (X_i)_v vanishes for
+    every shifted summand P_v; only the ordered pairs that meet new are
+    tested.  tau and the Hom spaces are cached per summand content.
+    """
+    rows = list(new) + list(rest)
+    self_rigid = hom_p_m_zero = True
+    for i, (ki, x) in enumerate(rows):
+        for j, (kj, y) in enumerate(rows):
+            if kj != "m" or min(i, j) >= len(new):
+                continue
+            if ki == "p":
+                hom_p_m_zero = hom_p_m_zero and not y.dims[_projective_vertex(x)]
+            elif self_rigid:
+                tau_y = ar_translate(y)
+                self_rigid = tau_y.is_zero() or not hom_basis(x, tau_y)
+    return self_rigid, hom_p_m_zero
 
 
 def describe_module(x):

@@ -111,39 +111,22 @@ def pair_summand_list(pair):
     order on the summands of any presilting pair, so mutation slots are
     stable across runs and presentations.
     """
-    if pair.rows is not None:
-        return [pair.rows[k][:2] for k in _g_order(pair)]
-    rows = []
-    for rep, mult in pair.m_summands():
-        rows.extend([("m", rep)] * mult)
-    for rep, mult in pair.p_summands():
-        rows.extend([("p", rep)] * mult)
-    rows.sort(key=lambda row: summand_g_vector(row[0], row[1]))
-    return rows
+    return [row[:2] for row in _summand_rows(pair)]
 
 
 def _g_order(pair):
-    """The positions of a carried pair's rows in g-vector order."""
+    """The positions of the pair's rows in g-vector order."""
     return sorted(range(len(pair.rows)), key=lambda k: pair.tokens[k][1])
 
 
 def _summand_rows(pair):
-    """(kind, rep, complex) per summand, in the order of pair_summand_list.
-    A pair without carried rows gets the complexes built here, each from
-    the minimal presentation of its summand."""
-    if pair.rows is not None:
-        return [pair.rows[k] for k in _g_order(pair)]
-    return [
-        (kind, rep, twoterm.summand_complex(kind, rep))
-        for kind, rep in pair_summand_list(pair)
-    ]
+    """(kind, rep, complex) per summand, in the order of pair_summand_list."""
+    return [pair.rows[k] for k in _g_order(pair)]
 
 
 def _summand_tokens(pair):
     """The token of each summand, in the order of pair_summand_list."""
-    if pair.rows is not None:
-        return [pair.tokens[k] for k in _g_order(pair)]
-    return [modules.summand_token(*row) for row in pair_summand_list(pair)]
+    return [pair.tokens[k] for k in _g_order(pair)]
 
 
 def _pair_complex(pair):
@@ -170,33 +153,24 @@ def _certify_exchange(pair, new_pair, fresh):
     new_pair must carry its summands, and fresh lists the positions among
     them of those not kept from pair: one new summand Y, the rest R.  R is
     tau-rigid, being part of the certified pair, so the new pair is
-    tau-rigid when these vanish: Hom(Y, tau Y), Hom(Y, tau R_M),
-    Hom(R_M, tau Y) and Hom(R_P, Y) if Y is a module, or (R_M)_v if Y is
-    P_v[1].  With n summands of distinct tokens it is then support
-    tau-tilting, its summands pairwise non-isomorphic (Adachi-Iyama-Reiten,
-    arXiv:1210.1036, Thm 5.5), and its g-matrix must be unimodular.  What
-    stands in for decomposing M: Y is the cone of a minimal approximation
-    of an indecomposable summand, which is indecomposable, and an
-    indecomposable two-term presilting complex is P_v[1] or the minimal
-    presentation of an indecomposable tau-rigid H^0 (AIR, Sect. 3), which
-    to_tau_pair checks per summand.  tau and the Hom spaces are cached per
-    summand content.
+    tau-rigid when the tests of modules.tau_rigid_summands that involve Y
+    pass: Hom(Y, tau Y), Hom(Y, tau R_M), Hom(R_M, tau Y) and Hom(R_P, Y)
+    if Y is a module, or (R_M)_v if Y is P_v[1].  With n summands of
+    distinct tokens it is then support tau-tilting, its summands pairwise
+    non-isomorphic (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), and
+    its g-matrix must be unimodular.  What stands in for decomposing M: Y
+    is the cone of a minimal approximation of an indecomposable summand,
+    which is indecomposable, and an indecomposable two-term presilting
+    complex is P_v[1] or the minimal presentation of an indecomposable
+    tau-rigid H^0 (AIR, Sect. 3), which to_tau_pair checks per summand.
     """
     if len(fresh) != 1:
         raise CertificateFailure("mutation did not exchange exactly one summand")
-    kind, y, _ = new_pair.rows[fresh[0]]
-    rest = [row for k, row in enumerate(new_pair.rows) if k != fresh[0]]
-    r_m = [rep for k, rep, _ in rest if k == "m"]
-    r_p = [modules._projective_vertex(rep) for k, rep, _ in rest if k == "p"]
-    if kind == "m":
-        tau_y = modules.ar_translate(y)
-        homs = [(y, tau_y)] + [(y, modules.ar_translate(z)) for z in r_m]
-        homs += [(z, tau_y) for z in r_m]
-        if any(y.dims[v] for v in r_p) or any(
-            not t.is_zero() and modules.hom_basis(x, t) for x, t in homs
-        ):
+    rows = [row[:2] for row in new_pair.rows]
+    y = rows.pop(fresh[0])
+    if not all(modules.tau_rigid_summands([y], rows)):
+        if y[0] == "m":
             raise CertificateFailure("the new summand is not tau-rigid with the kept ones")
-    elif any(z.dims[modules._projective_vertex(y)] for z in r_m):
         raise CertificateFailure("the new shifted P_v meets the kept modules at v")
     tokens = new_pair.fingerprint()
     if len(tokens) != pair.algebra.n or len(set(tokens)) != len(tokens):
@@ -438,18 +412,10 @@ def right_bongartz(u_pair, anchor=None):
 
 
 def exchanged_summands(old, new):
-    """The summand tokens separating two pairs (old only, new only)."""
-    old_fp = list(old.fingerprint())
-    new_fp = list(new.fingerprint())
-    only_old = list(old_fp)
-    for token in new_fp:
-        if token in only_old:
-            only_old.remove(token)
-    only_new = list(new_fp)
-    for token in old_fp:
-        if token in only_new:
-            only_new.remove(token)
-    return only_old, only_new
+    """The summand tokens separating two pairs (old only, new only), each
+    sorted, with multiplicity."""
+    old_fp, new_fp = Counter(old.fingerprint()), Counter(new.fingerprint())
+    return sorted((old_fp - new_fp).elements()), sorted((new_fp - old_fp).elements())
 
 
 def brick_label(old, new):
@@ -464,14 +430,7 @@ def brick_label(old, new):
     only_old, _ = exchanged_summands(old, new)
     if len(only_old) != 1 or only_old[0][0] != "mod":
         raise MatchFailure("edge does not exchange a single module summand")
-    token = only_old[0]
-    x = None
-    for rep, _ in old.m_summands():
-        if modules.summand_token("m", rep) == token:
-            x = rep
-            break
-    if x is None:
-        raise MatchFailure("exchanged summand not found in the old pair")
+    x = next(rep for (_, rep, _), token in zip(old.rows, old.tokens) if token == only_old[0])
     q = modules._trace_quotient(new.m, x)[2]
     d = modules.brick_shrink(q)
     if not modules.is_brick(d):

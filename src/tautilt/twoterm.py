@@ -610,11 +610,16 @@ def decompose_complex(t):
     alg = t.algebra
     key = ("cdecomp", t.key())
     if key not in alg.cache:
-        h0, shift = _h0_and_shift(t)
-        alg.cache[key] = [
-            (summand_complex("m", x), mult) for x, mult in modules.decompose(h0)
-        ] + [(stalk_complex(alg, [v], -1), shift.count(v)) for v in sorted(set(shift))]
+        alg.cache[key] = _split_through_h0(t)
     return alg.cache[key]
+
+
+def _split_through_h0(t):
+    """decompose_complex of a complex without parts, uncached."""
+    h0, shift = _h0_and_shift(t)
+    return [(summand_complex("m", x), mult) for x, mult in modules.decompose(h0)] + [
+        (stalk_complex(t.algebra, [v], -1), shift.count(v)) for v in sorted(set(shift))
+    ]
 
 
 def _sort_key(t):
@@ -881,8 +886,9 @@ def left_completion_silting(u, t):
     search.  That merge is exact because u joined with the cones is
     presilting, and two-term presilting complexes are determined by their
     g-vectors (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so u must
-    be presilting.  The split cone of each summand is cached per
-    (u, t_i) content, so anchors that share a summand share its cone.
+    be presilting.  The split cone of each summand is cached once, per
+    (u, t_i) content and not also per cone content, so anchors that share
+    a summand share its cone.
     """
     if not is_presilting(u):
         raise PreconditionViolated("completion expects a presilting u")
@@ -896,7 +902,7 @@ def left_completion_silting(u, t):
         if key not in alg.cache:
             f = min_left_approx(ti.shift(-1), u_parts)
             x = minimalize(cone(f.source, f.target, f.blocks))
-            alg.cache[key] = tuple(c for c, _ in decompose_complex(x))
+            alg.cache[key] = tuple(c for c, _ in _split_through_h0(x))
         for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()))
@@ -949,7 +955,7 @@ def mutate_complex(t, summand_index, direction):
 
 
 def complex_fingerprint(t):
-    """Canonical token multiset matching TauPair.summand_fingerprints."""
+    """Canonical token multiset matching TauPair.fingerprint."""
     out = []
     for c, mult in decompose_complex(t):
         kind, rep, _ = _summand_row(c)

@@ -102,18 +102,18 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
     graph = ex.build_exchange_graph(alg)
     subs = ex.rigid_subpairs(graph, alg.n - 1)
     built, from_cones, splitting = [], [], []
-    decompose = tt.decompose_complex
+    split_h0 = tt._split_through_h0
     completion = tt.left_completion_silting.__code__
 
     def split(t):
         cone = t.parts is None and sys._getframe(1).f_code is completion
         splitting.append(cone)
         try:
-            return decompose(t)
+            return split_h0(t)
         finally:
             splitting.pop()
 
-    monkeypatch.setattr(tt, "decompose_complex", split)
+    monkeypatch.setattr(tt, "_split_through_h0", split)
     for fn in ("from_tau_pair", "summand_complex"):
         real = getattr(tt, fn)
 

@@ -438,6 +438,14 @@ def test_check_pair_requires_basic(cyc3):
         M.check_pair(pair)
 
 
+def test_check_pair_reports_a_non_projective_p(cyc3):
+    # S1 is not projective, so (P2, S1) is no pair; the check says so
+    pair = M.TauPair(P(cyc3, 1), S(cyc3, 0))
+    report = M.check_pair(pair)
+    assert not report["projective_ok"] and report["hom_p_m_zero"] is None
+    assert report["role"] == "not_rigid" and report["self_rigid"]
+
+
 def test_pair_fingerprints_distinguish(cyc3):
     zero = M.zero_rep(cyc3)
     p1 = M.TauPair(M.free_module(cyc3), zero)

@@ -1,5 +1,6 @@
 """Pair-level operations: mutation, duality, completions, brick labels."""
 
+import itertools
 from collections import deque
 
 import pytest
@@ -643,20 +644,79 @@ CROSS = {
 }
 
 
+def _whole_module_rigidity(pair):
+    # (self_rigid, hom_p_m_zero) from tau and Hom of the whole modules,
+    # sharing no step with the summand-by-summand test of the package
+    m, p = pair.m, pair.p
+    tau_m = md.ar_translate(m)
+    self_rigid = tau_m.is_zero() or not md.hom_basis(m, tau_m)
+    return self_rigid, p.is_zero() or not md.hom_basis(p, m)
+
+
 @pytest.mark.parametrize("name", sorted(CROSS))
 def test_carried_tokens_match_a_fresh_decomposition(name):
-    # the same (M, P) without carried summands decomposes by search and is
-    # classified by the full check, which shares no step with the walk's
-    # incremental certificate
+    # the same (M, P) without carried summands finds its summands by
+    # decompose, and is tau-tilting by a whole-module check that shares no
+    # step with the walk's incremental certificate
     alg = CROSS[name]()
     graph = ex.build_exchange_graph(alg)
     assert graph.complete
     for node in graph.node_list():
-        assert node.rows is not None
         bare = md.TauPair(node.m, node.p)
-        assert bare.rows is None
         assert bare.fingerprint() == node.fingerprint()
-        assert md._check_pair(bare)["role"] == "tilting"
+        assert bare.size() == alg.n
+        assert _whole_module_rigidity(bare) == (True, True)
+
+
+SUBSETS = {
+    "A3": (lambda: _linear(3, QQ), 129, 85),
+    "cyc3": (lambda: _cycle(3, QQ), 129, 85),
+    "cyc3/F3": (lambda: _cycle(3, Field(3)), 129, 85),
+    "A4": (lambda: _linear(4, QQ), 469, 315),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBSETS))
+def test_check_pair_matches_the_whole_module_check(name):
+    # every pair of at most three distinct summands found in the graph,
+    # tau-rigid or not, is classified as the whole-module check says
+    make, total, not_rigid = SUBSETS[name]
+    alg = make()
+    graph = ex.build_exchange_graph(alg)
+    seen = {}
+    for node in graph.node_list():
+        for (kind, rep, _), token in zip(node.rows, node.tokens):
+            seen.setdefault(token, (kind, rep))
+    rows = [seen[token] for token in sorted(seen)]
+    checked = failed = 0
+    for size in (1, 2, 3):
+        for picked in itertools.combinations(rows, size):
+            sub = pair(
+                alg,
+                [rep for kind, rep in picked if kind == "m"],
+                [rep for kind, rep in picked if kind == "p"],
+            )
+            report = md._check_pair(sub)
+            self_rigid, hom_p_m_zero = _whole_module_rigidity(sub)
+            assert (report["self_rigid"], report["hom_p_m_zero"]) == (self_rigid, hom_p_m_zero)
+            assert report["rigid"] == (self_rigid and hom_p_m_zero)
+            assert report["projective_ok"] and report["size"] == size
+            checked += 1
+            failed += not report["rigid"]
+    assert (checked, failed) == (total, not_rigid)
+
+
+@pytest.mark.parametrize("name", ["A3", "A4"])
+def test_check_pair_of_a_walked_node_reads_the_walk_caches(name):
+    # the walk cached tau and the Hom spaces of every summand, so the
+    # summand-by-summand check of its nodes computes nothing new
+    alg = {"A3": lambda: _linear(3, QQ), "A4": lambda: _linear(4, QQ)}[name]()
+    graph = ex.build_exchange_graph(alg)
+    caches = (alg.cache, alg.opposite().cache)
+    before = [len(c) for c in caches]
+    for node in graph.node_list():
+        assert md._check_pair(node)["role"] == "tilting"
+    assert [len(c) for c in caches] == before
 
 
 def _exchange_with(monkeypatch, pair, slot, pick):
@@ -724,8 +784,8 @@ def test_exchange_certificate_rejects_a_shift_met_by_the_kept_modules(name, monk
 @pytest.mark.parametrize("name", ["A3", "cyc3", "cyc4"])
 def test_exchange_certificate_rejects_a_module_not_rigid_with_the_rest(name, monkeypatch):
     # every module summand of the graph, put in as the new summand next to
-    # a rest it is not tau-rigid with (as the full check on the bare pair
-    # says), is refused
+    # a rest it is not tau-rigid with (as the whole-module check on the
+    # bare pair says), is refused
     alg = FRESH[name]()
     graph = ex.build_exchange_graph(alg)
     modules_seen = {}
@@ -745,7 +805,7 @@ def test_exchange_certificate_rejects_a_module_not_rigid_with_the_rest(name, mon
                 if token in kept:
                     continue
                 bare = md.TauPair(md.sum_or_zero(alg, r_m + [y]), md.sum_or_zero(alg, r_p))
-                if md._check_pair(bare)["rigid"]:
+                if all(_whole_module_rigidity(bare)):
                     continue
                 y_c = tt.summand_complex("m", y)
                 with pytest.raises(CertificateFailure, match="tau-rigid"):
