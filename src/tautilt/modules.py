@@ -429,11 +429,16 @@ def direct_sum(reps):
 
 def hom_basis(x, y):
     """Basis of Hom(x, y) as a list of ModuleMaps (deterministic order)."""
+    return [_vec_to_map(x, y, vec) for vec in _hom_vectors(x, y)]
+
+
+def _hom_vectors(x, y):
+    """Basis of Hom(x, y) as flat vectors, cached per (x, y) content: the
+    blocks of vertices 0, 1, ... in turn, each a dims_x[v] x dims_y[v]
+    matrix laid out row by row."""
     alg = x.algebra
     key = ("hom", x.key(), y.key())
-    if key in alg.cache:
-        basis_vecs = alg.cache[key]
-    else:
+    if key not in alg.cache:
         field = x.field
         offsets = []
         total = 0
@@ -460,9 +465,8 @@ def hom_basis(x, y):
                         ] - ym[t][c]
                     if any(row):
                         rows.append(row)
-        basis_vecs = linalg.right_nullspace(rows, field, cols=total)
-        alg.cache[key] = basis_vecs
-    return [_vec_to_map(x, y, vec) for vec in basis_vecs]
+        alg.cache[key] = linalg.right_nullspace(rows, field, cols=total)
+    return alg.cache[key]
 
 
 def _vec_to_map(x, y, vec):
@@ -943,7 +947,8 @@ def _isomorphic(x, y):
 def trace_submodule(gen, x):
     """The trace of gen in x: sum of images of all maps gen -> x.
 
-    Cached per (gen, x) content; returns (trace, inclusion)."""
+    Cached per (gen, x) content; returns (trace, inclusion).  Only the
+    quotient by the trace needs it: Fac membership is fac_contains."""
     alg = x.algebra
     key = ("trace", gen.key(), x.key())
     if key not in alg.cache:
@@ -968,9 +973,49 @@ def _trace_quotient(gen, x):
 
 
 def in_fac(gen, x):
-    """Whether x lies in Fac(gen), i.e. the trace of gen fills x."""
-    t, _ = trace_submodule(gen, x)
-    return t.dims == x.dims
+    """Whether x lies in Fac(gen); see fac_contains."""
+    return fac_contains([gen], [x])
+
+
+def fac_contains(gens, xs):
+    """Whether every x in xs lies in Fac of the direct sum of gens.
+
+    The trace of a direct sum in x is the sum of the images of the basis
+    maps of each Hom(Y, x), Y in gens; a sum of images of module maps is a
+    submodule, so x lies in Fac exactly when at each vertex v the image
+    rows, read from the cached Hom basis vectors, have rank dim x_v.  Pass
+    the summands of a module as gens and as xs: Fac is closed under sums
+    and summands, so the answer is that of the sums, and a summand shared
+    between modules shares its entries.  Cached per (set of gens, x)
+    content, keyed by a frozenset since field elements of F_p do not sort.
+    """
+    gens = {g.key(): g for g in gens}
+    gen_keys = frozenset(gens)
+    for x in xs:
+        if x.is_zero():
+            continue
+        alg = x.algebra
+        key = ("fac", gen_keys, x.key())
+        if key not in alg.cache:
+            alg.cache[key] = _fills(gens.values(), x)
+        if not alg.cache[key]:
+            return False
+    return True
+
+
+def _fills(gens, x):
+    """Whether the images of all maps from the gens span x at every vertex."""
+    images = [[] for _ in x.dims]
+    for g in gens:
+        for vec in _hom_vectors(g, x):
+            pos = 0
+            for v, d in enumerate(x.dims):
+                for _ in range(g.dims[v]):
+                    row = vec[pos : pos + d]
+                    pos += d
+                    if any(row):
+                        images[v].append(row)
+    return all(linalg.rank(images[v], x.field) == d for v, d in enumerate(x.dims) if d)
 
 
 def in_perp_pair(u, q_proj, x):
@@ -999,7 +1044,7 @@ def star_membership(u_gen, m_gen, x):
     Valid when u_gen is tau-rigid: x belongs iff x modulo the trace of
     u_gen lies in Fac(m_gen).
     """
-    return in_fac(m_gen, _trace_quotient(u_gen, x)[2])
+    return fac_contains([m_gen], [_trace_quotient(u_gen, x)[2]])
 
 
 # -- bricks -----------------------------------------------------------------
@@ -1210,7 +1255,12 @@ def _check_pair(pair):
     alg = pair.algebra
     if not pair.is_basic():
         raise PreconditionViolated("pair is not basic: a summand occurs more than once")
-    projective_ok = pair.p.is_zero() or is_projective(pair.p)
+    try:
+        for rep, _ in pair.p_summands():
+            _projective_vertex(rep)
+        projective_ok = True
+    except NotProjective:
+        projective_ok = False
     rows = [("m", rep) for rep, _ in pair.m_summands()]
     if projective_ok:
         rows += [("p", rep) for rep, _ in pair.p_summands()]

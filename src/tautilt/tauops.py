@@ -50,8 +50,14 @@ def _require_rigid(pair):
 
 
 def pair_leq(a, b):
-    """Order by inclusion of the generated torsion classes: Fac a <= Fac b."""
-    return modules.in_fac(b.m, a.m)
+    """Order by inclusion of the generated torsion classes: Fac a <= Fac b,
+    tested on the pairs' own summands (see modules.fac_contains)."""
+    return modules.fac_contains(_m_parts(b), _m_parts(a))
+
+
+def _m_parts(pair):
+    """The indecomposable summands of the pair's module, each once."""
+    return [rep for rep, _ in pair.m_summands()]
 
 
 def _proj_vertex_or_none(rep):
@@ -310,13 +316,12 @@ def _certify_left(u_pair, anchor, result):
     _require_tilting(result)
     if not contains_pair(result, u_pair):
         raise CertificateFailure("completion lost a summand of the input pair")
-    if not modules.in_fac(result.m, anchor.m):
+    if not pair_leq(anchor, result):
         raise CertificateFailure("completion does not cover the anchor torsion class")
-    for rep, _ in result.m_summands():
-        if not modules.star_membership(u_pair.m, anchor.m, rep):
-            raise CertificateFailure(
-                "a summand of the completion escapes Fac(U) * Fac(M)"
-            )
+    # x lies in Fac(U) * Fac(M) iff x / t_U(x) lies in Fac(M), U tau-rigid
+    quotients = (_star_quotient(u_pair, rep) for rep in _m_parts(result))
+    if not modules.fac_contains(_m_parts(anchor), quotients):
+        raise CertificateFailure("a summand of the completion escapes Fac(U) * Fac(M)")
 
 
 def left_bongartz(u_pair, anchor=None):
@@ -364,6 +369,7 @@ def fan_left_completion(u_pair, anchor=None, budget=10000):
         anchor = shifted_pair(alg)
     _require_rigid(u_pair)
     _require_tilting(anchor)
+    anchor_parts = _m_parts(anchor)
     keepers = []
     for cand in all_pairs(alg, budget):
         if not contains_pair(cand, u_pair):
@@ -376,7 +382,7 @@ def fan_left_completion(u_pair, anchor=None, budget=10000):
             if not modules.in_wide(u_pair.m, u_pair.p, q):
                 ok = False
                 break
-            if not modules.in_fac(anchor.m, q):
+            if not modules.fac_contains(anchor_parts, [q]):
                 ok = False
                 break
         if ok:
@@ -437,6 +443,6 @@ def brick_label(old, new):
         raise CertificateFailure("label failed the brick test")
     if modules.hom_basis(new.m, d):
         raise CertificateFailure("label is not orthogonal to the new pair")
-    if not modules.in_fac(old.m, d):
+    if not modules.fac_contains(_m_parts(old), [d]):
         raise CertificateFailure("label escapes the old torsion class")
     return d

@@ -1,6 +1,6 @@
-"""Content caches on the algebra: each trace, trace quotient, pair check,
-per-summand completion cone and reduction image is computed once per
-content, and a warm cache answers as a cold one does."""
+"""Content caches on the algebra: each trace, trace quotient, Fac
+membership, pair check, per-summand completion cone and reduction image is
+computed once per content, and a warm cache answers as a cold one does."""
 
 import sys
 from collections import Counter
@@ -30,8 +30,8 @@ def _fresh(name):
 def test_compat_sweeps_take_each_trace_once(monkeypatch):
     alg = _fresh("cyc3")
     graph = ex.build_exchange_graph(alg)
-    traced = Counter()
-    submodule = md.submodule
+    traced, decided = Counter(), Counter()
+    submodule, fills = md.submodule, md._fills
 
     def counted(x, spans):
         # count only the submodules that trace_submodule builds
@@ -40,12 +40,19 @@ def test_compat_sweeps_take_each_trace_once(monkeypatch):
             traced[caller.f_locals["gen"].key(), x.key()] += 1
         return submodule(x, spans)
 
+    def counted_fills(gens, x):
+        # each Fac membership decided from image ranks
+        decided[frozenset(g.key() for g in gens), x.key()] += 1
+        return fills(gens, x)
+
     monkeypatch.setattr(md, "submodule", counted)
+    monkeypatch.setattr(md, "_fills", counted_fills)
     for rel in ex.rigid_subpairs(graph, 1):
         for sweep in (ex.verify_mutation_compat, ex.verify_silting_compat):
             assert sweep(rel, graph)["pass"]
-    assert len(traced) > 50
+    assert len(traced) + len(decided) > 50
     assert max(traced.values()) == 1
+    assert max(decided.values()) == 1
 
 
 def test_transport_reads_the_bijection_images(monkeypatch):
@@ -136,7 +143,7 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
     assert from_cones
 
 
-FAMILIES = ("trace", "trace_quotient", "check_pair", "left_cone")
+FAMILIES = ("trace", "trace_quotient", "fac", "check_pair", "left_cone")
 
 
 def _answers(alg, reductions):
@@ -144,13 +151,14 @@ def _answers(alg, reductions):
     # pairs of the graph and its nodes; reductions are kept per algebra so
     # a second call reads the reduction images of the first
     graph = ex.build_exchange_graph(alg)
-    out = []
+    nodes = graph.node_list()
+    out = [to.pair_leq(a, b) for a in nodes for b in nodes]
     for k, u in enumerate(ex.rigid_subpairs(graph, 1)):
         if k not in reductions:
             reductions[k] = ex.tau_reduction(u)
         rd = reductions[k]
         uc, _ = to._pair_complex(u)
-        for node in graph.node_list():
+        for node in nodes:
             t, incl = md.trace_submodule(u.m, node.m)
             _, _, q, proj = md._trace_quotient(u.m, node.m)
             out.append((t.key(), incl.mats, q.key(), proj.mats, md.check_pair(node)))

@@ -365,6 +365,32 @@ def test_in_fac(cyc3):
     assert M.in_fac(M.free_module(cyc3), P(cyc3, 1))
 
 
+def test_fac_contains_reads_the_rank_of_the_image_rows(a2):
+    # Hom(P1 + P1, P1 + S2) has two basis maps, one from each copy onto
+    # P1; at vertex 2 they give two equal nonzero rows, of rank 1 < 2, as
+    # S2 is no quotient of P1
+    p1, s2 = P(a2, 0), S(a2, 1)
+    twice = M.direct_sum([p1, p1])[0]
+    x = M.direct_sum([p1, s2])[0]
+    assert not M.fac_contains([twice], [x])
+    assert M.fac_contains([twice], [p1, S(a2, 0)])
+    assert M.fac_contains([p1, s2], [x])
+    assert not M.fac_contains([p1], [p1, s2])
+    assert M.fac_contains([], [M.zero_rep(a2)]) and not M.fac_contains([], [p1])
+
+
+def test_fac_contains_keys_its_gens_as_a_set_over_f_p():
+    # two contents of P1 over F_3 whose keys differ only in an F_3 entry;
+    # F_3 elements do not sort, and the gens in either order share an entry
+    alg = compile_bound_quiver(Quiver(["1", "2"], [("a", "1", "2")]), [], Field(3))
+    one, two = (M.rep_from_arrows(alg, (1, 1), {"a": [[c]]}) for c in (1, 2))
+    with pytest.raises(TypeError):
+        sorted([one.key(), two.key()])
+    x = M.direct_sum([two, S(alg, 0)])[0]
+    assert M.fac_contains([one, two], [x]) and M.fac_contains([two, one], [x])
+    assert sum(1 for key in alg.cache if key[0] == "fac") == 1
+
+
 def test_torsion_part(cyc3):
     t, incl, q, proj = M._trace_quotient(P(cyc3, 0), S(cyc3, 1))
     assert t.is_zero() and q.dims == S(cyc3, 1).dims

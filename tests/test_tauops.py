@@ -1,6 +1,7 @@
 """Pair-level operations: mutation, duality, completions, brick labels."""
 
 import itertools
+import math
 from collections import deque
 
 import pytest
@@ -704,6 +705,45 @@ def test_check_pair_matches_the_whole_module_check(name):
             checked += 1
             failed += not report["rigid"]
     assert (checked, failed) == (total, not_rigid)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_torsion_order_of_linear_an_counts_tamari_intervals(n):
+    # the torsion classes of linear A_n form the Tamari lattice on
+    # Catalan(n + 1) elements, which has 2 (4m+1)! / ((m+1)! (3m+2)!)
+    # intervals with m = n + 1 (Chapoton)
+    m = n + 1
+    f = math.factorial
+    intervals = 2 * f(4 * m + 1) // (f(m + 1) * f(3 * m + 2))
+    nodes = ex.build_exchange_graph(_linear(n, QQ)).node_list()
+    assert sum(to.pair_leq(a, b) for a in nodes for b in nodes) == intervals
+    assert intervals == {3: 68, 4: 399}[n]
+
+
+@pytest.mark.parametrize("name", ["cyc3", "cyc3/F3"])
+def test_torsion_order_is_reachability_along_left_mutations(name):
+    # the Hasse quiver of the order is the left-mutation quiver
+    # (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 2.35), so a <= b exactly
+    # when a is reached from b along the walk's left-mutation edges
+    graph = ex.build_exchange_graph(CROSS[name]())
+    down = {fp: [] for fp in graph.nodes}
+    for s, t, _ in graph.edges:
+        down[s].append(t)
+    below = {}
+    for top in graph.nodes:
+        seen, stack = {top}, [top]
+        while stack:
+            for t in down[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        below[top] = seen
+    comparable = 0
+    for fa, a in graph.nodes.items():
+        for fb, b in graph.nodes.items():
+            assert to.pair_leq(a, b) == (fa in below[fb])
+            comparable += fa in below[fb]
+    assert comparable == 66
 
 
 @pytest.mark.parametrize("name", ["A3", "A4"])
