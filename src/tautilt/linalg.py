@@ -265,6 +265,22 @@ def det(mat, field):
     return result
 
 
+def int_det(mat):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each division is exact, so every entry stays an integer."""
+    m, sign, prev = [list(row) for row in mat], 1, 1
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot], sign = m[pivot], m[c], -sign
+        for i in range(c + 1, len(m)):
+            m[i] = [(x * m[c][c] - m[i][c] * y) // prev for x, y in zip(m[i], m[c])]
+        prev = m[c][c]
+    return sign * prev
+
+
 class RowSolver:
     """Expresses vectors in the span of a fixed list of rows.
 

@@ -8,6 +8,8 @@ shape dims[i] x dims[j].
 """
 
 import itertools
+from collections import Counter
+from functools import cached_property
 
 from . import linalg
 from .algebra import AlgebraElement, ContentKey
@@ -482,7 +484,7 @@ def _vec_to_map(x, y, vec):
 
 
 def dim_hom(x, y):
-    return len(hom_basis(x, y))
+    return len(_hom_vectors(x, y))
 
 
 # -- projective covers and presentations -----------------------------------
@@ -1022,9 +1024,9 @@ def in_perp_pair(u, q_proj, x):
     """Whether x lies in perp(tau u) intersected with the perp of q_proj."""
     if not u.is_zero():
         tau_u = ar_translate(u)
-        if not tau_u.is_zero() and hom_basis(x, tau_u):
+        if not tau_u.is_zero() and _hom_vectors(x, tau_u):
             return False
-    if not q_proj.is_zero() and hom_basis(q_proj, x):
+    if not q_proj.is_zero() and _hom_vectors(q_proj, x):
         return False
     return True
 
@@ -1033,7 +1035,7 @@ def in_wide(u, q_proj, x):
     """Membership in the wide subcategory u-perp ∩ perp(tau u) ∩ q-perp."""
     if not in_perp_pair(u, q_proj, x):
         return False
-    if not u.is_zero() and hom_basis(u, x):
+    if not u.is_zero() and _hom_vectors(u, x):
         return False
     return True
 
@@ -1106,7 +1108,8 @@ class TauPair:
     complex): kind "m" for a summand of M and "p" for a summand P_v of P,
     with its two-term complex, and one token (see summand_token).  A pair
     built from its summands (pair_from_summands, the mutation walk) is
-    given its rows, and groups them by token into summands with
+    given its rows and its algebra, builds M, P and its complex from them
+    when first read, and groups the rows by token into summands with
     multiplicity; on a tau-rigid pair the token determines the summand
     (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).  A pair built from
     bare (M, P), as from a workspace, builds its rows when first asked,
@@ -1115,17 +1118,24 @@ class TauPair:
     a token.  The fingerprint is the sorted tokens.
     """
 
-    def __init__(self, m, p, rows=None):
-        if m.algebra is not p.algebra:
-            raise TautiltError("pair members live over different algebras")
-        self.m = m
-        self.p = p
+    def __init__(self, m=None, p=None, rows=None, algebra=None):
+        self.algebra = m.algebra if algebra is None else algebra
+        if rows is None:
+            if p.algebra is not self.algebra:
+                raise TautiltError("pair members live over different algebras")
+            self.m, self.p = m, p
         self._rows = None if rows is None else tuple(rows)
-        self._tokens = self._summands = self._fingerprint = None
+        self._summands = self._fingerprint = None
 
-    @property
-    def algebra(self):
-        return self.m.algebra
+    @cached_property
+    def m(self):
+        """The sum of the module rows, in row order."""
+        return sum_or_zero(self.algebra, [rep for k, rep, _ in self.rows if k == "m"])
+
+    @cached_property
+    def p(self):
+        """The sum of the projective rows, in row order."""
+        return sum_or_zero(self.algebra, [rep for k, rep, _ in self.rows if k == "p"])
 
     @property
     def rows(self):
@@ -1140,11 +1150,23 @@ class TauPair:
             )
         return self._rows
 
-    @property
+    @cached_property
     def tokens(self):
-        if self._tokens is None:
-            self._tokens = tuple(summand_token(kind, rep) for kind, rep, _ in self.rows)
-        return self._tokens
+        return tuple(summand_token(kind, rep) for kind, rep, _ in self.rows)
+
+    @cached_property
+    def token_counts(self):
+        """The tokens as a Counter, a multiset of the summands."""
+        return Counter(self.tokens)
+
+    @cached_property
+    def complex(self):
+        """The sum of the rows' complexes (twoterm.sum_of_summands), which
+        assembles its terms only when they are read."""
+        from . import twoterm
+
+        parts = [c for _, _, c in self.rows]
+        return twoterm.sum_of_summands(parts) if parts else twoterm.zero_complex(self.algebra)
 
     def m_summands(self):
         if self._summands is None:
@@ -1226,9 +1248,7 @@ def pair_from_summands(algebra, m_parts, p_parts):
 
     rows = [("m", rep, twoterm.summand_complex("m", rep)) for rep in m_parts]
     rows += [("p", rep, twoterm.summand_complex("p", rep)) for rep in p_parts]
-    return TauPair(
-        sum_or_zero(algebra, m_parts), sum_or_zero(algebra, p_parts), rows=rows
-    )
+    return TauPair(rows=rows, algebra=algebra)
 
 
 def check_pair(pair):
@@ -1238,11 +1258,13 @@ def check_pair(pair):
     self_rigid, role and size.  The role is one of not_rigid, rigid,
     almost, tilting by the count of indecomposable summands against the
     number of vertices.  hom_p_m_zero is None when P is not projective.
-    Cached per (M, P) content; only a basic pair is cached, so a non-basic
-    one raises on every call.
+    Cached per content of the summands with their multiplicities, as a
+    set since F_p entries do not sort, so M and P are not built; only a
+    basic pair is cached, so a non-basic one raises on every call.
     """
     alg = pair.algebra
-    key = ("check_pair", pair.m.key(), pair.p.key())
+    parts = zip("mp", (pair.m_summands(), pair.p_summands()))
+    key = ("check_pair", frozenset((k, rep.key(), n) for k, reps in parts for rep, n in reps))
     if key not in alg.cache:
         alg.cache[key] = _check_pair(pair)
     return dict(alg.cache[key])
@@ -1306,7 +1328,7 @@ def tau_rigid_summands(new, rest=()):
                 hom_p_m_zero = hom_p_m_zero and not y.dims[_projective_vertex(x)]
             elif self_rigid:
                 tau_y = ar_translate(y)
-                self_rigid = tau_y.is_zero() or not hom_basis(x, tau_y)
+                self_rigid = tau_y.is_zero() or not _hom_vectors(x, tau_y)
     return self_rigid, hom_p_m_zero
 
 

@@ -6,7 +6,7 @@ against module-level criteria before being returned, so a wrong
 approximation or split cannot silently produce a wrong pair.
 """
 
-from collections import Counter, deque
+from collections import deque
 
 from . import linalg, modules, twoterm
 from .errors import (
@@ -73,7 +73,7 @@ def contains_pair(big, small):
     g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so the
     summands are matched as fingerprint tokens, with multiplicity.
     """
-    return not Counter(small.fingerprint()) - Counter(big.fingerprint())
+    return small.token_counts <= big.token_counts
 
 
 # -- duality ------------------------------------------------------------------
@@ -130,27 +130,17 @@ def _summand_rows(pair):
     return [pair.rows[k] for k in _g_order(pair)]
 
 
-def _summand_tokens(pair):
-    """The token of each summand, in the order of pair_summand_list."""
-    return [pair.tokens[k] for k in _g_order(pair)]
-
-
 def _pair_complex(pair):
-    """The complex of a pair, the sum of the complexes of its own summands,
-    which it carries, with the position of each g-sorted slot among the
-    sum's parts.  The empty pair gives the zero complex."""
-    parts = [c for _, _, c in _summand_rows(pair)]
-    if not parts:
-        return twoterm.zero_complex(pair.algebra), []
-    t = twoterm.sum_of_summands(parts)
-    return t, [t.parts.index(c) for c in parts]
+    """The complex the pair carries (TauPair.complex), with the position of
+    each g-sorted slot among its parts; the zero complex has none."""
+    t = pair.complex
+    return t, [t.parts.index(c) for _, _, c in _summand_rows(pair)] if t.parts else []
 
 
 def _det_pm_one(pair):
-    """Whether the g-vectors of the pair's summands have determinant +-1."""
-    mat = [[linalg.QQ(c) for c in token[1]] for token in _summand_tokens(pair)]
-    d = linalg.det(mat, linalg.QQ)
-    return d == linalg.QQ(1) or d == linalg.QQ(-1)
+    """Whether the g-vectors of the pair's summands, read from their
+    tokens and not from the mutation, have determinant +-1."""
+    return abs(linalg.int_det([token[1] for token in pair.tokens])) == 1
 
 
 def _certify_exchange(pair, new_pair, fresh):
@@ -254,7 +244,7 @@ def silting_closure(algebra, budget=10000):
         while queue:
             pair = queue.popleft()
             src_fp = pair.fingerprint()
-            tokens = _summand_tokens(pair)
+            tokens = [pair.tokens[k] for k in _g_order(pair)]
             built = None
             for slot in range(len(tokens)):
                 rest = tuple(sorted(tokens[:slot] + tokens[slot + 1:]))
@@ -420,7 +410,7 @@ def right_bongartz(u_pair, anchor=None):
 def exchanged_summands(old, new):
     """The summand tokens separating two pairs (old only, new only), each
     sorted, with multiplicity."""
-    old_fp, new_fp = Counter(old.fingerprint()), Counter(new.fingerprint())
+    old_fp, new_fp = old.token_counts, new.token_counts
     return sorted((old_fp - new_fp).elements()), sorted((new_fp - old_fp).elements())
 
 
@@ -441,7 +431,7 @@ def brick_label(old, new):
     d = modules.brick_shrink(q)
     if not modules.is_brick(d):
         raise CertificateFailure("label failed the brick test")
-    if modules.hom_basis(new.m, d):
+    if modules._hom_vectors(new.m, d):
         raise CertificateFailure("label is not orthogonal to the new pair")
     if not modules.fac_contains(_m_parts(old), [d]):
         raise CertificateFailure("label escapes the old torsion class")

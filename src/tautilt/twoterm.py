@@ -177,26 +177,13 @@ def direct_sum_complexes(parts):
     terms = {i: [v for t in parts for v in t.term_vertices(i)] for i in degrees}
     diffs = {}
     for i in degrees:
-        if i + 1 not in terms:
-            continue
-        rows = []
-        for pi, part in enumerate(parts):
-            tgt_len = len(part.term_vertices(i + 1))
-            if tgt_len == 0:
-                continue
-            blocks = part.diff(i)
-            row_block = []
-            for l in range(tgt_len):
-                row = []
-                for qi, other in enumerate(parts):
-                    if qi == pi:
-                        row.extend(blocks[l])
-                    else:
-                        row.extend([zero] * len(other.term_vertices(i)))
-                row_block.append(row)
-            rows.extend(row_block)
-        if rows:
-            diffs[i] = rows
+        # block diagonal: each part's rows, padded by the other parts' columns
+        widths = [len(t.term_vertices(i)) for t in parts]
+        diffs[i] = [
+            [zero] * sum(widths[:k]) + row + [zero] * sum(widths[k + 1 :])
+            for k, t in enumerate(parts)
+            for row in t.diff(i)
+        ]
     return ProjectiveComplex(alg, terms, diffs, check=False)
 
 
@@ -248,19 +235,16 @@ def to_tau_pair(t):
     """Pair (H^0, shifted part) of a minimal two-term complex.
 
     A complex that carries its summands (see sum_of_summands) gives a pair
-    that carries them too, one row per summand from _summand_row, and M is
-    the direct sum of their H^0s in the complex's part order.
+    that carries them too, one row per summand from _summand_row, and M
+    and P are the sums of its rows in the complex's part order (ascending
+    v for the P_v, by _sort_key), built when first read.
     """
     alg = t.algebra
-    if t.parts is None:
-        m, shift = _h0_and_shift(t)
-        rows = None
-    else:
-        rows = [_summand_row(c) for c in t.parts]
-        m = modules.sum_or_zero(alg, [rep for kind, rep, _ in rows if kind == "m"])
-        shift = [c.term_vertices(-1)[0] for kind, _, c in rows if kind == "p"]
+    if t.parts is not None:
+        return modules.TauPair(rows=[_summand_row(c) for c in t.parts], algebra=alg)
+    m, shift = _h0_and_shift(t)
     p = modules.ProjSum(alg, sorted(shift)).rep if shift else modules.zero_rep(alg)
-    return modules.TauPair(m, p, rows=rows)
+    return modules.TauPair(m, p)
 
 
 def _h0_and_shift(t):
@@ -337,10 +321,6 @@ def _block_layout(x, y, shift):
     return layout, offset
 
 
-def _layout_index(layout):
-    return {(i, m, k): (qs, offset) for i, m, k, qs, offset in layout}
-
-
 def chain_hom_data(x, y, shift=0):
     """Chain maps x -> y[shift] and null-homotopies, as exact linear data.
 
@@ -352,7 +332,7 @@ def chain_hom_data(x, y, shift=0):
     field = alg.field
     sign = field(1) if shift % 2 == 0 else field(-1)
     layout, total = _block_layout(x, y, shift)
-    index = _layout_index(layout)
+    index = {(i, m, k): (qs, offset) for i, m, k, qs, offset in layout}
 
     rows = []
     for i in x.support():
@@ -640,12 +620,30 @@ def sum_of_summands(parts):
 
     The parts go in the canonical order of _sort_key, and the sum carries
     them as its decomposition: decompose_complex returns them without a
-    search.
+    search.  Its terms are assembled when first read.
     """
-    parts = sorted(parts, key=_sort_key)
-    out = direct_sum_complexes(parts)
-    out.parts = tuple(parts)
-    return out
+    if not parts:
+        raise TautiltError("empty sum needs an algebra; use zero_complex")
+    return _SummedComplex(sorted(parts, key=_sort_key))
+
+
+class _SummedComplex(ProjectiveComplex):
+    """The direct sum of its parts, whose terms and differentials are
+    assembled when first read; is_two_term reads the parts."""
+
+    def __init__(self, parts):
+        self.algebra, self.parts = parts[0].algebra, tuple(parts)
+        self._key, self._psums = None, {}
+
+    def __getattr__(self, name):
+        if name not in ("terms", "diffs"):
+            raise AttributeError(name)
+        whole = direct_sum_complexes(self.parts)
+        self.terms, self.diffs = whole.terms, whole.diffs
+        return getattr(self, name)
+
+    def is_two_term(self):
+        return all(c.is_two_term() for c in self.parts)
 
 
 def is_isomorphic_complex(a, b):
@@ -758,20 +756,33 @@ def _compose_blocks(second, first, src, mid, tgt):
     return out
 
 
+def _chain_data(x, y):
+    """chain_hom_data(x, y, 0), cached per (x, y) content."""
+    alg = x.algebra
+    key = ("chain_hom", x.key(), y.key())
+    if key not in alg.cache:
+        alg.cache[key] = chain_hom_data(x, y, 0)
+    return alg.cache[key]
+
+
 def _hom_rep_basis(x, y):
     """Representatives of a basis of Hom(x, y) modulo homotopy, and the
-    null-homotopic maps and layout of the same coordinates."""
-    chains, boundaries, layout = chain_hom_data(x, y, 0)
-    if not chains:
-        return [], boundaries, layout
-    width = len(chains[0])
-    solver = linalg.RowSolver(boundaries, x.algebra.field, width)
-    kept = []
-    for vec in chains:
-        if not solver.contains(vec):
-            kept.append(vec)
-            solver = linalg.RowSolver(boundaries + kept, x.algebra.field, width)
-    return kept, boundaries, layout
+    null-homotopic maps and layout of the same coordinates, cached per
+    (x, y) content."""
+    alg = x.algebra
+    key = ("hom_rep", x.key(), y.key())
+    if key not in alg.cache:
+        chains, boundaries, layout = _chain_data(x, y)
+        kept = []
+        if chains:
+            width = len(chains[0])
+            solver = linalg.RowSolver(boundaries, alg.field, width)
+            for vec in chains:
+                if not solver.contains(vec):
+                    kept.append(vec)
+                    solver = linalg.RowSolver(boundaries + kept, alg.field, width)
+        alg.cache[key] = kept, boundaries, layout
+    return alg.cache[key]
 
 
 def min_left_approx(x, parts):
@@ -803,7 +814,7 @@ def min_left_approx(x, parts):
             if d == c or not kept[d]:
                 continue
             if (i, j) not in maps:
-                chains, _, layout = chain_hom_data(parts[i], parts[j], 0)
+                chains, _, layout = _chain_data(parts[i], parts[j])
                 maps[i, j] = [vec_to_blocks(parts[i], parts[j], 0, layout, v) for v in chains]
             if (d, j) not in comps:
                 comps[d, j] = [

@@ -20,6 +20,10 @@ TEXT = {
         "vertex 1 2 3\narrow a 1 2\narrow b 2 3\narrow c 3 1\n"
         "relation a*b\nrelation b*c\nrelation c*a\n"
     ),
+    "cyc4": (
+        "vertex 1 2 3 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 1\n"
+        "relation a*b\nrelation b*c\nrelation c*d\nrelation d*a\n"
+    ),
 }
 
 
@@ -143,7 +147,7 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
     assert from_cones
 
 
-FAMILIES = ("trace", "trace_quotient", "fac", "check_pair", "left_cone")
+FAMILIES = ("trace", "trace_quotient", "fac", "check_pair", "left_cone", "chain_hom", "hom_rep")
 
 
 def _answers(alg, reductions):
@@ -187,6 +191,25 @@ def test_warm_caches_answer_as_a_cold_twin():
     again = _answers(warm, warm_rds)
     assert _entries(warm, warm_rds) == filled  # every answer was a hit
     assert again == _answers(_fresh("cyc3"), {})
+
+
+def test_walk_computes_each_chain_hom_once(monkeypatch):
+    # the walk reads the Hom data of each (summand, part) and each pair of
+    # parts from the content caches, over A and, for right mutations, A^op
+    alg = _fresh("cyc4")
+    computed = Counter()
+    chain_hom_data = tt.chain_hom_data
+
+    def counted(x, y, shift=0):
+        computed[x.algebra is alg, x.key(), y.key(), shift] += 1
+        return chain_hom_data(x, y, shift)
+
+    monkeypatch.setattr(tt, "chain_hom_data", counted)
+    graph = ex.build_exchange_graph(alg)
+    assert len(computed) > 50
+    assert max(computed.values()) == 1
+    assert (len(graph), len(graph.edges)) == (34, 68)
+    assert len(ex.maximal_green_sequences(graph, to.free_pair(alg))) == 68
 
 
 def test_check_pair_refuses_a_non_basic_pair_on_every_call():

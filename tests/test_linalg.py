@@ -61,6 +61,42 @@ def test_det():
     assert linalg.det([], QQ) == Fraction(1)
 
 
+def _mat_mul_int(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def test_int_det_of_fixed_matrices():
+    assert linalg.int_det([]) == 1
+    assert linalg.int_det([[0]]) == 0
+    assert linalg.int_det([[1, 2], [2, 4]]) == 0
+    assert linalg.int_det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    assert linalg.int_det([[1, 3], [1, 1]]) == -2
+    assert linalg.int_det([[0, 2, 0], [1, 0, 0], [0, 0, -1]]) == 2
+    assert linalg.int_det([[1, 1, 0], [-1, 1, 0], [0, 0, 1]]) == 2
+
+
+def test_int_det_of_a_unimodular_matrix_with_large_minors():
+    # L U with unitriangular factors has determinant 1, but its minors,
+    # the intermediate entries of Bareiss elimination, are large
+    lower = [
+        [1, 0, 0, 0, 0],
+        [37, 1, 0, 0, 0],
+        [-58, 91, 1, 0, 0],
+        [44, -73, 29, 1, 0],
+        [-66, 17, -83, 52, 1],
+    ]
+    upper = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+    for i, j, c in [(0, 1, 61), (0, 4, -97), (1, 2, -47), (1, 3, 88), (2, 4, 71), (3, 4, -39)]:
+        upper[i][j] = c
+    mat = _mat_mul_int(lower, upper)
+    assert max(abs(c) for row in mat for c in row) > 5000
+    copy = [list(row) for row in mat]
+    assert linalg.int_det(mat) == 1 == linalg.det(q(mat), QQ)
+    assert mat == copy  # the input is not eliminated in place
+    swapped = [mat[1], mat[0]] + mat[2:]
+    assert linalg.int_det(swapped) == -1 == linalg.det(q(swapped), QQ)
+
+
 def test_row_solver_express():
     rows = q([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
     solver = linalg.RowSolver(rows, QQ)

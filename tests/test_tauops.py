@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 
 from tautilt import explorer as ex
+from tautilt import linalg
 from tautilt import modules as md
 from tautilt import tauops as to
 from tautilt import twoterm as tt
@@ -1000,3 +1001,66 @@ def test_brick_labels_are_bricks(cyc3):
         d = to.brick_label(a, b)
         assert md.is_brick(d)
         assert not md.hom_basis(b.m, d)
+
+
+# ---------------------------------------------------------------------------
+# a pair that carries its rows builds M, P and its complex only when read
+
+LAZY = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc3/F3": lambda: _cycle(3, Field(3)),
+}
+
+
+def _eager_walked(pair):
+    # M and P of a walked node as they were built eagerly from the mutated
+    # complex: the module rows summed in row order, and the ProjSum of the
+    # shifted vertices in ascending order
+    alg = pair.algebra
+    m_parts = [rep for kind, rep, _ in pair.rows if kind == "m"]
+    shift = sorted(md._projective_vertex(rep) for kind, rep, _ in pair.rows if kind == "p")
+    m = md.direct_sum(m_parts)[0] if m_parts else md.zero_rep(alg)
+    p = md.ProjSum(alg, shift).rep if shift else md.zero_rep(alg)
+    return m.key(), p.key()
+
+
+@pytest.mark.parametrize("name", sorted(LAZY))
+def test_lazy_m_and_p_match_the_eager_construction(name):
+    alg = LAZY[name]()
+    for node in ex.build_exchange_graph(alg).node_list():
+        assert (node.m.key(), node.p.key()) == _eager_walked(node)
+    projectives = md.direct_sum([md.projective(alg, v) for v in range(alg.n)])[0].key()
+    zero = md.zero_rep(alg).key()
+    free, shifted = to.free_pair(alg), to.shifted_pair(alg)
+    assert (free.m.key(), free.p.key()) == (projectives, zero)
+    assert (shifted.m.key(), shifted.p.key()) == (zero, projectives)
+
+
+def test_walk_builds_no_module_sum_or_fraction_determinant(monkeypatch):
+    alg = _linear(4, QQ)
+    calls = []
+    for mod, fn in ((md, "direct_sum"), (linalg, "det")):
+        real = getattr(mod, fn)
+
+        def counted(*args, _real=real, _fn=fn):
+            calls.append(_fn)
+            return _real(*args)
+
+        monkeypatch.setattr(mod, fn, counted)
+    graph = ex.build_exchange_graph(alg)
+    assert graph.complete and len(graph) == 42
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["A4", "cyc4", "PiA3"])
+def test_integer_determinant_matches_the_fraction_one_on_walked_g_matrices(name):
+    alg = NAMED[name]()
+    for node in ex.build_exchange_graph(alg).node_list():
+        mat = [list(token[1]) for token in node.tokens]
+        doubled = [[2 * c for c in mat[0]]] + mat[1:]
+        for m, size in ((mat, 1), (doubled, 2)):
+            d = linalg.int_det(m)
+            assert abs(d) == size
+            assert QQ(d) == linalg.det([[QQ(c) for c in row] for row in m], QQ)
+
