@@ -7,6 +7,9 @@ Peirce pair (i, j), meaning e_i * b * e_j = b.  Paths compose left to right:
 for arrows p: u -> v and q: v -> w the product p*q is a path u -> w.
 """
 
+import heapq
+import itertools
+
 from . import linalg
 from .errors import (
     MalformedRelation,
@@ -270,30 +273,40 @@ class BasicAlgebra:
         """Smallest m with rad^m = 0; raises NotBasic if the span never dies."""
         key = "rad_nilpotency"
         if key not in self.cache:
-            span = [self._basis_vec(k) for k in self.radical_indices()]
+            zero, one = self.field.zero, self.field.one
+            span = [list(self.basis_element(k).coeffs) for k in self.radical_indices()]
             m = 1
             while span:
                 if m > self.dim + 1:
                     raise NotBasic("radical span is not nilpotent")
                 nxt = []
                 for vec in span:
+                    left = {i: c for i, c in enumerate(vec) if c}
                     for k in self.radical_indices():
-                        prod = AlgebraElement(self, vec) * self.basis_element(k)
+                        prod = self._product(left, {k: one})
                         if prod:
-                            nxt.append(list(prod.coeffs))
+                            nxt.append([prod.get(i, zero) for i in range(self.dim)])
                 span = linalg.row_space_basis(nxt, self.field) if nxt else []
                 m += 1
             self.cache[key] = m
         return self.cache[key]
 
-    def _basis_vec(self, k):
-        vec = [self.field.zero] * self.dim
-        vec[k] = self.field.one
-        return vec
+    def _product(self, u, v):
+        """Product of sparse elements {basis index: coeff}, zeros dropped."""
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, c in self.mult.get((i, j), ()):
+                    out[k] = out.get(k, self.field.zero) + a * b * c
+        return {k: c for k, c in out.items() if c}
 
     def validate(self):
-        """Checks unit laws, Peirce consistency, associativity, basicness."""
-        zero, one = self.field.zero, self.field.one
+        """Checks Peirce consistency, unit laws, associativity, basicness.
+
+        Once products of non-composable basis elements are known to vanish,
+        every triple with a non-composable neighbouring pair is zero on both
+        sides, so associativity is tested on composable triples only."""
+        one = self.field.one
         for (i, j), entries in self.mult.items():
             pi, pj = self.peirce[i], self.peirce[j]
             if pi[1] != pj[0] and entries:
@@ -306,19 +319,18 @@ class BasicAlgebra:
                 if i >= self.n or j >= self.n:
                     if k < self.n:
                         raise NotBasic("radical product has an idempotent component")
-        unit = self.one()
+        unit = {i: one for i in range(self.n)}
         for k in range(self.dim):
-            b = self.basis_element(k)
-            if unit * b != b or b * unit != b:
+            b = {k: one}
+            if self._product(unit, b) != b or self._product(b, unit) != b:
                 raise TautiltError("sum of idempotents is not a unit")
+        starting = [[k for k, (i, _) in enumerate(self.peirce) if i == v] for v in range(self.n)]
         for i in range(self.dim):
-            bi = self.basis_element(i)
-            for j in range(self.dim):
-                bij = bi * self.basis_element(j)
-                for k in range(self.dim):
-                    left = bij * self.basis_element(k)
-                    right = bi * (self.basis_element(j) * self.basis_element(k))
-                    if left != right:
+            for j in starting[self.peirce[i][1]]:
+                ij = dict(self.mult.get((i, j), ()))
+                for k in starting[self.peirce[j][1]]:
+                    jk = dict(self.mult.get((j, k), ()))
+                    if self._product(ij, {k: one}) != self._product({i: one}, jk):
                         raise TautiltError(
                             f"associativity fails on basis triple ({i},{j},{k})"
                         )
@@ -386,162 +398,142 @@ def local_inverse(x, vertex):
 def compile_bound_quiver(quiver, relations, field, length_bound=12):
     """Quotient of the path algebra by the two-sided ideal of the relations.
 
-    Paths are enumerated up to length_bound; relation instances are the
-    relations pre- and post-composed with all paths that fit inside the
-    window, eliminated by row echelon with longer paths preferred as pivots.
-    Finite-dimensionality is certified by stabilization: every path of length
-    exactly length_bound must reduce to shorter ones.
+    Paths are words of arrow indices, ordered by length and then by word.
+    The relations are completed to rewriting rules (a noncommutative Groebner
+    basis; Bergman's diamond lemma): each rule rewrites its leading word, the
+    largest word of an ideal element, as a combination of smaller words.  On
+    relations homogeneous in path length this is elimination degree by
+    degree.  The basis is the normal words, those that contain no leading
+    word, found degree by degree, and the product of two basis elements is
+    the normal form of their concatenation.  length_bound is the longest
+    normal word before the input is called infinite-dimensional; overlaps
+    longer than it are not resolved, so `validate` certifies the result.
 
     Raises:
-        NotFiniteDimensional: if reduction leaves a path of maximal length
-            alive (raise the bound if the algebra is genuinely small).
-        MalformedRelation: if a relation term does not fit in the window.
+        NotFiniteDimensional: if a normal word of length length_bound
+            exists, or more than PATH_CAP normal words do.
+        MalformedRelation: if a relation term is longer than length_bound.
     """
     if length_bound < 2:
         raise TautiltError("length_bound must be at least 2")
-    nverts = len(quiver.vertices)
     arrows = quiver.arrows
     arrow_src = [quiver.vertex_index[a[1]] for a in arrows]
     arrow_tgt = [quiver.vertex_index[a[2]] for a in arrows]
+    zero, one = field.zero, field.one
+    rules = {}  # leading word -> {smaller word: coeff}, equal in the quotient
+    pending = []  # heap of (order of leading word, arrival, element)
+    arrival = itertools.count()
 
-    # all paths up to the bound: (source vertex, word of arrow indices)
-    paths = [[(v, ())] for v in range(nverts)]
-    by_length = [[(v, ()) for v in range(nverts)]]
-    for length in range(1, length_bound + 1):
-        layer = []
-        for src, word in by_length[-1]:
-            end = arrow_tgt[word[-1]] if word else src
-            for a in range(len(arrows)):
-                if arrow_src[a] == end:
-                    layer.append((src, word + (a,)))
-        by_length.append(layer)
-        if sum(len(lv) for lv in by_length) > PATH_CAP:
-            raise NotFiniteDimensional(
-                f"more than {PATH_CAP} paths below length {length_bound}; "
-                "the quiver is too wild for this tool or the bound is too large; "
-                "lower length_bound (workspace directive 'bound <n>')"
-            )
-    all_paths = [p for layer in by_length for p in layer]
-    all_paths.sort(key=lambda p: (len(p[1]), p[1]))
-    path_pos = {p: i for i, p in enumerate(all_paths)}
-    npaths = len(all_paths)
+    def order(word):
+        return (len(word), word)
 
-    def path_endpoints(p):
-        src, word = p
-        return src, (arrow_tgt[word[-1]] if word else src)
+    def add(elt, word, c):
+        c = elt.get(word, zero) + c
+        if c:
+            elt[word] = c
+        else:
+            elt.pop(word, None)
 
-    # relation instances inside the window, as vectors over all paths
-    rel_rows = []
+    def normal_form(elt):
+        """Rewrite the largest reducible word first until none is left."""
+        elt, out = dict(elt), {}
+        while elt:
+            word = max(elt, key=order)
+            c = elt.pop(word)
+            for start, stop in itertools.combinations(range(len(word) + 1), 2):
+                if word[start:stop] in rules:
+                    for t, ct in rules[word[start:stop]].items():
+                        add(elt, word[:start] + t + word[stop:], c * ct)
+                    break
+            else:
+                out[word] = c
+        return out
+
+    def push(elt):
+        if elt:
+            heapq.heappush(pending, (order(max(elt, key=order)), next(arrival), elt))
+
+    def push_overlaps(f, g):
+        """Queue the two rewritings of each word where f's end is g's start."""
+        for k in range(1, min(len(f), len(g))):
+            if f[-k:] == g[:k] and len(f) + len(g) - k <= length_bound:
+                diff = {}
+                for t, c in rules[f].items():
+                    add(diff, t + g[k:], c)
+                for t, c in rules[g].items():
+                    add(diff, f[:-k] + t, -c)
+                push(diff)
+
     for rel in relations:
-        max_len = max(len(path) for _, path in rel.terms)
-        if max_len > length_bound:
+        if max(len(path) for _, path in rel.terms) > length_bound:
             raise MalformedRelation("relation term longer than length bound")
-        rsrc = quiver.vertex_index[rel.source]
-        rtgt = quiver.vertex_index[rel.target]
-        term_words = [
-            (field(c) if not _is_field_elt(c) else c, tuple(quiver.arrow_index[l] for l in path))
-            for c, path in rel.terms
-        ]
-        for p in all_paths:
-            psrc, pend = path_endpoints(p)
-            if pend != rsrc:
-                continue
-            for q in all_paths:
-                qsrc, qend = path_endpoints(q)
-                if qsrc != rtgt:
-                    continue
-                if len(p[1]) + max_len + len(q[1]) > length_bound:
-                    continue
-                row = [field.zero] * npaths
-                for coeff, word in term_words:
-                    full = (psrc, p[1] + word + q[1])
-                    row[path_pos[full]] = row[path_pos[full]] + coeff
-                if any(row):
-                    rel_rows.append(row)
+        elt = {}
+        for c, path in rel.terms:
+            word = tuple(quiver.arrow_index[lbl] for lbl in path)
+            add(elt, word, c if _is_field_elt(c) else field(c))
+        push(elt)
+    while pending:
+        elt = normal_form(heapq.heappop(pending)[-1])
+        if not elt:
+            continue
+        lead = max(elt, key=order)
+        scale = -one / elt.pop(lead)
+        # no leading word may contain another: such a rule is reduced again
+        for old in list(rules):
+            if any(lead == old[i : i + len(lead)] for i in range(len(old))):
+                back = {w: -c for w, c in rules.pop(old).items()}
+                back[old] = one
+                push(back)
+        rules[lead] = {w: c * scale for w, c in elt.items()}
+        for other in list(rules):
+            push_overlaps(lead, other)
+            if other != lead:
+                push_overlaps(other, lead)
 
-    # eliminate with longest paths as pivots: reverse the column order
-    rev_rows = [list(reversed(row)) for row in rel_rows]
-    reduced, pivots = linalg.rref(rev_rows, field) if rev_rows else ([], [])
-    pivot_paths = {npaths - 1 - c for c in pivots}
-    basis_positions = [i for i in range(npaths) if i not in pivot_paths]
-
-    expansions = {}
-    for r, c in enumerate(pivots):
-        pos = npaths - 1 - c
-        expansion = {}
-        for c2 in range(c + 1, npaths):
-            val = reduced[r][c2]
-            if val:
-                expansion[npaths - 1 - c2] = -val
-        expansions[pos] = expansion
-
-    for pos in basis_positions:
-        if len(all_paths[pos][1]) == length_bound:
+    basis = [(v, ()) for v in range(len(quiver.vertices))]
+    layer = [(src, (a,)) for a, src in enumerate(arrow_src)]
+    while layer:
+        if len(layer[0][1]) == length_bound:
             raise NotFiniteDimensional(
                 f"path of length {length_bound} survives reduction; "
                 "the algebra is infinite-dimensional or the bound is too small"
             )
+        basis += layer
+        if len(basis) > PATH_CAP:
+            raise NotFiniteDimensional(
+                f"more than {PATH_CAP} normal words below length {length_bound}; "
+                "the algebra is infinite-dimensional or too large for this tool "
+                "(workspace directive 'bound <n>' sets the length)"
+            )
+        # a layer sorted by word stays sorted when extended arrow by arrow
+        layer = [
+            (src, word + (a,))
+            for src, word in layer
+            for a in range(len(arrows))
+            if arrow_src[a] == arrow_tgt[word[-1]]
+            and not any(word[i:] + (a,) in rules for i in range(len(word)))
+        ]
 
-    basis_paths = [all_paths[pos] for pos in basis_positions]
-    basis_index = {p: k for k, p in enumerate(basis_paths)}
-    dim = len(basis_paths)
-
-    def reduce_position(pos):
-        """Residue of a path position as {basis index: coeff}."""
-        if pos in expansions:
-            out = {}
-            for pos2, c in expansions[pos].items():
-                for k, c2 in reduce_position(pos2).items():
-                    out[k] = out.get(k, field.zero) + c * c2
-            return {k: v for k, v in out.items() if v}
-        return {basis_index[all_paths[pos]]: field.one}
-
-    # one-arrow extension table drives all products
-    arrow_step = {}
-    for k, (src, word) in enumerate(basis_paths):
-        end = arrow_tgt[word[-1]] if word else src
-        for a in range(len(arrows)):
-            if arrow_src[a] != end:
-                continue
-            full = (src, word + (a,))
-            arrow_step[(k, a)] = reduce_position(path_pos[full])
-
+    index = {p: k for k, p in enumerate(basis)}
+    ends = [arrow_tgt[word[-1]] if word else src for src, word in basis]
     mult = {}
-    for i, pi in enumerate(basis_paths):
-        for j, pj in enumerate(basis_paths):
-            isrc, iend = path_endpoints(pi)
-            jsrc, _ = path_endpoints(pj)
-            if iend != jsrc:
-                continue
-            acc = {i: field.one}
-            for a in pj[1]:
-                nxt = {}
-                for k, c in acc.items():
-                    for k2, c2 in arrow_step.get((k, a), {}).items():
-                        nxt[k2] = nxt.get(k2, field.zero) + c * c2
-                acc = {k: v for k, v in nxt.items() if v}
-            if acc:
-                mult[(i, j)] = tuple(sorted(acc.items()))
-
-    names = []
-    peirce = []
-    words = []
-    for src, word in basis_paths:
-        end = arrow_tgt[word[-1]] if word else src
-        peirce.append((src, end))
-        words.append(word)
-        if word:
-            names.append("*".join(arrows[a][0] for a in word))
-        else:
-            names.append(f"e_{quiver.vertices[src]}")
+    for i, (src, iword) in enumerate(basis):
+        for j, (jsrc, jword) in enumerate(basis):
+            if jsrc == ends[i]:
+                prod = normal_form({iword + jword: one})
+                if prod:
+                    mult[(i, j)] = tuple(sorted((index[(src, w)], c) for w, c in prod.items()))
 
     algebra = BasicAlgebra(
         field,
         quiver.vertices,
-        names,
-        peirce,
+        [
+            "*".join(arrows[a][0] for a in word) if word else f"e_{quiver.vertices[src]}"
+            for src, word in basis
+        ],
+        [(src, end) for (src, _), end in zip(basis, ends)],
         mult,
-        words=words,
+        words=[word for _, word in basis],
         arrows=[(lbl, quiver.vertex_index[s], quiver.vertex_index[t]) for lbl, s, t in arrows],
     )
     algebra.validate()

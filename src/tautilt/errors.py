@@ -6,7 +6,7 @@ class TautiltError(Exception):
 
 
 class NotFiniteDimensional(TautiltError):
-    """Path space keeps growing past the configured length bound."""
+    """Normal words keep growing past the configured length bound."""
 
 
 class MalformedRelation(TautiltError):

@@ -169,8 +169,11 @@ def shifted_silting(algebra):
 
 
 def direct_sum_complexes(parts):
+    """The block-diagonal sum; a single part is returned as it is."""
     if not parts:
         raise TautiltError("empty sum needs an algebra; use zero_complex")
+    if len(parts) == 1:
+        return parts[0]
     alg = parts[0].algebra
     zero = alg.zero_element()
     degrees = sorted({i for t in parts for i in t.terms})

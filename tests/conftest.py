@@ -42,20 +42,33 @@ def point():
 
 
 @pytest.fixture(scope="session")
-def pi_a3():
+def pi_a3(preprojective):
     """Preprojective algebra of A3: arrows a1: 1 -> 2, a2: 2 -> 3 and their
     reverses b1, b2, with a1*b1 = b1*a1 - a2*b2 = b2*a2 = 0.  End(P2) is
     local of dimension 2."""
-    q = Quiver(
-        ["1", "2", "3"],
-        [("a1", "1", "2"), ("a2", "2", "3"), ("b1", "2", "1"), ("b2", "3", "2")],
-    )
-    rels = [
-        Relation(q, [(1, ("a1", "b1"))]),
-        Relation(q, [(1, ("b1", "a1")), (-1, ("a2", "b2"))]),
-        Relation(q, [(1, ("b2", "a2"))]),
-    ]
-    return compile_bound_quiver(q, rels, QQ)
+    return preprojective(3)
+
+
+@pytest.fixture(scope="session")
+def preprojective():
+    """Builds the preprojective algebra of A_n over Q, with arrows
+    a_i: i -> i+1 and b_i: i+1 -> i, a1*b1 = 0, b_i*a_i = a_(i+1)*b_(i+1)
+    and b_(n-1)*a_(n-1) = 0; its dimension is n(n+1)(n+2)/6."""
+
+    def build(n, bound=12):
+        labels = [str(i + 1) for i in range(n)]
+        arrows = [(f"a{i}", labels[i - 1], labels[i]) for i in range(1, n)]
+        arrows += [(f"b{i}", labels[i], labels[i - 1]) for i in range(1, n)]
+        q = Quiver(labels, arrows)
+        rels = [Relation(q, [(1, ("a1", "b1"))])]
+        rels += [
+            Relation(q, [(1, (f"b{i}", f"a{i}")), (-1, (f"a{i + 1}", f"b{i + 1}"))])
+            for i in range(1, n - 1)
+        ]
+        rels.append(Relation(q, [(1, (f"b{n - 1}", f"a{n - 1}"))]))
+        return compile_bound_quiver(q, rels, QQ, length_bound=bound)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,16 @@
+import hashlib
+
 import pytest
 
 from tautilt.algebra import (
+    BasicAlgebra,
     Quiver,
     Relation,
     compile_bound_quiver,
     is_isomorphic_algebra,
     local_inverse,
 )
-from tautilt.errors import MalformedRelation, NotFiniteDimensional, TautiltError
+from tautilt.errors import MalformedRelation, NotBasic, NotFiniteDimensional, TautiltError
 from tautilt.linalg import QQ, Field
 
 
@@ -70,6 +73,10 @@ def test_loop_without_relation_is_infinite():
     q = Quiver(["1"], [("x", "1", "1")])
     with pytest.raises(NotFiniteDimensional):
         compile_bound_quiver(q, [], QQ, length_bound=6)
+    # three free loops pass the cap on normal words before length 12
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1"), ("z", "1", "1")])
+    with pytest.raises(NotFiniteDimensional, match="bound <n>"):
+        compile_bound_quiver(q, [], QQ)
 
 
 def test_loop_with_power_relation():
@@ -162,3 +169,96 @@ def test_is_isomorphic_algebra_rad_square_zero(a2):
 def test_path_element_unknown_arrow(a2):
     with pytest.raises(TautiltError):
         a2.path_element(["nope"])
+
+
+def _digest(alg):
+    """sha1 of the names, Peirce pairs, structure constants and words."""
+    mult = sorted((key, tuple((k, str(c)) for k, c in v)) for key, v in alg.mult.items())
+    return hashlib.sha1(repr((alg.names, alg.peirce, mult, alg.words)).encode()).hexdigest()
+
+
+# digests of the algebras as the elimination over a window of all paths
+# compiled them, where Pi(A4) needed bound 7; the completion keeps them
+PINNED = {
+    "a2": "0c3918d3752daf01956530cba5f99e4f180e3a45",
+    "a3": "572af5f03e240cbb442315f37863dc7f851a4e1a",
+    "cyc3": "7fc1b29f606af5115b0a776d857723e828cf4c86",
+    "point": "a837ce0466f6341c44f9361fe640217540ce1153",
+    "sqrt2_module": "8b9e6da59046cf934404884904f8383e21292692",
+    "pi_a3": "7a69f4617f5fa16ca6cd24468c1fde75fa0713ef",
+}
+PI_A4 = "94153543f4ba36e5f42c2d8433a76f4377b572e2"
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_compiled_fixture_algebras_are_pinned(request, name):
+    alg = request.getfixturevalue(name)
+    assert _digest(getattr(alg, "algebra", alg)) == PINNED[name]
+
+
+def test_preprojective_a4_is_pinned_at_both_bounds(preprojective):
+    assert _digest(preprojective(4, bound=7)) == PI_A4
+    assert _digest(preprojective(4)) == PI_A4
+
+
+def test_relations_of_mixed_lengths():
+    # x*y = y*x = 0 and x^2 = y^3: y^3 is rewritten as x^2, and the overlap
+    # y^3*x = y^2*(y*x) gives x^3 = 0, so the basis is e, x, y, x^2, y^2
+    q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = [
+        Relation(q, [(1, ("x", "y"))]),
+        Relation(q, [(1, ("y", "x"))]),
+        Relation(q, [(1, ("x", "x")), (-1, ("y", "y", "y"))]),
+    ]
+    alg = compile_bound_quiver(q, rels, QQ)
+    assert alg.names == ["e_1", "x", "y", "x*x", "y*y"]
+    x, y = alg.path_element(["x"]), alg.path_element(["y"])
+    assert x * x == y * y * y
+    assert (x * x * x).is_zero()
+    assert alg.radical_nilpotency() == 4
+
+
+def _truncated_loop(extra=None, drop=()):
+    """k[x]/(x^2) on the basis e, x, with products changed as given."""
+    one = QQ.one
+    mult = {(0, 0): ((0, one),), (0, 1): ((1, one),), (1, 0): ((1, one),)}
+    mult.update(extra or {})
+    for key in drop:
+        del mult[key]
+    return BasicAlgebra(QQ, ["1"], ["e_1", "x"], [(0, 0), (0, 0)], mult)
+
+
+def _a2(extra):
+    """The path algebra of 1 -> 2 on the basis e_1, e_2, a, products changed."""
+    one = QQ.one
+    mult = {(0, 0): ((0, one),), (1, 1): ((1, one),), (0, 2): ((2, one),), (2, 1): ((2, one),)}
+    mult.update(extra)
+    return BasicAlgebra(QQ, ["1", "2"], ["e_1", "e_2", "a"], [(0, 0), (1, 1), (0, 1)], mult)
+
+
+def _non_associative():
+    """e, x, y, z at one vertex with x*x = y and x*y = z but y*x = 0."""
+    one = QQ.one
+    mult = {(0, k): ((k, one),) for k in range(4)}
+    mult.update({(k, 0): ((k, one),) for k in range(1, 4)})
+    mult.update({(1, 1): ((2, one),), (1, 2): ((3, one),)})
+    return BasicAlgebra(QQ, ["1"], ["e_1", "x", "y", "z"], [(0, 0)] * 4, mult)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: _a2({(2, 0): ((2, QQ.one),)}), TautiltError, "non-composable"),
+        (lambda: _truncated_loop({(1, 1): ((1, QQ.zero),)}), TautiltError, "explicit zero"),
+        (lambda: _a2({(0, 2): ((0, QQ.one),)}), TautiltError, "leaves its Peirce block"),
+        (lambda: _truncated_loop({(1, 1): ((0, QQ.one),)}), NotBasic, "idempotent component"),
+        (lambda: _truncated_loop(drop=[(0, 1)]), TautiltError, "not a unit"),
+        (_non_associative, TautiltError, "associativity fails"),
+        (lambda: _truncated_loop({(1, 1): ((1, QQ.one),)}), NotBasic, "not nilpotent"),
+    ],
+    ids=["composable", "zero", "peirce", "basic", "unit", "associative", "nilpotent"],
+)
+def test_validate_rejects(build, error, message):
+    assert _truncated_loop().validate() and _a2({}).validate()
+    with pytest.raises(error, match=message):
+        build().validate()

@@ -721,6 +721,25 @@ def test_torsion_order_of_linear_an_counts_tamari_intervals(n):
     assert intervals == {3: 68, 4: 399}[n]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_torsion_order_of_preprojective_an_is_the_weak_order(preprojective, n):
+    # the support tau-tilting pairs of Pi(A_n) form the weak order on the
+    # symmetric group S_(n+1) (Mizuno, arXiv:1304.0667): u <= v when every
+    # inversion of u is one of v, and the Hasse edges add one inversion
+    perms = itertools.permutations(range(n + 1))
+    inversions = [
+        {(i, j) for i, j in itertools.combinations(range(n + 1), 2) if p[i] > p[j]}
+        for p in perms
+    ]
+    covers = sum(u < v and len(v) == len(u) + 1 for u in inversions for v in inversions)
+    comparable = sum(u <= v for u in inversions for v in inversions)
+    assert (len(inversions), covers, comparable) == {3: (24, 36, 151), 4: (120, 240, 1899)}[n]
+    graph = ex.build_exchange_graph(preprojective(n))
+    nodes = graph.node_list()
+    assert (len(nodes), len(graph.edges)) == (len(inversions), covers)
+    assert sum(to.pair_leq(a, b) for a in nodes for b in nodes) == comparable
+
+
 @pytest.mark.parametrize("name", ["cyc3", "cyc3/F3"])
 def test_torsion_order_is_reachability_along_left_mutations(name):
     # the Hasse quiver of the order is the left-mutation quiver

@@ -121,6 +121,11 @@ def test_projective_stalk_and_shift_not_presilting(a2):
     assert not tt.is_presilting(t)
 
 
+def test_sum_of_one_part_is_that_part(a2):
+    p1 = tt.stalk_complex(a2, [0])
+    assert tt.direct_sum_complexes([p1]) is p1
+
+
 def test_presilting_requires_two_term(a2):
     three = tt.ProjectiveComplex(a2, {-2: [0], 0: [1]}, {})
     with pytest.raises(PreconditionViolated):

@@ -156,15 +156,38 @@ relation b3*a3
 """
 
 
+PI_A5 = """
+# preprojective algebra of A5, dimension 35
+vertex 1 2 3 4 5
+arrow a1 1 2
+arrow a2 2 3
+arrow a3 3 4
+arrow a4 4 5
+arrow b1 2 1
+arrow b2 3 2
+arrow b3 4 3
+arrow b4 5 4
+relation a1*b1
+relation b1*a1 - a2*b2
+relation b2*a2 - a3*b3
+relation b3*a3 - a4*b4
+relation b4*a4
+"""
+
+
 def test_too_wild_error_names_the_bound_directive():
-    # at the default bound of 12 the path count overflows; the error says
-    # how to lower it, and a lower bound compiles the algebra
-    with pytest.raises(ParseError) as err:
-        wk.parse_workspace(PI_A4)
-    assert "bound <n>" in str(err.value)
+    # Pi(A4) and Pi(A5) need no bound directive; a lower bound that still
+    # exceeds the longest normal word gives the same algebra
+    assert wk.parse_workspace(PI_A4).algebra.dim == 20
+    assert wk.parse_workspace(PI_A5).algebra.dim == 35
     ws = wk.parse_workspace(PI_A4 + "bound 7\n")
     assert ws.algebra.dim == 20
     assert ws.algebra.n == 4
+    # three free loops have more normal words than the cap below length 12;
+    # the error says how to set the length
+    with pytest.raises(ParseError) as err:
+        wk.parse_workspace("vertex 1\narrow x 1 1\narrow y 1 1\narrow z 1 1\n")
+    assert "bound <n>" in str(err.value)
 
 
 def test_field_twice():
