@@ -209,7 +209,7 @@ class BasicAlgebra:
     # -- element constructors -------------------------------------------
 
     def element(self, coeffs):
-        return AlgebraElement(self, [self.field(c) if not _is_field_elt(c) else c for c in coeffs])
+        return AlgebraElement(self, [self.field(c) for c in coeffs])
 
     def zero_element(self):
         return AlgebraElement(self, [self.field.zero] * self.dim)
@@ -365,12 +365,6 @@ class BasicAlgebra:
         return f"BasicAlgebra(n={self.n}, dim={self.dim}, field={self.field})"
 
 
-def _is_field_elt(x):
-    from fractions import Fraction
-
-    return isinstance(x, (Fraction, linalg.PrimeFieldElement))
-
-
 def local_inverse(x, vertex):
     """Inverse of x in e_v A e_v assuming x = c*e_v + nilpotent with c != 0.
 
@@ -380,7 +374,8 @@ def local_inverse(x, vertex):
     c = x.scalar_part(vertex)
     if not c:
         raise TautiltError("element has no invertible scalar part")
-    n = x.scale(alg.field.one / c) - alg.e(vertex)
+    c_inv = alg.field.inv(c)
+    n = x.scale(c_inv) - alg.e(vertex)
     inv = alg.e(vertex)
     power = alg.e(vertex)
     sign = alg.field.one
@@ -390,9 +385,10 @@ def local_inverse(x, vertex):
             break
         sign = -sign
         inv = inv + power.scale(sign)
-    if not (x * inv.scale(alg.field.one / c) == alg.e(vertex)):
+    inv = inv.scale(c_inv)
+    if not (x * inv == alg.e(vertex)):
         raise TautiltError("element is not invertible in its corner")
-    return inv.scale(alg.field.one / c)
+    return inv
 
 
 def compile_bound_quiver(quiver, relations, field, length_bound=12):
@@ -406,8 +402,11 @@ def compile_bound_quiver(quiver, relations, field, length_bound=12):
     degree.  The basis is the normal words, those that contain no leading
     word, found degree by degree, and the product of two basis elements is
     the normal form of their concatenation.  length_bound is the longest
-    normal word before the input is called infinite-dimensional; overlaps
-    longer than it are not resolved, so `validate` certifies the result.
+    normal word before the input is called infinite-dimensional.  Overlaps
+    shorter than 2 * length_bound are resolved, so relations of mixed
+    lengths meet their consequences; every element pushed lies among the
+    finitely many words of that length, so the completion ends, and the
+    longer overlaps are left unresolved, so `validate` certifies the result.
 
     Raises:
         NotFiniteDimensional: if a normal word of length length_bound
@@ -456,7 +455,7 @@ def compile_bound_quiver(quiver, relations, field, length_bound=12):
     def push_overlaps(f, g):
         """Queue the two rewritings of each word where f's end is g's start."""
         for k in range(1, min(len(f), len(g))):
-            if f[-k:] == g[:k] and len(f) + len(g) - k <= length_bound:
+            if f[-k:] == g[:k] and len(f) + len(g) - k < 2 * length_bound:
                 diff = {}
                 for t, c in rules[f].items():
                     add(diff, t + g[k:], c)
@@ -470,14 +469,14 @@ def compile_bound_quiver(quiver, relations, field, length_bound=12):
         elt = {}
         for c, path in rel.terms:
             word = tuple(quiver.arrow_index[lbl] for lbl in path)
-            add(elt, word, c if _is_field_elt(c) else field(c))
+            add(elt, word, field(c))
         push(elt)
     while pending:
         elt = normal_form(heapq.heappop(pending)[-1])
         if not elt:
             continue
         lead = max(elt, key=order)
-        scale = -one / elt.pop(lead)
+        scale = -field.inv(elt.pop(lead))
         # no leading word may contain another: such a rule is reduced again
         for old in list(rules):
             if any(lead == old[i : i + len(lead)] for i in range(len(old))):

@@ -1,5 +1,13 @@
 """Exact dense linear algebra over Q or a prime field F_p.
 
+An element of Q is a plain int when it is integral and a Fraction only when
+it is not; the two compare, hash and str() alike, so keys and output do not
+see the difference.  Ints are closed under +, - and *, but int / int is a
+float, so every division goes through Field.inv or Field.div, which return
+an int for an integral quotient, as coercion does.  A sum or product of
+non-integral Fractions stays a Fraction even when it is integral.  Elements
+of F_p are PrimeFieldElements.
+
 Matrices are lists of row lists.  Module maps elsewhere in the package act on
 row vectors (v |-> v @ M), so the kernel of a map is the left nullspace of its
 matrix; helpers below are named for that convention.  Zero-dimensional spaces
@@ -68,10 +76,10 @@ class Field:
 
     def __call__(self, x):
         if self.char == 0:
-            if isinstance(x, Fraction):
-                return x
-            if isinstance(x, (int, str)):
-                return Fraction(x)
+            if isinstance(x, int):
+                return int(x)
+            if isinstance(x, (Fraction, str)):
+                return _demote(Fraction(x))
             raise TautiltError(f"cannot coerce {x!r} into Q")
         if isinstance(x, PrimeFieldElement):
             if x.p != self.char:
@@ -82,9 +90,23 @@ class Field:
         if isinstance(x, str):
             if "/" in x:
                 num, den = x.split("/")
-                return self(int(num)) / self(int(den))
+                return self.div(self(int(num)), self(int(den)))
             return self(int(x))
         raise TautiltError(f"cannot coerce {x!r} into F_{self.char}")
+
+    def inv(self, x):
+        """1 / x; over Q inv(±1) is ±1 and builds no Fraction."""
+        if not self.char and (x == 1 or x == -1):
+            return x
+        return self.div(self.one, x)
+
+    def div(self, a, b):
+        """a / b; over Q an int when integral (int / int alone is a float)."""
+        if self.char:
+            return a / b
+        if isinstance(a, int) and isinstance(b, int):
+            a = Fraction(a)
+        return _demote(a / b)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -94,6 +116,11 @@ class Field:
 
     def __repr__(self):
         return "Q" if self.char == 0 else f"F_{self.char}"
+
+
+def _demote(q):
+    """A rational as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 QQ = Field(0)
@@ -182,7 +209,7 @@ def rref(mat, field):
         rr = m[r]
         lead = rr[c]
         if lead != one:
-            inv = one / lead
+            inv = field.inv(lead)
             m[r] = rr = [x if not x else inv * x for x in rr]
         for i in range(rows):
             row = m[i]
@@ -257,7 +284,7 @@ def det(mat, field):
             m[c], m[pivot] = m[pivot], m[c]
             result = -result
         result = result * m[c][c]
-        inv = field.one / m[c][c]
+        inv = field.inv(m[c][c])
         for i in range(c + 1, n):
             if m[i][c]:
                 f = m[i][c] * inv
@@ -308,7 +335,7 @@ class RowSolver:
             piv = next((c for c in range(self.width) if vec[c]), None)
             if piv is None:
                 continue
-            inv = field.one / vec[piv]
+            inv = field.inv(vec[piv])
             self.reduced.append([inv * x for x in vec])
             self.pivots.append(piv)
             self._steps.append((i, subtracted, inv))
@@ -372,7 +399,7 @@ def charpoly(mat, field):
             h[c + 1], h[pivot] = h[pivot], h[c + 1]
             for row in h:
                 row[c + 1], row[pivot] = row[pivot], row[c + 1]
-        inv = field.one / h[c + 1][c]
+        inv = field.inv(h[c + 1][c])
         for i in range(c + 2, n):
             if h[i][c]:
                 f = h[i][c] * inv
@@ -432,7 +459,7 @@ def rational_roots(coeffs, field, prime_cap=3000):
     ints = [int(c * denom) for c in coeffs]
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
+            for cand in (field.div(p, q), field.div(-p, q)):
                 if cand not in roots and not poly_eval(coeffs, cand, field):
                     roots.append(cand)
     return roots

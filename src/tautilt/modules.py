@@ -388,22 +388,8 @@ def direct_sum(reps):
         raise TautiltError("direct_sum of nothing needs an algebra; use zero_rep")
     alg = reps[0].algebra
     field = reps[0].field
-    dims = tuple(sum(r.dims[v] for r in reps) for v in range(alg.n))
-    rad_mats = {}
-    for k in alg.radical_indices():
-        i, j = alg.peirce[k]
-        mat = linalg.zeros(dims[i], dims[j], field)
-        ri = 0
-        rj = 0
-        for r in reps:
-            block = r.mats[k]
-            for a, row in enumerate(block):
-                for b, val in enumerate(row):
-                    mat[ri + a][rj + b] = val
-            ri += r.dims[i]
-            rj += r.dims[j]
-        rad_mats[k] = mat
-    total = Representation(alg, dims, rad_mats, check=False)
+    total = _block_sum(reps)
+    dims = total.dims
     injections = []
     projections = []
     offset = [0] * alg.n
@@ -424,6 +410,29 @@ def direct_sum(reps):
         for v in range(alg.n):
             offset[v] += r.dims[v]
     return total, injections, projections
+
+
+def _block_sum(reps):
+    """The direct sum of a nonempty list of modules, block diagonal, with
+    no injections or projections."""
+    alg = reps[0].algebra
+    field = reps[0].field
+    dims = tuple(sum(r.dims[v] for r in reps) for v in range(alg.n))
+    rad_mats = {}
+    for k in alg.radical_indices():
+        i, j = alg.peirce[k]
+        mat = linalg.zeros(dims[i], dims[j], field)
+        ri = 0
+        rj = 0
+        for r in reps:
+            block = r.mats[k]
+            for a, row in enumerate(block):
+                for b, val in enumerate(row):
+                    mat[ri + a][rj + b] = val
+            ri += r.dims[i]
+            rj += r.dims[j]
+        rad_mats[k] = mat
+    return Representation(alg, dims, rad_mats, check=False)
 
 
 # -- Hom spaces ------------------------------------------------------------
@@ -780,8 +789,8 @@ def _single_eigenvalue(mat, field):
     while field.char and (d // q) % field.char == 0:
         q *= field.char
     if q == 1:
-        return sum((mat[i][i] for i in range(d)), field.zero) / field(d)
-    return -linalg.charpoly(mat, field)[d - q] / field(d // q)
+        return field.div(sum((mat[i][i] for i in range(d)), field.zero), field(d))
+    return -field.div(linalg.charpoly(mat, field)[d - q], field(d // q))
 
 
 def _local_radical(endos, ident):
@@ -1237,7 +1246,7 @@ def _group_rows(rows, tokens, kind):
 
 def sum_or_zero(algebra, parts):
     """The direct sum of the given modules, or 0 when there are none."""
-    return direct_sum(list(parts))[0] if parts else zero_rep(algebra)
+    return _block_sum(parts) if parts else zero_rep(algebra)
 
 
 def pair_from_summands(algebra, m_parts, p_parts):
@@ -1380,7 +1389,7 @@ def rep_from_arrows(algebra, dims, arrow_mats, check=True):
         m = arrow_mats.get(lbl)
         if m is None:
             raise TautiltError(f"missing matrix for arrow {lbl!r}")
-        m = [[field(x) if not isinstance(x, type(field.zero)) else x for x in row] for row in m]
+        m = [[field(x) for x in row] for row in m]
         if len(m) != dims[s] or (dims[s] and linalg.ncols(m) != dims[t]):
             raise TautiltError(f"matrix for arrow {lbl!r} has wrong shape")
         if dims[s] == 0:

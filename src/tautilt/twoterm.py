@@ -608,7 +608,8 @@ def _split_through_h0(t):
 def _sort_key(t):
     """key() with F_p coefficients read as residues, so every field sorts.
 
-    Over Q the coefficients stay Fractions, which keeps their order.
+    Over Q the coefficients are ints and Fractions, which compare with each
+    other, so they keep their order.
     """
     if not t.field.char:
         return t.key()

@@ -4,6 +4,7 @@ computed once per content, and a warm cache answers as a cold one does."""
 
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ TEXT = {
         "vertex 1 2 3 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\narrow d 4 1\n"
         "relation a*b\nrelation b*c\nrelation c*d\nrelation d*a\n"
     ),
+    "A4": "vertex 1 2 3 4\narrow a 1 2\narrow b 2 3\narrow c 3 4\n",
 }
 
 
@@ -243,3 +245,43 @@ def test_content_keys_behave_as_plain_tuples():
         order = sorted(range(len(keys)), key=lambda i: keys[i])
         assert order == sorted(range(len(plain)), key=lambda i: plain[i])
         assert len(set(keys)) == len(set(plain))
+
+
+def _misplaced_scalars(root):
+    """Every float, and every Fraction with denominator 1, reachable from
+    root through containers and tautilt objects."""
+    bad, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (float, Fraction)):
+            if isinstance(obj, float) or obj.denominator == 1:
+                bad.append(obj)
+            continue
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack += list(obj.items())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        elif type(obj).__module__.startswith("tautilt."):
+            stack += vars(obj).values() if hasattr(obj, "__dict__") else []
+            stack += [getattr(obj, n) for n in getattr(type(obj), "__slots__", ()) if hasattr(obj, n)]
+    return bad
+
+
+def test_q_scalars_are_ints_when_integral(preprojective):
+    # every Hom vector, module matrix and structure constant cached by the
+    # walks and the sweep holds ints where integral, and no float
+    walked = [_fresh("A4"), _fresh("cyc4"), preprojective(3)]
+    for alg in walked:
+        assert len(to.silting_closure(alg)[0]) > 20
+    alg = _fresh("cyc3")
+    graph = ex.build_exchange_graph(alg)
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        for node in graph.node_list():
+            if to.left_precondition(u, node):
+                to.left_bongartz(u, node)
+    for alg in walked + [alg]:
+        assert len(alg.cache) > 100
+        assert _misplaced_scalars(alg) == []

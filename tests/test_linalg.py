@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautilt import linalg
 from tautilt.linalg import QQ, Field
@@ -150,3 +152,127 @@ def test_charpoly_prime_field():
     coeffs = linalg.charpoly(m, f)
     # det = 4 - 6 = -2 = 3 mod 5, trace = 5 = 0 mod 5: x^2 - 0x + 3... det=-2
     assert coeffs == [f(-2), f(-5), f(1)]
+
+
+# -- Q elements: an int when integral, a Fraction only when not ---------------
+
+F3 = Field(3)
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        (QQ(3), 3),
+        (QQ("3/3"), 1),
+        (QQ("-6/2"), -3),
+        (QQ(Fraction(4, 2)), 2),
+        (QQ.inv(1), 1),
+        (QQ.inv(-1), -1),
+        (QQ.inv(2), Fraction(1, 2)),
+        (QQ.inv(Fraction(1, 2)), 2),
+        (QQ.inv(Fraction(-1, 3)), -3),
+        (QQ.inv(QQ("3/3")), 1),
+        (QQ.div(3, 3), 1),
+        (QQ.div(6, -3), -2),
+        (QQ.div(0, 5), 0),
+        (QQ.div(1, 2), Fraction(1, 2)),
+        (QQ.div(Fraction(3, 2), Fraction(1, 2)), 3),
+        (QQ.div(2, Fraction(2, 3)), 3),
+        (QQ.div(Fraction(1, 2), 3), Fraction(1, 6)),
+    ],
+)
+def test_q_inverses_and_quotients_are_ints_when_integral(got, want):
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize(
+    "got, want",
+    [
+        (F3.inv(F3(2)), 2),
+        (F3.inv(F3(1)), 1),
+        (F3.div(F3(1), F3(2)), 2),
+        (F3.div(F3(2), F3(2)), 1),
+        (F3.div(F3(0), F3(2)), 0),
+        (F3("1/2"), 2),
+    ],
+)
+def test_prime_field_inverses_and_quotients_stay_residues(got, want):
+    assert isinstance(got, linalg.PrimeFieldElement) and got.p == 3
+    assert got.val == want
+
+
+def test_field_units_and_rejections():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert (QQ.zero, QQ.one) == (0, 1)
+    for field in (QQ, F3):
+        with pytest.raises(ZeroDivisionError):
+            field.inv(field.zero)
+    with pytest.raises(TautiltError):
+        QQ(0.5)
+    with pytest.raises(TautiltError):
+        QQ(1.0)
+
+
+_ENTRIES = st.sampled_from(
+    [0, 0, 0, 1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 3), Fraction(5, 4)]
+)
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+_SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(
+    lambda rc: st.tuples(_matrices(*rc), st.lists(_ENTRIES, min_size=rc[1], max_size=rc[1]))
+)
+_SQUARES = st.integers(1, 4).flatmap(lambda n: _matrices(n, n))
+_PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+def _no_float(value):
+    if isinstance(value, (list, tuple)):
+        return all(_no_float(x) for x in value)
+    return not isinstance(value, float)
+
+
+def _as_fractions(mat):
+    return [[Fraction(x) for x in row] for row in mat]
+
+
+@_PROPERTY
+@given(_SHAPES)
+def test_q_kernels_agree_on_ints_and_fractions(case):
+    mat, vec = case
+    mixed, fracs = q(mat), _as_fractions(mat)  # q: ints where integral
+    for kernel in (
+        lambda m: linalg.rref(m, QQ),
+        lambda m: linalg.rank(m, QQ),
+        lambda m: linalg.right_nullspace(m, QQ),
+        lambda m: linalg.kernel_rows(m, QQ),
+    ):
+        got = kernel(mixed)
+        assert got == kernel(fracs)
+        assert _no_float(got)
+    solvers = [linalg.RowSolver(m, QQ) for m in (mixed, fracs)]
+    assert solvers[0].rank == solvers[1].rank
+    # a vector in the row span, and one that may lie outside it
+    coeffs = [QQ(x) for x in vec]
+    inside = [sum((c * row[j] for c, row in zip(coeffs, mixed)), QQ.zero) for j in range(len(vec))]
+    for target in (inside, coeffs):
+        got = solvers[0].express(target)
+        assert got == solvers[1].express([Fraction(x) for x in target])
+        assert _no_float(got)
+    assert solvers[0].express(inside) is not None
+
+
+@_PROPERTY
+@given(_SQUARES)
+def test_q_det_and_charpoly_agree_on_ints_and_fractions(mat):
+    mixed, fracs = q(mat), _as_fractions(mat)  # q: ints where integral
+    for kernel in (linalg.det, linalg.charpoly):
+        got = kernel(mixed, QQ)
+        assert got == kernel(fracs, QQ)
+        assert _no_float(got)
+    if all(isinstance(x, int) for row in mixed for x in row):
+        assert linalg.det(mixed, QQ) == linalg.int_det(mixed)
