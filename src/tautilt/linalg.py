@@ -97,7 +97,7 @@ class Field:
     def inv(self, x):
         """1 / x; over Q inv(±1) is ±1 and builds no Fraction."""
         if not self.char and (x == 1 or x == -1):
-            return x
+            return int(x)
         return self.div(self.one, x)
 
     def div(self, a, b):

@@ -201,32 +201,23 @@ def test_preprojective_a4_is_pinned_at_both_bounds(preprojective):
     assert _digest(preprojective(4)) == PI_A4
 
 
-def _mixed_lengths(bound=12):
+def test_relations_of_mixed_lengths():
     # x*y = y*x = 0 and x^2 = y^3: y^3 is rewritten as x^2, and the overlap
-    # y^3*x = y^2*(y*x) gives x^3 = 0, so the basis is e, x, y, x^2, y^2
+    # y^3*x = y^2*(y*x) gives x^3 = 0, so the basis is e, x, y, x^2, y^2; at
+    # bound 3 that overlap is longer than the bound, though no normal word is
     q = Quiver(["1"], [("x", "1", "1"), ("y", "1", "1")])
     rels = [
         Relation(q, [(1, ("x", "y"))]),
         Relation(q, [(1, ("y", "x"))]),
         Relation(q, [(1, ("x", "x")), (-1, ("y", "y", "y"))]),
     ]
-    return compile_bound_quiver(q, rels, QQ, length_bound=bound)
-
-
-def test_relations_of_mixed_lengths():
-    alg = _mixed_lengths()
-    assert alg.names == ["e_1", "x", "y", "x*x", "y*y"]
-    x, y = alg.path_element(["x"]), alg.path_element(["y"])
-    assert x * x == y * y * y
-    assert (x * x * x).is_zero()
-    assert alg.radical_nilpotency() == 4
-
-
-@pytest.mark.parametrize("bound", [3, 4, 5, 12])
-def test_mixed_lengths_resolve_overlaps_longer_than_the_bound(bound):
-    # the overlap y^3*x that gives x^3 = 0 has length 4, longer than bound 3,
-    # while the longest normal word has length 2
-    assert _mixed_lengths(bound).names == ["e_1", "x", "y", "x*x", "y*y"]
+    for bound in (3, 4, 5, 12):
+        alg = compile_bound_quiver(q, rels, QQ, length_bound=bound)
+        assert alg.names == ["e_1", "x", "y", "x*x", "y*y"]
+        x, y = alg.path_element(["x"]), alg.path_element(["y"])
+        assert x * x == y * y * y
+        assert (x * x * x).is_zero()
+        assert alg.radical_nilpotency() == 4
 
 
 def _truncated_loop(extra=None, drop=()):

@@ -168,6 +168,8 @@ F3 = Field(3)
         (QQ(Fraction(4, 2)), 2),
         (QQ.inv(1), 1),
         (QQ.inv(-1), -1),
+        (QQ.inv(Fraction(-1)), -1),
+        (QQ.inv(Fraction(1)), 1),
         (QQ.inv(2), Fraction(1, 2)),
         (QQ.inv(Fraction(1, 2)), 2),
         (QQ.inv(Fraction(-1, 3)), -3),
