@@ -95,7 +95,7 @@ class Field:
         raise TautiltError(f"cannot coerce {x!r} into F_{self.char}")
 
     def inv(self, x):
-        """1 / x; over Q inv(±1) is ±1 and builds no Fraction."""
+        """1 / x; over Q inv(±1) is the int ±1, found with no division."""
         if not self.char and (x == 1 or x == -1):
             return int(x)
         return self.div(self.one, x)
