@@ -125,7 +125,7 @@ def projective(algebra, i):
     """The indecomposable projective e_i A."""
     key = ("projective", i)
     if key not in algebra.cache:
-        algebra.cache[key] = canonical_rep(ProjSum(algebra, [i]).rep)
+        algebra.cache[key] = canonical_rep(_proj_sum(algebra, [i]).rep)
     return algebra.cache[key]
 
 
@@ -144,9 +144,7 @@ def free_module(algebra):
     """The algebra as a right module over itself."""
     key = "free_module"
     if key not in algebra.cache:
-        algebra.cache[key] = canonical_rep(
-            ProjSum(algebra, list(range(algebra.n))).rep
-        )
+        algebra.cache[key] = canonical_rep(_proj_sum(algebra, range(algebra.n)).rep)
     return algebra.cache[key]
 
 
@@ -345,10 +343,15 @@ def quotient(x, spans):
 
     Returns (representation, projection).
     """
+    return _quotient_by_basis(x, _sub_spans(x, spans))
+
+
+def _quotient_by_basis(x, closed):
+    """Quotient of x by the submodule with the given reduced echelon bases
+    per vertex.  Returns (representation, projection)."""
     alg = x.algebra
     field = x.field
     v_iter = range(alg.n)
-    closed = _sub_spans(x, spans)
     proj_mats = []
     sect_mats = []
     for v in v_iter:
@@ -439,8 +442,14 @@ def _block_sum(reps):
 
 
 def hom_basis(x, y):
-    """Basis of Hom(x, y) as a list of ModuleMaps (deterministic order)."""
-    return [_vec_to_map(x, y, vec) for vec in _hom_vectors(x, y)]
+    """Basis of Hom(x, y) as a fresh list of ModuleMaps (deterministic
+    order).  The maps are built once per (x, y) content and shared, so
+    their endpoints may be equal-content objects other than x and y."""
+    alg = x.algebra
+    key = ("hom_maps", x.key(), y.key())
+    if key not in alg.cache:
+        alg.cache[key] = tuple(_vec_to_map(x, y, vec) for vec in _hom_vectors(x, y))
+    return list(alg.cache[key])
 
 
 def _hom_vectors(x, y):
@@ -580,6 +589,15 @@ class ProjSum:
         return blocks
 
 
+def _proj_sum(algebra, vertices):
+    """The ProjSum of the vertices in order, built once per list and
+    shared: nothing mutates one."""
+    key = ("projsum", tuple(vertices))
+    if key not in algebra.cache:
+        algebra.cache[key] = ProjSum(algebra, vertices)
+    return algebra.cache[key]
+
+
 def radical_spans(x):
     """Row spans of rad x at each vertex (images of all radical actions)."""
     spans = [[] for _ in range(x.algebra.n)]
@@ -609,7 +627,7 @@ def projective_cover(x):
                 row = [field.zero] * x.dims[v]
                 row[c] = field.one
                 lifts.append((v, row))
-    cover = ProjSum(alg, [v for v, _ in lifts])
+    cover = _proj_sum(alg, [v for v, _ in lifts])
     mats = [linalg.zeros(cover.dims[u], x.dims[u], field) for u in range(alg.n)]
     for s, (v, u_row) in enumerate(lifts):
         for u in range(alg.n):
@@ -681,8 +699,8 @@ def transpose(x):
     alg = x.algebra
     op = alg.opposite()
     pres = min_proj_presentation(x)
-    p0s = ProjSum(op, pres.p0.vertices)
-    p1s = ProjSum(op, pres.p1.vertices)
+    p0s = _proj_sum(op, pres.p0.vertices)
+    p1s = _proj_sum(op, pres.p1.vertices)
     blocks_star = [
         [AlgebraElement(op, pres.blocks[l][s].coeffs) for l in range(len(pres.p0))]
         for s in range(len(pres.p1))
@@ -955,31 +973,18 @@ def _isomorphic(x, y):
 # -- torsion machinery ------------------------------------------------------
 
 
-def trace_submodule(gen, x):
-    """The trace of gen in x: sum of images of all maps gen -> x.
+def torsion_free_part(gen, x):
+    """x modulo the trace of gen, the sum of the images of all maps
+    gen -> x; cached per (gen, x) content.
 
-    Cached per (gen, x) content; returns (trace, inclusion).  Only the
-    quotient by the trace needs it: Fac membership is fac_contains."""
+    A sum of images of module maps is a submodule, so the reduced echelon
+    bases of the image rows, read from the cached Hom basis vectors, need
+    no closure under the action."""
     alg = x.algebra
-    key = ("trace", gen.key(), x.key())
+    key = ("torsion_free", gen.key(), x.key())
     if key not in alg.cache:
-        spans = [[] for _ in range(alg.n)]
-        for f in hom_basis(gen, x):
-            for v in range(alg.n):
-                spans[v].extend(f.mats[v])
-        alg.cache[key] = submodule(x, spans)
-    return alg.cache[key]
-
-
-def _trace_quotient(gen, x):
-    """x modulo the trace of gen: (trace, inclusion, quotient, projection),
-    cached per (gen, x) content."""
-    alg = x.algebra
-    key = ("trace_quotient", gen.key(), x.key())
-    if key not in alg.cache:
-        t, incl = trace_submodule(gen, x)
-        spans = [incl.mats[v] if t.dims[v] else [] for v in range(alg.n)]
-        alg.cache[key] = (t, incl) + quotient(x, spans)
+        trace = [linalg.row_space_basis(rows, x.field) for rows in _image_rows([gen], x)]
+        alg.cache[key] = _quotient_by_basis(x, trace)[0]
     return alg.cache[key]
 
 
@@ -1016,6 +1021,13 @@ def fac_contains(gens, xs):
 
 def _fills(gens, x):
     """Whether the images of all maps from the gens span x at every vertex."""
+    images = _image_rows(gens, x)
+    return all(linalg.rank(images[v], x.field) == d for v, d in enumerate(x.dims) if d)
+
+
+def _image_rows(gens, x):
+    """The nonzero rows, per vertex, of the images of the basis maps of
+    each Hom(Y, x), Y in gens, read from the cached Hom basis vectors."""
     images = [[] for _ in x.dims]
     for g in gens:
         for vec in _hom_vectors(g, x):
@@ -1026,7 +1038,7 @@ def _fills(gens, x):
                     pos += d
                     if any(row):
                         images[v].append(row)
-    return all(linalg.rank(images[v], x.field) == d for v, d in enumerate(x.dims) if d)
+    return images
 
 
 def in_perp_pair(u, q_proj, x):
@@ -1055,7 +1067,7 @@ def star_membership(u_gen, m_gen, x):
     Valid when u_gen is tau-rigid: x belongs iff x modulo the trace of
     u_gen lies in Fac(m_gen).
     """
-    return fac_contains([m_gen], [_trace_quotient(u_gen, x)[2]])
+    return fac_contains([m_gen], [torsion_free_part(u_gen, x)])
 
 
 # -- bricks -----------------------------------------------------------------

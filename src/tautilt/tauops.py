@@ -299,7 +299,7 @@ def _star_quotient(u_pair, x):
     """x modulo the torsion part for Fac(U)."""
     if u_pair.m.is_zero():
         return x
-    return modules._trace_quotient(u_pair.m, x)[2]
+    return modules.torsion_free_part(u_pair.m, x)
 
 
 def _certify_left(u_pair, anchor, result):
@@ -427,7 +427,7 @@ def brick_label(old, new):
     if len(only_old) != 1 or only_old[0][0] != "mod":
         raise MatchFailure("edge does not exchange a single module summand")
     x = next(rep for (_, rep, _), token in zip(old.rows, old.tokens) if token == only_old[0])
-    q = modules._trace_quotient(new.m, x)[2]
+    q = modules.torsion_free_part(new.m, x)
     d = modules.brick_shrink(q)
     if not modules.is_brick(d):
         raise CertificateFailure("label failed the brick test")

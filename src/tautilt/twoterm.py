@@ -39,7 +39,6 @@ class ProjectiveComplex:
             if i in self.terms and (i + 1) in self.terms:
                 self.diffs[i] = [list(row) for row in blocks]
         self._key = None
-        self._psums = {}
         # the indecomposable summands the complex was built from, in order
         # (set by sum_of_summands), else None
         self.parts = None
@@ -57,9 +56,7 @@ class ProjectiveComplex:
         return self.terms.get(i, [])
 
     def projsum(self, i):
-        if i not in self._psums:
-            self._psums[i] = modules.ProjSum(self.algebra, self.term_vertices(i))
-        return self._psums[i]
+        return modules._proj_sum(self.algebra, self.term_vertices(i))
 
     def diff(self, i):
         """Differential blocks in degree i (zeros where absent)."""
@@ -227,11 +224,16 @@ def from_tau_pair(pair):
 
 def summand_complex(kind, rep):
     """Two-term complex of one pair summand: the minimal presentation of a
-    summand of M (kind "m"), or P_v[1] for a summand P_v of P (kind "p")."""
+    summand of M (kind "m"), or P_v[1] for a summand P_v of P (kind "p").
+    Built once per (kind, rep) content and shared."""
     alg = rep.algebra
-    if kind == "m":
-        return _presentation_complex(alg, modules.min_proj_presentation(rep), [])
-    return stalk_complex(alg, [modules._projective_vertex(rep)], -1)
+    key = ("summand_complex", kind, rep.key())
+    if key not in alg.cache:
+        if kind == "m":
+            alg.cache[key] = _presentation_complex(alg, modules.min_proj_presentation(rep), [])
+        else:
+            alg.cache[key] = stalk_complex(alg, [modules._projective_vertex(rep)], -1)
+    return alg.cache[key]
 
 
 def to_tau_pair(t):
@@ -246,7 +248,7 @@ def to_tau_pair(t):
     if t.parts is not None:
         return modules.TauPair(rows=[_summand_row(c) for c in t.parts], algebra=alg)
     m, shift = _h0_and_shift(t)
-    p = modules.ProjSum(alg, sorted(shift)).rep if shift else modules.zero_rep(alg)
+    p = modules._proj_sum(alg, sorted(shift)).rep if shift else modules.zero_rep(alg)
     return modules.TauPair(m, p)
 
 
@@ -637,7 +639,7 @@ class _SummedComplex(ProjectiveComplex):
 
     def __init__(self, parts):
         self.algebra, self.parts = parts[0].algebra, tuple(parts)
-        self._key, self._psums = None, {}
+        self._key = None
 
     def __getattr__(self, name):
         if name not in ("terms", "diffs"):

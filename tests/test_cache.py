@@ -1,7 +1,9 @@
-"""Content caches on the algebra: each trace, trace quotient, Fac
-membership, pair check, per-summand completion cone and reduction image is
-computed once per content, and a warm cache answers as a cold one does."""
+"""Content caches on the algebra: each torsion-free part, Fac membership,
+pair check, per-summand completion cone, reduction image, ProjSum, Hom
+basis and summand complex is computed once per content, and a warm cache
+answers as a cold one does."""
 
+import copy
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -29,29 +31,41 @@ TEXT = {
 }
 
 
-def _fresh(name):
-    return wk.parse_workspace(TEXT[name]).algebra
+def _fresh(name, field="Q"):
+    return wk.parse_workspace(f"field {field}\n" + TEXT[name]).algebra
+
+
+# A3, cyc3, cyc4 and Pi(A3) over Q, and cyc3 over F_3
+CHECKED = ("A3", "cyc3", "cyc4", "PiA3", "cyc3/F3")
+
+
+def _checked(name, preprojective):
+    if name == "PiA3":
+        return preprojective(3)
+    if name == "cyc3/F3":
+        return _fresh("cyc3", "F 3")
+    return _fresh(name)
 
 
 def test_compat_sweeps_take_each_trace_once(monkeypatch):
     alg = _fresh("cyc3")
     graph = ex.build_exchange_graph(alg)
     traced, decided = Counter(), Counter()
-    submodule, fills = md.submodule, md._fills
+    quotient, fills = md._quotient_by_basis, md._fills
 
-    def counted(x, spans):
-        # count only the submodules that trace_submodule builds
+    def counted(x, closed):
+        # count only the quotients that torsion_free_part builds
         caller = sys._getframe(1)
-        if caller.f_code is md.trace_submodule.__code__:
+        if caller.f_code is md.torsion_free_part.__code__:
             traced[caller.f_locals["gen"].key(), x.key()] += 1
-        return submodule(x, spans)
+        return quotient(x, closed)
 
     def counted_fills(gens, x):
         # each Fac membership decided from image ranks
         decided[frozenset(g.key() for g in gens), x.key()] += 1
         return fills(gens, x)
 
-    monkeypatch.setattr(md, "submodule", counted)
+    monkeypatch.setattr(md, "_quotient_by_basis", counted)
     monkeypatch.setattr(md, "_fills", counted_fills)
     for rel in ex.rigid_subpairs(graph, 1):
         for sweep in (ex.verify_mutation_compat, ex.verify_silting_compat):
@@ -149,7 +163,10 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
     assert from_cones
 
 
-FAMILIES = ("trace", "trace_quotient", "fac", "check_pair", "left_cone", "chain_hom", "hom_rep")
+FAMILIES = (
+    "torsion_free", "fac", "check_pair", "left_cone", "chain_hom", "hom_rep",
+    "projsum", "hom_maps", "summand_complex",
+)
 
 
 def _answers(alg, reductions):
@@ -165,9 +182,10 @@ def _answers(alg, reductions):
         rd = reductions[k]
         uc, _ = to._pair_complex(u)
         for node in nodes:
-            t, incl = md.trace_submodule(u.m, node.m)
-            _, _, q, proj = md._trace_quotient(u.m, node.m)
-            out.append((t.key(), incl.mats, q.key(), proj.mats, md.check_pair(node)))
+            q = md.torsion_free_part(u.m, node.m)
+            maps = md.hom_basis(u.m, node.m)
+            out.append((q.key(), [f.mats for f in maps], md.check_pair(node)))
+            out.append([tt.summand_complex(kind, rep).key() for kind, rep, _ in node.rows])
             if to.left_precondition(u, node):
                 tc, _ = to._pair_complex(node)
                 out.append(tt.left_completion_silting(uc, tc).key())
@@ -285,3 +303,77 @@ def test_q_scalars_are_ints_when_integral(preprojective):
     for alg in walked + [alg]:
         assert len(alg.cache) > 100
         assert _misplaced_scalars(alg) == []
+
+
+def _generic_quotient(gen, x):
+    # the images of the hom_basis maps closed into a submodule, then x
+    # modulo that submodule, closed again
+    spans = [[row for f in md.hom_basis(gen, x) for row in f.mats[v]] for v in range(len(x.dims))]
+    _, incl = md.submodule(x, spans)
+    return md.quotient(x, incl.mats)[0]
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_torsion_free_part_matches_the_generic_quotient(name, preprojective):
+    alg = _checked(name, preprojective)
+    nodes = ex.build_exchange_graph(alg).node_list()
+    summands = list({
+        rep.key(): rep for node in nodes for kind, rep, _ in node.rows if kind == "m"
+    }.values())
+    partial = 0
+    for gen in [node.m for node in nodes] + summands:
+        for x in summands:
+            q = md.torsion_free_part(gen, x)
+            assert q.key() == _generic_quotient(gen, x).key()
+            partial += 0 < q.total_dim() < x.total_dim()
+    assert partial > 0
+
+
+def test_shared_objects_stay_as_built(monkeypatch):
+    # Hom bases, ProjSums and summand complexes are built once per content
+    # and shared; after a walk, a compat sweep and a tau_reduction no shared
+    # map has changed, and callers get a list of their own
+    alg = _fresh("cyc3")
+    first, built = {}, Counter()
+    hom_basis, proj_sum = md.hom_basis, md.ProjSum
+
+    def watched(x, y):
+        maps = hom_basis(x, y)
+        key = ("hom_maps", x.key(), y.key())
+        first.setdefault((x.algebra, key), copy.deepcopy([f.mats for f in maps]))
+        return maps
+
+    class Counted(proj_sum):
+        def __init__(self, algebra, vertices):
+            built[algebra, tuple(vertices)] += 1
+            super().__init__(algebra, vertices)
+
+    monkeypatch.setattr(md, "hom_basis", watched)
+    monkeypatch.setattr(md, "ProjSum", Counted)
+    graph = ex.build_exchange_graph(alg)
+    rels = ex.rigid_subpairs(graph, 1)
+    for rel in rels:
+        assert ex.verify_mutation_compat(rel, graph)["pass"]
+    rd = ex.tau_reduction(rels[0])
+    assert ex.reduction_bijection_check(rd)["pass"]
+
+    assert len(first) > 10 and {a for a, _ in first} > {alg}
+    for (algebra, key), mats in first.items():
+        assert [f.mats for f in algebra.cache[key]] == mats
+    x = next(node.m for node in graph.node_list() if md.dim_hom(node.m, node.m) > 1)
+    maps = md.hom_basis(x, x)
+    want = [f.mats for f in maps]
+    maps.append(maps[0])
+    maps.reverse()
+    assert [f.mats for f in md.hom_basis(x, x)] == want
+
+    assert len(built) > 5 and max(built.values()) == 1
+    for c in [c for node in graph.node_list() for c in node.complex.parts]:
+        for i in (-1, 0):
+            assert c.projsum(i) is md._proj_sum(alg, list(c.term_vertices(i)))
+    for node in graph.node_list():
+        for kind, rep, c in node.rows:
+            twin = md.Representation(alg, rep.dims, rep.mats, check=False)
+            assert twin is not rep
+            shared = tt.summand_complex(kind, rep)
+            assert tt.summand_complex(kind, twin) is shared and shared.key() == c.key()

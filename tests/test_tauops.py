@@ -370,12 +370,15 @@ def _linear(n, field):
     return compile_bound_quiver(Quiver(labels, arrows), [], field)
 
 
-def _cycle(n, field):
-    # the oriented n-cycle with all paths of length two killed
+def _cycle(n, field, length=2):
+    # the oriented n-cycle (a loop for n = 1) with all paths of the given
+    # length killed
     labels = [str(i + 1) for i in range(n)]
     arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
     q = Quiver(labels, arrows)
-    rels = [Relation(q, [(1, (f"a{i}", f"a{(i + 1) % n}"))]) for i in range(n)]
+    rels = [
+        Relation(q, [(1, tuple(f"a{(i + k) % n}" for k in range(length)))]) for i in range(n)
+    ]
     return compile_bound_quiver(q, rels, field)
 
 
@@ -1004,6 +1007,50 @@ def test_brick_labels_cyc3_chain(cyc3):
     want = [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 1)]
     got = [to.brick_label(a, b).dims for a, b in zip(chain, chain[1:])]
     assert got == want
+
+
+def _asai_label(old, new):
+    # (X, X modulo (trace of the kept module summands + rad End(X)·X)),
+    # with rad End(X) spanned by the basis of End(X) shifted by the
+    # eigenvalue read at one vertex, as modules._local_radical reads it
+    # (Asai, arXiv:1610.05860; Demonet-Iyama-Jasso, arXiv:1503.00285)
+    only_old, _ = to.exchanged_summands(old, new)
+    rows = list(zip(old.rows, old.tokens))
+    x = next(rep for (_, rep, _), token in rows if token == only_old[0])
+    kept = [rep for (kind, rep, _), token in rows if kind == "m" and token != only_old[0]]
+    field, dims = x.field, x.dims
+    nonzero = [v for v, d in enumerate(dims) if d]
+    v = next((v for v in nonzero if not field.char or dims[v] % field.char), nonzero[0])
+    ident = md.identity_map(x)
+    maps = [f for u in kept for f in md.hom_basis(u, x)]
+    maps += [f - ident.scale(md._single_eigenvalue(f.mats[v], field)) for f in md.hom_basis(x, x)]
+    spans = [[row for f in maps for row in f.mats[w]] for w in range(len(dims))]
+    return x, md.quotient(x, spans)[0]
+
+
+ASAI = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc4": lambda: _cycle(4, QQ),
+    "PiA3": lambda: _preprojective_a3(),
+    "cyc3/F3": lambda: _cycle(3, Field(3)),
+    # End(X) is not k for some exchanged X, so rad End(X)·X is not 0
+    "k[x]/x^2": lambda: _cycle(1, QQ, 2),
+    "cyc2/len4/F2": lambda: _cycle(2, Field(2), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASAI))
+def test_asai_label_is_the_brick_label(name):
+    graph = ex.build_exchange_graph(ASAI[name]())
+    shrunk = 0  # edges where X modulo the trace of the new M is not yet a brick
+    for s, t, _ in graph.edges:
+        old, new = graph.nodes[s], graph.nodes[t]
+        label = to.brick_label(old, new)
+        x, asai = _asai_label(old, new)
+        assert asai.dims == label.dims and md.is_isomorphic(asai, label)
+        shrunk += md.torsion_free_part(new.m, x).dims != label.dims
+    assert (shrunk > 0) == (name in ("k[x]/x^2", "cyc2/len4/F2"))
 
 
 def test_brick_label_needs_left_edge(a2):
