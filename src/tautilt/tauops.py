@@ -291,8 +291,11 @@ def all_pairs(algebra, budget=10000):
 
 
 def left_precondition(u_pair, anchor):
-    """Fac M <= perp(tau U) ∩ perp(Q), the window where B⁻ is defined."""
-    return modules.in_perp_pair(u_pair.m, u_pair.p, anchor.m)
+    """Fac M <= perp(tau U) ∩ perp(Q), the window where B⁻ is defined.
+
+    Hom is additive, so it is tested on each summand of M, whose Hom
+    spaces are cached per summand and shared between anchors."""
+    return all(modules.in_perp_pair(u_pair.m, u_pair.p, x) for x in _m_parts(anchor))
 
 
 def _star_quotient(u_pair, x):

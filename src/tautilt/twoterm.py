@@ -430,7 +430,16 @@ def chain_hom_data(x, y, shift=0):
 
 
 def hom_k(x, y, shift=0):
-    """dim Hom in the homotopy category between x and y[shift]."""
+    """dim Hom in the homotopy category between x and y[shift].
+
+    Hom is additive in each argument, so a complex that carries its parts
+    (see sum_of_summands) is read part by part, and each pair of parts is
+    cached once per content.
+    """
+    if x.parts is not None:
+        return sum(hom_k(c, y, shift) for c in x.parts)
+    if y.parts is not None:
+        return sum(hom_k(x, c, shift) for c in y.parts)
     alg = x.algebra
     key = ("homk", x.key(), y.key(), shift)
     if key not in alg.cache:
@@ -903,9 +912,11 @@ def left_completion_silting(u, t):
     search.  That merge is exact because u joined with the cones is
     presilting, and two-term presilting complexes are determined by their
     g-vectors (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so u must
-    be presilting.  The split cone of each summand is cached once, per
-    (u, t_i) content and not also per cone content, so anchors that share
-    a summand share its cone.
+    be presilting.  A summand with Hom(t_i[-1], u) = Hom(t_i, u[1]) = 0
+    has the zero map as its approximation, so it is its own cone and is
+    neither approximated nor split.  The split cone of each summand is
+    cached once, per (u, t_i) content and not also per cone content, so
+    anchors that share a summand share its cone.
     """
     if not is_presilting(u):
         raise PreconditionViolated("completion expects a presilting u")
@@ -917,9 +928,12 @@ def left_completion_silting(u, t):
     for ti, _ in decompose_complex(t):
         key = ("left_cone", u.key(), ti.key())
         if key not in alg.cache:
-            f = min_left_approx(ti.shift(-1), u_parts)
-            x = minimalize(cone(f.source, f.target, f.blocks))
-            alg.cache[key] = tuple(c for c, _ in _split_through_h0(x))
+            if not any(hom_k(ti, c, 1) for c in u_parts):
+                alg.cache[key] = (ti,)
+            else:
+                f = min_left_approx(ti.shift(-1), u_parts)
+                x = minimalize(cone(f.source, f.target, f.blocks))
+                alg.cache[key] = tuple(c for c, _ in _split_through_h0(x))
         for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()))

@@ -119,6 +119,70 @@ def test_left_bongartz_sweep_approximates_each_input_once(name, monkeypatch):
     assert max(inputs.values()) == 1
 
 
+@pytest.mark.parametrize("name", CHECKED)
+def test_left_cone_shortcut_matches_the_approximated_cone(name, preprojective):
+    # where Hom(t_i, u_j[1]) vanishes for every part u_j of u, the minimal
+    # approximation of t_i[-1] is the zero map, so the construction spelled
+    # out here gives t_i back as the one summand of its cone, as the cached
+    # left_cone entry says; elsewhere there is something to approximate
+    alg = _checked(name, preprojective)
+    graph = ex.build_exchange_graph(alg)
+    seen, kinds = set(), Counter()
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        uc, _ = to._pair_complex(u)
+        u_parts = [c for c, _ in tt.decompose_complex(uc)]
+        for node in graph.node_list():
+            if not to.left_precondition(u, node):
+                continue
+            to.left_bongartz(u, node)
+            t, _ = to._pair_complex(node)
+            for ti, _ in tt.decompose_complex(t):
+                key = ("left_cone", uc.key(), ti.key())
+                if key in seen:
+                    continue
+                seen.add(key)
+                f = tt.min_left_approx(ti.shift(-1), u_parts)
+                cone = tt.minimalize(tt.cone(f.source, f.target, f.blocks))
+                split = [c.key() for c, _ in tt._split_through_h0(cone)]
+                assert [c.key() for c in alg.cache[key]] == split
+                if all(tt.hom_k(ti, c, 1) == 0 for c in u_parts):
+                    assert split == [ti.key()]
+                    kinds["own cone"] += 1
+                else:
+                    assert not f.target.is_zero()
+                    kinds["approximated"] += 1
+    assert kinds["own cone"] > 0 and kinds["approximated"] > 0
+
+
+def test_compat_sweep_approximates_only_summands_with_maps_into_u(monkeypatch):
+    # after the walk, every approximation the completions of the compat
+    # sweep make has a candidate, and some left_cone entries were stored
+    # without one
+    alg = _fresh("cyc3")
+    graph = ex.build_exchange_graph(alg)
+    approximated, inputs = set(), []
+    approx = tt.min_left_approx
+    completion = tt.left_completion_silting.__code__
+
+    def recorded(x, parts):
+        caller = sys._getframe(1)
+        if caller.f_code is completion:
+            approximated.add(caller.f_locals["key"])
+            inputs.append((x, parts))
+        return approx(x, parts)
+
+    monkeypatch.setattr(tt, "min_left_approx", recorded)
+    for rel in ex.rigid_subpairs(graph, 1):
+        assert ex.verify_mutation_compat(rel, graph)["pass"]
+    assert inputs
+    for x, parts in inputs:
+        assert any(tt.hom_k(x, c) for c in parts)
+    own = [key for key in alg.cache if key[0] == "left_cone" and key not in approximated]
+    assert own
+    for key in own:
+        assert [c.key() for c in alg.cache[key]] == [key[2]]
+
+
 @pytest.mark.parametrize("name", ["A3", "cyc3"])
 def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
     # graph nodes carry the complexes of their summands from the walk, and

@@ -2,7 +2,7 @@
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -982,6 +982,21 @@ def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
                     to.left_bongartz(u, anchor)
                 rejected += 1
     assert rejected > 100
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_left_precondition_matches_the_whole_module_test(name):
+    # the window test, made per summand of the anchor's M, against
+    # in_perp_pair on the whole M
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    answers = Counter()
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        for node in graph.node_list():
+            whole = md.in_perp_pair(u.m, u.p, node.m)
+            assert to.left_precondition(u, node) == whole
+            answers[whole] += 1
+    assert answers[True] > 0 and answers[False] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ from collections import Counter
 
 import pytest
 
+from tautilt import explorer as ex
+from tautilt import linalg
 from tautilt import modules as md
+from tautilt import tauops as to
 from tautilt import twoterm as tt
 from tautilt.algebra import (
     AlgebraElement,
@@ -654,3 +657,41 @@ def test_dagger_reverses_order(a2):
     mid = cplx(a2, [P(a2, 0), S(a2, 0)])
     assert tt.silting_leq(mid, free)
     assert tt.silting_leq(tt.complex_dagger(free), tt.complex_dagger(mid))
+
+
+# ---------------------------------------------------------------------------
+# hom_k of complexes that carry their parts
+
+
+def _assembled_hom_k(x, y, shift):
+    # the whole sums, assembled without parts, through one chain_hom_data
+    x, y = (tt.direct_sum_complexes(list(c.parts)) if c.parts else c for c in (x, y))
+    assert x.parts is None and y.parts is None
+    chains, boundaries, _ = tt.chain_hom_data(x, y, shift)
+    return len(chains) - linalg.rank(boundaries, x.field)
+
+
+CARRIED = {
+    "A3": lambda: _linear3(QQ),
+    "cyc3": lambda: _cycle3(QQ),
+    "cyc3/F3": lambda: _cycle3(Field(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIED))
+def test_hom_k_of_carried_parts_matches_the_assembled_sum(name):
+    # every one-summand rigid complex against every node complex, both ways
+    alg = CARRIED[name]()
+    graph = ex.build_exchange_graph(alg)
+    rigid = [to._pair_complex(u)[0] for u in ex.rigid_subpairs(graph, 1)]
+    nodes = [node.complex for node in graph.node_list()]
+    assert all(t.parts is not None and len(t.parts) == alg.n for t in nodes)
+    dims = Counter()
+    for u in rigid:
+        for t in nodes:
+            for shift in (0, 1, 2):
+                for x, y in ((u, t), (t, u)):
+                    dim = tt.hom_k(x, y, shift)
+                    assert dim == _assembled_hom_k(x, y, shift)
+                    dims[dim > 0] += 1
+    assert dims[True] > 0 and dims[False] > 0
