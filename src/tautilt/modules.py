@@ -1002,18 +1002,19 @@ def fac_contains(gens, xs):
     rows, read from the cached Hom basis vectors, have rank dim x_v.  Pass
     the summands of a module as gens and as xs: Fac is closed under sums
     and summands, so the answer is that of the sums, and a summand shared
-    between modules shares its entries.  Cached per (set of gens, x)
-    content, keyed by a frozenset since field elements of F_p do not sort.
+    between modules shares its entries.  gens is a list; cached per (set
+    of gens, x) content, keyed by a frozenset since field elements of F_p
+    do not sort.  A repeated gen adds rows already spanned, so the rank
+    test, and the answer, are those of the set.
     """
-    gens = {g.key(): g for g in gens}
-    gen_keys = frozenset(gens)
+    gen_keys = frozenset(g.key() for g in gens)
     for x in xs:
         if x.is_zero():
             continue
         alg = x.algebra
         key = ("fac", gen_keys, x.key())
         if key not in alg.cache:
-            alg.cache[key] = _fills(gens.values(), x)
+            alg.cache[key] = _fills(gens, x)
         if not alg.cache[key]:
             return False
     return True

@@ -73,7 +73,8 @@ def contains_pair(big, small):
     g-vector (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), so the
     summands are matched as fingerprint tokens, with multiplicity.
     """
-    return small.token_counts <= big.token_counts
+    have = big.token_counts
+    return all(have[token] >= count for token, count in small.token_counts.items())
 
 
 # -- duality ------------------------------------------------------------------
@@ -348,14 +349,51 @@ def left_bongartz(u_pair, anchor=None):
     return result
 
 
+def _fan_candidates(u_pair, budget):
+    """The completions of (U, Q) whose nonzero star quotients X / t_U(X)
+    all lie in the wide subcategory W of (U, Q), each with those
+    quotients, in the discovery order of all_pairs.
+
+    None of it depends on an anchor, so it is cached per content of the
+    summands of U and Q and per budget (family "fan"); each distinct
+    summand is tested against W once.  Nothing is cached when all_pairs
+    raises.
+    """
+    alg = u_pair.algebra
+    parts = zip("mp", (u_pair.m_summands(), u_pair.p_summands()))
+    key = ("fan", frozenset((k, rep.key()) for k, reps in parts for rep, _ in reps), budget)
+    if key not in alg.cache:
+        quotients = {}  # summand content -> (X / t_U(X), whether it lies in W)
+        fan = []
+        for cand in all_pairs(alg, budget):
+            if not contains_pair(cand, u_pair):
+                continue
+            qs = []
+            for rep, _ in cand.m_summands():
+                if rep.key() not in quotients:
+                    q = _star_quotient(u_pair, rep)
+                    in_w = q.is_zero() or modules.in_wide(u_pair.m, u_pair.p, q)
+                    quotients[rep.key()] = (q, in_w)
+                q, in_w = quotients[rep.key()]
+                if not in_w:
+                    break
+                if not q.is_zero():
+                    qs.append(q)
+            else:
+                fan.append((cand, tuple(qs)))
+        alg.cache[key] = tuple(fan)
+    return alg.cache[key]
+
+
 def fan_left_completion(u_pair, anchor=None, budget=10000):
     """Left completion located inside the enumerated completion fan.
 
     Independent route used for cross-checks: a completion C of (U, Q) is
     kept when every summand X of its module part has X / t_U(X) inside the
     wide subcategory of (U, Q) and inside Fac M of the anchor; the result
-    is the unique maximum of the kept set.  Agrees with left_bongartz on
-    its domain but does not need the precondition.
+    is the unique maximum of the kept set.  The first test does not depend
+    on the anchor and is read from _fan_candidates.  Agrees with
+    left_bongartz on its domain but does not need the precondition.
     """
     alg = u_pair.algebra
     if anchor is None:
@@ -363,23 +401,11 @@ def fan_left_completion(u_pair, anchor=None, budget=10000):
     _require_rigid(u_pair)
     _require_tilting(anchor)
     anchor_parts = _m_parts(anchor)
-    keepers = []
-    for cand in all_pairs(alg, budget):
-        if not contains_pair(cand, u_pair):
-            continue
-        ok = True
-        for rep, _ in cand.m_summands():
-            q = _star_quotient(u_pair, rep)
-            if q.is_zero():
-                continue
-            if not modules.in_wide(u_pair.m, u_pair.p, q):
-                ok = False
-                break
-            if not modules.fac_contains(anchor_parts, [q]):
-                ok = False
-                break
-        if ok:
-            keepers.append(cand)
+    keepers = [
+        cand
+        for cand, qs in _fan_candidates(u_pair, budget)
+        if modules.fac_contains(anchor_parts, qs)
+    ]
     for cand in keepers:
         if all(pair_leq(other, cand) for other in keepers):
             return cand
@@ -414,7 +440,12 @@ def exchanged_summands(old, new):
     """The summand tokens separating two pairs (old only, new only), each
     sorted, with multiplicity."""
     old_fp, new_fp = old.token_counts, new.token_counts
-    return sorted((old_fp - new_fp).elements()), sorted((new_fp - old_fp).elements())
+    return _surplus(old_fp, new_fp), _surplus(new_fp, old_fp)
+
+
+def _surplus(have, other):
+    """The tokens of the multiset have beyond those of other, sorted."""
+    return sorted(t for t, count in have.items() for _ in range(count - other[t]))
 
 
 def brick_label(old, new):

@@ -447,6 +447,53 @@ def test_transport_rejects_bad_chain(cyc3, rd_p1):
         ex.transport_mgs(rd_p1, chain[:-1])  # stops short of the window top
 
 
+def test_transport_rejects_a_right_mutation_step(cyc3):
+    # up to Fac(S3+P3), down to Fac S3 and up again: one summand is
+    # exchanged at every step, but step 2 goes down the order
+    rd = ex.tau_reduction(md.TauPair(md.zero_rep(cyc3), md.zero_rep(cyc3)))
+    c = green_chain(cyc3)
+    with pytest.raises(PreconditionViolated, match="step 2 of the chain is not a left mutation"):
+        ex.transport_mgs(rd, c[:3] + c[1:])
+
+
+def test_transport_rejects_a_step_over_two_summands(cyc3):
+    # from 0 straight to Fac(S3+P3), above it in the order
+    rd = ex.tau_reduction(md.TauPair(md.zero_rep(cyc3), md.zero_rep(cyc3)))
+    c = green_chain(cyc3)
+    assert to.pair_leq(c[0], c[2])
+    with pytest.raises(PreconditionViolated, match="step 0 of the chain is not a left mutation"):
+        ex.transport_mgs(rd, [c[0]] + c[2:])
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_every_mgs_transports_and_steps_are_the_graph_edges(make):
+    # a fresh algebra; every maximal green sequence up to the window top of
+    # every rigid subpair with fewer than n summands passes.  The reduction
+    # at the zero pair is the identity, so its chains come back whole.
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    transported = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        rd = ex.tau_reduction(u)
+        for chain in ex.maximal_green_sequences(graph, rd.bongartz):
+            out = ex.transport_mgs(rd, chain)
+            assert out[0].m.is_zero() and len(out) <= len(chain)
+            if u.size() == 0:
+                assert [sum(p.m.dims) for p in out] == [sum(p.m.dims) for p in chain]
+            transported += 1
+    assert transported > 9
+    # a two-node chain lo, hi is accepted exactly when hi -> lo is an edge
+    edges = graph.edge_set()
+    for lo in graph.node_list():
+        for hi in graph.node_list():
+            try:
+                ex._check_green_chain([lo, hi])
+                accepted = True
+            except PreconditionViolated:
+                accepted = False
+            assert accepted == ((hi.fingerprint(), lo.fingerprint()) in edges)
+
+
 # ---------------------------------------------------------------------------
 # connecting paths with a fixed projective summand
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from collections import Counter, deque
 
 import pytest
@@ -17,6 +18,7 @@ from tautilt.errors import (
     MatchFailure,
     NotRigid,
     PreconditionViolated,
+    SearchBudgetExceeded,
 )
 from tautilt.linalg import QQ, Field, rank
 
@@ -77,6 +79,25 @@ def test_contains_pair(a2):
     assert to.contains_pair(nodes["bot"], q)
     assert to.contains_pair(nodes["p2"], q)
     assert not to.contains_pair(nodes["top"], q)
+
+
+def test_containment_and_exchange_count_multiplicity(a2):
+    # every pair of multisets of at most three rows among P1, S1 and P2[1],
+    # against Counter inclusion and Counter difference of the tokens
+    rows = [("m", P(a2, 0)), ("m", S(a2, 0)), ("p", P(a2, 1))]
+    pairs = [
+        pair(a2, [r for k, r in combo if k == "m"], [r for k, r in combo if k == "p"])
+        for size in range(4)
+        for combo in itertools.combinations_with_replacement(rows, size)
+    ]
+    assert len(pairs) == 20
+    for big in pairs:
+        for small in pairs:
+            have, need = Counter(big.tokens), Counter(small.tokens)
+            assert to.contains_pair(big, small) == (need <= have)
+            gone, new = to.exchanged_summands(big, small)
+            assert gone == sorted((have - need).elements())
+            assert new == sorted((need - have).elements())
 
 
 # ---------------------------------------------------------------------------
@@ -997,6 +1018,108 @@ def test_left_precondition_matches_the_whole_module_test(name):
             assert to.left_precondition(u, node) == whole
             answers[whole] += 1
     assert answers[True] > 0 and answers[False] > 0
+
+
+# ---------------------------------------------------------------------------
+# the fan search filters the completions of (U, Q) once per rigid pair
+
+
+def _fan_per_anchor(u, anchor):
+    # reference: the per-anchor scan, which tests every pair of the graph
+    # that contains (U, Q), summand by summand, against W and against Fac M
+    # of this anchor; containment by Counter inclusion of the tokens.
+    # Returns the keepers and their maximum, or None when there is none.
+    anchor_parts = [rep for rep, _ in anchor.m_summands()]
+    keepers = []
+    for cand in to.all_pairs(u.algebra):
+        if not u.token_counts <= cand.token_counts:
+            continue
+        ok = True
+        for rep, _ in cand.m_summands():
+            q = rep if u.m.is_zero() else md.torsion_free_part(u.m, rep)
+            if q.is_zero():
+                continue
+            if not md.in_wide(u.m, u.p, q) or not md.fac_contains(anchor_parts, [q]):
+                ok = False
+                break
+        if ok:
+            keepers.append(cand)
+    top = next((c for c in keepers if all(to.pair_leq(o, c) for o in keepers)), None)
+    return keepers, top
+
+
+FAN = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc4": lambda: _cycle(4, QQ),
+    "cyc3/F3": lambda: _cycle(3, Field(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAN))
+def test_fan_completion_matches_the_per_anchor_scan(name):
+    # every rigid subpair, complete pairs included, at every node, inside
+    # the window and outside it: the same keepers in the same order, and
+    # the same maximum or none
+    alg = FAN[name]()
+    graph = ex.build_exchange_graph(alg)
+    window = outside = 0
+    for u in ex.rigid_subpairs(graph, alg.n):
+        for anchor in graph.node_list():
+            keepers, top = _fan_per_anchor(u, anchor)
+            parts = [rep for rep, _ in anchor.m_summands()]
+            kept = [c for c, qs in to._fan_candidates(u, 10000) if md.fac_contains(parts, qs)]
+            assert [c.fingerprint() for c in kept] == [c.fingerprint() for c in keepers]
+            if to.left_precondition(u, anchor):
+                assert to.fan_left_completion(u, anchor).fingerprint() == top.fingerprint()
+                window += 1
+            elif top is None:
+                with pytest.raises(CertificateFailure):
+                    to.fan_left_completion(u, anchor)
+            else:
+                assert to.fan_left_completion(u, anchor).fingerprint() == top.fingerprint()
+                outside += 1
+    assert window > len(graph) * alg.n and outside > 0
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_route_sweep_tests_each_summand_against_w_once(name, monkeypatch):
+    # in one verify_route sweep, each summand of each candidate is tested
+    # against the wide subcategory of (U, Q) at most once, however many
+    # window nodes the sweep visits
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    tested = Counter()
+    in_wide = md.in_wide
+
+    def counted(u, q_proj, x):
+        rep = sys._getframe(1).f_locals["rep"]
+        tested[u.key(), q_proj.key(), rep.key()] += 1
+        return in_wide(u, q_proj, x)
+
+    monkeypatch.setattr(md, "in_wide", counted)
+    visits = calls = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        tested.clear()
+        report = ex.verify_route(u, graph)
+        assert report["pass"], report["failures"]
+        assert max(tested.values(), default=0) <= 1
+        visits += report["nodes_checked"]
+        calls += len(tested)
+    assert calls > 0 and visits > 2 * len(ex.rigid_subpairs(graph, alg.n - 1))
+
+
+def test_fan_caches_nothing_when_the_walk_hits_its_budget():
+    alg = _cycle(3, QQ)
+    u = pair(alg, [P(alg, 0)])
+    with pytest.raises(SearchBudgetExceeded):
+        to.fan_left_completion(u, budget=3)
+    assert not [k for k in alg.cache if isinstance(k, tuple) and k[0] == "fan"]
+    assert to.fan_left_completion(u).fingerprint() == to.left_bongartz(u).fingerprint()
+    # keyed by the content of the summands: the bare pair (P1, 0) shares it
+    bare = md.TauPair(P(alg, 0), md.zero_rep(alg))
+    assert to.fan_left_completion(bare).fingerprint() == to.left_bongartz(u).fingerprint()
+    assert [k[2] for k in alg.cache if isinstance(k, tuple) and k[0] == "fan"] == [10000]
 
 
 # ---------------------------------------------------------------------------
