@@ -151,13 +151,6 @@ class AlgebraElement:
     def support(self):
         return [i for i, c in enumerate(self.coeffs) if c]
 
-    def peirce_type(self):
-        """The common Peirce pair of the support, or None if mixed or zero."""
-        types = {self.algebra.peirce[i] for i in self.support()}
-        if len(types) == 1:
-            return next(iter(types))
-        return None
-
     def peirce_component(self, i, j):
         coeffs = [
             c if self.algebra.peirce[k] == (i, j) else self.algebra.field.zero
@@ -207,9 +200,6 @@ class BasicAlgebra:
                 raise TautiltError("basis is not adapted: idempotents must come first")
 
     # -- element constructors -------------------------------------------
-
-    def element(self, coeffs):
-        return AlgebraElement(self, [self.field(c) for c in coeffs])
 
     def zero_element(self):
         return AlgebraElement(self, [self.field.zero] * self.dim)

@@ -72,9 +72,6 @@ class ExchangeGraph:
             self._up = up
         return self._up[fp]
 
-    def incident_count(self, fp):
-        return sum(1 for s, t, _ in self.edges if s == fp or t == fp)
-
 
 def build_exchange_graph(algebra, budget=10000):
     """The exchange graph of the cached mutation walk from the free pair

@@ -140,14 +140,6 @@ def simple(algebra, i):
     return algebra.cache[key]
 
 
-def free_module(algebra):
-    """The algebra as a right module over itself."""
-    key = "free_module"
-    if key not in algebra.cache:
-        algebra.cache[key] = canonical_rep(_proj_sum(algebra, range(algebra.n)).rep)
-    return algebra.cache[key]
-
-
 class ModuleMap:
     """Homomorphism of representations, one matrix per vertex."""
 
@@ -228,9 +220,6 @@ class ModuleMap:
     def rank(self):
         return sum(linalg.rank(m, self.field) for m in self.mats)
 
-    def is_injective(self):
-        return self.rank() == self.source.total_dim()
-
     def is_surjective(self):
         return self.rank() == self.target.total_dim()
 
@@ -239,20 +228,6 @@ class ModuleMap:
             self.source.dims == self.target.dims
             and all(linalg.det(m, self.field) for m in self.mats)
         )
-
-    def inverse(self):
-        if not self.is_isomorphism():
-            raise TautiltError("map is not invertible")
-        inv_mats = []
-        for v, m in enumerate(self.mats):
-            d = self.source.dims[v]
-            if d == 0:
-                inv_mats.append([])
-                continue
-            aug = [row + ident_row for row, ident_row in zip(m, linalg.identity(d, self.field))]
-            red, _ = linalg.rref(aug, self.field)
-            inv_mats.append([row[d:] for row in red])
-        return ModuleMap(self.target, self.source, inv_mats, check=False)
 
     def kernel(self):
         """Returns (representation, inclusion into the source)."""
@@ -284,12 +259,6 @@ class ModuleMap:
 
 def identity_map(x):
     return ModuleMap(x, x, [linalg.identity(d, x.field) for d in x.dims], check=False)
-
-
-def zero_map(x, y):
-    return ModuleMap(
-        x, y, [linalg.zeros(x.dims[v], y.dims[v], x.field) for v in range(x.algebra.n)], check=False
-    )
 
 
 def _sub_spans(x, spans):
@@ -385,39 +354,8 @@ def _quotient_by_basis(x, closed):
     return q, proj
 
 
-def direct_sum(reps):
-    """Direct sum with injection and projection maps."""
-    if not reps:
-        raise TautiltError("direct_sum of nothing needs an algebra; use zero_rep")
-    alg = reps[0].algebra
-    field = reps[0].field
-    total = _block_sum(reps)
-    dims = total.dims
-    injections = []
-    projections = []
-    offset = [0] * alg.n
-    for r in reps:
-        inj = []
-        proj = []
-        for v in range(alg.n):
-            m = linalg.zeros(r.dims[v], dims[v], field)
-            for a in range(r.dims[v]):
-                m[a][offset[v] + a] = field.one
-            inj.append(m)
-            pm = linalg.zeros(dims[v], r.dims[v], field)
-            for a in range(r.dims[v]):
-                pm[offset[v] + a][a] = field.one
-            proj.append(pm)
-        injections.append(ModuleMap(r, total, inj, check=False))
-        projections.append(ModuleMap(total, r, proj, check=False))
-        for v in range(alg.n):
-            offset[v] += r.dims[v]
-    return total, injections, projections
-
-
 def _block_sum(reps):
-    """The direct sum of a nonempty list of modules, block diagonal, with
-    no injections or projections."""
+    """The direct sum of a nonempty list of modules, block diagonal."""
     alg = reps[0].algebra
     field = reps[0].field
     dims = tuple(sum(r.dims[v] for r in reps) for v in range(alg.n))
@@ -1060,15 +998,6 @@ def in_wide(u, q_proj, x):
     if not u.is_zero() and _hom_vectors(u, x):
         return False
     return True
-
-
-def star_membership(u_gen, m_gen, x):
-    """Whether x lies in Fac(u_gen) * Fac(m_gen) (extension closure).
-
-    Valid when u_gen is tau-rigid: x belongs iff x modulo the trace of
-    u_gen lies in Fac(m_gen).
-    """
-    return fac_contains([m_gen], [torsion_free_part(u_gen, x)])
 
 
 # -- bricks -----------------------------------------------------------------

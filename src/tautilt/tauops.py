@@ -350,20 +350,23 @@ def left_bongartz(u_pair, anchor=None):
 
 
 def _fan_candidates(u_pair, budget):
-    """The completions of (U, Q) whose nonzero star quotients X / t_U(X)
-    all lie in the wide subcategory W of (U, Q), each with those
-    quotients, in the discovery order of all_pairs.
+    """The completions of (U, Q), each with its nonzero star quotients
+    X / t_U(X), in the discovery order of all_pairs.
+
+    Every such quotient lies in the wide subcategory W of (U, Q), so W is
+    not tested: it is in U-perp by the torsion pair (Fac U, U-perp), in
+    perp(tau U) as a quotient of X, and in Q-perp since X_v = 0 at the
+    vertices of Q (Jasso, arXiv:1302.2709, Sect. 3).
 
     None of it depends on an anchor, so it is cached per content of the
     summands of U and Q and per budget (family "fan"); each distinct
-    summand is tested against W once.  Nothing is cached when all_pairs
-    raises.
+    summand is reduced once.  Nothing is cached when all_pairs raises.
     """
     alg = u_pair.algebra
     parts = zip("mp", (u_pair.m_summands(), u_pair.p_summands()))
     key = ("fan", frozenset((k, rep.key()) for k, reps in parts for rep, _ in reps), budget)
     if key not in alg.cache:
-        quotients = {}  # summand content -> (X / t_U(X), whether it lies in W)
+        quotients = {}  # summand content -> X / t_U(X)
         fan = []
         for cand in all_pairs(alg, budget):
             if not contains_pair(cand, u_pair):
@@ -371,16 +374,11 @@ def _fan_candidates(u_pair, budget):
             qs = []
             for rep, _ in cand.m_summands():
                 if rep.key() not in quotients:
-                    q = _star_quotient(u_pair, rep)
-                    in_w = q.is_zero() or modules.in_wide(u_pair.m, u_pair.p, q)
-                    quotients[rep.key()] = (q, in_w)
-                q, in_w = quotients[rep.key()]
-                if not in_w:
-                    break
+                    quotients[rep.key()] = _star_quotient(u_pair, rep)
+                q = quotients[rep.key()]
                 if not q.is_zero():
                     qs.append(q)
-            else:
-                fan.append((cand, tuple(qs)))
+            fan.append((cand, tuple(qs)))
         alg.cache[key] = tuple(fan)
     return alg.cache[key]
 
@@ -389,11 +387,14 @@ def fan_left_completion(u_pair, anchor=None, budget=10000):
     """Left completion located inside the enumerated completion fan.
 
     Independent route used for cross-checks: a completion C of (U, Q) is
-    kept when every summand X of its module part has X / t_U(X) inside the
-    wide subcategory of (U, Q) and inside Fac M of the anchor; the result
-    is the unique maximum of the kept set.  The first test does not depend
-    on the anchor and is read from _fan_candidates.  Agrees with
-    left_bongartz on its domain but does not need the precondition.
+    kept when every summand X of its module part has X / t_U(X) inside
+    Fac M of the anchor; the result is the unique maximum of the kept set.
+    That quotient always lies in the wide subcategory of (U, Q): in U-perp
+    by the torsion pair, in perp(tau U) as a quotient of X, and in Q-perp
+    since X_v = 0 at the vertices of Q.  The completions and their
+    quotients do not depend on the anchor and are read from
+    _fan_candidates.  Agrees with left_bongartz on its domain but does not
+    need the precondition.
     """
     alg = u_pair.algebra
     if anchor is None:

@@ -73,9 +73,6 @@ class ProjectiveComplex:
     def is_two_term(self):
         return all(i in (-1, 0) for i in self.support())
 
-    def total_summands(self):
-        return sum(len(v) for v in self.terms.values())
-
     def validate(self):
         n = self.algebra.n
         for i, verts in self.terms.items():
@@ -153,16 +150,6 @@ def zero_complex(algebra):
 
 def stalk_complex(algebra, vertices, degree=0):
     return ProjectiveComplex(algebra, {degree: list(vertices)}, {}, check=False)
-
-
-def free_silting(algebra):
-    """The algebra in degree 0: the canonical maximal silting complex."""
-    return stalk_complex(algebra, list(range(algebra.n)), 0)
-
-
-def shifted_silting(algebra):
-    """The algebra in degree -1: the canonical minimal silting complex."""
-    return stalk_complex(algebra, list(range(algebra.n)), -1)
 
 
 def direct_sum_complexes(parts):
@@ -661,19 +648,6 @@ class _SummedComplex(ProjectiveComplex):
         return all(c.is_two_term() for c in self.parts)
 
 
-def is_isomorphic_complex(a, b):
-    """Isomorphism in the homotopy category of two two-term complexes.
-
-    By the split of decompose_complex, a and b are isomorphic exactly when
-    they have the same shifted vertices, with multiplicity, and isomorphic
-    H^0.  Raises PreconditionViolated outside the window, and
-    SearchBudgetExceeded where modules.is_isomorphic does.
-    """
-    h0_a, shift_a = _h0_and_shift(a)
-    h0_b, shift_b = _h0_and_shift(b)
-    return sorted(shift_a) == sorted(shift_b) and modules.is_isomorphic(h0_a, h0_b)
-
-
 # -- silting tests -----------------------------------------------------------------
 
 
@@ -692,14 +666,6 @@ def is_silting(t):
     if any(mult > 1 for _, mult in parts):
         return False
     return len(parts) == t.algebra.n
-
-
-def g_matrix(t):
-    """Rows are the g-vectors of the indecomposable summands, sorted."""
-    rows = []
-    for c, mult in decompose_complex(t):
-        rows.extend([c.g_vec()] * mult)
-    return sorted(rows)
 
 
 def silting_leq(a, b):
@@ -937,16 +903,6 @@ def left_completion_silting(u, t):
         for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()))
-
-
-def right_completion_silting(u, t):
-    """Right Bongartz completion, computed through the derived duality.
-
-    Defined when Hom(t, u[1]) = 0, the mirror of the left window; the check
-    happens on the dual side.
-    """
-    out = left_completion_silting(complex_dagger(u), complex_dagger(t))
-    return complex_dagger(out)
 
 
 def mutate_complex(t, summand_index, direction):

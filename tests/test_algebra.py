@@ -47,7 +47,7 @@ def test_a3_has_length_two_path(a3):
     assert a3.dim == 6
     ab = a3.path_element(["a", "b"])
     assert not ab.is_zero()
-    assert ab.peirce_type() == (0, 2)
+    assert {a3.peirce[k] for k in ab.support()} == {(0, 2)}
     assert a3.radical_nilpotency() == 3
 
 

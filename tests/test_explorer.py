@@ -90,8 +90,6 @@ def test_graph_a2_pentagon(a2, g_a2):
         ("(P2 | P1)", "(0 | P1+P2)"),
         ("(S1 | P2)", "(0 | P1+P2)"),
     }
-    for fp in g_a2.nodes:
-        assert g_a2.incident_count(fp) == 2
 
 
 def test_graph_a3_counts(a3):
@@ -105,8 +103,6 @@ def test_graph_cyc3_counts(g_cyc3):
     assert g_cyc3.complete
     assert len(g_cyc3) == 14
     assert len(g_cyc3.edges) == 21
-    for fp in g_cyc3.nodes:
-        assert g_cyc3.incident_count(fp) == 3
 
 
 def _linear_a3(field):

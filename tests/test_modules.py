@@ -26,6 +26,11 @@ def S(alg, i):
     return M.simple(alg, i)
 
 
+def free_module(alg):
+    """The algebra as a right module over itself."""
+    return M.sum_or_zero(alg, [P(alg, i) for i in range(alg.n)])
+
+
 # -- representations and maps -------------------------------------------------
 
 
@@ -41,7 +46,7 @@ def test_projective_dims_cyc3(cyc3):
 
 
 def test_free_module_total_dim(cyc3):
-    assert M.free_module(cyc3).total_dim() == cyc3.dim
+    assert free_module(cyc3).total_dim() == cyc3.dim
 
 
 def test_rep_from_arrows_projective(cyc3):
@@ -71,12 +76,12 @@ def test_hom_dims_a2(a2):
 
 
 def test_hom_dims_regular(cyc3):
-    free = M.free_module(cyc3)
+    free = free_module(cyc3)
     assert M.dim_hom(free, free) == cyc3.dim
 
 
 def test_hom_with_multiplicity(a2):
-    two = M.direct_sum([P(a2, 0), P(a2, 0)])[0]
+    two = M.sum_or_zero(a2, [P(a2, 0), P(a2, 0)])
     assert M.dim_hom(two, P(a2, 0)) == 2
     assert M.dim_hom(two, two) == 4
 
@@ -93,7 +98,7 @@ def test_submodule_closure(a2):
     # the vertex-0 line of P1 generates all of P1
     sub, incl = M.submodule(P(a2, 0), [[[a2.field.one]], []])
     assert sub.dims == (1, 1)
-    assert incl.is_injective()
+    assert incl.kernel()[0].is_zero()
 
 
 def test_quotient_by_socle(a2):
@@ -104,10 +109,8 @@ def test_quotient_by_socle(a2):
 
 
 def test_direct_sum_maps(a3):
-    total, injs, projs = M.direct_sum([P(a3, 0), S(a3, 1)])
+    total = M.sum_or_zero(a3, [P(a3, 0), S(a3, 1)])
     assert total.dims == (1, 2, 1)
-    for inj, proj in zip(injs, projs):
-        assert inj.then(proj).is_isomorphism()
 
 
 # -- projectives, covers, presentations --------------------------------------
@@ -130,7 +133,7 @@ def test_presentation_of_simple(cyc3):
     assert pres.p0.vertices == [0]
     assert pres.p1.vertices == [1]
     blk = pres.blocks[0][0]
-    assert blk.peirce_type() == (0, 1)
+    assert {cyc3.peirce[k] for k in blk.support()} == {(0, 1)}
 
 
 def test_projsum_block_roundtrip(cyc3):
@@ -146,7 +149,7 @@ def test_g_vectors_a3(a3):
     assert M.g_vector(P(a3, 0)) == (1, 0, 0)
     assert M.g_vector(S(a3, 0)) == (1, -1, 0)
     assert M.g_vector(S(a3, 1)) == (0, 1, -1)
-    both = M.direct_sum([S(a3, 0), S(a3, 1)])[0]
+    both = M.sum_or_zero(a3, [S(a3, 0), S(a3, 1)])
     assert M.g_vector(both) == (1, 0, -1)
 
 
@@ -160,7 +163,7 @@ def test_k_dual_involution(a3):
 
 def test_transpose_kills_projectives(a2):
     assert M.transpose(P(a2, 0)).is_zero()
-    assert M.transpose(M.free_module(a2)).is_zero()
+    assert M.transpose(free_module(a2)).is_zero()
 
 
 def test_tau_a2(a2):
@@ -196,7 +199,7 @@ def test_tau_prime_field():
 
 
 def test_decompose_free_module(cyc3):
-    parts = M.decompose(M.free_module(cyc3))
+    parts = M.decompose(free_module(cyc3))
     assert sorted(mult for _, mult in parts) == [1, 1, 1]
     dims = sorted(rep.dims for rep, _ in parts)
     assert dims == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
@@ -209,7 +212,7 @@ def a2_over(field):
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(3)], ids=["Q", "F2", "F3"])
 def test_decompose_multiplicity(field):
     a2 = a2_over(field)
-    x = M.direct_sum([P(a2, 0), P(a2, 0), S(a2, 0)])[0]
+    x = M.sum_or_zero(a2, [P(a2, 0), P(a2, 0), S(a2, 0)])
     parts = M.decompose(x)
     assert sorted((rep.dims, mult) for rep, mult in parts) == [
         ((1, 0), 1),
@@ -220,8 +223,8 @@ def test_decompose_multiplicity(field):
 @pytest.mark.parametrize("field", [QQ, Field(3)], ids=["Q", "F3"])
 def test_map_power(field):
     a2 = a2_over(field)
-    x = M.direct_sum([P(a2, 0), P(a2, 0), S(a2, 0)])[0]
-    f = M.zero_map(x, x)
+    x = M.sum_or_zero(a2, [P(a2, 0), P(a2, 0), S(a2, 0)])
+    f = M.identity_map(x).scale(field.zero)
     for k, g in enumerate(M.hom_basis(x, x)):
         f = f + g.scale(field(k + 1))
     assert f.power(0).mats == M.identity_map(x).mats
@@ -241,7 +244,7 @@ def test_decompose_indecomposable(a3):
 def test_is_isomorphic_distinguishes(a2):
     assert M.is_isomorphic(P(a2, 0), P(a2, 0))
     assert not M.is_isomorphic(P(a2, 0), S(a2, 0))
-    sum1 = M.direct_sum([S(a2, 0), S(a2, 1)])[0]
+    sum1 = M.sum_or_zero(a2, [S(a2, 0), S(a2, 1)])
     assert not M.is_isomorphic(sum1, P(a2, 0))  # same dims, different action
 
 
@@ -275,7 +278,7 @@ def test_end_a_larger_field_raises(sqrt2_module):
 @pytest.mark.parametrize("field", [QQ, Field(2), Field(3)], ids=["Q", "F2", "F3"])
 def test_local_end_is_certified(field):
     # k[x]/(x^2) as a module over itself: End is k[x]/(x^2), radical (x)
-    free = M.free_module(dual_numbers(field))
+    free = P(dual_numbers(field), 0)
     assert radical(free).rank == 1
     assert M.decompose(free) == [(free, 1)]
     assert not M.is_brick(free)
@@ -293,7 +296,7 @@ def test_local_end_is_certified_without_a_root_search(p, n, sqrt2_module):
     # k[x]/(x^n) over itself: over F_3001 the root search refuses, and the
     # eigenvalues come from the trace; where p divides n they come from
     # the characteristic polynomial
-    free = M.free_module(truncated_polynomials(Field(p), n))
+    free = P(truncated_polynomials(Field(p), n), 0)
     assert radical(free).rank == n - 1
     assert M.decompose(free) == [(free, 1)]
     with pytest.raises(SearchBudgetExceeded):
@@ -307,13 +310,13 @@ def test_local_end_of_dimension_two(pi_a3):
 
 
 def test_decomposable_end_is_not_local(a2):
-    assert radical(M.direct_sum([S(a2, 0), S(a2, 0)])[0]) is None
+    assert radical(M.sum_or_zero(a2, [S(a2, 0), S(a2, 0)])) is None
 
 
 def test_single_eigenvalues_without_a_nilpotent_span_are_not_local(a2):
     # End(S1+S1) = M_2(k) on a basis whose elements each have one
     # eigenvalue; their shifts span E12, E21, ... which is not nilpotent
-    x = M.direct_sum([S(a2, 0), S(a2, 0)])[0]
+    x = M.sum_or_zero(a2, [S(a2, 0), S(a2, 0)])
     one, zero = a2.field.one, a2.field.zero
     basis = [
         M.ModuleMap(x, x, [m, []])
@@ -331,7 +334,7 @@ def test_is_isomorphic_says_no_by_certificate(a2, pi_a3):
     top13 = M.rep_from_arrows(
         pi_a3, (1, 1, 1), {"a1": [[1]], "a2": [[0]], "b1": [[0]], "b2": [[1]]}
     )
-    sum1 = M.direct_sum([S(a2, 0), S(a2, 1)])[0]
+    sum1 = M.sum_or_zero(a2, [S(a2, 0), S(a2, 1)])
     p1, p3 = P(pi_a3, 0), P(pi_a3, 2)
     for x, y in [(sum1, P(a2, 0)), (p3, p1), (top13, p1), (top13, p3)]:
         assert x.dims == y.dims
@@ -347,12 +350,12 @@ def test_is_isomorphic_says_yes_by_certificate(a3):
 
 
 def test_is_isomorphic_compares_pieces_when_end_is_not_local(a2):
-    x = M.direct_sum([S(a2, 0), S(a2, 1)])[0]
-    y = M.direct_sum([S(a2, 1), S(a2, 0)])[0]
+    x = M.sum_or_zero(a2, [S(a2, 0), S(a2, 1)])
+    y = M.sum_or_zero(a2, [S(a2, 1), S(a2, 0)])
     assert iso_certificate(x, y) is None
     assert M._same_pieces(M.decompose(x), M.decompose(y))
     assert M.is_isomorphic(x, y)
-    z = M.direct_sum([S(a2, 0), S(a2, 0)])[0]
+    z = M.sum_or_zero(a2, [S(a2, 0), S(a2, 0)])
     assert not M._same_pieces(M.decompose(x), M.decompose(z))
 
 
@@ -362,7 +365,7 @@ def test_is_isomorphic_compares_pieces_when_end_is_not_local(a2):
 def test_in_fac(cyc3):
     assert M.in_fac(P(cyc3, 0), S(cyc3, 0))
     assert not M.in_fac(P(cyc3, 0), S(cyc3, 1))
-    assert M.in_fac(M.free_module(cyc3), P(cyc3, 1))
+    assert M.in_fac(free_module(cyc3), P(cyc3, 1))
 
 
 def test_fac_contains_reads_the_rank_of_the_image_rows(a2):
@@ -370,8 +373,8 @@ def test_fac_contains_reads_the_rank_of_the_image_rows(a2):
     # P1; at vertex 2 they give two equal nonzero rows, of rank 1 < 2, as
     # S2 is no quotient of P1
     p1, s2 = P(a2, 0), S(a2, 1)
-    twice = M.direct_sum([p1, p1])[0]
-    x = M.direct_sum([p1, s2])[0]
+    twice = M.sum_or_zero(a2, [p1, p1])
+    x = M.sum_or_zero(a2, [p1, s2])
     assert not M.fac_contains([twice], [x])
     assert M.fac_contains([twice], [p1, S(a2, 0)])
     assert M.fac_contains([p1, s2], [x])
@@ -386,7 +389,7 @@ def test_fac_contains_keys_its_gens_as_a_set_over_f_p():
     one, two = (M.rep_from_arrows(alg, (1, 1), {"a": [[c]]}) for c in (1, 2))
     with pytest.raises(TypeError):
         sorted([one.key(), two.key()])
-    x = M.direct_sum([two, S(alg, 0)])[0]
+    x = M.sum_or_zero(alg, [two, S(alg, 0)])
     assert M.fac_contains([one, two], [x]) and M.fac_contains([two, one], [x])
     assert sum(1 for key in alg.cache if key[0] == "fac") == 1
 
@@ -410,7 +413,7 @@ def test_torsion_part_mixed(a2):
 
 def test_star_membership(a2):
     # P1 is an extension of S1 by S2, so it lies in Fac S2 * Fac S1
-    assert M.star_membership(S(a2, 1), S(a2, 0), P(a2, 0))
+    assert M.fac_contains([S(a2, 0)], [M.torsion_free_part(S(a2, 1), P(a2, 0))])
     assert not M.in_fac(S(a2, 0), P(a2, 0))
 
 
@@ -427,12 +430,12 @@ def test_in_wide(cyc3):
 def test_bricks(a3):
     assert M.is_brick(S(a3, 0))
     assert M.is_brick(P(a3, 0))
-    two = M.direct_sum([S(a3, 0), S(a3, 0)])[0]
+    two = M.sum_or_zero(a3, [S(a3, 0), S(a3, 0)])
     assert not M.is_brick(two)
 
 
 def test_brick_shrink(a2):
-    x = M.direct_sum([P(a2, 0), S(a2, 0)])[0]
+    x = M.sum_or_zero(a2, [P(a2, 0), S(a2, 0)])
     y = M.brick_shrink(x)
     assert M.is_brick(y)
 
@@ -442,13 +445,13 @@ def test_brick_shrink(a2):
 
 def test_check_pair_roles(cyc3):
     zero = M.zero_rep(cyc3)
-    tilt = M.check_pair(M.TauPair(M.free_module(cyc3), zero))
+    tilt = M.check_pair(M.TauPair(free_module(cyc3), zero))
     assert tilt["role"] == "tilting" and tilt["rigid"]
 
     almost = M.check_pair(M.pair_from_summands(cyc3, [P(cyc3, 0), P(cyc3, 1)], []))
     assert almost["role"] == "almost"
 
-    shift_all = M.check_pair(M.TauPair(zero, M.free_module(cyc3)))
+    shift_all = M.check_pair(M.TauPair(zero, free_module(cyc3)))
     assert shift_all["role"] == "tilting"
 
     bad = M.check_pair(M.pair_from_summands(cyc3, [S(cyc3, 0)], [P(cyc3, 0)]))
@@ -478,12 +481,12 @@ def test_check_pair_reports_a_non_projective_p(cyc3):
 
 def test_pair_fingerprints_distinguish(cyc3):
     zero = M.zero_rep(cyc3)
-    p1 = M.TauPair(M.free_module(cyc3), zero)
+    p1 = M.TauPair(free_module(cyc3), zero)
     p2 = M.pair_from_summands(cyc3, [P(cyc3, 0), S(cyc3, 0)], [P(cyc3, 2)])
-    p3 = M.TauPair(zero, M.free_module(cyc3))
+    p3 = M.TauPair(zero, free_module(cyc3))
     prints = {p1.fingerprint(), p2.fingerprint(), p3.fingerprint()}
     assert len(prints) == 3
-    assert p1.fingerprint() == M.TauPair(M.free_module(cyc3), zero).fingerprint()
+    assert p1.fingerprint() == M.TauPair(free_module(cyc3), zero).fingerprint()
 
 
 def test_describe(cyc3):

@@ -1,0 +1,62 @@
+"""Every function, method and class in src/ is reached from src/.
+
+A definition whose name occurs in the package only where it is defined is
+dead, or kept alive by the tests alone.  A use is a name or an attribute
+in the syntax tree, f-strings included, so a mention in a string, a
+comment or a docstring does not count.  Exempt are dunders, the public
+names of tautilt.__all__, and methods that a library calls by name.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import tautilt
+
+SRC = Path(tautilt.__file__).parent
+
+# argparse calls error() on usage mistakes; nothing in the package names it
+CALLED_BY_LIBRARY = {"cli._Parser.error"}
+
+
+def _definitions(tree, module):
+    """(qualified name, name) of every def and class, nested ones included."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qual = f"{prefix}.{child.name}"
+                out.append((qual, child.name))
+                visit(child, qual)
+            else:
+                visit(child, prefix)
+
+    visit(tree, module)
+    return out
+
+
+def _unused_definitions():
+    uses = Counter()
+    defs = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr] += 1
+        defs.extend(_definitions(tree, path.stem))
+    return sorted(
+        qual
+        for qual, name in defs
+        if not uses[name]
+        and not (name.startswith("__") and name.endswith("__"))
+        and name not in tautilt.__all__
+        and qual not in CALLED_BY_LIBRARY
+    )
+
+
+def test_every_definition_is_used_in_the_package():
+    unused = _unused_definitions()
+    assert not unused, "never used in the package: " + ", ".join(unused)

@@ -967,22 +967,6 @@ def test_compat_completes_each_window_node_once(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["A3", "cyc3"])
-def test_compat_sweeps_search_no_complex_isomorphism(name, monkeypatch):
-    # the sweeps read complexes that carry their summands
-    alg = FRESH[name]()
-    graph = ex.build_exchange_graph(alg)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("complex isomorphism search in a compat sweep")
-
-    monkeypatch.setattr(tt, "is_isomorphic_complex", refuse)
-    for rel in ex.rigid_subpairs(graph, 1):
-        for sweep in (ex.verify_mutation_compat, ex.verify_silting_compat):
-            rep = sweep(rel, graph)
-            assert rep["pass"], rep["failures"]
-
-
-@pytest.mark.parametrize("name", ["A3", "cyc3"])
 def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
     # the silting side returns another node that contains U; the
     # module-side certificate, which the compat sweep relies on, refuses it
@@ -1053,7 +1037,27 @@ FAN = {
     "cyc3": lambda: _cycle(3, QQ),
     "cyc4": lambda: _cycle(4, QQ),
     "cyc3/F3": lambda: _cycle(3, Field(3)),
+    "PiA3": _preprojective_a3,
 }
+
+
+@pytest.mark.parametrize("name", sorted(FAN))
+def test_star_quotients_of_a_completion_lie_in_w(name):
+    # the fact that lets the fan search skip the W test: for a module
+    # summand X of a pair C that contains (U, Q), X / t_U(X) lies in the
+    # wide subcategory of (U, Q)
+    alg = FAN[name]()
+    graph = ex.build_exchange_graph(alg)
+    tested = 0
+    for u in ex.rigid_subpairs(graph, alg.n):
+        for node in graph.node_list():
+            if not to.contains_pair(node, u):
+                continue
+            for rep, _ in node.m_summands():
+                q = rep if u.m.is_zero() else md.torsion_free_part(u.m, rep)
+                assert md.in_wide(u.m, u.p, q)
+                tested += 1
+    assert tested > len(graph) * alg.n
 
 
 @pytest.mark.parametrize("name", sorted(FAN))
@@ -1083,29 +1087,29 @@ def test_fan_completion_matches_the_per_anchor_scan(name):
 
 
 @pytest.mark.parametrize("name", ["A3", "cyc3"])
-def test_route_sweep_tests_each_summand_against_w_once(name, monkeypatch):
-    # in one verify_route sweep, each summand of each candidate is tested
-    # against the wide subcategory of (U, Q) at most once, however many
-    # window nodes the sweep visits
+def test_route_sweep_reduces_each_summand_modulo_u_once(name, monkeypatch):
+    # in one verify_route sweep, the fan search reduces each summand of
+    # each candidate modulo t_U at most once, however many window nodes
+    # the sweep visits
     alg = FRESH[name]()
     graph = ex.build_exchange_graph(alg)
-    tested = Counter()
-    in_wide = md.in_wide
+    reduced = Counter()
+    star, fan = to._star_quotient, to._fan_candidates.__code__
 
-    def counted(u, q_proj, x):
-        rep = sys._getframe(1).f_locals["rep"]
-        tested[u.key(), q_proj.key(), rep.key()] += 1
-        return in_wide(u, q_proj, x)
+    def counted(u, x):
+        if sys._getframe(1).f_code is fan:
+            reduced[u.m.key(), u.p.key(), x.key()] += 1
+        return star(u, x)
 
-    monkeypatch.setattr(md, "in_wide", counted)
+    monkeypatch.setattr(to, "_star_quotient", counted)
     visits = calls = 0
     for u in ex.rigid_subpairs(graph, alg.n - 1):
-        tested.clear()
+        reduced.clear()
         report = ex.verify_route(u, graph)
         assert report["pass"], report["failures"]
-        assert max(tested.values(), default=0) <= 1
+        assert max(reduced.values(), default=0) <= 1
         visits += report["nodes_checked"]
-        calls += len(tested)
+        calls += len(reduced)
     assert calls > 0 and visits > 2 * len(ex.rigid_subpairs(graph, alg.n - 1))
 
 
@@ -1224,7 +1228,7 @@ def _eager_walked(pair):
     alg = pair.algebra
     m_parts = [rep for kind, rep, _ in pair.rows if kind == "m"]
     shift = sorted(md._projective_vertex(rep) for kind, rep, _ in pair.rows if kind == "p")
-    m = md.direct_sum(m_parts)[0] if m_parts else md.zero_rep(alg)
+    m = md.sum_or_zero(alg, m_parts)
     p = md.ProjSum(alg, shift).rep if shift else md.zero_rep(alg)
     return m.key(), p.key()
 
@@ -1234,7 +1238,7 @@ def test_lazy_m_and_p_match_the_eager_construction(name):
     alg = LAZY[name]()
     for node in ex.build_exchange_graph(alg).node_list():
         assert (node.m.key(), node.p.key()) == _eager_walked(node)
-    projectives = md.direct_sum([md.projective(alg, v) for v in range(alg.n)])[0].key()
+    projectives = md.sum_or_zero(alg, [md.projective(alg, v) for v in range(alg.n)]).key()
     zero = md.zero_rep(alg).key()
     free, shifted = to.free_pair(alg), to.shifted_pair(alg)
     assert (free.m.key(), free.p.key()) == (projectives, zero)
@@ -1244,7 +1248,7 @@ def test_lazy_m_and_p_match_the_eager_construction(name):
 def test_walk_builds_no_module_sum_or_fraction_determinant(monkeypatch):
     alg = _linear(4, QQ)
     calls = []
-    # every module sum, direct_sum and sum_or_zero alike, goes through _block_sum
+    # every module sum goes through _block_sum
     for mod, fn in ((md, "_block_sum"), (linalg, "det")):
         real = getattr(mod, fn)
 
