@@ -172,22 +172,19 @@ def graph_dot(graph, bricks=True):
 # -- reduction at a rigid pair --------------------------------------------------
 
 
-def _map_vec(f):
-    return [x for m in f.mats for row in m for x in row]
-
-
 def _hom_width(src, tgt):
     return sum(src.dims[v] * tgt.dims[v] for v in range(src.algebra.n))
 
 
-def _local_scalar(f):
-    """Residue-field scalar of an endomorphism of an indecomposable."""
-    x = f.source
-    v = next(v for v in range(x.algebra.n) if x.dims[v])
-    c = modules._single_eigenvalue(f.mats[v], x.field)
-    if (f - modules.identity_map(x).scale(c)).power(x.total_dim()).is_zero():
-        return c
-    raise NotBasic("endomorphism ring of a summand is not split local")
+def _extend_basis(rows, candidates, field, width):
+    """Positions of the candidates that lie outside the span of rows and of
+    the candidates kept before them, in order."""
+    rows, kept = list(rows), []
+    for t, vec in enumerate(candidates):
+        if not linalg.RowSolver(rows, field, width).contains(vec):
+            rows.append(vec)
+            kept.append(t)
+    return kept
 
 
 class ReductionData:
@@ -241,8 +238,12 @@ def tau_reduction(pair):
 
     Builds B = End(M) for the maximal completion (M, P), with basis the
     identity projections of the indecomposable summands followed by a
-    radical basis, then quotients by the ideal generated by e_U.  The
-    quotient basis keeps one representative map per coset.
+    radical basis (see modules._radical_generators), composing each pair
+    of basis maps once.  The ideal generated by e_U and the quotient
+    B/<e_U> are then read from B's structure constants: the ideal is
+    whole on the blocks e_i B e_j that touch U and elsewhere spanned by
+    the products through a U slot, and the quotient basis keeps one basis
+    element of B, with its map, per coset.
     """
     alg = pair.algebra
     field = alg.field
@@ -275,18 +276,12 @@ def tau_reduction(pair):
     elements = [(i, i, modules.identity_map(parts[i])) for i in range(s)]
     for i in range(s):
         ident = modules.identity_map(parts[i])
-        width = _hom_width(parts[i], parts[i])
-        rows = [_map_vec(ident)]
-        kept = []
-        for f in cells[(i, i)]:
-            g = f - ident.scale(_local_scalar(f))
-            vec = _map_vec(g)
-            if any(vec) and not linalg.RowSolver(rows, field, width).contains(vec):
-                rows.append(vec)
-                kept.append(g)
-        if len(kept) != len(cells[(i, i)]) - 1:
+        rad = modules._radical_generators(cells[(i, i)], ident)
+        if rad is None:
             raise NotBasic("endomorphism ring of a summand is not split local")
-        elements.extend((i, i, g) for g in kept)
+        vecs = [modules._flat(g) for g in rad]
+        kept = _extend_basis([], vecs, field, _hom_width(parts[i], parts[i]))
+        elements.extend((i, i, rad[t]) for t in kept)
     for i in range(s):
         for j in range(s):
             if i != j:
@@ -302,7 +297,7 @@ def tau_reduction(pair):
         members.setdefault((i, j), []).append(k)
     solvers = {
         key: linalg.RowSolver(
-            [_map_vec(elements[k][2]) for k in idx],
+            [modules._flat(elements[k][2]) for k in idx],
             field,
             _hom_width(parts[key[1]], parts[key[0]]),
         )
@@ -314,7 +309,7 @@ def tau_reduction(pair):
         for b, (k, l, fb) in enumerate(elements):
             if j != k:
                 continue
-            vec = _map_vec(fb.then(fa))
+            vec = modules._flat(fb.then(fa))
             if not any(vec):
                 continue
             cell = members.get((i, l))
@@ -327,48 +322,54 @@ def tau_reduction(pair):
 
     endo = _build_basic(field, labels, names, peirce, mult)
 
-    # trace ideal B e_U B, block by block
+    # from here on B is read from its structure constants, each element of
+    # block (i, j) as its coordinates over the basis of that block
+    place = {k: t for idx in members.values() for t, k in enumerate(idx)}
+
+    def coords(entries, width):
+        vec = [field.zero] * width
+        for k, c in entries:
+            vec[place[k]] = c
+        return vec
+
+    # B e_U B: whole on the blocks that touch U, and spanned elsewhere by
+    # the products a·b through a U slot
     ideal_dim = 0
     block_ideal = {}
     for (i, j), idx in members.items():
         if i in u_slots or j in u_slots:
             ideal_dim += len(idx)
             continue
-        vecs = []
-        for t in u_slots:
-            for g in cells[(t, j)]:
-                for f in cells[(i, t)]:
-                    vecs.append(_map_vec(g.then(f)))
-        basis = linalg.row_space_basis(vecs, field) if vecs else []
-        block_ideal[(i, j)] = basis
-        ideal_dim += len(basis)
+        products = [
+            coords(mult.get((a, b), ()), len(idx))
+            for t in u_slots
+            for a in members.get((i, t), [])
+            for b in members.get((t, j), [])
+        ]
+        block_ideal[(i, j)] = linalg.row_space_basis(products, field)
+        ideal_dim += len(block_ideal[(i, j)])
 
-    # quotient basis: surviving idempotents, then reduced radical maps
-    vmap = {orig: new for new, orig in enumerate(kept_slots)}
-    q_elements = []
-    for i in kept_slots:
-        ident = modules.identity_map(parts[i])
-        width = _hom_width(parts[i], parts[i])
-        idl = block_ideal.get((i, i), [])
-        if linalg.RowSolver(idl, field, width).contains(_map_vec(ident)):
-            raise CertificateFailure("reduction collapsed a non-U idempotent")
-        q_elements.append((i, i, ident))
-    for i in kept_slots:
-        for j in kept_slots:
-            width = _hom_width(parts[j], parts[i])
-            rows = [list(v) for v in block_ideal.get((i, j), [])]
-            if i == j:
-                rows.append(_map_vec(modules.identity_map(parts[i])))
-            for a, b, g in elements[s:]:
-                if (a, b) != (i, j):
-                    continue
-                vec = _map_vec(g)
-                if not linalg.RowSolver(rows, field, width).contains(vec):
-                    rows.append(vec)
-                    q_elements.append((i, j, g))
+    # per surviving block, the basis elements outside the ideal and the
+    # elements before them, and a solver that reads a product over them
+    # modulo the ideal
+    chosen, reducers = {}, {}
+    for key, rows in block_ideal.items():
+        width = len(members[key])
+        units = linalg.identity(width, field)
+        kept = _extend_basis(rows, units, field, width)
+        chosen[key] = [members[key][t] for t in kept]
+        reducers[key] = linalg.RowSolver([units[t] for t in kept] + rows, field, width)
+    if any(chosen[(i, i)][:1] != [i] for i in kept_slots):
+        raise CertificateFailure("reduction collapsed a non-U idempotent")
 
-    q_names = [f"E{vmap[i] + 1}" for i, _, _ in q_elements[: len(kept_slots)]]
+    # quotient basis: surviving idempotents, then the chosen radical elements
+    q_index = kept_slots + [
+        k for i in kept_slots for j in kept_slots for k in chosen.get((i, j), []) if k >= s
+    ]
+    q_elements = [elements[k] for k in q_index]
+    q_names = [f"E{v + 1}" for v in range(len(kept_slots))]
     q_names += [f"w{t + 1}" for t in range(len(q_elements) - len(kept_slots))]
+    vmap = {orig: new for new, orig in enumerate(kept_slots)}
     q_peirce = [(vmap[i], vmap[j]) for i, j, _ in q_elements]
     q_labels = []
     for i in kept_slots:
@@ -377,40 +378,17 @@ def tau_reduction(pair):
             base = base[1:]  # the projective prefix is redundant on a vertex
         q_labels.append(base + "'")
 
-    q_members = {}
-    for k, (i, j, _) in enumerate(q_elements):
-        q_members.setdefault((i, j), []).append(k)
-    q_solvers = {}
-    for key, idx in q_members.items():
-        rows = [_map_vec(q_elements[k][2]) for k in idx]
-        rows += [list(v) for v in block_ideal.get(key, [])]
-        q_solvers[key] = linalg.RowSolver(
-            rows, field, _hom_width(parts[key[1]], parts[key[0]])
-        )
-
+    # a product of quotient elements is their product in B, modulo the ideal
+    q_pos = {k: a for a, k in enumerate(q_index)}
     q_mult = {}
-    for a, (i, j, fa) in enumerate(q_elements):
-        for b, (k, l, fb) in enumerate(q_elements):
-            if j != k:
+    for a, ka in enumerate(q_index):
+        for b, kb in enumerate(q_index):
+            product = mult.get((ka, kb))
+            if not product:
                 continue
-            vec = _map_vec(fb.then(fa))
-            if not any(vec):
-                continue
-            cell = q_members.get((i, l), [])
-            solver = q_solvers.get((i, l))
-            if solver is None:
-                # whole block died; the composite must lie in the ideal
-                solver = linalg.RowSolver(
-                    [list(v) for v in block_ideal.get((i, l), [])],
-                    field,
-                    _hom_width(parts[l], parts[i]),
-                )
-            coeffs = solver.express(vec)
-            if coeffs is None:
-                raise CertificateFailure("composite escaped its hom block")
-            entries = tuple(
-                (cell[t], c) for t, c in enumerate(coeffs[: len(cell)]) if c
-            )
+            key = (peirce[ka][0], peirce[kb][1])
+            coeffs = reducers[key].express(coords(product, len(members[key])))
+            entries = tuple((q_pos[k], c) for k, c in zip(chosen[key], coeffs) if c)
             if entries:
                 q_mult[(a, b)] = entries
 
@@ -442,7 +420,7 @@ def reduction_functor(rd, x):
     dims = tuple(len(b) for b in bases)
     solvers = [
         linalg.RowSolver(
-            [_map_vec(f) for f in bases[v]],
+            [modules._flat(f) for f in bases[v]],
             field,
             _hom_width(rd.parts[rd.kept_slots[v]], x),
         )
@@ -454,7 +432,7 @@ def reduction_functor(rd, x):
         g = rd.quotient_maps[kq][2]
         rows = []
         for phi in bases[i]:
-            vec = _map_vec(g.then(phi))
+            vec = modules._flat(g.then(phi))
             if not any(vec):
                 rows.append([field.zero] * dims[j])
                 continue

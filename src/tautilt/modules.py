@@ -749,9 +749,9 @@ def _single_eigenvalue(mat, field):
     return -field.div(linalg.charpoly(mat, field)[d - q], field(d // q))
 
 
-def _local_radical(endos, ident):
-    """rad End(X) when End(X) is certified local with residue field k, as a
-    RowSolver over flattened maps (see _flat); else None.
+def _radical_generators(endos, ident):
+    """The maps f_i − λ_i·id, which span rad End(X) when End(X) is
+    certified local with residue field k; else None.
 
     endos is a basis f_1, ..., f_r of End(X) and ident the identity.  Each
     λ_i is read as the single eigenvalue of f_i on one vertex space V_v
@@ -762,16 +762,27 @@ def _local_radical(endos, ident):
     of End(X) that contains N, of dimension r − 1, and equals N.  Hence
     N·N ⊆ N, End(X)/N = k, and End(X) is local with radical N, in any
     characteristic.  An f_i without a single eigenvalue in k has no
-    nilpotent shift, so then the test fails whatever λ_i was read.
+    nilpotent shift, so then the test fails whatever λ_i was read.  With
+    r = 1, End(X) = k·id and there are no generators.
     """
+    if len(endos) == 1:
+        return []
     field = ident.field
     dims = ident.source.dims
     nonzero = [v for v, d in enumerate(dims) if d]
     v = next((v for v in nonzero if not field.char or dims[v] % field.char), nonzero[0])
     gens = [f - ident.scale(_single_eigenvalue(f.mats[v], field)) for f in endos]
-    if not _nilpotent(gens, ident):
+    return gens if _nilpotent(gens, ident) else None
+
+
+def _local_radical(endos, ident):
+    """rad End(X) when End(X) is certified local with residue field k (see
+    _radical_generators), as a RowSolver over flattened maps (see _flat);
+    else None."""
+    gens = _radical_generators(endos, ident)
+    if gens is None:
         return None
-    return linalg.RowSolver([_flat(g) for g in gens], field, len(_flat(ident)))
+    return linalg.RowSolver([_flat(g) for g in gens], ident.field, len(_flat(ident)))
 
 
 def _fitting_split(endos, ident, n):
@@ -782,7 +793,7 @@ def _fitting_split(endos, ident, n):
     By Fitting's lemma f^n has stable rank.
 
     When no candidate splits, returns None if End is certified local (see
-    _local_radical), so the object is indecomposable, and raises
+    _radical_generators), so the object is indecomposable, and raises
     SearchBudgetExceeded otherwise.
     """
     for f in _splitting_candidates(endos, ident):
@@ -791,7 +802,7 @@ def _fitting_split(endos, ident, n):
         p = f.power(max(n, 1))
         if 0 < p.rank() < n:
             return p
-    if _local_radical(endos, ident) is None:
+    if _radical_generators(endos, ident) is None:
         raise SearchBudgetExceeded(
             "no splitting candidate, and End is not certified local over the field"
         )
@@ -1003,50 +1014,16 @@ def in_wide(u, q_proj, x):
 # -- bricks -----------------------------------------------------------------
 
 
-def find_noninvertible_endo(y):
-    """A nonzero non-invertible endomorphism of y, or None when End(y) = k.
-
-    Otherwise the splitting candidates are tried.  When End(y) is local
-    with residue field k, its radical is nonzero and holds a nonzero basis
-    element or eigenvalue shift of one (see _local_radical), which the
-    candidates include; so when none of them is found, End(y) is not
-    certified local (a division ring larger than k, say) and
-    SearchBudgetExceeded is raised.
-    """
-    endos = hom_basis(y, y)
-    if len(endos) <= 1:
-        return None
-    for f in _splitting_candidates(endos, identity_map(y)):
-        if not f.is_zero() and not f.is_isomorphism():
-            return f
-    raise SearchBudgetExceeded(
-        "no non-invertible endomorphism among the candidates, and End is not k"
-    )
-
-
 def is_brick(y):
-    """Whether y is a brick with End(y) = k; raises where
-    find_noninvertible_endo does."""
+    """Whether y is a brick: End(y) = k.  A larger End(y) must split y or
+    be certified local (see _fitting_split), else SearchBudgetExceeded is
+    raised, as for an End(y) that is a division ring larger than k."""
     if y.is_zero():
         return False
-    return find_noninvertible_endo(y) is None
-
-
-def brick_shrink(y):
-    """Iterates y <- image(f) over nonzero non-invertible endomorphisms f
-    until only invertible ones remain."""
-    steps = y.total_dim() + 1
-    for _ in range(steps):
-        if y.is_zero():
-            raise CertificateFailure("brick search collapsed to zero")
-        f = find_noninvertible_endo(y)
-        if f is None:
-            return y
-        img, _ = f.image()
-        if img.total_dim() >= y.total_dim():
-            raise CertificateFailure("endomorphism image failed to shrink")
-        y = img
-    raise CertificateFailure("brick search did not converge")
+    endos = hom_basis(y, y)
+    if len(endos) > 1:
+        _fitting_split(endos, identity_map(y), y.total_dim())
+    return len(endos) == 1
 
 
 # -- pairs -------------------------------------------------------------------

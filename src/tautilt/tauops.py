@@ -452,9 +452,14 @@ def _surplus(have, other):
 def brick_label(old, new):
     """The brick labelling a left mutation edge old -> new.
 
-    For the exchange X -> Y the label is X modulo the torsion part of the
-    new torsion class; it generates the Hom-orthogonal window between the
-    two torsion classes.
+    For the exchange X -> Y the label is X modulo the trace of the new M
+    plus rad End(X)·X (Asai, arXiv:1610.05860); it generates the
+    Hom-orthogonal window between the two torsion classes.  The trace of
+    the new M is that of the kept part U, since Y is a quotient of some U'
+    in the exchange sequence.  Both terms are sums of images of module
+    maps, so they form a submodule with no closure.  Raises
+    SearchBudgetExceeded when End(X) is not certified local with residue
+    field k (see modules._radical_generators).
     """
     if not pair_leq(new, old) or old.fingerprint() == new.fingerprint():
         raise PreconditionViolated("brick labels live on left mutation edges")
@@ -462,8 +467,15 @@ def brick_label(old, new):
     if len(only_old) != 1 or only_old[0][0] != "mod":
         raise MatchFailure("edge does not exchange a single module summand")
     x = next(rep for (_, rep, _), token in zip(old.rows, old.tokens) if token == only_old[0])
-    q = modules.torsion_free_part(new.m, x)
-    d = modules.brick_shrink(q)
+    rad = modules._radical_generators(modules.hom_basis(x, x), modules.identity_map(x))
+    if rad is None:
+        raise SearchBudgetExceeded("End of the exchanged summand is not certified local")
+    images = modules._image_rows(_m_parts(new), x)
+    closed = [
+        linalg.row_space_basis(rows + [row for g in rad for row in g.mats[v]], x.field)
+        for v, rows in enumerate(images)
+    ]
+    d = modules._quotient_by_basis(x, closed)[0]
     if not modules.is_brick(d):
         raise CertificateFailure("label failed the brick test")
     if modules._hom_vectors(new.m, d):

@@ -588,15 +588,6 @@ def decompose_complex(t):
     """
     if t.parts is not None:
         return [(c, 1) for c in t.parts]
-    alg = t.algebra
-    key = ("cdecomp", t.key())
-    if key not in alg.cache:
-        alg.cache[key] = _split_through_h0(t)
-    return alg.cache[key]
-
-
-def _split_through_h0(t):
-    """decompose_complex of a complex without parts, uncached."""
     h0, shift = _h0_and_shift(t)
     return [(summand_complex("m", x), mult) for x, mult in modules.decompose(h0)] + [
         (stalk_complex(t.algebra, [v], -1), shift.count(v)) for v in sorted(set(shift))
@@ -899,7 +890,7 @@ def left_completion_silting(u, t):
             else:
                 f = min_left_approx(ti.shift(-1), u_parts)
                 x = minimalize(cone(f.source, f.target, f.blocks))
-                alg.cache[key] = tuple(c for c, _ in _split_through_h0(x))
+                alg.cache[key] = tuple(c for c, _ in decompose_complex(x))
         for c in alg.cache[key]:
             merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()))

@@ -143,7 +143,7 @@ def test_left_cone_shortcut_matches_the_approximated_cone(name, preprojective):
                 seen.add(key)
                 f = tt.min_left_approx(ti.shift(-1), u_parts)
                 cone = tt.minimalize(tt.cone(f.source, f.target, f.blocks))
-                split = [c.key() for c, _ in tt._split_through_h0(cone)]
+                split = [c.key() for c, _ in tt.decompose_complex(cone)]
                 assert [c.key() for c in alg.cache[key]] == split
                 if all(tt.hom_k(ti, c, 1) == 0 for c in u_parts):
                     assert split == [ti.key()]
@@ -193,7 +193,7 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
     graph = ex.build_exchange_graph(alg)
     subs = ex.rigid_subpairs(graph, alg.n - 1)
     built, from_cones, splitting = [], [], []
-    split_h0 = tt._split_through_h0
+    split_h0 = tt.decompose_complex
     completion = tt.left_completion_silting.__code__
 
     def split(t):
@@ -204,7 +204,7 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
         finally:
             splitting.pop()
 
-    monkeypatch.setattr(tt, "_split_through_h0", split)
+    monkeypatch.setattr(tt, "decompose_complex", split)
     for fn in ("from_tau_pair", "summand_complex"):
         real = getattr(tt, fn)
 

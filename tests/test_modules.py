@@ -434,12 +434,6 @@ def test_bricks(a3):
     assert not M.is_brick(two)
 
 
-def test_brick_shrink(a2):
-    x = M.sum_or_zero(a2, [P(a2, 0), S(a2, 0)])
-    y = M.brick_shrink(x)
-    assert M.is_brick(y)
-
-
 # -- pairs ------------------------------------------------------------------------
 
 

@@ -1195,6 +1195,20 @@ def test_asai_label_is_the_brick_label(name):
     assert (shrunk > 0) == (name in ("k[x]/x^2", "cyc2/len4/F2"))
 
 
+@pytest.mark.parametrize("name", sorted(ASAI))
+def test_brick_labels_make_no_candidate_search(name, monkeypatch):
+    # the label is Asai's quotient read from rad End(X), and is_brick
+    # reads dim End of the label, so no splitting candidate is drawn
+    graph = ex.build_exchange_graph(ASAI[name]())
+
+    def refused(endos, ident):
+        raise AssertionError("brick label drew a splitting candidate")
+
+    monkeypatch.setattr(md, "_splitting_candidates", refused)
+    for s, t, _ in graph.edges:
+        assert md.is_brick(to.brick_label(graph.nodes[s], graph.nodes[t]))
+
+
 def test_brick_label_needs_left_edge(a2):
     nodes = a2_nodes(a2)
     with pytest.raises(PreconditionViolated):
