@@ -633,8 +633,12 @@ def transpose(x):
 
     The result is a module over the opposite algebra, with no projective
     summands when the presentation is minimal; Tr of a projective is 0.
+    Cached per content of x, so ar_translate and dagger_pair share it.
     """
     alg = x.algebra
+    key = ("transpose", x.key())
+    if key in alg.cache:
+        return alg.cache[key]
     op = alg.opposite()
     pres = min_proj_presentation(x)
     p0s = _proj_sum(op, pres.p0.vertices)
@@ -644,8 +648,8 @@ def transpose(x):
         for s in range(len(pres.p1))
     ]
     dstar = p0s.block_to_map(p1s, blocks_star)
-    cok, _ = dstar.cokernel()
-    return cok
+    alg.cache[key] = dstar.cokernel()[0]
+    return alg.cache[key]
 
 
 def k_dual(x):
@@ -951,14 +955,22 @@ def fac_contains(gens, xs):
     rows, read from the cached Hom basis vectors, have rank dim x_v.  Pass
     the summands of a module as gens and as xs: Fac is closed under sums
     and summands, so the answer is that of the sums, and a summand shared
-    between modules shares its entries.  gens is a list; cached per (set
-    of gens, x) content, keyed by a frozenset since field elements of F_p
-    do not sort.  A repeated gen adds rows already spanned, so the rank
-    test, and the answer, are those of the set.
+    between modules shares its entries.  An x whose content key is among
+    the gens' keys is a summand of their sum, so it lies in Fac by
+    definition and is skipped, as a zero x is, with no Hom space built;
+    keys are exact contents, never compared up to isomorphism.  Cached
+    per (set of gens, x) content, keyed by a frozenset since field
+    elements of F_p do not sort.  A repeated gen adds rows already
+    spanned, so the rank test, and the answer, are those of the set.  A
+    pair carries the set (TauPair.m_keys), which _fac_contains takes.
     """
-    gen_keys = frozenset(g.key() for g in gens)
+    return _fac_contains(gens, frozenset(g.key() for g in gens), xs)
+
+
+def _fac_contains(gens, gen_keys, xs):
+    """fac_contains, with gen_keys the frozenset of the keys of gens."""
     for x in xs:
-        if x.is_zero():
+        if x.is_zero() or x.key() in gen_keys:
             continue
         alg = x.algebra
         key = ("fac", gen_keys, x.key())
@@ -1108,6 +1120,24 @@ class TauPair:
         self.m_summands()
         return self._summands[1]
 
+    @cached_property
+    def m_parts(self):
+        """The module summands, each once, as a tuple in m_summands order."""
+        return tuple(rep for rep, _ in self.m_summands())
+
+    @cached_property
+    def m_keys(self):
+        """The frozenset of the content keys of m_parts."""
+        return frozenset(rep.key() for rep in self.m_parts)
+
+    @cached_property
+    def check_key(self):
+        """The summands' kinds and content keys with their multiplicities,
+        as a frozenset since F_p entries do not sort: the key of
+        check_pair."""
+        parts = zip("mp", (self.m_summands(), self.p_summands()))
+        return frozenset((k, rep.key(), n) for k, reps in parts for rep, n in reps)
+
     def is_basic(self):
         return all(mult == 1 for _, mult in self.m_summands()) and all(
             mult == 1 for _, mult in self.p_summands()
@@ -1186,13 +1216,12 @@ def check_pair(pair):
     self_rigid, role and size.  The role is one of not_rigid, rigid,
     almost, tilting by the count of indecomposable summands against the
     number of vertices.  hom_p_m_zero is None when P is not projective.
-    Cached per content of the summands with their multiplicities, as a
-    set since F_p entries do not sort, so M and P are not built; only a
-    basic pair is cached, so a non-basic one raises on every call.
+    Cached per content of the summands with their multiplicities, as the
+    pair carries them (TauPair.check_key), so M and P are not built; only
+    a basic pair is cached, so a non-basic one raises on every call.
     """
     alg = pair.algebra
-    parts = zip("mp", (pair.m_summands(), pair.p_summands()))
-    key = ("check_pair", frozenset((k, rep.key(), n) for k, reps in parts for rep, n in reps))
+    key = ("check_pair", pair.check_key)
     if key not in alg.cache:
         alg.cache[key] = _check_pair(pair)
     return dict(alg.cache[key])

@@ -51,13 +51,16 @@ def _require_rigid(pair):
 
 def pair_leq(a, b):
     """Order by inclusion of the generated torsion classes: Fac a <= Fac b,
-    tested on the pairs' own summands (see modules.fac_contains)."""
-    return modules.fac_contains(_m_parts(b), _m_parts(a))
+    tested on the pairs' own summands and b's carried key set (see
+    modules.fac_contains), so a summand of a that is one of b's lies in
+    Fac b with no test."""
+    return _in_fac(b, a.m_parts)
 
 
-def _m_parts(pair):
-    """The indecomposable summands of the pair's module, each once."""
-    return [rep for rep, _ in pair.m_summands()]
+def _in_fac(pair, xs):
+    """Whether every x in xs lies in Fac M of the pair, read with the
+    module summands and key set the pair carries."""
+    return modules._fac_contains(pair.m_parts, pair.m_keys, xs)
 
 
 def _proj_vertex_or_none(rep):
@@ -295,8 +298,17 @@ def left_precondition(u_pair, anchor):
     """Fac M <= perp(tau U) ∩ perp(Q), the window where B⁻ is defined.
 
     Hom is additive, so it is tested on each summand of M, whose Hom
-    spaces are cached per summand and shared between anchors."""
-    return all(modules.in_perp_pair(u_pair.m, u_pair.p, x) for x in _m_parts(anchor))
+    spaces are cached per summand and shared between anchors.  The answer
+    is cached under the summands of U and Q and the anchor's module key
+    set (family "window"), so the sweeps and left_bongartz test each
+    (U, anchor) once."""
+    alg = u_pair.algebra
+    key = ("window", u_pair.check_key, anchor.m_keys)
+    if key not in alg.cache:
+        alg.cache[key] = all(
+            modules.in_perp_pair(u_pair.m, u_pair.p, x) for x in anchor.m_parts
+        )
+    return alg.cache[key]
 
 
 def _star_quotient(u_pair, x):
@@ -313,8 +325,8 @@ def _certify_left(u_pair, anchor, result):
     if not pair_leq(anchor, result):
         raise CertificateFailure("completion does not cover the anchor torsion class")
     # x lies in Fac(U) * Fac(M) iff x / t_U(x) lies in Fac(M), U tau-rigid
-    quotients = (_star_quotient(u_pair, rep) for rep in _m_parts(result))
-    if not modules.fac_contains(_m_parts(anchor), quotients):
+    quotients = (_star_quotient(u_pair, rep) for rep in result.m_parts)
+    if not _in_fac(anchor, quotients):
         raise CertificateFailure("a summand of the completion escapes Fac(U) * Fac(M)")
 
 
@@ -363,8 +375,7 @@ def _fan_candidates(u_pair, budget):
     summand is reduced once.  Nothing is cached when all_pairs raises.
     """
     alg = u_pair.algebra
-    parts = zip("mp", (u_pair.m_summands(), u_pair.p_summands()))
-    key = ("fan", frozenset((k, rep.key()) for k, reps in parts for rep, _ in reps), budget)
+    key = ("fan", u_pair.check_key, budget)
     if key not in alg.cache:
         quotients = {}  # summand content -> X / t_U(X)
         fan = []
@@ -372,7 +383,7 @@ def _fan_candidates(u_pair, budget):
             if not contains_pair(cand, u_pair):
                 continue
             qs = []
-            for rep, _ in cand.m_summands():
+            for rep in cand.m_parts:
                 if rep.key() not in quotients:
                     quotients[rep.key()] = _star_quotient(u_pair, rep)
                 q = quotients[rep.key()]
@@ -394,23 +405,29 @@ def fan_left_completion(u_pair, anchor=None, budget=10000):
     since X_v = 0 at the vertices of Q.  The completions and their
     quotients do not depend on the anchor and are read from
     _fan_candidates.  Agrees with left_bongartz on its domain but does not
-    need the precondition.
+    need the precondition.  Distinct support tau-tilting pairs have
+    distinct torsion classes, so one pass that keeps the larger of each
+    compared pair ends on the maximum when there is one; every keeper is
+    then checked to lie below it, and CertificateFailure is raised when
+    one does not.
     """
     alg = u_pair.algebra
     if anchor is None:
         anchor = shifted_pair(alg)
     _require_rigid(u_pair)
     _require_tilting(anchor)
-    anchor_parts = _m_parts(anchor)
     keepers = [
         cand
         for cand, qs in _fan_candidates(u_pair, budget)
-        if modules.fac_contains(anchor_parts, qs)
+        if _in_fac(anchor, qs)
     ]
+    top = None
     for cand in keepers:
-        if all(pair_leq(other, cand) for other in keepers):
-            return cand
-    raise CertificateFailure("the certified completions have no maximum")
+        if top is None or pair_leq(top, cand):
+            top = cand
+    if top is None or not all(pair_leq(other, top) for other in keepers):
+        raise CertificateFailure("the certified completions have no maximum")
+    return top
 
 
 def right_bongartz(u_pair, anchor=None):
@@ -459,8 +476,14 @@ def brick_label(old, new):
     in the exchange sequence.  Both terms are sums of images of module
     maps, so they form a submodule with no closure.  Raises
     SearchBudgetExceeded when End(X) is not certified local with residue
-    field k (see modules._radical_generators).
+    field k (see modules._radical_generators).  A label is cached per
+    edge, under the summands of both pairs (family "brick"); a raise is
+    not cached.
     """
+    alg = old.algebra
+    key = ("brick", old.check_key, new.check_key)
+    if key in alg.cache:
+        return alg.cache[key]
     if not pair_leq(new, old) or old.fingerprint() == new.fingerprint():
         raise PreconditionViolated("brick labels live on left mutation edges")
     only_old, _ = exchanged_summands(old, new)
@@ -470,7 +493,7 @@ def brick_label(old, new):
     rad = modules._radical_generators(modules.hom_basis(x, x), modules.identity_map(x))
     if rad is None:
         raise SearchBudgetExceeded("End of the exchanged summand is not certified local")
-    images = modules._image_rows(_m_parts(new), x)
+    images = modules._image_rows(new.m_parts, x)
     closed = [
         linalg.row_space_basis(rows + [row for g in rad for row in g.mats[v]], x.field)
         for v, rows in enumerate(images)
@@ -480,6 +503,7 @@ def brick_label(old, new):
         raise CertificateFailure("label failed the brick test")
     if modules._hom_vectors(new.m, d):
         raise CertificateFailure("label is not orthogonal to the new pair")
-    if not modules.fac_contains(_m_parts(old), [d]):
+    if not _in_fac(old, [d]):
         raise CertificateFailure("label escapes the old torsion class")
+    alg.cache[key] = d
     return d

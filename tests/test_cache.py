@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from tautilt import explorer as ex
+from tautilt import linalg
 from tautilt import modules as md
 from tautilt import tauops as to
 from tautilt import twoterm as tt
@@ -50,8 +51,8 @@ def _checked(name, preprojective):
 def test_compat_sweeps_take_each_trace_once(monkeypatch):
     alg = _fresh("cyc3")
     graph = ex.build_exchange_graph(alg)
-    traced, decided = Counter(), Counter()
-    quotient, fills = md._quotient_by_basis, md._fills
+    traced, decided, identity = Counter(), Counter(), Counter()
+    quotient, fills, fac = md._quotient_by_basis, md._fills, md._fac_contains
 
     def counted(x, closed):
         # count only the quotients that torsion_free_part builds
@@ -65,14 +66,66 @@ def test_compat_sweeps_take_each_trace_once(monkeypatch):
         decided[frozenset(g.key() for g in gens), x.key()] += 1
         return fills(gens, x)
 
+    def counted_fac(gens, gen_keys, xs):
+        # each Fac membership answered by identity: x is one of the gens
+        def reached(x):
+            if not x.is_zero() and x.key() in gen_keys:
+                identity[gen_keys, x.key()] += 1
+            return x
+
+        return fac(gens, gen_keys, (reached(x) for x in xs))
+
     monkeypatch.setattr(md, "_quotient_by_basis", counted)
     monkeypatch.setattr(md, "_fills", counted_fills)
+    monkeypatch.setattr(md, "_fac_contains", counted_fac)
     for rel in ex.rigid_subpairs(graph, 1):
         for sweep in (ex.verify_mutation_compat, ex.verify_silting_compat):
             assert sweep(rel, graph)["pass"]
-    assert len(traced) + len(decided) > 50
+    assert len(traced) + len(decided) + len(identity) > 50
     assert max(traced.values()) == 1
     assert max(decided.values()) == 1
+
+
+def test_fills_never_tests_one_of_its_gens(monkeypatch):
+    # a module that is one of the gens lies in their Fac by definition, so
+    # no membership reaching the rank test is one of those
+    alg = _fresh("cyc3")
+    graph = ex.build_exchange_graph(alg)
+    fills, tested = md._fills, []
+
+    def checked(gens, x):
+        assert x.key() not in {g.key() for g in gens}
+        tested.append(x)
+        return fills(gens, x)
+
+    monkeypatch.setattr(md, "_fills", checked)
+    for rel in ex.rigid_subpairs(graph, 1):
+        assert ex.verify_mutation_compat(rel, graph)["pass"]
+        assert ex.verify_route(rel, graph)["pass"]
+    assert ex.verify_reduction(alg)["pass"]
+    assert len(tested) > 20
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3", "cyc4"])
+def test_brick_labels_are_built_once_per_edge(name, monkeypatch):
+    # the compat sweep over every one-summand rigid pair and the dot
+    # output label each edge; the label is built once, then read back
+    alg = _fresh(name)
+    graph = ex.build_exchange_graph(alg)
+    built = Counter()
+    radical = md._radical_generators
+
+    def counted(endos, ident):
+        caller = sys._getframe(1)
+        if caller.f_code is to.brick_label.__code__:
+            built[caller.f_locals["old"].fingerprint(), caller.f_locals["new"].fingerprint()] += 1
+        return radical(endos, ident)
+
+    monkeypatch.setattr(md, "_radical_generators", counted)
+    for rel in ex.rigid_subpairs(graph, 1):
+        assert ex.verify_mutation_compat(rel, graph)["pass"]
+    ex.graph_dot(graph)
+    assert built == Counter((s, t) for s, t, _ in graph.edges)
 
 
 def test_transport_reads_the_bijection_images(monkeypatch):
@@ -375,6 +428,30 @@ def _generic_quotient(gen, x):
     spans = [[row for f in md.hom_basis(gen, x) for row in f.mats[v]] for v in range(len(x.dims))]
     _, incl = md.submodule(x, spans)
     return md.quotient(x, incl.mats)[0]
+
+
+def _in_trace(gen, x):
+    # whether the images of the hom_basis maps gen -> x span x at every vertex
+    for v, d in enumerate(x.dims):
+        rows = [row for f in md.hom_basis(gen, x) for row in f.mats[v]]
+        if d and (not rows or linalg.rank(rows, x.field) != d):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_pair_leq_matches_the_trace_of_the_whole_module(name, preprojective):
+    # Fac M <= Fac M' exactly when M lies in the trace of M', tested on the
+    # whole modules, with no summand, key set or cached membership
+    alg = _checked(name, preprojective)
+    nodes = ex.build_exchange_graph(alg).node_list()
+    below = 0
+    for a in nodes:
+        for b in nodes:
+            leq = to.pair_leq(a, b)
+            assert leq == _in_trace(b.m, a.m)
+            below += leq
+    assert len(nodes) < below < len(nodes) ** 2
 
 
 @pytest.mark.parametrize("name", CHECKED)
