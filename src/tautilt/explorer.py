@@ -78,15 +78,21 @@ def build_exchange_graph(algebra, budget=10000):
     (tauops.silting_closure).
 
     Hitting the node budget returns the partial graph with the complete
-    flag unset; no exception is raised.
+    flag unset; no exception is raised.  A complete graph is certified
+    (_certify_graph) when first built.  The graph is cached per budget on
+    the algebra (family "graph"; a raise is not cached), so every caller
+    shares one graph object: no caller changes its nodes or edges.
     """
     if budget <= 0:
         raise PreconditionViolated("graph budget must be positive")
-    nodes, edges, complete = tauops.silting_closure(algebra, budget)
-    graph = ExchangeGraph(algebra, dict(nodes), list(edges), budget, complete)
-    if complete:
-        _certify_graph(graph)
-    return graph
+    key = ("graph", budget)
+    if key not in algebra.cache:
+        nodes, edges, complete = tauops.silting_closure(algebra, budget)
+        graph = ExchangeGraph(algebra, dict(nodes), list(edges), budget, complete)
+        if complete:
+            _certify_graph(graph)
+        algebra.cache[key] = graph
+    return algebra.cache[key]
 
 
 def _certify_graph(graph):
@@ -444,10 +450,6 @@ def reduction_functor(rd, x):
     return modules.Representation(alg, dims, rad_mats, check=True)
 
 
-def _same_torsion(a, b):
-    return modules.in_fac(a, b) and modules.in_fac(b, a)
-
-
 def _reduced_pairs(rd, budget=10000):
     if rd.quotient.n == 0:
         zero = modules.zero_rep(rd.quotient)
@@ -459,23 +461,28 @@ def reduce_pair(rd, apair, budget=10000):
     """The reduced-side pair whose torsion class matches the image of
     Fac(apair) under the reduction; apair must contain the rigid pair.
 
-    Cached per reduction on the reduced algebra, by the (M, P) content of
-    apair and the budget."""
+    Cached per reduction on the reduced algebra, by the summands apair
+    carries (TauPair.check_key) and the budget."""
     if not tauops.contains_pair(apair, rd.pair):
         raise PreconditionViolated("pair does not contain the reduction pair")
-    key = ("reduce_pair", apair.m.key(), apair.p.key(), budget)
+    key = ("reduce_pair", apair.check_key, budget)
     if key not in rd.quotient.cache:
         rd.quotient.cache[key] = _reduce_pair(rd, apair, budget)
     return rd.quotient.cache[key]
 
 
 def _reduce_pair(rd, apair, budget):
-    q = tauops._star_quotient(rd.pair, apair.m)
-    y = reduction_functor(rd, q)
+    """The unique reduced pair c with Fac(c) = Fac(y), y = F(M/t_U M).
+
+    F and t_U are additive, so y is the sum of the images of the summands
+    apair carries, each built once (_summand_image), and Fac is closed
+    under sums and summands: c matches when every nonzero image lies in
+    Fac of c's summands and every summand of c in Fac of the images."""
+    ys = [y for y in (_summand_image(rd, x) for x in apair.m_parts) if not y.is_zero()]
     hits = [
         c
         for c in _reduced_pairs(rd, budget)
-        if _same_torsion(c.m, y)
+        if tauops._in_fac(c, ys) and modules.fac_contains(ys, c.m_parts)
     ]
     if len(hits) != 1:
         raise MatchFailure(
@@ -483,6 +490,16 @@ def _reduce_pair(rd, apair, budget):
             f"{modules.describe_pair(apair)}"
         )
     return hits[0]
+
+
+def _summand_image(rd, x):
+    """F(x/t_U x) for one summand x of a pair over the rigid pair; cached
+    per x content on the reduced algebra (family "reduce_image")."""
+    key = ("reduce_image", x.key())
+    if key not in rd.quotient.cache:
+        q = tauops._star_quotient(rd.pair, x)
+        rd.quotient.cache[key] = reduction_functor(rd, q)
+    return rd.quotient.cache[key]
 
 
 def reduction_bijection_check(rd, budget=10000):
@@ -559,8 +576,10 @@ def transport_mgs(rd, mgs, budget=10000):
     the reduced algebra.
 
     Applies the left completion pointwise, drops consecutive duplicates,
-    maps the strict chain through the reduction bijection, and certifies
-    every step against the reduced exchange graph.
+    maps the strict chain through the reduction bijection (reduce_pair,
+    summand by summand), and certifies every step against the reduced
+    exchange graph, which is built and certified once per reduced algebra
+    (build_exchange_graph).
     """
     alg = rd.pair.algebra
     if not mgs:

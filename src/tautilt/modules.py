@@ -941,11 +941,6 @@ def torsion_free_part(gen, x):
     return alg.cache[key]
 
 
-def in_fac(gen, x):
-    """Whether x lies in Fac(gen); see fac_contains."""
-    return fac_contains([gen], [x])
-
-
 def fac_contains(gens, xs):
     """Whether every x in xs lies in Fac of the direct sum of gens.
 

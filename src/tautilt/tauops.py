@@ -501,7 +501,8 @@ def brick_label(old, new):
     d = modules._quotient_by_basis(x, closed)[0]
     if not modules.is_brick(d):
         raise CertificateFailure("label failed the brick test")
-    if modules._hom_vectors(new.m, d):
+    # Hom is additive: Hom(M, d) = 0 exactly when each Hom(M_i, d) = 0
+    if any(modules._hom_vectors(part, d) for part in new.m_parts):
         raise CertificateFailure("label is not orthogonal to the new pair")
     if not _in_fac(old, [d]):
         raise CertificateFailure("label escapes the old torsion class")

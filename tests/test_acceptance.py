@@ -166,7 +166,7 @@ def test_criterion_2(a2, a3, cyc3, graphs):
                     frozenset(
                         i
                         for i, x in enumerate(indecs[name])
-                        if md.in_fac(node.m, x)
+                        if md.fac_contains([node.m], [x])
                     )
                 )
             assert fac_sets == classes

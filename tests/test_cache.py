@@ -314,10 +314,8 @@ def _answers(alg, reductions):
 
 def _entries(alg, reductions):
     families = Counter(key[0] for key in alg.cache if isinstance(key, tuple))
-    images = sum(
-        1 for rd in reductions.values() for key in rd.quotient.cache if key[0] == "reduce_pair"
-    )
-    return [families[f] for f in FAMILIES] + [images]
+    reduced = Counter(key[0] for rd in reductions.values() for key in rd.quotient.cache)
+    return [families[f] for f in FAMILIES] + [reduced["reduce_pair"], reduced["reduce_image"]]
 
 
 def test_warm_caches_answer_as_a_cold_twin():

@@ -1,8 +1,11 @@
 """Exchange graphs, green sequences, reduction, and the verification suites."""
 
+from collections import Counter
+
 import pytest
 
 from tautilt import explorer as ex
+from tautilt import linalg
 from tautilt import modules as md
 from tautilt import tauops as to
 from tautilt import twoterm as tw
@@ -405,6 +408,90 @@ def test_bijection_two_summands(cyc3):
     assert rep["ambient_count"] == 2
 
 
+def _cycle(n, field):
+    # the oriented n-cycle with all paths of length two killed
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
+    q = Quiver(labels, arrows)
+    rels = [Relation(q, [(1, (f"a{i}", f"a{(i + 1) % n}"))]) for i in range(n)]
+    return compile_bound_quiver(q, rels, field)
+
+
+def _images(gen, x):
+    # per vertex, the rows of the images of the hom_basis maps gen -> x
+    return [[row for f in md.hom_basis(gen, x) for row in f.mats[v]] for v in range(len(x.dims))]
+
+
+def _fac_by_maps(gen, x):
+    # x lies in Fac(gen) when those images span x at every vertex
+    return all(linalg.rank(rows, x.field) == d for rows, d in zip(_images(gen, x), x.dims))
+
+
+def _whole_quotient(gen, x):
+    # x modulo the trace of gen: the image rows closed into a submodule
+    if gen.is_zero():
+        return x
+    _, incl = md.submodule(x, _images(gen, x))
+    return md.quotient(x, incl.mats)[0]
+
+
+PARTNERS = {
+    "A3": lambda pre: _linear_a3(QQ),
+    "cyc3": lambda pre: _cycle3(QQ),
+    "cyc4": lambda pre: _cycle(4, QQ),
+    "cyc3/F3": lambda pre: _cycle3(Field(3)),
+    "PiA3": lambda pre: pre(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTNERS))
+def test_reduced_partner_is_the_whole_module_match(name, preprojective):
+    # reduce_pair matches summand by summand; the whole-module match takes
+    # y = F(M / t_U M) of the assembled M and tests Fac both ways on the
+    # sums, by image ranks.  Both must find the same node of all_pairs.
+    alg = PARTNERS[name](preprojective)
+    graph = ex.build_exchange_graph(alg)
+    matched = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        rd = ex.tau_reduction(u)
+        reduced = to.all_pairs(rd.quotient)
+        for node in graph.node_list():
+            if not to.contains_pair(node, u):
+                continue
+            y = ex.reduction_functor(rd, _whole_quotient(u.m, node.m))
+            hits = [c for c in reduced if _fac_by_maps(c.m, y) and _fac_by_maps(y, c.m)]
+            assert len(hits) == 1
+            assert ex.reduce_pair(rd, node) is hits[0]
+            matched += 1
+    assert matched > len(graph) * alg.n
+
+
+def test_transport_certifies_each_reduced_graph_once(monkeypatch):
+    # every maximal green sequence up to the window top of every rigid
+    # subpair of cyc3 with fewer than n summands: the reduced graph is
+    # built and certified once per reduced algebra, not once per chain
+    alg = _cycle3(QQ)
+    graph = ex.build_exchange_graph(alg)
+    certified = Counter()
+    certify = ex._certify_graph
+
+    def counted(g):
+        certified[id(g.algebra)] += 1
+        return certify(g)
+
+    monkeypatch.setattr(ex, "_certify_graph", counted)
+    quotients, chains = [], 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        rd = ex.tau_reduction(u)
+        quotients.append(rd.quotient)
+        for chain in ex.maximal_green_sequences(graph, rd.bongartz):
+            ex.transport_mgs(rd, chain)
+            chains += 1
+    assert chains > len(quotients)
+    assert [certified[id(q)] for q in quotients] == [1] * len(quotients)
+    assert sum(certified.values()) == len(quotients)
+
+
 # ---------------------------------------------------------------------------
 # transport of green sequences
 
@@ -416,7 +503,7 @@ def test_transport_p1(cyc3, rd_p1):
     assert out[-1].fingerprint() == to.free_pair(rd_p1.quotient).fingerprint()
     mid = out[1].m
     s3p = md.simple(rd_p1.quotient, mid.dims.index(1))
-    assert md.in_fac(mid, s3p) and md.in_fac(s3p, mid)
+    assert md.fac_contains([mid], [s3p]) and md.fac_contains([s3p], [mid])
 
 
 def test_transport_identity(cyc3):

@@ -136,6 +136,31 @@ VERIFY = {
 }
 
 
+# maximal green sequences up to the Bongartz completion of each pair
+MGS = {
+    "A3": {"Top": 9, "Bottom": 1, "Mid": 2, "PairP1": 9, "PairS2": 4},
+    "cyc3": {"Top": 9, "Bottom": 1, "PairS3": 1, "PairP1": 9},
+}
+
+
+def reduction_runs(name):
+    """The reduction at each workspace pair, the transport of every
+    maximal green sequence up to its completion (and of the first id out
+    of range), and the reduction sweep."""
+    runs = []
+    for pair in TILTING[name] + RIGID[name]:
+        runs.append(["reduce", "{ws}", pair])
+        runs += [["transport", "{ws}", pair, str(k)] for k in range(MGS[name][pair] + 1)]
+    runs.append(["verify", "{ws}", "reduction"])
+    return [argv + ["--json"] for argv in runs]
+
+
+REDUCTION = {
+    "A3": "61cbdb944c3f5bc7fd407f5dd1daffc91491ef47",
+    "cyc3": "76a24f070fd27450ad2cef0625bf44032baa5ce1",
+}
+
+
 def cli_digest(name, path, capture, runs=cli_runs):
     """sha1 over the exit code and stdout of every pinned run; capture()
     returns the stdout written since its last call."""
@@ -160,6 +185,14 @@ def test_verify_json_is_pinned(name, tmp_path, capsys):
     path.write_text(WORKSPACES[name], encoding="utf-8")
     digest = cli_digest(name, str(path), lambda: capsys.readouterr().out, verify_runs)
     assert digest == VERIFY[name]
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION))
+def test_reduction_json_is_pinned(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.alg"
+    path.write_text(WORKSPACES[name], encoding="utf-8")
+    digest = cli_digest(name, str(path), lambda: capsys.readouterr().out, reduction_runs)
+    assert digest == REDUCTION[name]
 
 
 if __name__ == "__main__":
@@ -187,7 +220,9 @@ if __name__ == "__main__":
             try:
                 digest = cli_digest(name, path, capture)
                 verify = cli_digest(name, path, capture, verify_runs)
+                reduction = cli_digest(name, path, capture, reduction_runs)
             finally:
                 sys.stdout = real
         print(f"cli {name!r}: {digest!r}")
         print(f"verify {name!r}: {verify!r}")
+        print(f"reduction {name!r}: {reduction!r}")
