@@ -134,18 +134,19 @@ def _cmd_mutate(args):
 def _cmd_bongartz(args):
     ws = _load(args)
     anchor = ws.pair(args.anchor)
+    rel = None if args.rel is None else ws.pair(args.rel)
     side = "left" if args.left else "right"
-    if args.rel is not None:
-        rel = ws.pair(args.rel)
-        if side == "left":
-            out = tauops.left_bongartz(rel, anchor)
-        else:
-            out = tauops.right_bongartz(rel, anchor)
+    if side == "left":
+        out = tauops.left_bongartz(anchor) if rel is None else tauops.left_bongartz(rel, anchor)
     else:
-        if side == "left":
-            out = tauops.left_bongartz(anchor)
-        else:
-            out = tauops.right_bongartz(anchor)
+        if rel is None:
+            rel, anchor = anchor, tauops.free_pair(ws.algebra)
+        tauops.right_bongartz(rel, anchor)
+        # print the summands in the order decompose finds them in the bare
+        # dual of the certified op-side completion (a cache hit there), the
+        # order this block has always had
+        dual = tauops.left_bongartz(tauops.dagger_pair(rel), tauops.dagger_pair(anchor))
+        out = tauops.dagger_pair(modules.TauPair(dual.m, dual.p))
     block = workspace.pair_block(f"{args.anchor}_{side}", out)
     report = {
         "command": "bongartz",

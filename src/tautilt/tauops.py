@@ -63,12 +63,6 @@ def _in_fac(pair, xs):
     return modules._fac_contains(pair.m_parts, pair.m_keys, xs)
 
 
-def _proj_vertex_or_none(rep):
-    if not modules.is_projective(rep):
-        return None
-    return modules._projective_vertex(rep)
-
-
 def contains_pair(big, small):
     """Whether every summand of small occurs among the summands of big.
 
@@ -84,25 +78,23 @@ def contains_pair(big, small):
 
 
 def dagger_pair(pair):
-    """The dual pair over the opposite algebra.
+    """The dual pair over the opposite algebra, carrying its summands.
 
     Shift summands come back as projective modules, projective summands of
     M move to the shift part, and nonprojective summands are replaced by
-    their transposes.  Involutive, and order-reversing on support
-    tau-tilting pairs.
+    their transposes; a module summand is P_v exactly when the minimal
+    presentation its row carries has no degree -1 term.  The rows keep
+    their order, the shift rows first.  Involutive, and order-reversing on
+    support tau-tilting pairs.
     """
     op = pair.algebra.opposite()
-    m_parts = []
-    p_parts = []
-    for rep, mult in pair.p_summands():
-        v = modules._projective_vertex(rep)
-        m_parts.extend([modules.projective(op, v)] * mult)
-    for rep, mult in pair.m_summands():
-        v = _proj_vertex_or_none(rep)
-        if v is None:
-            m_parts.extend([modules.transpose(rep)] * mult)
+    m_parts, p_parts = [], []
+    for kind, rep, c in sorted(pair.rows, key=lambda row: row[0] != "p"):
+        if kind == "m" and c.term_vertices(-1):
+            m_parts.append(modules.transpose(rep))
         else:
-            p_parts.extend([modules.projective(op, v)] * mult)
+            proj = modules.projective(op, modules._projective_vertex(rep))
+            (m_parts if kind == "p" else p_parts).append(proj)
     return modules.pair_from_summands(op, m_parts, p_parts)
 
 
@@ -434,7 +426,10 @@ def right_bongartz(u_pair, anchor=None):
     """Right Bongartz completion, computed through the duality.
 
     anchor=None means (A, 0); that case is the classical Bongartz
-    completion, with Fac equal to all of perp(tau U) ∩ perp(Q).
+    completion, with Fac equal to all of perp(tau U) ∩ perp(Q).  The left
+    completion of the duals is certified over A^op, and dagger_pair
+    carries its summands back in their order; cli._cmd_bongartz prints
+    them in the order the block has always had.
     """
     alg = u_pair.algebra
     if anchor is None:
@@ -442,9 +437,7 @@ def right_bongartz(u_pair, anchor=None):
     _require_rigid(u_pair)
     _require_tilting(anchor)
     out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor))
-    # dualize the bare (M, P): the block of the result lists the summands
-    # in the order decompose finds them, as it always has
-    result = dagger_pair(modules.TauPair(out.m, out.p))
+    result = dagger_pair(out)
     _require_tilting(result)
     if not contains_pair(result, u_pair):
         raise CertificateFailure("dual completion lost a summand of the input")

@@ -470,8 +470,9 @@ def test_torsion_free_part_matches_the_generic_quotient(name, preprojective):
 
 def test_shared_objects_stay_as_built(monkeypatch):
     # Hom bases, ProjSums and summand complexes are built once per content
-    # and shared; after a walk, a compat sweep and a tau_reduction no shared
-    # map has changed, and callers get a list of their own
+    # and shared; after a walk, a compat sweep, a tau_reduction and a brick
+    # label on the reduced graph no shared map has changed, and callers get
+    # a list of their own
     alg = _fresh("cyc3")
     first, built = {}, Counter()
     hom_basis, proj_sum = md.hom_basis, md.ProjSum
@@ -495,6 +496,10 @@ def test_shared_objects_stay_as_built(monkeypatch):
         assert ex.verify_mutation_compat(rel, graph)["pass"]
     rd = ex.tau_reduction(rels[0])
     assert ex.reduction_bijection_check(rd)["pass"]
+    # the label builds Hom bases over the reduced algebra, a second algebra
+    reduced = ex.build_exchange_graph(rd.quotient)
+    s, t, _ = reduced.edges[0]
+    to.brick_label(reduced.nodes[s], reduced.nodes[t])
 
     assert len(first) > 10 and {a for a, _ in first} > {alg}
     for (algebra, key), mats in first.items():

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 from collections import Counter, deque
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from tautilt import linalg
 from tautilt import modules as md
 from tautilt import tauops as to
 from tautilt import twoterm as tt
+from tautilt import workspace as wk
 from tautilt.algebra import Quiver, Relation, compile_bound_quiver
 from tautilt.errors import (
     CertificateFailure,
@@ -645,9 +647,8 @@ NO_SEARCH = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NO_SEARCH))
-def test_walk_makes_no_decomposition_or_isomorphism_search(name, monkeypatch):
-    alg = NO_SEARCH[name]()
+def _count_searches(monkeypatch):
+    # the names of the decomposition and isomorphism searches, one per call
     calls = []
     for fn in ("_decompose_raw", "_fitting_split", "is_isomorphic"):
         real = getattr(md, fn)
@@ -657,8 +658,36 @@ def test_walk_makes_no_decomposition_or_isomorphism_search(name, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(md, fn, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(NO_SEARCH))
+def test_walk_makes_no_decomposition_or_isomorphism_search(name, monkeypatch):
+    alg = NO_SEARCH[name]()
+    calls = _count_searches(monkeypatch)
     graph = ex.build_exchange_graph(alg)
     assert graph.complete and len(graph) == {"A5": 132, "cyc5": 82, "PiA3": 24}[name]
+    assert calls == []
+
+
+RIGHT_WORKSPACES = {
+    "A3": "vertex 1 2 3\narrow a 1 2\narrow b 2 3\n",
+    "cyc3": (
+        "vertex 1 2 3\narrow a3 1 2\narrow a1 2 3\narrow a2 3 1\n"
+        "relation a1*a2\nrelation a2*a3\nrelation a3*a1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIGHT_WORKSPACES))
+def test_right_bongartz_carries_the_dual_summands_back(name, monkeypatch):
+    # the op-side completion carries its summands, so dualizing it back
+    # needs no decomposition or isomorphism search
+    text = f"field Q\n{RIGHT_WORKSPACES[name]}pair PairP1 : M = P1 ; P = 0\n"
+    ws = wk.parse_workspace(text)
+    ex.build_exchange_graph(ws.algebra)
+    calls = _count_searches(monkeypatch)
+    to.right_bongartz(ws.pair("PairP1"))
     assert calls == []
 
 
@@ -1287,3 +1316,77 @@ def test_integer_determinant_matches_the_fraction_one_on_walked_g_matrices(name)
             assert abs(d) == size
             assert QQ(d) == linalg.det([[QQ(c) for c in row] for row in m], QQ)
 
+
+CLASSICAL = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc4": lambda: _cycle(4, QQ),
+    "A4": lambda: _linear(4, QQ),
+    "PiA3": _preprojective_a3,
+    "cyc3/F3": lambda: _cycle(3, Field(3)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, pairs",
+    [("A3", 31), ("cyc3", 31), ("cyc4", 127), ("A4", 155), ("PiA3", 51), ("cyc3/F3", 31)],
+)
+def test_right_bongartz_is_the_largest_completion(name, pairs):
+    # the classical Bongartz completion generates the largest torsion
+    # class among the completions of (U, Q) (Adachi-Iyama-Reiten,
+    # arXiv:1210.1036, Thm 2.10): found in the graph by containment and
+    # the torsion order, with no duality
+    alg = CLASSICAL[name]()
+    graph = ex.build_exchange_graph(alg)
+    subs = ex.rigid_subpairs(graph, alg.n - 1)
+    for u in subs:
+        completions = [node for node in graph.node_list() if to.contains_pair(node, u)]
+        tops = [c for c in completions if all(to.pair_leq(d, c) for d in completions)]
+        assert len(tops) == 1
+        assert to.right_bongartz(u).fingerprint() == tops[0].fingerprint()
+    assert len(subs) == pairs
+
+
+def _exact_inverse(rows):
+    # Gauss-Jordan over Fraction on [G | I]
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        lead = aug[col][col]
+        aug[col] = [x / lead for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@pytest.mark.parametrize(
+    "name, edges",
+    [("A3", 21), ("cyc3", 21), ("cyc4", 68), ("A4", 84), ("PiA3", 36), ("cyc3/F3", 21)],
+)
+def test_c_vectors_are_the_brick_labels(name, edges):
+    # with G the g-vectors of a pair in slot order, the columns of G^-1
+    # are its c-vectors; each is sign-coherent, and on a left mutation at a
+    # slot its column is the dimension vector of the brick label (Fu,
+    # "c-vectors via tau-tilting theory"; Treffinger, "On sign-coherence
+    # of c-vectors")
+    alg = CLASSICAL[name]()
+    graph = ex.build_exchange_graph(alg)
+    inverses = {}
+    for fp, node in graph.nodes.items():
+        g = [to.summand_g_vector(kind, rep) for kind, rep in to.pair_summand_list(node)]
+        inv = _exact_inverse(g)
+        assert all(x.denominator == 1 for row in inv for x in row)
+        for c in zip(*inv):
+            assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
+        inverses[fp] = inv
+    for s, t, slot in graph.edges:
+        column = tuple(row[slot] for row in inverses[s])
+        assert column == to.brick_label(graph.nodes[s], graph.nodes[t]).dims
+    assert len(graph.edges) == edges
