@@ -258,7 +258,7 @@ def _cmd_transport(args):
         raise TautiltError(
             f"mgs id {k} out of range; the target has {len(seqs)} sequences"
         )
-    out = explorer.transport_mgs(rd, seqs[k], budget=args.budget)
+    out = explorer.transport_mgs(rd, seqs[k])
     report = {
         "command": "transport",
         "pair": args.pair,

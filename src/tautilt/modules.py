@@ -941,8 +941,9 @@ def torsion_free_part(gen, x):
     return alg.cache[key]
 
 
-def fac_contains(gens, xs):
-    """Whether every x in xs lies in Fac of the direct sum of gens.
+def fac_contains(gens, gen_keys, xs):
+    """Whether every x in xs lies in Fac of the direct sum of gens, with
+    gen_keys the frozenset of the content keys of gens.
 
     The trace of a direct sum in x is the sum of the images of the basis
     maps of each Hom(Y, x), Y in gens; a sum of images of module maps is a
@@ -957,13 +958,8 @@ def fac_contains(gens, xs):
     per (set of gens, x) content, keyed by a frozenset since field
     elements of F_p do not sort.  A repeated gen adds rows already
     spanned, so the rank test, and the answer, are those of the set.  A
-    pair carries the set (TauPair.m_keys), which _fac_contains takes.
+    pair carries the set (TauPair.m_keys).
     """
-    return _fac_contains(gens, frozenset(g.key() for g in gens), xs)
-
-
-def _fac_contains(gens, gen_keys, xs):
-    """fac_contains, with gen_keys the frozenset of the keys of gens."""
     for x in xs:
         if x.is_zero() or x.key() in gen_keys:
             continue

@@ -60,7 +60,7 @@ def pair_leq(a, b):
 def _in_fac(pair, xs):
     """Whether every x in xs lies in Fac M of the pair, read with the
     module summands and key set the pair carries."""
-    return modules._fac_contains(pair.m_parts, pair.m_keys, xs)
+    return modules.fac_contains(pair.m_parts, pair.m_keys, xs)
 
 
 def contains_pair(big, small):

@@ -37,6 +37,11 @@ def S(alg, i):
     return md.simple(alg, i)
 
 
+def fac(gens, xs):
+    # md.fac_contains with the key set of the gens built here
+    return md.fac_contains(gens, frozenset(g.key() for g in gens), xs)
+
+
 def pair(alg, ms, ps=()):
     return md.pair_from_summands(alg, list(ms), list(ps))
 
@@ -166,7 +171,7 @@ def test_criterion_2(a2, a3, cyc3, graphs):
                     frozenset(
                         i
                         for i, x in enumerate(indecs[name])
-                        if md.fac_contains([node.m], [x])
+                        if fac([node.m], [x])
                     )
                 )
             assert fac_sets == classes

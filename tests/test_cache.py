@@ -52,7 +52,7 @@ def test_compat_sweeps_take_each_trace_once(monkeypatch):
     alg = _fresh("cyc3")
     graph = ex.build_exchange_graph(alg)
     traced, decided, identity = Counter(), Counter(), Counter()
-    quotient, fills, fac = md._quotient_by_basis, md._fills, md._fac_contains
+    quotient, fills, fac = md._quotient_by_basis, md._fills, md.fac_contains
 
     def counted(x, closed):
         # count only the quotients that torsion_free_part builds
@@ -77,7 +77,7 @@ def test_compat_sweeps_take_each_trace_once(monkeypatch):
 
     monkeypatch.setattr(md, "_quotient_by_basis", counted)
     monkeypatch.setattr(md, "_fills", counted_fills)
-    monkeypatch.setattr(md, "_fac_contains", counted_fac)
+    monkeypatch.setattr(md, "fac_contains", counted_fac)
     for rel in ex.rigid_subpairs(graph, 1):
         for sweep in (ex.verify_mutation_compat, ex.verify_silting_compat):
             assert sweep(rel, graph)["pass"]

@@ -11,6 +11,7 @@ from tautilt import tauops as to
 from tautilt import twoterm as tw
 from tautilt.algebra import is_isomorphic_algebra, Quiver, Relation, compile_bound_quiver
 from tautilt.errors import (
+    CertificateFailure,
     IncompleteGraph,
     MatchFailure,
     NotInWide,
@@ -25,6 +26,11 @@ def P(alg, i):
 
 def S(alg, i):
     return md.simple(alg, i)
+
+
+def fac(gens, xs):
+    # md.fac_contains with the key set of the gens built here
+    return md.fac_contains(gens, frozenset(g.key() for g in gens), xs)
 
 
 def pair(alg, m_parts, p_parts=()):
@@ -446,9 +452,10 @@ PARTNERS = {
 
 @pytest.mark.parametrize("name", sorted(PARTNERS))
 def test_reduced_partner_is_the_whole_module_match(name, preprojective):
-    # reduce_pair matches summand by summand; the whole-module match takes
-    # y = F(M / t_U M) of the assembled M and tests Fac both ways on the
-    # sums, by image ranks.  Both must find the same node of all_pairs.
+    # reduce_pair reads the reduced pair in closed form from the summand
+    # images; the whole-module match takes y = F(M / t_U M) of the
+    # assembled M and tests Fac both ways on the sums, by image ranks,
+    # against every node of all_pairs.  Both must give the same pair.
     alg = PARTNERS[name](preprojective)
     graph = ex.build_exchange_graph(alg)
     matched = 0
@@ -461,25 +468,25 @@ def test_reduced_partner_is_the_whole_module_match(name, preprojective):
             y = ex.reduction_functor(rd, _whole_quotient(u.m, node.m))
             hits = [c for c in reduced if _fac_by_maps(c.m, y) and _fac_by_maps(y, c.m)]
             assert len(hits) == 1
-            assert ex.reduce_pair(rd, node) is hits[0]
+            assert ex.reduce_pair(rd, node).fingerprint() == hits[0].fingerprint()
             matched += 1
     assert matched > len(graph) * alg.n
 
 
-def test_transport_certifies_each_reduced_graph_once(monkeypatch):
+def test_transport_never_walks_the_reduced_algebra(monkeypatch):
     # every maximal green sequence up to the window top of every rigid
-    # subpair of cyc3 with fewer than n summands: the reduced graph is
-    # built and certified once per reduced algebra, not once per chain
+    # subpair of cyc3 with fewer than n summands, on fresh reductions: no
+    # exchange graph of a reduced algebra is walked
     alg = _cycle3(QQ)
     graph = ex.build_exchange_graph(alg)
-    certified = Counter()
-    certify = ex._certify_graph
+    walked = []
+    closure = to.silting_closure
 
-    def counted(g):
-        certified[id(g.algebra)] += 1
-        return certify(g)
+    def recorded(algebra, budget=10000):
+        walked.append(algebra)
+        return closure(algebra, budget)
 
-    monkeypatch.setattr(ex, "_certify_graph", counted)
+    monkeypatch.setattr(to, "silting_closure", recorded)
     quotients, chains = [], 0
     for u in ex.rigid_subpairs(graph, alg.n - 1):
         rd = ex.tau_reduction(u)
@@ -488,8 +495,89 @@ def test_transport_certifies_each_reduced_graph_once(monkeypatch):
             ex.transport_mgs(rd, chain)
             chains += 1
     assert chains > len(quotients)
-    assert [certified[id(q)] for q in quotients] == [1] * len(quotients)
-    assert sum(certified.values()) == len(quotients)
+    assert not any(a is q for a in walked for q in quotients)
+
+
+def _affine_a2():
+    # the acyclic triangle 1 -> 2 -> 3, 1 -> 3: tau-tilting infinite
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
+    return compile_bound_quiver(q, [], QQ)
+
+
+def _affine_a2_at_s2():
+    # the reduction at (S2, 0) and the maximal green sequence up to its
+    # Bongartz completion, built by mutation
+    alg = _affine_a2()
+    rd = ex.tau_reduction(pair(alg, [S(alg, 1)]))
+    chain = [to.shifted_pair(alg)]
+    for slot in (1, 1, 0):
+        chain.append(to.mutate_pair(chain[-1], slot)[0])
+    return rd, chain
+
+
+def test_reduction_at_s2_of_affine_a2_is_the_kronecker_algebra():
+    rd, chain = _affine_a2_at_s2()
+    assert [md.describe_pair(c) for c in chain] == [
+        "(0 | P1+P2+P3)",
+        "(S2 | P1+P3)",
+        "(P2+S2 | P1)",
+        "(M(1,2,2)+P2+S2 | 0)",
+    ]
+    assert chain[-1].fingerprint() == rd.bongartz.fingerprint()
+    q = rd.quotient
+    assert q.n == 2
+    blocks = Counter(q.peirce)
+    assert blocks[(0, 0)] == blocks[(1, 1)] == 1
+    assert sorted(c for (i, j), c in blocks.items() if i != j) == [2]
+    with pytest.raises(PreconditionViolated):
+        ex.reduce_pair(rd, chain[0])  # does not contain (S2, 0)
+    images = [md.describe_pair(ex.reduce_pair(rd, c)) for c in chain[1:]]
+    kronecker = ["(0 | P2'+PM(1,2,2)')", "(P2' | PM(1,2,2)')", "(P2'+PM(1,2,2)' | 0)"]
+    assert images == kronecker
+    assert [md.describe_pair(p) for p in ex.transport_mgs(rd, chain)] == kronecker
+
+
+@pytest.mark.parametrize("fault", ["drop", "not-rigid", "decomposable"])
+def test_reduce_pair_refuses_an_uncertified_pair(fault, monkeypatch):
+    # at the top of the chain the images of P2 and M(1,2,2) are P2' and
+    # PM(1,2,2)', and both vertices are in the support of PM(1,2,2)'.
+    # Dropping P2' leaves one summand; the simple top of PM(1,2,2)' in
+    # its place is not tau-rigid with it (Hom(PM(1,2,2)', tau S) != 0);
+    # an image doubled is no indecomposable summand.
+    rd, chain = _affine_a2_at_s2()
+    q = rd.quotient
+    image, functor = ex._summand_image, ex.reduction_functor
+    top = next(v for v in range(q.n) if md.describe_module(P(q, v)) == "PM(1,2,2)'")
+    swap = md.zero_rep(q) if fault == "drop" else S(q, top)
+
+    def faulty(rd, x):
+        return swap if md.describe_module(x) == "P2" else image(rd, x)
+
+    def doubled(rd, x):
+        return md.sum_or_zero(q, [functor(rd, x)] * 2)
+
+    if fault == "decomposable":
+        monkeypatch.setattr(ex, "reduction_functor", doubled)
+    else:
+        monkeypatch.setattr(ex, "_summand_image", faulty)
+    with pytest.raises(CertificateFailure):
+        ex.reduce_pair(rd, chain[-1])
+
+
+def test_transport_refuses_a_skipped_step(monkeypatch):
+    # the middle node reduced to the image of the top one: the image chain
+    # then climbs two summands at once
+    rd, chain = _affine_a2_at_s2()
+    reduce = ex.reduce_pair
+
+    def skipping(rd, apair):
+        if apair.fingerprint() == chain[2].fingerprint():
+            apair = chain[3]
+        return reduce(rd, apair)
+
+    monkeypatch.setattr(ex, "reduce_pair", skipping)
+    with pytest.raises(CertificateFailure, match="a transported step is not a cover"):
+        ex.transport_mgs(rd, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +591,7 @@ def test_transport_p1(cyc3, rd_p1):
     assert out[-1].fingerprint() == to.free_pair(rd_p1.quotient).fingerprint()
     mid = out[1].m
     s3p = md.simple(rd_p1.quotient, mid.dims.index(1))
-    assert md.fac_contains([mid], [s3p]) and md.fac_contains([s3p], [mid])
+    assert fac([mid], [s3p]) and fac([s3p], [mid])
 
 
 def test_transport_identity(cyc3):
