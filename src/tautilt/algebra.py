@@ -549,10 +549,14 @@ def find_vertex_matchings(a, b):
 def is_isomorphic_algebra(a, b):
     """Isomorphism test adequate for desk-scale algebras.
 
-    Complete when both radicals square to zero (Peirce dimensions determine
-    the algebra), and when all radical Peirce blocks are at most one
-    dimensional.  Anything richer raises SearchBudgetExceeded rather than
-    guessing.
+    False only when an invariant rules an isomorphism out: the field, the
+    Peirce dimensions under every vertex matching, or whether rad^2 = 0.
+    True when both radicals square to zero (Peirce dimensions then
+    determine the algebra), or when the radical Peirce blocks are at most
+    one dimensional and some vertex matching aligns the structure
+    constants as given.  Matching them up to a rescaling of the arrows is
+    not attempted, so a failed match, and anything richer, raises
+    SearchBudgetExceeded rather than guessing.
     """
     if a.field != b.field:
         return False
@@ -579,11 +583,13 @@ def is_isomorphic_algebra(a, b):
     for perm in matchings:
         if _match_structure_constants(a, b, perm):
             return True
-    return False
+    raise SearchBudgetExceeded("no vertex matching aligns the structure constants as given")
 
 
 def _match_structure_constants(a, b, perm):
-    """Try to rescale one-dimensional radical blocks to align products."""
+    """Whether sending each vertex v to perm[v], and the one radical basis
+    element of each Peirce block to that of its image block, aligns every
+    product as given; no rescaling is tried."""
     map_idx = {}
     for i in range(a.n):
         map_idx[i] = perm[i]
@@ -593,7 +599,6 @@ def _match_structure_constants(a, b, perm):
         if len(cands) != 1:
             return False
         map_idx[k] = cands[0]
-    # scales mu_k with mu_i*mu_j*c_b = c_a patterns; try all-ones first
     for k1 in range(a.dim):
         for k2 in range(a.dim):
             prods_a = dict(a.mult.get((k1, k2), ()))

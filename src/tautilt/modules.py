@@ -591,12 +591,10 @@ def is_projective(x):
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> X -> 0."""
 
-    def __init__(self, p1, p0, blocks, cover, d_map):
+    def __init__(self, p1, p0, blocks):
         self.p1 = p1
         self.p0 = p0
         self.blocks = blocks
-        self.cover = cover
-        self.d_map = d_map
 
 
 def min_proj_presentation(x):
@@ -607,13 +605,12 @@ def min_proj_presentation(x):
         p0, cover = projective_cover(x)
         ker, incl = cover.kernel()
         p1, cover1 = projective_cover(ker)
-        d_map = cover1.then(incl)
-        blocks = p1.map_to_blocks(p0, d_map)
+        blocks = p1.map_to_blocks(p0, cover1.then(incl))
         for l in range(len(p0.vertices)):
             for s in range(len(p1.vertices)):
                 if any(blocks[l][s].coeffs[:alg.n]):
                     raise CertificateFailure("presentation is not minimal")
-        alg.cache[key] = Presentation(p1, p0, blocks, cover, d_map)
+        alg.cache[key] = Presentation(p1, p0, blocks)
     return alg.cache[key]
 
 
@@ -629,17 +626,13 @@ def g_vector(x):
 
 
 def transpose(x):
-    """Auslander-Bruno transpose: cokernel of the dual of the presentation.
+    """Auslander-Bridger transpose: cokernel of the dual of the presentation.
 
     The result is a module over the opposite algebra, with no projective
     summands when the presentation is minimal; Tr of a projective is 0.
-    Cached per content of x, so ar_translate and dagger_pair share it.
+    Not cached itself: its one caller, ar_translate, caches tau.
     """
-    alg = x.algebra
-    key = ("transpose", x.key())
-    if key in alg.cache:
-        return alg.cache[key]
-    op = alg.opposite()
+    op = x.algebra.opposite()
     pres = min_proj_presentation(x)
     p0s = _proj_sum(op, pres.p0.vertices)
     p1s = _proj_sum(op, pres.p1.vertices)
@@ -648,8 +641,7 @@ def transpose(x):
         for s in range(len(pres.p1))
     ]
     dstar = p0s.block_to_map(p1s, blocks_star)
-    alg.cache[key] = dstar.cokernel()[0]
-    return alg.cache[key]
+    return dstar.cokernel()[0]
 
 
 def k_dual(x):

@@ -80,22 +80,22 @@ def contains_pair(big, small):
 def dagger_pair(pair):
     """The dual pair over the opposite algebra, carrying its summands.
 
-    Shift summands come back as projective modules, projective summands of
-    M move to the shift part, and nonprojective summands are replaced by
-    their transposes; a module summand is P_v exactly when the minimal
-    presentation its row carries has no degree -1 term.  The rows keep
-    their order, the shift rows first.  Involutive, and order-reversing on
-    support tau-tilting pairs.
+    Each row's complex is sent through twoterm.complex_dagger and read back
+    as a row over the opposite algebra (twoterm._summand_row), as right
+    mutation does: P_v[1] comes back as the projective P_v, a projective
+    P_v of M moves to the shift part, and the dual of the minimal
+    presentation of a nonprojective summand X presents its transpose Tr X.
+    The rows are read shift rows first, each kind in its order, and the
+    dual lists its module rows, then its shift rows, in that order.
+    Involutive, and order-reversing on support tau-tilting pairs.
     """
-    op = pair.algebra.opposite()
-    m_parts, p_parts = [], []
-    for kind, rep, c in sorted(pair.rows, key=lambda row: row[0] != "p"):
-        if kind == "m" and c.term_vertices(-1):
-            m_parts.append(modules.transpose(rep))
-        else:
-            proj = modules.projective(op, modules._projective_vertex(rep))
-            (m_parts if kind == "p" else p_parts).append(proj)
-    return modules.pair_from_summands(op, m_parts, p_parts)
+    rows = [
+        twoterm._summand_row(twoterm.complex_dagger(c))
+        for _, _, c in sorted(pair.rows, key=lambda row: row[0] != "p")
+    ]
+    return modules.TauPair(
+        rows=sorted(rows, key=lambda row: row[0] != "m"), algebra=pair.algebra.opposite()
+    )
 
 
 # -- mutation -----------------------------------------------------------------
@@ -124,13 +124,6 @@ def _g_order(pair):
 def _summand_rows(pair):
     """(kind, rep, complex) per summand, in the order of pair_summand_list."""
     return [pair.rows[k] for k in _g_order(pair)]
-
-
-def _pair_complex(pair):
-    """The complex the pair carries (TauPair.complex), with the position of
-    each g-sorted slot among its parts; the zero complex has none."""
-    t = pair.complex
-    return t, [t.parts.index(c) for _, _, c in _summand_rows(pair)] if t.parts else []
 
 
 def _det_pm_one(pair):
@@ -173,12 +166,16 @@ def _certify_exchange(pair, new_pair, fresh):
         raise CertificateFailure("the g-vectors of the mutation are not a basis")
 
 
-def _mutate_slot(pair, t, cindex):
-    """Mutate the complex t of a certified pair at one summand, left first.
+def _mutate_slot(pair, slot):
+    """Mutate a certified pair at its g-sorted slot, left first: the one
+    mutation step, shared by mutate_pair and the walk.
 
-    t must carry its summands (see _pair_complex).  The result is
-    certified by _certify_exchange before it is returned.
+    The slot's row complex is found among the parts of the complex the
+    pair carries (TauPair.complex).  The result is certified by
+    _certify_exchange before it is returned, with the direction taken.
     """
+    t = pair.complex
+    cindex = t.parts.index(_summand_rows(pair)[slot][2])
     kept = {c.key() for k, c in enumerate(t.parts) if k != cindex}
     for direction in ("left", "right"):
         out = twoterm.mutate_complex(t, cindex, direction)
@@ -200,10 +197,9 @@ def mutate_pair(pair, index):
     determined by the index alone.
     """
     _require_tilting(pair)
-    t, slots = _pair_complex(pair)
-    if not 0 <= index < len(slots):
+    if not 0 <= index < len(pair.rows):
         raise TautiltError("summand index out of range")
-    return _mutate_slot(pair, t, slots[index])
+    return _mutate_slot(pair, index)
 
 
 # -- the exchange graph -------------------------------------------------------
@@ -241,7 +237,6 @@ def silting_closure(algebra, budget=10000):
             pair = queue.popleft()
             src_fp = pair.fingerprint()
             tokens = [pair.tokens[k] for k in _g_order(pair)]
-            built = None
             for slot in range(len(tokens)):
                 rest = tuple(sorted(tokens[:slot] + tokens[slot + 1:]))
                 if rest in exchanges:
@@ -253,10 +248,7 @@ def silting_closure(algebra, budget=10000):
                     fp = first
                     direction = "right" if first_direction == "left" else "left"
                 else:
-                    if built is None:
-                        built = _pair_complex(pair)
-                    t, slots = built
-                    neighbour, direction = _mutate_slot(pair, t, slots[slot])
+                    neighbour, direction = _mutate_slot(pair, slot)
                     fp = neighbour.fingerprint()
                     exchanges[rest] = (src_fp, fp, direction)
                     if fp not in nodes:
@@ -329,8 +321,8 @@ def left_bongartz(u_pair, anchor=None):
     class containing Fac U together with Fac M of the anchor; defined when
     Fac M sits inside perp(tau U) ∩ perp(Q).  anchor=None means (0, A),
     the absolute left completion with Fac equal to Fac U.  The answer is
-    computed on the silting side from the complexes of both pairs' own
-    summands (see _pair_complex) and certified back on the module side.
+    computed on the silting side from the complexes both pairs carry
+    (TauPair.complex) and certified back on the module side.
     """
     alg = u_pair.algebra
     if anchor is None:
@@ -344,9 +336,7 @@ def left_bongartz(u_pair, anchor=None):
         raise PreconditionViolated(
             "anchor torsion class leaves perp(tau U) ∩ perp(Q)"
         )
-    uc, _ = _pair_complex(u_pair)
-    t, _ = _pair_complex(anchor)
-    out = twoterm.left_completion_silting(uc, t)
+    out = twoterm.left_completion_silting(u_pair.complex, anchor.complex)
     result = twoterm.to_tau_pair(out)
     _certify_left(u_pair, anchor, result)
     alg.cache[key] = result

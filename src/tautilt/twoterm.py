@@ -872,8 +872,8 @@ def left_completion_silting(u, t):
     be presilting.  A summand with Hom(t_i[-1], u) = Hom(t_i, u[1]) = 0
     has the zero map as its approximation, so it is its own cone and is
     neither approximated nor split.  The split cone of each summand is
-    cached once, per (u, t_i) content and not also per cone content, so
-    anchors that share a summand share its cone.
+    cached once, per content of t_i and of u's parts, so anchors that
+    share a summand share its cone and u's terms are never assembled.
     """
     if not is_presilting(u):
         raise PreconditionViolated("completion expects a presilting u")
@@ -881,9 +881,10 @@ def left_completion_silting(u, t):
         raise PreconditionViolated("Hom(u, t[1]) must vanish for completion")
     alg = u.algebra
     u_parts = [c for c, _ in decompose_complex(u)]
+    u_keys = tuple(c.key() for c in u_parts)
     merged = {c.g_vec(): c for c in u_parts}
     for ti, _ in decompose_complex(t):
-        key = ("left_cone", u.key(), ti.key())
+        key = ("left_cone", u_keys, ti.key())
         if key not in alg.cache:
             if not any(hom_k(ti, c, 1) for c in u_parts):
                 alg.cache[key] = (ti,)

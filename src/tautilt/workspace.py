@@ -77,12 +77,12 @@ def _logical_lines(text):
         out.append((start, pending))
         pending = None
     if pending is not None:
-        raise ParseError(f"line {start}: unbalanced brackets at end of file")
+        raise _err(start, "unbalanced brackets at end of file")
     return out
 
 
 def _err(lineno, msg):
-    return ParseError(f"line {lineno}: {msg}")
+    return ParseError(msg, line=lineno)
 
 
 def _split_matrix(lineno, text):
@@ -169,7 +169,6 @@ class _AlgebraDraft:
     def __init__(self):
         self.field = None
         self.vertices = None
-        self.vertex_line = None
         self.arrows = []
         self.relations = []  # (lineno, [(coeff str tokens, path labels)])
         self.bound = None
@@ -181,13 +180,9 @@ class _AlgebraDraft:
         quiver = Quiver(self.vertices, self.arrows)
         rels = []
         for lineno, terms in self.relations:
+            scaled = [(_scalar(field, lineno, c), path) for c, path in terms]
             try:
-                rels.append(
-                    Relation(
-                        quiver,
-                        [(_scalar(field, lineno, c), path) for c, path in terms],
-                    )
-                )
+                rels.append(Relation(quiver, scaled))
             except TautiltError as exc:
                 raise _err(lineno, str(exc))
         bound = self.bound if self.bound is not None else 12
@@ -235,10 +230,17 @@ def parse_workspace(text):
     # open module/complex block state
     block = None
 
-    def ensure_algebra():
+    def ensure_algebra(lineno=None):
+        """The algebra, compiled when a block first needs it; an error that
+        names no line is given lineno, the line of that block."""
         nonlocal algebra
         if algebra is None:
-            algebra = draft.compile()
+            try:
+                algebra = draft.compile()
+            except TautiltError as exc:
+                if isinstance(exc, ParseError) and exc.line is not None:
+                    raise
+                raise ParseError(str(exc), line=lineno)
             for i in range(algebra.n):
                 mods[f"P{i + 1}"] = modules.projective(algebra, i)
                 mods[f"S{i + 1}"] = modules.simple(algebra, i)
@@ -312,7 +314,6 @@ def parse_workspace(text):
                 if not _NAME.match(v):
                     raise _err(lineno, f"bad vertex label {v!r}")
             draft.vertices = labels
-            draft.vertex_line = lineno
         elif head == "arrow":
             toks = rest.split()
             if len(toks) != 3:
@@ -331,12 +332,7 @@ def parse_workspace(text):
                 raise _err(lineno, "bound must be an integer >= 2")
             draft.bound = int(rest)
         elif head == "module":
-            try:
-                alg = ensure_algebra()
-            except ParseError:
-                raise
-            except TautiltError as exc:
-                raise _err(lineno, str(exc))
+            ensure_algebra(lineno)
             close_block()
             fresh_name(lineno, rest)
             block = ("module", lineno, rest, {"dims": None, "maps": {}})
@@ -369,10 +365,7 @@ def parse_workspace(text):
             ]
             block[3]["maps"][lbl] = (lineno, mat)
         elif head == "pair":
-            try:
-                ensure_algebra()
-            except TautiltError as exc:
-                raise _err(lineno, str(exc))
+            ensure_algebra(lineno)
             close_block()
             m = re.match(r"^([^:]+):\s*M\s*=\s*([^;]*);\s*P\s*=\s*(.*)$", rest)
             if not m:
@@ -406,10 +399,7 @@ def parse_workspace(text):
             except TautiltError as exc:
                 raise _err(lineno, str(exc))
         elif head == "complex":
-            try:
-                ensure_algebra()
-            except TautiltError as exc:
-                raise _err(lineno, str(exc))
+            ensure_algebra(lineno)
             close_block()
             fresh_name(lineno, rest)
             block = ("complex", lineno, rest, {"terms": {}, "diffs": {}})
@@ -462,12 +452,7 @@ def parse_workspace(text):
         else:
             raise _err(lineno, f"unknown directive {head!r}")
 
-    try:
-        ensure_algebra()
-    except ParseError:
-        raise
-    except TautiltError as exc:
-        raise ParseError(str(exc))
+    ensure_algebra()
     close_block()
     return Workspace(algebra, mods, pairs, complexes)
 

@@ -10,7 +10,13 @@ from tautilt.algebra import (
     is_isomorphic_algebra,
     local_inverse,
 )
-from tautilt.errors import MalformedRelation, NotBasic, NotFiniteDimensional, TautiltError
+from tautilt.errors import (
+    MalformedRelation,
+    NotBasic,
+    NotFiniteDimensional,
+    SearchBudgetExceeded,
+    TautiltError,
+)
 from tautilt.linalg import QQ, Field
 
 
@@ -164,6 +170,21 @@ def test_is_isomorphic_algebra_rad_square_zero(a2):
     # still isomorphic via the vertex swap
     assert is_isomorphic_algebra(a2, rev)
     assert not is_isomorphic_algebra(a2, compile_bound_quiver(Quiver(["1"], []), [], QQ))
+
+
+def _commutative_square(field, sign):
+    arrows = [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")]
+    q = Quiver(["1", "2", "3", "4"], arrows)
+    return compile_bound_quiver(q, [Relation(q, [(1, ("a", "b")), (sign, ("c", "d"))])], field)
+
+
+def test_is_isomorphic_algebra_raises_where_the_constants_only_fail_to_match():
+    # c -> -c sends a*b - c*d to a*b + c*d, but the test does not rescale
+    # arrows: over Q it has no answer, over F_2 the two relations agree
+    with pytest.raises(SearchBudgetExceeded):
+        is_isomorphic_algebra(_commutative_square(QQ, -1), _commutative_square(QQ, 1))
+    f2 = Field(2)
+    assert is_isomorphic_algebra(_commutative_square(f2, -1), _commutative_square(f2, 1))
 
 
 def test_path_element_unknown_arrow(a2):

@@ -182,15 +182,15 @@ def test_left_cone_shortcut_matches_the_approximated_cone(name, preprojective):
     graph = ex.build_exchange_graph(alg)
     seen, kinds = set(), Counter()
     for u in ex.rigid_subpairs(graph, alg.n - 1):
-        uc, _ = to._pair_complex(u)
+        uc = u.complex
         u_parts = [c for c, _ in tt.decompose_complex(uc)]
         for node in graph.node_list():
             if not to.left_precondition(u, node):
                 continue
             to.left_bongartz(u, node)
-            t, _ = to._pair_complex(node)
+            t = node.complex
             for ti, _ in tt.decompose_complex(t):
-                key = ("left_cone", uc.key(), ti.key())
+                key = ("left_cone", tuple(c.key() for c in u_parts), ti.key())
                 if key in seen:
                     continue
                 seen.add(key)
@@ -205,6 +205,35 @@ def test_left_cone_shortcut_matches_the_approximated_cone(name, preprojective):
                     assert not f.target.is_zero()
                     kinds["approximated"] += 1
     assert kinds["own cone"] > 0 and kinds["approximated"] > 0
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3", "cyc3/F3"])
+def test_no_sweep_assembles_the_complex_of_a_pair(name, preprojective, monkeypatch):
+    # pairs carry their complexes as sums of parts (sum_of_summands) and
+    # every reader takes the parts, so the one sum ever assembled is the
+    # target of an approximation
+    alg = _checked(name, preprojective)
+    callers = Counter()
+    direct_sum = tt.direct_sum_complexes
+
+    def recorded(parts):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return direct_sum(parts)
+
+    monkeypatch.setattr(tt, "direct_sum_complexes", recorded)
+    graph = ex.build_exchange_graph(alg)
+    transported = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        assert ex.verify_mutation_compat(u, graph)["pass"]
+        assert ex.verify_silting_compat(u, graph)["pass"]
+        assert ex.verify_route(u, graph)["pass"]
+        rd = ex.tau_reduction(u)
+        assert ex.reduction_bijection_check(rd)["pass"]
+        for chain in ex.maximal_green_sequences(graph, rd.bongartz):
+            assert ex.transport_mgs(rd, chain)
+            transported += 1
+    assert transported > 9
+    assert set(callers) == {"_assemble_into"}
 
 
 def test_compat_sweep_approximates_only_summands_with_maps_into_u(monkeypatch):
@@ -297,14 +326,14 @@ def _answers(alg, reductions):
         if k not in reductions:
             reductions[k] = ex.tau_reduction(u)
         rd = reductions[k]
-        uc, _ = to._pair_complex(u)
+        uc = u.complex
         for node in nodes:
             q = md.torsion_free_part(u.m, node.m)
             maps = md.hom_basis(u.m, node.m)
             out.append((q.key(), [f.mats for f in maps], md.check_pair(node)))
             out.append([tt.summand_complex(kind, rep).key() for kind, rep, _ in node.rows])
             if to.left_precondition(u, node):
-                tc, _ = to._pair_complex(node)
+                tc = node.complex
                 out.append(tt.left_completion_silting(uc, tc).key())
             if to.contains_pair(node, u):
                 image = ex.reduce_pair(rd, node)
@@ -366,7 +395,7 @@ def test_content_keys_behave_as_plain_tuples():
     module_keys, complex_keys = [], []
     for node in graph.node_list():
         module_keys += [node.m.key(), node.p.key()]
-        t, _ = to._pair_complex(node)
+        t = node.complex
         complex_keys += [t.key()] + [c.key() for c, _ in tt.decompose_complex(t)]
     for keys in (module_keys, complex_keys):
         plain = [tuple(k) for k in keys]

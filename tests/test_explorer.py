@@ -1,5 +1,6 @@
 """Exchange graphs, green sequences, reduction, and the verification suites."""
 
+import sys
 from collections import Counter
 
 import pytest
@@ -634,6 +635,30 @@ def test_transport_rejects_a_step_over_two_summands(cyc3):
     assert to.pair_leq(c[0], c[2])
     with pytest.raises(PreconditionViolated, match="step 0 of the chain is not a left mutation"):
         ex.transport_mgs(rd, [c[0]] + c[2:])
+
+
+def test_transport_certifies_each_input_node_once(cyc3, monkeypatch):
+    # reduce_pair certifies the images, so transport_mgs itself tests only
+    # the input chain for tilting; left_bongartz's own tests are not counted
+    graph = ex.build_exchange_graph(cyc3)
+    require = to._require_tilting
+    tested = []
+
+    def spied(pair):
+        if sys._getframe(1).f_globals["__name__"] == ex.__name__:
+            tested.append(pair.fingerprint())
+        return require(pair)
+
+    monkeypatch.setattr(to, "_require_tilting", spied)
+    transported = 0
+    for u in ex.rigid_subpairs(graph, cyc3.n - 1):
+        rd = ex.tau_reduction(u)
+        for chain in ex.maximal_green_sequences(graph, rd.bongartz):
+            tested.clear()
+            ex.transport_mgs(rd, chain)
+            assert tested == [node.fingerprint() for node in chain]
+            transported += 1
+    assert transported > 9
 
 
 @pytest.mark.parametrize("make", [_linear_a3, _cycle3])

@@ -1,10 +1,14 @@
-"""Every function, method and class in src/ is reached from src/.
+"""Every function, method, class and stored attribute in src/ is reached
+from src/.
 
 A definition whose name occurs in the package only where it is defined is
 dead, or kept alive by the tests alone.  A use is a name or an attribute
 in the syntax tree, f-strings included, so a mention in a string, a
 comment or a docstring does not count.  Exempt are dunders, the public
-names of tautilt.__all__, and methods that a library calls by name.
+names of tautilt.__all__, and methods that a library calls by name.  By
+the same rule an attribute that the package stores (obj.name = ...) is
+dead when no attribute of that name is ever read; exempt are public
+attributes that users read.
 """
 
 import ast
@@ -17,6 +21,9 @@ SRC = Path(tautilt.__file__).parent
 
 # argparse calls error() on usage mistakes; nothing in the package names it
 CALLED_BY_LIBRARY = {"cli._Parser.error"}
+
+# the line number of a parse error, documented for users
+READ_BY_USERS = {"errors.ParseError.line"}
 
 
 def _definitions(tree, module):
@@ -60,3 +67,30 @@ def _unused_definitions():
 def test_every_definition_is_used_in_the_package():
     unused = _unused_definitions()
     assert not unused, "never used in the package: " + ", ".join(unused)
+
+
+def _unread_attributes():
+    """module.Class.name (module.name outside a class) of every attribute
+    stored in src/ whose name no attribute read in src/ uses."""
+    reads = Counter()
+    stores = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                if isinstance(child.ctx, ast.Store):
+                    stores.append((f"{prefix}.{child.attr}", child.attr))
+                else:
+                    reads[child.attr] += 1
+            visit(child, f"{prefix}.{child.name}" if isinstance(child, ast.ClassDef) else prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sorted(
+        {qual for qual, name in stores if not reads[name] and qual not in READ_BY_USERS}
+    )
+
+
+def test_every_stored_attribute_is_read_in_the_package():
+    unread = _unread_attributes()
+    assert not unread, "stored but never read in the package: " + ", ".join(unread)

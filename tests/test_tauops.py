@@ -151,6 +151,38 @@ def test_dagger_preserves_tilting(cyc3):
         assert info["role"] == "tilting"
 
 
+DUAL = {
+    "A3": lambda: _linear(3, QQ),
+    "cyc3": lambda: _cycle(3, QQ),
+    "cyc4": lambda: _cycle(4, QQ),
+    "PiA3": lambda: _preprojective_a3(),
+    "cyc3/F3": lambda: _cycle(3, Field(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL))
+def test_dagger_pair_matches_the_transpose(name):
+    # modules.transpose as the reference: a nonprojective module row X
+    # becomes the row of Tr X, a module row P_v and a shift row P_v[1]
+    # trade places, and the rows keep their order, shift rows first, with
+    # the module rows of the dual before its shift rows
+    alg = DUAL[name]()
+    op = alg.opposite()
+    for node in ex.build_exchange_graph(alg).node_list():
+        want = []
+        for kind, rep, _ in sorted(node.rows, key=lambda row: row[0] != "p"):
+            tr = md.transpose(rep)
+            if kind == "m" and not tr.is_zero():
+                want.append(("m", tr.key()))
+            else:
+                dual_kind = "m" if kind == "p" else "p"
+                want.append((dual_kind, P(op, md._projective_vertex(rep)).key()))
+        want.sort(key=lambda row: row[0] != "m")
+        dual = to.dagger_pair(node)
+        assert [(kind, rep.key()) for kind, rep, _ in dual.rows] == want
+        assert to.dagger_pair(dual).fingerprint() == node.fingerprint()
+
+
 # ---------------------------------------------------------------------------
 # mutation
 
@@ -840,16 +872,15 @@ def test_check_pair_of_a_walked_node_reads_the_walk_caches(name):
 def _exchange_with(monkeypatch, pair, slot, pick):
     # mutate pair at slot with the new summand replaced by pick(rest, x),
     # rest the kept summands' complexes and x the exchanged one
-    t, slots = to._pair_complex(pair)
-    x = t.parts[slots[slot]]
-    rest = [c for c in t.parts if c is not x]
+    x = to._summand_rows(pair)[slot][2]
+    rest = [c for c in pair.complex.parts if c is not x]
 
     def patched(*args, **kwargs):
         return tt.sum_of_summands(rest + [pick(rest, x)])
 
     monkeypatch.setattr(tt, "mutate_complex", patched)
     try:
-        return to._mutate_slot(pair, t, slots[slot])
+        return to._mutate_slot(pair, slot)
     finally:
         monkeypatch.undo()
 
@@ -868,9 +899,9 @@ def test_exchange_certificate_rejects_a_kept_or_returned_summand(name, monkeypat
                 _exchange_with(monkeypatch, node, slot, lambda rest, x: x)
             # a kept summand with its differential doubled: an isomorphic
             # complex of new content, whose token repeats a kept one
-            t, slots = to._pair_complex(node)
+            t = node.complex
             for c in t.parts:
-                if c is t.parts[slots[slot]] or -1 not in c.diffs:
+                if c is to._summand_rows(node)[slot][2] or -1 not in c.diffs:
                     continue
                 diffs = {-1: [[e.scale(two) for e in row] for row in c.diffs[-1]]}
                 copy = tt.ProjectiveComplex(alg, c.terms, diffs)
@@ -1015,7 +1046,7 @@ def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
             for other in graph.node_list():
                 if other.fingerprint() == right or not to.contains_pair(other, u):
                     continue
-                wrong, _ = to._pair_complex(other)
+                wrong = other.complex
                 monkeypatch.setattr(tt, "left_completion_silting", lambda *a: wrong)
                 with pytest.raises(CertificateFailure):
                     to.left_bongartz(u, anchor)

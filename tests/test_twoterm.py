@@ -683,7 +683,7 @@ def test_hom_k_of_carried_parts_matches_the_assembled_sum(name):
     # every one-summand rigid complex against every node complex, both ways
     alg = CARRIED[name]()
     graph = ex.build_exchange_graph(alg)
-    rigid = [to._pair_complex(u)[0] for u in ex.rigid_subpairs(graph, 1)]
+    rigid = [u.complex for u in ex.rigid_subpairs(graph, 1)]
     nodes = [node.complex for node in graph.node_list()]
     assert all(t.parts is not None and len(t.parts) == alg.n for t in nodes)
     dims = Counter()

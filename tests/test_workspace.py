@@ -138,6 +138,28 @@ def test_parse_error_line_number():
     with pytest.raises(ParseError) as err:
         wk.parse_workspace("vertex 1 2\narrow a 1 2\nmodule Y\ndim 1 1\nmap a [[7],[9]]")
     assert str(err.value).startswith("line 5:")
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize("block", ["pair X : M = 0 ; P = 0", "complex C", "module Y"])
+@pytest.mark.parametrize(
+    "relation,message",
+    [("a*a", "path ('a', 'a') is not composable"), ("1/0*a", "bad scalar '1/0'")],
+)
+def test_compile_error_keeps_the_relation_line(block, relation, message):
+    # the algebra compiles when the block on line 4 needs it; the error
+    # names the relation's line once
+    with pytest.raises(ParseError) as err:
+        wk.parse_workspace(A2 + f"relation {relation}\n" + block)
+    assert str(err.value) == f"line 3: {message}"
+    assert err.value.line == 3
+
+
+def test_compile_error_without_a_line_takes_the_block_line():
+    with pytest.raises(ParseError) as err:
+        wk.parse_workspace("field Q\nmodule Y\nvertex 1")
+    assert str(err.value) == "line 2: workspace declares no vertex line"
+    assert err.value.line == 2
 
 
 PI_A4 = """
