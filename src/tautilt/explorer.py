@@ -18,6 +18,7 @@ from .errors import (
     MatchFailure,
     NotBasic,
     NotInWide,
+    NotProjective,
     PreconditionViolated,
 )
 
@@ -177,17 +178,6 @@ def _hom_width(src, tgt):
     return sum(src.dims[v] * tgt.dims[v] for v in range(src.algebra.n))
 
 
-def _extend_basis(rows, candidates, field, width):
-    """Positions of the candidates that lie outside the span of rows and of
-    the candidates kept before them, in order."""
-    rows, kept = list(rows), []
-    for t, vec in enumerate(candidates):
-        if not linalg.RowSolver(rows, field, width).contains(vec):
-            rows.append(vec)
-            kept.append(t)
-    return kept
-
-
 class ReductionData:
     """Outcome of reducing the ambient algebra at a rigid pair (U, Q).
 
@@ -256,16 +246,13 @@ def tau_reduction(pair):
     if tokens_of(pair, "shift") != tokens_of(bon, "shift"):
         raise CertificateFailure("completion changed the projective leg of the pair")
 
-    # pair and completion are basic, and their summands are determined by
-    # their g-vectors (AIR Thm 5.5), so slots are found by token
+    # the completion contains the pair (right_bongartz), both are basic, and
+    # summands are determined by g-vectors (AIR Thm 5.5): slots are tokens
     tokens = tokens_of(bon, "mod")
     rep_of = {token: rep for (_, rep, _), token in zip(bon.rows, bon.tokens)}
     parts = [rep_of[token] for token in tokens]
     s = len(parts)
-    u_tokens = tokens_of(pair, "mod")
-    if any(t not in tokens for t in u_tokens):
-        raise CertificateFailure("completion lost a summand of the input pair")
-    u_slots = {tokens.index(t) for t in u_tokens}
+    u_slots = {tokens.index(t) for t in tokens_of(pair, "mod")}
     kept_slots = [i for i in range(s) if i not in u_slots]
 
     cells = {}
@@ -281,7 +268,7 @@ def tau_reduction(pair):
         if rad is None:
             raise NotBasic("endomorphism ring of a summand is not split local")
         vecs = [modules._flat(g) for g in rad]
-        kept = _extend_basis([], vecs, field, _hom_width(parts[i], parts[i]))
+        kept = linalg._extend_basis([], vecs, field, _hom_width(parts[i], parts[i]))
         elements.extend((i, i, rad[t]) for t in kept)
     for i in range(s):
         for j in range(s):
@@ -357,7 +344,7 @@ def tau_reduction(pair):
     for key, rows in block_ideal.items():
         width = len(members[key])
         units = linalg.identity(width, field)
-        kept = _extend_basis(rows, units, field, width)
+        kept = linalg._extend_basis(rows, units, field, width)
         chosen[key] = [members[key][t] for t in kept]
         reducers[key] = linalg.RowSolver([units[t] for t in kept] + rows, field, width)
     if any(chosen[(i, i)][:1] != [i] for i in kept_slots):
@@ -410,7 +397,7 @@ def reduction_functor(rd, x):
     U-part act as zero because x has no maps from U.
     """
     pair = rd.pair
-    if not modules.in_wide(pair.m, pair.p, x):
+    if not modules.in_wide(pair, x):
         raise NotInWide("module lies outside the wide subcategory of the pair")
     for i in rd.u_slots:
         if modules.dim_hom(rd.parts[i], x):
@@ -536,6 +523,12 @@ def reduction_bijection_check(rd, budget=10000):
 # -- transport of green sequences ------------------------------------------------
 
 
+def _one_exchange(a, b):
+    """Whether two pairs differ in exactly one summand: one out, one in."""
+    gone, new = tauops.exchanged_summands(a, b)
+    return len(gone) == 1 and len(new) == 1
+
+
 def _check_green_chain(chain):
     """Each ascending step must be a reversed left-mutation edge.
 
@@ -545,10 +538,8 @@ def _check_green_chain(chain):
     hi is certified by the exchange and by Fac lo <= Fac hi.  The pairs
     must already be certified support tau-tilting.
     """
-    for k in range(len(chain) - 1):
-        lo, hi = chain[k], chain[k + 1]
-        gone, new = tauops.exchanged_summands(lo, hi)
-        if len(gone) != 1 or len(new) != 1 or not tauops.pair_leq(lo, hi):
+    for k, (lo, hi) in enumerate(zip(chain, chain[1:])):
+        if not _one_exchange(lo, hi) or not tauops.pair_leq(lo, hi):
             raise PreconditionViolated(f"step {k} of the chain is not a left mutation")
 
 
@@ -606,25 +597,24 @@ def connect_fixed_summand(path, rel_u):
     and the result is certified to be a mutation path; left_bongartz
     certifies that each of its nodes contains rel_u.
     """
-    if not rel_u.p.is_zero():
+    if rel_u.p_summands():
         raise PreconditionViolated("fixed summand must have the form (U, 0)")
-    if not rel_u.m.is_zero() and not modules.is_projective(rel_u.m):
-        raise PreconditionViolated("fixed summand must be projective")
+    try:
+        for rep in rel_u.m_parts:
+            modules._projective_vertex(rep)
+    except NotProjective as exc:
+        raise PreconditionViolated("fixed summand must be projective") from exc
     tauops._require_rigid(rel_u)
     if not path:
         raise PreconditionViolated("empty path")
     for node in path:
         tauops._require_tilting(node)
-    for k in range(len(path) - 1):
-        gone, new = tauops.exchanged_summands(path[k], path[k + 1])
-        if len(gone) != 1 or len(new) != 1:
-            raise PreconditionViolated("input is not a mutation path")
+    if not all(_one_exchange(a, b) for a, b in zip(path, path[1:])):
+        raise PreconditionViolated("input is not a mutation path")
 
     out = _completed_path(rel_u, path)
-    for k in range(len(out) - 1):
-        gone, new = tauops.exchanged_summands(out[k], out[k + 1])
-        if len(gone) != 1 or len(new) != 1:
-            raise CertificateFailure("rewritten path is not a mutation path")
+    if not all(_one_exchange(a, b) for a, b in zip(out, out[1:])):
+        raise CertificateFailure("rewritten path is not a mutation path")
     return out
 
 
@@ -641,7 +631,8 @@ def verify_exchange(algebra, budget=10000):
         failures.append({"check": "complete"})
     failures.extend(_shape_failures(graph))
     for pair in graph.nodes.values():
-        if not tauops._det_pm_one(pair):
+        # over QQ by Fraction elimination, independent of the walk's int_det
+        if abs(linalg.det([token[1] for token in pair.tokens], linalg.QQ)) != 1:
             failures.append(
                 {"check": "unimodular", "node": modules.describe_pair(pair)}
             )
@@ -713,7 +704,8 @@ def verify_mutation_compat(rel_u, graph):
         src, tgt = graph.nodes[s], graph.nodes[t]
         d = tauops.brick_label(src, tgt)
         bs, bt = completion[s], completion[t]
-        if modules.dim_hom(rel_u.m, d) == 0:
+        # Hom is additive: Hom(U, d) = 0 exactly when each Hom(U_i, d) = 0
+        if not any(modules._hom_vectors(part, d) for part in rel_u.m_parts):
             mutation_steps += 1
             ok = (
                 bs.fingerprint() != bt.fingerprint()

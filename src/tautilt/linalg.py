@@ -381,6 +381,18 @@ class RowSolver:
         return out
 
 
+def _extend_basis(rows, candidates, field, width):
+    """Positions of the candidates outside the span of rows and of those kept before them."""
+    rows, kept = list(rows), []
+    solver = RowSolver(rows, field, width)
+    for t, vec in enumerate(candidates):
+        if not solver.contains(vec):
+            rows.append(vec)
+            kept.append(t)
+            solver = RowSolver(rows, field, width)
+    return kept
+
+
 def charpoly(mat, field):
     """Characteristic polynomial coefficients [c_0, ..., c_n] with c_n = 1.
 
@@ -431,11 +443,11 @@ def poly_eval(coeffs, x, field):
     return acc
 
 
-def rational_roots(coeffs, field, prime_cap=3000):
+def rational_roots(coeffs, field):
     """Roots in the ground field of the polynomial with given coefficients.
 
     Over Q this is the rational root test after integer scaling; over F_p all
-    residues are tried (p capped to keep this a desk-scale tool).
+    residues are tried (p capped at 3000 to keep this a desk-scale tool).
     """
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
@@ -443,7 +455,7 @@ def rational_roots(coeffs, field, prime_cap=3000):
     if not coeffs:
         raise TautiltError("zero polynomial has every root")
     if field.char:
-        if field.char > prime_cap:
+        if field.char > 3000:
             raise TautiltError(f"root search over F_{field.char} exceeds cap")
         return [field(v) for v in range(field.char) if not poly_eval(coeffs, field(v), field)]
     roots = []

@@ -583,11 +583,6 @@ def projective_cover(x):
     return cover, f
 
 
-def is_projective(x):
-    cover, f = projective_cover(x)
-    return cover.rep.dims == x.dims
-
-
 class Presentation:
     """Minimal projective presentation P1 -> P0 -> X -> 0."""
 
@@ -918,17 +913,17 @@ def _isomorphic(x, y):
 # -- torsion machinery ------------------------------------------------------
 
 
-def torsion_free_part(gen, x):
-    """x modulo the trace of gen, the sum of the images of all maps
-    gen -> x; cached per (gen, x) content.
-
-    A sum of images of module maps is a submodule, so the reduced echelon
-    bases of the image rows, read from the cached Hom basis vectors, need
-    no closure under the action."""
+def torsion_free_part(gens, gen_keys, x):
+    """x modulo the trace of the sum of gens, with gen_keys as fac_contains
+    takes them; cached per (set of gens, x) content.  The trace is the
+    span of the image rows of each gen, read from the cached Hom basis
+    vectors: a sum of images of module maps is a submodule, so it needs no
+    closure, and its reduced echelon basis is canonical, so the quotient
+    is the one the sum of the gens gives."""
     alg = x.algebra
-    key = ("torsion_free", gen.key(), x.key())
+    key = ("torsion_free", gen_keys, x.key())
     if key not in alg.cache:
-        trace = [linalg.row_space_basis(rows, x.field) for rows in _image_rows([gen], x)]
+        trace = [linalg.row_space_basis(rows, x.field) for rows in _image_rows(gens, x)]
         alg.cache[key] = _quotient_by_basis(x, trace)[0]
     return alg.cache[key]
 
@@ -986,24 +981,21 @@ def _image_rows(gens, x):
     return images
 
 
-def in_perp_pair(u, q_proj, x):
-    """Whether x lies in perp(tau u) intersected with the perp of q_proj."""
-    if not u.is_zero():
-        tau_u = ar_translate(u)
-        if not tau_u.is_zero() and _hom_vectors(x, tau_u):
-            return False
-    if not q_proj.is_zero() and _hom_vectors(q_proj, x):
+def in_perp_pair(pair, x):
+    """Whether x lies in perp(tau U) ∩ Q-perp of the pair (U, Q).  Hom is
+    additive, so Hom(P_v, x) = x_v must vanish for each summand P_v of Q
+    and Hom(x, tau U_i) for each summand U_i of U, as tau_rigid_summands
+    tests them, with tau and the Hom spaces cached per summand."""
+    if any(x.dims[_projective_vertex(rep)] for rep, _ in pair.p_summands()):
         return False
-    return True
+    taus = (ar_translate(u) for u in pair.m_parts)
+    return not any(_hom_vectors(x, tau_u) for tau_u in taus if not tau_u.is_zero())
 
 
-def in_wide(u, q_proj, x):
-    """Membership in the wide subcategory u-perp ∩ perp(tau u) ∩ q-perp."""
-    if not in_perp_pair(u, q_proj, x):
-        return False
-    if not u.is_zero() and _hom_vectors(u, x):
-        return False
-    return True
+def in_wide(pair, x):
+    """Membership in the wide subcategory U-perp ∩ perp(tau U) ∩ Q-perp of
+    the pair (U, Q): in_perp_pair, and Hom(U_i, x) = 0 for each U_i."""
+    return in_perp_pair(pair, x) and not any(_hom_vectors(u, x) for u in pair.m_parts)
 
 
 # -- bricks -----------------------------------------------------------------
@@ -1304,7 +1296,7 @@ def describe_pair(pair):
     return f"({m_str} | {p_str})"
 
 
-def rep_from_arrows(algebra, dims, arrow_mats, check=True):
+def rep_from_arrows(algebra, dims, arrow_mats):
     """Representation from matrices attached to the quiver arrows.
 
     Args:
@@ -1334,4 +1326,4 @@ def rep_from_arrows(algebra, dims, arrow_mats, check=True):
         for a in word:
             mat = linalg.mat_mul(mat, arr_mat[a], field, out_cols=dims[algebra.arrows[a][2]])
         rad_mats[k] = mat
-    return Representation(algebra, dims, rad_mats, check=check)
+    return Representation(algebra, dims, rad_mats)

@@ -281,25 +281,22 @@ def all_pairs(algebra, budget=10000):
 def left_precondition(u_pair, anchor):
     """Fac M <= perp(tau U) ∩ perp(Q), the window where B⁻ is defined.
 
-    Hom is additive, so it is tested on each summand of M, whose Hom
-    spaces are cached per summand and shared between anchors.  The answer
-    is cached under the summands of U and Q and the anchor's module key
-    set (family "window"), so the sweeps and left_bongartz test each
-    (U, anchor) once."""
+    Hom is additive, so each summand of M is tested against the summands
+    of U and Q (modules.in_perp_pair).  The answer is cached under the
+    summands of U and Q and the anchor's module key set (family
+    "window"), so the sweeps and left_bongartz test each (U, anchor) once."""
     alg = u_pair.algebra
     key = ("window", u_pair.check_key, anchor.m_keys)
     if key not in alg.cache:
-        alg.cache[key] = all(
-            modules.in_perp_pair(u_pair.m, u_pair.p, x) for x in anchor.m_parts
-        )
+        alg.cache[key] = all(modules.in_perp_pair(u_pair, x) for x in anchor.m_parts)
     return alg.cache[key]
 
 
 def _star_quotient(u_pair, x):
-    """x modulo the torsion part for Fac(U)."""
-    if u_pair.m.is_zero():
+    """x modulo the torsion part for Fac(U), read from the summands of U."""
+    if not u_pair.m_parts:
         return x
-    return modules.torsion_free_part(u_pair.m, x)
+    return modules.torsion_free_part(u_pair.m_parts, u_pair.m_keys, x)
 
 
 def _certify_left(u_pair, anchor, result):

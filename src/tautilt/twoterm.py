@@ -745,15 +745,9 @@ def _hom_rep_basis(x, y):
     key = ("hom_rep", x.key(), y.key())
     if key not in alg.cache:
         chains, boundaries, layout = _chain_data(x, y)
-        kept = []
-        if chains:
-            width = len(chains[0])
-            solver = linalg.RowSolver(boundaries, alg.field, width)
-            for vec in chains:
-                if not solver.contains(vec):
-                    kept.append(vec)
-                    solver = linalg.RowSolver(boundaries + kept, alg.field, width)
-        alg.cache[key] = kept, boundaries, layout
+        width = len(chains[0]) if chains else 0
+        kept = linalg._extend_basis(boundaries, chains, alg.field, width)
+        alg.cache[key] = [chains[t] for t in kept], boundaries, layout
     return alg.cache[key]
 
 

@@ -58,7 +58,7 @@ def test_compat_sweeps_take_each_trace_once(monkeypatch):
         # count only the quotients that torsion_free_part builds
         caller = sys._getframe(1)
         if caller.f_code is md.torsion_free_part.__code__:
-            traced[caller.f_locals["gen"].key(), x.key()] += 1
+            traced[caller.f_locals["gen_keys"], x.key()] += 1
         return quotient(x, closed)
 
     def counted_fills(gens, x):
@@ -236,6 +236,47 @@ def test_no_sweep_assembles_the_complex_of_a_pair(name, preprojective, monkeypat
     assert set(callers) == {"_assemble_into"}
 
 
+@pytest.mark.parametrize("name", ["A3", "cyc3", "cyc3/F3"])
+def test_no_sweep_reads_the_sum_modules_of_a_pair(name, preprojective, monkeypatch):
+    # the window, wide subcategory and torsion part of a pair (U, Q) are
+    # read from the summands it carries, so no sweep builds U or Q
+    alg = _checked(name, preprojective)
+    readers = Counter()
+
+    def recorded(attr):
+        build = getattr(md.TauPair, attr).func
+
+        def read(pair):
+            readers[attr, sys._getframe(1).f_code.co_name] += 1
+            if attr not in pair.__dict__:
+                pair.__dict__[attr] = build(pair)
+            return pair.__dict__[attr]
+
+        def store(pair, value):
+            pair.__dict__[attr] = value
+
+        return property(read, store)
+
+    for attr in ("m", "p"):
+        monkeypatch.setattr(md.TauPair, attr, recorded(attr))
+    graph = ex.build_exchange_graph(alg)
+    projective = {md.summand_token("m", md.projective(alg, v)) for v in range(alg.n)}
+    transported = connected = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        assert ex.verify_mutation_compat(u, graph)["pass"]
+        assert ex.verify_route(u, graph)["pass"]
+        rd = ex.tau_reduction(u)
+        assert ex.reduction_bijection_check(rd)["pass"]
+        for chain in ex.maximal_green_sequences(graph, rd.bongartz):
+            assert ex.transport_mgs(rd, chain)
+            transported += 1
+            if set(u.tokens) <= projective:
+                assert ex.connect_fixed_summand(chain, u)
+                connected += 1
+    assert transported > 9 and connected > 0
+    assert not readers
+
+
 def test_compat_sweep_approximates_only_summands_with_maps_into_u(monkeypatch):
     # after the walk, every approximation the completions of the compat
     # sweep make has a candidate, and some left_cone entries were stored
@@ -328,7 +369,7 @@ def _answers(alg, reductions):
         rd = reductions[k]
         uc = u.complex
         for node in nodes:
-            q = md.torsion_free_part(u.m, node.m)
+            q = md.torsion_free_part(u.m_parts, u.m_keys, node.m)
             maps = md.hom_basis(u.m, node.m)
             out.append((q.key(), [f.mats for f in maps], md.check_pair(node)))
             out.append([tt.summand_complex(kind, rep).key() for kind, rep, _ in node.rows])
@@ -491,7 +532,7 @@ def test_torsion_free_part_matches_the_generic_quotient(name, preprojective):
     partial = 0
     for gen in [node.m for node in nodes] + summands:
         for x in summands:
-            q = md.torsion_free_part(gen, x)
+            q = md.torsion_free_part([gen], frozenset([gen.key()]), x)
             assert q.key() == _generic_quotient(gen, x).key()
             partial += 0 < q.total_dim() < x.total_dim()
     assert partial > 0

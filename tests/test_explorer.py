@@ -356,7 +356,7 @@ def test_functor_simple(cyc3, rd_p1):
 def test_functor_dims(cyc3, rd_p1):
     m = rd_p1.bongartz.m
     for x in (S(cyc3, 2), P(cyc3, 1), P(cyc3, 2)):
-        if not md.in_wide(rd_p1.pair.m, rd_p1.pair.p, x):
+        if not md.in_wide(rd_p1.pair, x):
             continue
         y = ex.reduction_functor(rd_p1, x)
         assert sum(y.dims) == md.dim_hom(m, x)
@@ -758,6 +758,24 @@ def test_verify_exchange(a2, cyc3):
         assert rep["suite"] == "exchange"
         assert rep["pass"], rep["failures"]
         assert rep["complete"]
+
+
+@pytest.mark.parametrize("name", sorted(PARTNERS))
+def test_verify_exchange_checks_unimodularity_without_the_walk(name, preprojective, monkeypatch):
+    # the sweep's determinant, over QQ by Fraction elimination, agrees with
+    # the walk's integer one at every node, and the sweep passes with the
+    # walk's check made unusable after the walk
+    alg = PARTNERS[name](preprojective)
+    graph = ex.build_exchange_graph(alg)
+    for node in graph.node_list():
+        g_matrix = [token[1] for token in node.tokens]
+        assert linalg.det(g_matrix, QQ) == linalg.int_det(g_matrix)
+
+    def refuse(pair):
+        raise AssertionError("verify_exchange called the walk's unimodularity check")
+
+    monkeypatch.setattr(to, "_det_pm_one", refuse)
+    assert ex.verify_exchange(alg)["pass"]
 
 
 def test_verify_compat_a2(a2, g_a2):

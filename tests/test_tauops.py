@@ -38,6 +38,11 @@ def fac(gens, xs):
     return md.fac_contains(gens, frozenset(g.key() for g in gens), xs)
 
 
+def torsion_free(gen, x):
+    # md.torsion_free_part with one gen and its key set built here
+    return md.torsion_free_part([gen], frozenset([gen.key()]), x)
+
+
 def pair(alg, m_parts, p_parts=()):
     return md.pair_from_summands(alg, list(m_parts), list(p_parts))
 
@@ -1054,19 +1059,44 @@ def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
     assert rejected > 100
 
 
-@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def _whole_trace_quotient(gen, x):
+    # x modulo the trace of gen: the images of the hom_basis maps closed
+    # into a submodule, then x modulo it
+    spans = [[row for f in md.hom_basis(gen, x) for row in f.mats[v]] for v in range(len(x.dims))]
+    _, incl = md.submodule(x, spans)
+    return md.quotient(x, incl.mats)[0]
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3", "cyc4", "PiA3", "cyc3/F3"])
 def test_left_precondition_matches_the_whole_module_test(name):
-    # the window test, made per summand of the anchor's M, against
-    # in_perp_pair on the whole M
-    alg = FRESH[name]()
+    # the window test, made per summand of the anchor's M, and the window,
+    # wide subcategory and torsion part of every module summand X of a
+    # node and of its quotient, made per summand of U and Q, against the
+    # whole modules U, Q and M, with no summand or key set
+    alg = FAN[name]()
     graph = ex.build_exchange_graph(alg)
+    nodes = graph.node_list()
+    summands = list({rep.key(): rep for node in nodes for rep in node.m_parts}.values())
     answers = Counter()
     for u in ex.rigid_subpairs(graph, alg.n - 1):
-        for node in graph.node_list():
-            whole = md.in_perp_pair(u.m, u.p, node.m)
+        tau_u = md.ar_translate(u.m) if not u.m.is_zero() else md.zero_rep(alg)
+
+        def perp(x):
+            return md.dim_hom(u.p, x) == 0 and md.dim_hom(x, tau_u) == 0
+
+        for node in nodes:
+            whole = perp(node.m)
             assert to.left_precondition(u, node) == whole
-            answers[whole] += 1
-    assert answers[True] > 0 and answers[False] > 0
+            answers["window", whole] += 1
+        for x in summands:
+            q = _whole_trace_quotient(u.m, x)
+            assert md.torsion_free_part(u.m_parts, u.m_keys, x).key() == q.key()
+            for y in (x, q):
+                assert md.in_perp_pair(u, y) == perp(y)
+                wide = perp(y) and md.dim_hom(u.m, y) == 0
+                assert md.in_wide(u, y) == wide
+                answers["wide", wide] += 1
+    assert all(answers[check, b] for check in ("window", "wide") for b in (True, False))
 
 
 # ---------------------------------------------------------------------------
@@ -1085,10 +1115,10 @@ def _fan_per_anchor(u, anchor):
             continue
         ok = True
         for rep, _ in cand.m_summands():
-            q = rep if u.m.is_zero() else md.torsion_free_part(u.m, rep)
+            q = rep if u.m.is_zero() else torsion_free(u.m, rep)
             if q.is_zero():
                 continue
-            if not md.in_wide(u.m, u.p, q) or not fac(anchor_parts, [q]):
+            if not md.in_wide(u, q) or not fac(anchor_parts, [q]):
                 ok = False
                 break
         if ok:
@@ -1119,8 +1149,8 @@ def test_star_quotients_of_a_completion_lie_in_w(name):
             if not to.contains_pair(node, u):
                 continue
             for rep, _ in node.m_summands():
-                q = rep if u.m.is_zero() else md.torsion_free_part(u.m, rep)
-                assert md.in_wide(u.m, u.p, q)
+                q = rep if u.m.is_zero() else torsion_free(u.m, rep)
+                assert md.in_wide(u, q)
                 tested += 1
     assert tested > len(graph) * alg.n
 
@@ -1256,7 +1286,7 @@ def test_asai_label_is_the_brick_label(name):
         label = to.brick_label(old, new)
         x, asai = _asai_label(old, new)
         assert asai.dims == label.dims and md.is_isomorphic(asai, label)
-        shrunk += md.torsion_free_part(new.m, x).dims != label.dims
+        shrunk += torsion_free(new.m, x).dims != label.dims
     assert (shrunk > 0) == (name in ("k[x]/x^2", "cyc2/len4/F2"))
 
 
