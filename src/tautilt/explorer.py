@@ -188,16 +188,7 @@ class ReductionData:
     """
 
     def __init__(
-        self,
-        pair,
-        bongartz,
-        endo,
-        ideal_dim,
-        quotient,
-        quotient_maps,
-        parts,
-        u_slots,
-        kept_slots,
+        self, pair, bongartz, endo, ideal_dim, quotient, quotient_maps, parts, kept_slots
     ):
         self.pair = pair
         self.bongartz = bongartz
@@ -206,7 +197,6 @@ class ReductionData:
         self.quotient = quotient
         self.quotient_maps = quotient_maps
         self.parts = parts
-        self.u_slots = u_slots
         self.kept_slots = kept_slots
 
     def __repr__(self):
@@ -385,7 +375,7 @@ def tau_reduction(pair):
         raise CertificateFailure("quotient dimension disagrees with the ideal rank")
 
     return ReductionData(
-        pair, bon, endo, ideal_dim, quotient, q_elements, parts, u_slots, kept_slots
+        pair, bon, endo, ideal_dim, quotient, q_elements, parts, kept_slots
     )
 
 
@@ -394,14 +384,12 @@ def reduction_functor(rd, x):
 
     The underlying spaces are Hom(M_i, x) at the surviving vertices; the
     radical basis acts by precomposition.  Maps factoring through the
-    U-part act as zero because x has no maps from U.
+    U-part act as zero because x has no maps from U (in_wide; the U slots
+    hold U's summands by token, Adachi-Iyama-Reiten, Thm 5.5).
     """
     pair = rd.pair
     if not modules.in_wide(pair, x):
         raise NotInWide("module lies outside the wide subcategory of the pair")
-    for i in rd.u_slots:
-        if modules.dim_hom(rd.parts[i], x):
-            raise CertificateFailure("U-part maps survived on a window module")
     alg = rd.quotient
     field = alg.field
     bases = [modules.hom_basis(rd.parts[i], x) for i in rd.kept_slots]
@@ -668,10 +656,11 @@ def verify_mutation_compat(rel_u, graph):
 
     Per edge the exchange brick predicts whether the two completions
     coincide or differ by one left mutation.  Each window node is
-    completed once, by left_bongartz, which certifies its answer against
-    the module-side characterization (it contains U, covers Fac M, and its
-    summands lie in Fac U * Fac M); verify_route compares it with the fan
-    search.  The window itself is tested on both sides."""
+    completed once, by left_bongartz (a node that holds U is read as its
+    own completion, with no approximation), which certifies its answer
+    against the module-side characterization (it contains U, covers Fac M,
+    and its summands lie in Fac U * Fac M); verify_route compares it with
+    the fan search.  The window itself is tested on both sides."""
     tauops._require_rigid(rel_u)
     if not graph.complete:
         raise IncompleteGraph("compatibility sweep needs a complete graph")

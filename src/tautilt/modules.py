@@ -1030,7 +1030,8 @@ class TauPair:
     bare (M, P), as from a workspace, builds its rows when first asked,
     from the summands that decompose finds, and keeps decompose's grouping
     by isomorphism: two summands of a pair that is not tau-rigid can share
-    a token.  The fingerprint is the sorted tokens.
+    a token.  The fingerprint is the sorted tokens.  A walked pair carries
+    its check_pair verdict (_verdict, set by tauops._certify_exchange).
     """
 
     def __init__(self, m=None, p=None, rows=None, algebra=None):
@@ -1040,7 +1041,7 @@ class TauPair:
                 raise TautiltError("pair members live over different algebras")
             self.m, self.p = m, p
         self._rows = None if rows is None else tuple(rows)
-        self._summands = self._fingerprint = None
+        self._summands = self._fingerprint = self._verdict = None
 
     @cached_property
     def m(self):
@@ -1193,12 +1194,13 @@ def check_pair(pair):
     number of vertices.  hom_p_m_zero is None when P is not projective.
     Cached per content of the summands with their multiplicities, as the
     pair carries them (TauPair.check_key), so M and P are not built; only
-    a basic pair is cached, so a non-basic one raises on every call.
+    a basic pair is cached, so a non-basic one raises on every call.  A
+    verdict the pair carries (TauPair._verdict) is cached and not tested.
     """
     alg = pair.algebra
     key = ("check_pair", pair.check_key)
     if key not in alg.cache:
-        alg.cache[key] = _check_pair(pair)
+        alg.cache[key] = pair._verdict or _check_pair(pair)
     return dict(alg.cache[key])
 
 

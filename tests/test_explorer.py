@@ -326,8 +326,24 @@ def test_reduction_p1(cyc3, rd_p1):
     q = Quiver(["x", "y"], [("a", "x", "y")])
     model = compile_bound_quiver(q, [], QQ)
     assert is_isomorphic_algebra(rd_p1.quotient, model)
-    assert len(rd_p1.u_slots) == 1
+    assert len(rd_p1.parts) - len(rd_p1.kept_slots) == 1
     assert len(rd_p1.kept_slots) == 2
+
+
+def test_u_slots_hold_the_module_summands_of_the_pair(a3, cyc3):
+    # reduction_functor tests Hom(U_i, x) = 0 only on the pair's own
+    # summands of U (in_wide): the completion's U slots, the parts outside
+    # kept_slots, hold those summands, token for token
+    slots = 0
+    for alg in (a3, cyc3):
+        graph = ex.build_exchange_graph(alg)
+        for u in ex.rigid_subpairs(graph, alg.n):
+            rd = ex.tau_reduction(u)
+            u_slots = [i for i in range(len(rd.parts)) if i not in rd.kept_slots]
+            got = sorted(md.summand_token("m", rd.parts[i]) for i in u_slots)
+            assert got == sorted(t for t in u.tokens if t[0] == "mod")
+            slots += len(u_slots)
+    assert slots > 0
 
 
 def test_reduction_dim_identity(a2):

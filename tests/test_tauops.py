@@ -1027,25 +1027,34 @@ def test_compat_completes_each_window_node_once(name, monkeypatch):
         calls.append(args)
         return complete(*args)
 
+    # a window node that holds rel is its own completion, read with no
+    # call; every other window node is completed once
     monkeypatch.setattr(tt, "left_completion_silting", counted)
+    kinds = Counter()
     for rel in ex.rigid_subpairs(graph, 1):
         before = len(calls)
         rep = ex.verify_mutation_compat(rel, graph)
         assert rep["pass"], rep["failures"]
         window = [n for n in graph.node_list() if to.left_precondition(rel, n)]
-        assert len(calls) - before == len(window)
+        holding = [n for n in window if to.contains_pair(n, rel)]
+        kinds["holds rel"] += len(holding)
+        kinds["completed"] += len(window) - len(holding)
+        assert len(calls) - before == len(window) - len(holding)
+    assert kinds["holds rel"] > 0 and kinds["completed"] > 0
 
 
 @pytest.mark.parametrize("name", ["A3", "cyc3"])
 def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
     # the silting side returns another node that contains U; the
-    # module-side certificate, which the compat sweep relies on, refuses it
+    # module-side certificate, which the compat sweep relies on, refuses it.
+    # An anchor that holds U is read without the silting route, so only
+    # the anchors that do not hold U are patched
     alg = FRESH[name]()
     graph = ex.build_exchange_graph(alg)
     rejected = 0
     for u in ex.rigid_subpairs(graph, 1):
         for anchor in graph.node_list():
-            if not to.left_precondition(u, anchor):
+            if not to.left_precondition(u, anchor) or to.contains_pair(anchor, u):
                 continue
             right = to.fan_left_completion(u, anchor).fingerprint()
             for other in graph.node_list():
@@ -1134,6 +1143,40 @@ FAN = {
     "cyc3/F3": lambda: _cycle(3, Field(3)),
     "PiA3": _preprojective_a3,
 }
+
+
+@pytest.mark.parametrize("name", sorted(FAN))
+def test_left_bongartz_reads_an_anchor_that_holds_u(name):
+    # a node that holds (U, Q) lies in its window and is read as the join
+    # of the parts of U and of the node, with no approximation; the
+    # silting route gives the same rows, kind, content and order
+    alg = FAN[name]()
+    graph = ex.build_exchange_graph(alg)
+    read = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        for node in graph.node_list():
+            if not to.contains_pair(node, u):
+                continue
+            assert to.left_precondition(u, node)
+            route = tt.to_tau_pair(tt.left_completion_silting(u.complex, node.complex))
+            got = to.left_bongartz(u, node)
+            assert [(k, rep.key()) for k, rep, _ in got.rows] == [
+                (k, rep.key()) for k, rep, _ in route.rows
+            ]
+            read += 1
+    assert read > len(graph)
+
+
+@pytest.mark.parametrize("name", sorted(FAN))
+def test_walked_pairs_carry_the_verdict_check_pair_finds(name):
+    # every node the walk reached by mutation carries the verdict of its
+    # exchange certificate, which is the classification check_pair makes
+    # afresh; the free pair, where the walk starts, is tested instead
+    nodes = to.all_pairs(FAN[name]())
+    assert nodes[0]._verdict is None
+    for node in nodes[1:]:
+        assert node._verdict == md._check_pair(node)
+        assert node._verdict["role"] == "tilting"
 
 
 @pytest.mark.parametrize("name", sorted(FAN))
