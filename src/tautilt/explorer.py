@@ -734,7 +734,9 @@ def verify_mutation_compat(rel_u, graph):
 def verify_silting_compat(rel_u, graph):
     """Left-mutation compatibility on the complex side: the completion of
     the smaller node stays silting, sits below, and shares all but at
-    most one summand with the completion of the larger node."""
+    most one summand with the completion of the larger node.  No shift-2
+    Hom is tested: between two-term complexes it vanishes for degree
+    reasons, with no map x^i -> y^(i+2) to build it from."""
     tauops._require_rigid(rel_u)
     if not graph.complete:
         raise IncompleteGraph("compatibility sweep needs a complete graph")
@@ -758,8 +760,6 @@ def verify_silting_compat(rel_u, graph):
         if twoterm.hom_k(u_c, tt, 1):
             failures.append({"check": "window-shrink", "edge": edge_name})
             continue
-        if twoterm.hom_k(u_c, ts, 2) or twoterm.hom_k(u_c, tt, 2):
-            failures.append({"check": "higher-ext", "edge": edge_name})
         ss = twoterm.left_completion_silting(u_c, ts)
         st = twoterm.left_completion_silting(u_c, tt)
         if not (twoterm.is_silting(ss) and twoterm.is_silting(st)):
@@ -909,9 +909,11 @@ def verify_reduction(algebra, budget=10000):
 
 
 def verify_order_criteria(algebra, budget=10000):
-    """Equivalence of the window tests: vanishing of positive-shift maps
-    against the node complex, against its module part, the two module
-    side conditions, and the torsion class inclusion."""
+    """Equivalence of the window tests: vanishing of shift-1 maps against
+    the node complex and against its module part, the two module side
+    conditions, and the torsion class inclusion.  Maps of shift 2 and
+    more between two-term complexes vanish for degree reasons, so they
+    are not tested."""
     graph = build_exchange_graph(algebra, budget=budget)
     if not graph.complete:
         raise IncompleteGraph("order-criteria sweep needs a complete graph")
@@ -930,22 +932,21 @@ def verify_order_criteria(algebra, budget=10000):
         tau_um = None if u.m.is_zero() else modules.ar_translate(u.m)
         for fp, node in graph.nodes.items():
             checked += 1
-            b = twoterm.hom_k(u_c, cx[fp], 1) == 0
-            a = b and twoterm.hom_k(u_c, cx[fp], 2) == 0
-            c = twoterm.hom_k(u_c, part_cx[fp], 1) == 0
-            d = modules.dim_hom(u.p, node.m) == 0 and (
+            a = twoterm.hom_k(u_c, cx[fp], 1) == 0
+            b = twoterm.hom_k(u_c, part_cx[fp], 1) == 0
+            c = modules.dim_hom(u.p, node.m) == 0 and (
                 tau_um is None
                 or tau_um.is_zero()
                 or modules.dim_hom(node.m, tau_um) == 0
             )
-            e = tauops.left_precondition(u, node)
-            if not a == b == c == d == e:
+            d = tauops.left_precondition(u, node)
+            if not a == b == c == d:
                 failures.append(
                     {
                         "check": "criteria",
                         "pair": modules.describe_pair(u),
                         "node": modules.describe_pair(node),
-                        "flags": [a, b, c, d, e],
+                        "flags": [a, b, c, d],
                     }
                 )
     return {

@@ -6,8 +6,10 @@ elements: d^i maps degree i to degree i+1, and the block in row l, column k
 lies in e_{w_l} A e_{v_k} (target vertex on the left).  Composition of block
 maps is the matrix product of their element matrices.
 
-Morphism spaces are computed in the homotopy category: chain maps minus
-null-homotopic ones, all as exact linear algebra over the ground field.
+Morphism spaces are computed in the homotopy category, as the cohomology
+of the Hom complex: chain maps, the kernel of its differential, modulo the
+null-homotopic ones, its image one degree down, all as exact linear
+algebra over the ground field.
 """
 
 from . import linalg, modules
@@ -313,105 +315,85 @@ def _block_layout(x, y, shift):
     return layout, offset
 
 
+def _differential(x, y, s, layout):
+    """The Hom-complex differential D_s(f) = f.d_x - (-1)^s d_y.f on the
+    coordinates of layout = _block_layout(x, y, s).
+
+    Returns the image of each coordinate, in layout order, as a dict from
+    (i, m, k, q) to its coefficient: basis element q in block (m, k) of the
+    degree-(s+1) map x^i -> y^{i+s+1}.  It runs over the nonzero entries of
+    the differentials that meet the layout, with products read from the
+    structure constants; by Peirce homogeneity each lands in its block.
+    """
+    if not layout:
+        return []
+    alg = x.algebra
+    mult, zero, one = alg.mult, alg.field.zero, alg.field.one
+    blocks = {(i, m, k): (qs, off) for i, m, k, qs, off in layout}
+    degrees = {i for i, *_ in layout}
+    images = [{} for *_, qs, _ in layout for _ in qs]
+    # each term pairs a nonzero entry a of a differential with a block of
+    # f: f^(d+1) d_x^d from block (m, k) and entry (k, k2) of d_x lands in
+    # block (m, k2) of degree d; d_y^d f^(d-s) from entry (m2, m) of d_y
+    # and block (m, k) lands in block (m2, k) of degree d - s
+    terms = []
+    for d, rows in x.diffs.items():
+        if d + 1 in degrees:
+            for k, row in enumerate(rows):
+                for k2, a in enumerate(row):
+                    if any(a.coeffs):
+                        for m in range(len(y.term_vertices(d + 1 + s))):
+                            terms.append((blocks[d + 1, m, k], a, one, (d, m, k2), False))
+    sign = -one if s % 2 == 0 else one
+    for d, rows in y.diffs.items():
+        if d - s in degrees:
+            for m2, row in enumerate(rows):
+                for m, a in enumerate(row):
+                    if any(a.coeffs):
+                        for k in range(len(x.term_vertices(d - s))):
+                            terms.append((blocks[d - s, m, k], a, sign, (d - s, m2, k), True))
+    for (qs, off), a, scale, cell, left in terms:
+        sup = [(j, scale * b) for j, b in enumerate(a.coeffs) if b]
+        for p, q in enumerate(qs):
+            image = images[off + p]
+            for j, b in sup:
+                for t, c in mult.get((j, q) if left else (q, j), ()):
+                    key = cell + (t,)
+                    image[key] = image.get(key, zero) + b * c
+    return images
+
+
 def chain_hom_data(x, y, shift=0):
     """Chain maps x -> y[shift] and null-homotopies, as exact linear data.
 
-    Returns (chain_vectors, boundary_vectors, layout): the first spans all
-    chain maps in block coordinates, the second spans the null-homotopic
-    ones inside the same coordinates.
+    A map x -> y[shift] is a degree-shift element of the Hom complex of x
+    and y (see _differential).  Returns (chain_vectors, boundary_vectors,
+    layout), all in the block coordinates of layout = _block_layout(x, y,
+    shift): the chain vectors are the reduced basis of ker D_shift, the
+    chain maps; the boundary vectors are the nonzero images of D_(shift-1),
+    which span the null-homotopic ones.
     """
-    alg = x.algebra
-    field = alg.field
-    sign = field(1) if shift % 2 == 0 else field(-1)
     layout, total = _block_layout(x, y, shift)
-    index = {(i, m, k): (qs, offset) for i, m, k, qs, offset in layout}
-
-    rows = []
-    for i in x.support():
-        xv = x.term_vertices(i)
-        yv = y.term_vertices(i + shift + 1)
-        if not xv or not yv:
-            continue
-        dx = x.diff(i) if i + 1 in x.terms else None
-        dy = y.diff(i + shift) if i + shift in y.terms else None
-        for m, w in enumerate(yv):
-            for k, v in enumerate(xv):
-                cell = alg.peirce_basis(w, v)
-                if not cell:
-                    continue
-                eq = [[field.zero] * total for _ in cell]
-                if dx is not None:
-                    for l in range(len(x.term_vertices(i + 1))):
-                        entry = index.get((i + 1, m, l))
-                        if entry is None:
-                            continue
-                        qs, off = entry
-                        a = dx[l][k]
-                        if a.is_zero():
-                            continue
-                        for pos, q in enumerate(qs):
-                            prod = alg.basis_element(q) * a
-                            for r, target_q in enumerate(cell):
-                                c = prod.coeffs[target_q]
-                                if c:
-                                    eq[r][off + pos] = eq[r][off + pos] + c
-                if dy is not None:
-                    for l in range(len(y.term_vertices(i + shift))):
-                        entry = index.get((i, l, k))
-                        if entry is None:
-                            continue
-                        qs, off = entry
-                        a = dy[m][l]
-                        if a.is_zero():
-                            continue
-                        for pos, q in enumerate(qs):
-                            prod = a * alg.basis_element(q)
-                            for r, target_q in enumerate(cell):
-                                c = prod.coeffs[target_q]
-                                if c:
-                                    eq[r][off + pos] = eq[r][off + pos] - sign * c
-                rows.extend(row for row in eq if any(row))
-    chain_vectors = linalg.right_nullspace(rows, field, cols=total)
-
-    h_layout, h_total = _block_layout(x, y, shift - 1)
+    if not total:
+        return [], [], layout
+    field = x.algebra.field
+    equations = {}
+    for col, image in enumerate(_differential(x, y, shift, layout)):
+        for key, c in image.items():
+            row = equations.get(key)
+            if row is None:
+                row = equations[key] = [field.zero] * total
+            row[col] = c
+    chain_vectors = linalg.right_nullspace(list(equations.values()), field, cols=total)
     boundary_vectors = []
-    for i_h, m, k, qs, _ in h_layout:
-        for q in qs:
+    images = _differential(x, y, shift - 1, _block_layout(x, y, shift - 1)[0])
+    if images:
+        position = {(i, m, k, q): off + p for i, m, k, qs, off in layout for p, q in enumerate(qs)}
+        for image in images:
             vec = [field.zero] * total
-            touched = False
-            if i_h - 1 in x.diffs:
-                dx = x.diff(i_h - 1)
-                for k2 in range(len(x.term_vertices(i_h - 1))):
-                    entry = index.get((i_h - 1, m, k2))
-                    if entry is None:
-                        continue
-                    cell, off = entry
-                    a = dx[k][k2]
-                    if a.is_zero():
-                        continue
-                    prod = alg.basis_element(q) * a
-                    for r, tq in enumerate(cell):
-                        c = prod.coeffs[tq]
-                        if c:
-                            vec[off + r] = vec[off + r] + c
-                            touched = True
-            if i_h + shift - 1 in y.diffs:
-                dy = y.diff(i_h + shift - 1)
-                for m2 in range(len(y.term_vertices(i_h + shift))):
-                    entry = index.get((i_h, m2, k))
-                    if entry is None:
-                        continue
-                    cell, off = entry
-                    a = dy[m2][m]
-                    if a.is_zero():
-                        continue
-                    prod = a * alg.basis_element(q)
-                    for r, tq in enumerate(cell):
-                        c = prod.coeffs[tq]
-                        if c:
-                            vec[off + r] = vec[off + r] + sign * c
-                            touched = True
-            if touched:
+            for key, c in image.items():
+                vec[position[key]] = c
+            if any(vec):
                 boundary_vectors.append(vec)
     return chain_vectors, boundary_vectors, layout
 
@@ -728,23 +710,14 @@ def _compose_blocks(second, first, src, mid, tgt):
     return out
 
 
-def _chain_data(x, y):
-    """chain_hom_data(x, y, 0), cached per (x, y) content."""
-    alg = x.algebra
-    key = ("chain_hom", x.key(), y.key())
-    if key not in alg.cache:
-        alg.cache[key] = chain_hom_data(x, y, 0)
-    return alg.cache[key]
-
-
 def _hom_rep_basis(x, y):
     """Representatives of a basis of Hom(x, y) modulo homotopy, and the
-    null-homotopic maps and layout of the same coordinates, cached per
-    (x, y) content."""
+    null-homotopic maps and layout of the same coordinates: the one cached
+    record of Hom_K(x, y), per (x, y) content."""
     alg = x.algebra
     key = ("hom_rep", x.key(), y.key())
     if key not in alg.cache:
-        chains, boundaries, layout = _chain_data(x, y)
+        chains, boundaries, layout = chain_hom_data(x, y, 0)
         width = len(chains[0]) if chains else 0
         kept = linalg._extend_basis(boundaries, chains, alg.field, width)
         alg.cache[key] = [chains[t] for t in kept], boundaries, layout
@@ -758,14 +731,16 @@ def min_left_approx(x, parts):
     The candidates, a basis of each Hom(x, U_j) modulo homotopy in part
     order, together form a left approximation.  One pass drops candidate c
     of part j when it lies in the span of the null-homotopic maps x -> U_j
-    and of phi.d for every other kept candidate d and chain map phi from
-    d's part to U_j.  That span is the U_j-component of the submodule
-    generated under End(U) by the other kept candidates, so c lies in it
-    exactly when they still form a left approximation.  Dropping only
-    shrinks the spans, so a candidate found necessary stays necessary, and
-    the pass keeps what a loop dropping one candidate and restarting keeps;
-    Krull-Schmidt makes that minimal.  Each phi.d is composed once, when
-    first needed.  Mutation and Bongartz completion take the cone of this map.
+    and of phi.d for every other kept candidate d and homotopy-class
+    representative phi of Hom(d's part, U_j) (_hom_rep_basis); a
+    null-homotopic phi gives a null-homotopic phi.d, already in the span.
+    That span is the U_j-component of the submodule generated under End(U)
+    by the other kept candidates, so c lies in it exactly when they still
+    form a left approximation.  Dropping only shrinks the spans, so a
+    candidate found necessary stays necessary, and the pass keeps what a
+    loop dropping one candidate and restarting keeps; Krull-Schmidt makes
+    that minimal.  Each phi.d is composed once, when first needed.
+    Mutation and Bongartz completion take the cone of this map.
     """
     candidates, homotopic = [], []
     for j, part in enumerate(parts):
@@ -780,8 +755,8 @@ def min_left_approx(x, parts):
             if d == c or not kept[d]:
                 continue
             if (i, j) not in maps:
-                chains, _, layout = _chain_data(parts[i], parts[j])
-                maps[i, j] = [vec_to_blocks(parts[i], parts[j], 0, layout, v) for v in chains]
+                reps, _, layout = _hom_rep_basis(parts[i], parts[j])
+                maps[i, j] = [vec_to_blocks(parts[i], parts[j], 0, layout, v) for v in reps]
             if (d, j) not in comps:
                 comps[d, j] = [
                     _blocks_to_vec(x, parts[j], _compose_blocks(phi, blocks, x, parts[i], parts[j]))

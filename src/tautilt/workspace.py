@@ -275,9 +275,12 @@ def parse_workspace(text):
             if not data["terms"]:
                 complexes[name] = twoterm.zero_complex(algebra)
                 return
-            complexes[name] = twoterm.ProjectiveComplex(
-                algebra, data["terms"], data["diffs"]
-            )
+            try:
+                complexes[name] = twoterm.ProjectiveComplex(
+                    algebra, data["terms"], data["diffs"]
+                )
+            except TautiltError as exc:
+                raise _err(lineno, str(exc))
 
     def fresh_name(lineno, name):
         if not _NAME.match(name):

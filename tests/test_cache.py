@@ -374,7 +374,7 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
 
 
 FAMILIES = (
-    "torsion_free", "fac", "check_pair", "left_cone", "chain_hom", "hom_rep",
+    "torsion_free", "fac", "check_pair", "left_cone", "hom_rep",
     "projsum", "hom_maps", "summand_complex",
 )
 

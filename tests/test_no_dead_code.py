@@ -9,9 +9,13 @@ names of tautilt.__all__, and methods that a library calls by name.  By
 the same rule an attribute that the package stores (obj.name = ...) is
 dead when no attribute of that name is ever read; exempt are public
 attributes that users read.
+
+The README's list of cache families names exactly the families that
+src/ writes, so a deleted family cannot linger in the docs.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -94,3 +98,45 @@ def _unread_attributes():
 def test_every_stored_attribute_is_read_in_the_package():
     unread = _unread_attributes()
     assert not unread, "stored but never read in the package: " + ", ".join(unread)
+
+
+def _family(node):
+    """The family a cache key names: a bare string, or the string head of
+    a tuple; None for any other expression."""
+    if isinstance(node, ast.Tuple) and node.elts:
+        node = node.elts[0]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _is_cache(node):
+    return isinstance(node, ast.Attribute) and node.attr == "cache"
+
+
+def _cache_families():
+    """Families of the keys bound to `key`, indexed into a `.cache` or
+    passed to one of its methods, over all of src/."""
+    keys = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                if any(isinstance(t, ast.Name) and t.id == "key" for t in node.targets):
+                    keys.append(node.value)
+            elif isinstance(node, ast.Subscript) and _is_cache(node.value):
+                keys.append(node.slice)
+            elif isinstance(node, ast.Call) and node.args:
+                func = node.func
+                if isinstance(func, ast.Attribute) and _is_cache(func.value):
+                    keys.append(node.args[0])
+    return {f for f in map(_family, keys) if f is not None}
+
+
+def test_readme_lists_every_cache_family_and_no_other():
+    readme = (SRC.parents[1] / "README.md").read_text()
+    section = readme.split("### Cache families", 1)[1].split("\n#", 1)[0]
+    listed = re.findall(r"^- `([^`]+)`:", section, re.M)
+    assert len(listed) == len(set(listed))
+    written = _cache_families()
+    assert "hom_rep" in written and "window" in written
+    assert sorted(listed) == sorted(written)

@@ -1499,3 +1499,44 @@ def test_c_vectors_are_the_brick_labels(name, edges):
         column = tuple(row[slot] for row in inverses[s])
         assert column == to.brick_label(graph.nodes[s], graph.nodes[t]).dims
     assert len(graph.edges) == edges
+
+
+def _below(graph):
+    # the nodes reachable from each node down the walk's edges, itself included
+    down = {fp: [] for fp in graph.nodes}
+    for s, t, _ in graph.edges:
+        down[s].append(t)
+    below = {}
+    for fp in graph.nodes:
+        seen, stack = {fp}, [fp]
+        while stack:
+            for t in down[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        below[fp] = seen
+    return below
+
+
+@pytest.mark.parametrize("name", sorted(FAN))
+def test_window_and_completion_are_lattice_operations(name):
+    # read off the walk's edges alone: the window of (U, Q) is the interval
+    # below its Bongartz completion, and the left completion at a node is
+    # the join of the co-Bongartz completion (Fac U) and the node
+    alg = FAN[name]()
+    graph = ex.build_exchange_graph(alg)
+    below = _below(graph)
+    windows = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        top = to.right_bongartz(u).fingerprint()
+        bottom = to.left_bongartz(u).fingerprint()
+        for fp, node in graph.nodes.items():
+            inside = fp in below[top]
+            assert to.left_precondition(u, node) == inside
+            if not inside:
+                continue
+            above = [a for a in graph.nodes if bottom in below[a] and fp in below[a]]
+            join = [a for a in above if all(a in below[b] for b in above)]
+            assert join == [to.left_bongartz(u, node).fingerprint()]
+            windows += 1
+    assert windows > len(graph)

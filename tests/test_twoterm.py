@@ -16,7 +16,7 @@ from tautilt.algebra import (
     Relation,
     compile_bound_quiver,
 )
-from tautilt.errors import PreconditionViolated, SearchBudgetExceeded
+from tautilt.errors import PreconditionViolated, SearchBudgetExceeded, TautiltError
 from tautilt.linalg import QQ, Field, det
 
 
@@ -86,14 +86,14 @@ def test_g_vector_outside_window_rejected(a2):
         t.g_vec()
 
 
-def test_differential_square_checked(cyc3):
-    # d^2 = 0 fails for the composable pair of arrows a3: 1->2, a1: 2->3
-    a3 = cyc3.basis_element(cyc3.names.index("a3"))
-    a1 = cyc3.basis_element(cyc3.names.index("a1"))
-    bad = tt.ProjectiveComplex(
-        cyc3, {-2: [0], -1: [1], 0: [2]}, {-2: [[a3]], -1: [[a1]]}, check=False
-    )
-    with pytest.raises(Exception):
+def test_differential_square_checked(a3):
+    # P3 -b-> P2 -a-> P1 on linear A3: each block stays in its Peirce
+    # block, and d^2 = a*b is not zero
+    a, b = (a3.path_element([lbl]) for lbl in "ab")
+    assert not (a * b).is_zero()
+    terms = {-2: [2], -1: [1], 0: [0]}
+    bad = tt.ProjectiveComplex(a3, terms, {-2: [[b]], -1: [[a]]}, check=False)
+    with pytest.raises(TautiltError, match="square to zero"):
         bad.validate()
 
 
@@ -147,6 +147,115 @@ def test_presilting_requires_two_term(a2):
     three = tt.ProjectiveComplex(a2, {-2: [0], 0: [1]}, {})
     with pytest.raises(PreconditionViolated):
         tt.is_presilting(three)
+
+
+def _reference_coordinates(x, y, s):
+    # (i, m, k, q): basis element q in block (m, k) of f^i: x^i -> y^{i+s}
+    alg = x.algebra
+    return [
+        (i, m, k, q)
+        for i in x.support()
+        for m, w in enumerate(y.term_vertices(i + s))
+        for k, v in enumerate(x.term_vertices(i))
+        for q in alg.peirce_basis(w, v)
+    ]
+
+
+def _reference_differential(x, y, s):
+    # D(f) = f.d_x - (-1)^s d_y.f of every coordinate f of degree s, by
+    # AlgebraElement products, as a vector over the coordinates of degree s + 1
+    alg = x.algebra
+    target = {c: pos for pos, c in enumerate(_reference_coordinates(x, y, s + 1))}
+    sign = alg.field(1 if s % 2 == 0 else -1)
+    images = []
+    for i, m, k, q in _reference_coordinates(x, y, s):
+        f = alg.basis_element(q)
+        terms = []  # (degree, row, column, element) of the image
+        if i - 1 in x.terms:
+            for k2 in range(len(x.term_vertices(i - 1))):
+                terms.append((i - 1, m, k2, f * x.diff(i - 1)[k][k2]))
+        if i + s + 1 in y.terms:
+            for m2 in range(len(y.term_vertices(i + s + 1))):
+                terms.append((i, m2, k, -(y.diff(i + s)[m2][m] * f).scale(sign)))
+        vec = [alg.field.zero] * len(target)
+        for j, row, col, elt in terms:
+            for t, c in enumerate(elt.coeffs):
+                if c:
+                    pos = target[j, row, col, t]  # a KeyError leaves the Peirce block
+                    vec[pos] = vec[pos] + c
+        images.append(vec)
+    return images
+
+
+def _same_span(a, b, field):
+    return linalg.rank(a, field) == linalg.rank(b, field) == linalg.rank(a + b, field)
+
+
+def _assert_hom_data_matches_reference(x, y):
+    field = x.field
+    for s in (-1, 0, 1, 2):
+        chains, boundaries, layout = tt.chain_hom_data(x, y, s)
+        coords = _reference_coordinates(x, y, s)
+        assert [(i, m, k, q) for i, m, k, qs, _ in layout for q in qs] == coords
+        assert [off for *_, off in layout] == [
+            sum(len(qs) for *_, qs, _ in layout[:pos]) for pos in range(len(layout))
+        ]
+        if s == 2 and x.is_two_term() and y.is_two_term():
+            assert not coords  # no map x^i -> y^(i+2) inside degrees -1, 0
+        if not coords:
+            assert chains == boundaries == []
+            continue
+        images = _reference_differential(x, y, s)
+        # kernel of D_s: the columns of the equations are the images
+        equations = linalg.mat_transpose(images)
+        assert chains == linalg.right_nullspace(equations, field, cols=len(coords))
+        reference = [v for v in _reference_differential(x, y, s - 1) if any(v)]
+        assert _same_span(boundaries, reference, field)
+        assert linalg.rank(chains + boundaries, field) == len(chains)
+
+
+def _cycle4(field):
+    q = Quiver(["1", "2", "3", "4"], [(f"a{i}", str(i), str(i % 4 + 1)) for i in range(1, 5)])
+    rels = [Relation(q, [(1, (f"a{i}", f"a{i % 4 + 1}"))]) for i in range(1, 5)]
+    return compile_bound_quiver(q, rels, field)
+
+
+HOM_DATA = {
+    "A3": lambda build: _linear3(QQ),
+    "cyc3": lambda build: _cycle3(QQ),
+    "cyc4": lambda build: _cycle4(QQ),
+    "Pi(A3)": lambda build: build(3),
+    "cyc3/F3": lambda build: _cycle3(Field(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOM_DATA))
+def test_chain_hom_data_matches_the_hom_complex(name, preprojective, monkeypatch):
+    # every ordered pair of the parts of the nodes, and every three-term
+    # cone that mutate_complex builds, checked against the Hom complex
+    # assembled from AlgebraElement products
+    alg = HOM_DATA[name](preprojective)
+    cones = {}
+    build_cone = tt.cone
+
+    def recorded(x, y, f_blocks):
+        c = build_cone(x, y, f_blocks)
+        if len(c.support()) == 3:
+            cones.setdefault(c.key(), c)
+        return c
+
+    monkeypatch.setattr(tt, "cone", recorded)
+    graph = ex.build_exchange_graph(alg)
+    parts = {c.key(): c for node in graph.node_list() for c in node.complex.parts}
+    for x in parts.values():
+        for y in parts.values():
+            _assert_hom_data_matches_reference(x, y)
+    assert cones
+    ring = list(cones.values())
+    for c, d in zip(ring, ring[1:] + ring[:1]):
+        _assert_hom_data_matches_reference(c, c)
+        if c.algebra is d.algebra:
+            _assert_hom_data_matches_reference(c, d)
 
 
 # ---------------------------------------------------------------------------

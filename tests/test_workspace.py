@@ -34,6 +34,7 @@ diff [[a3]]
 """
 
 A2 = "vertex 1 2\narrow a 1 2\n"
+A3 = "vertex 1 2 3\narrow a 1 2\narrow b 2 3\n"
 
 
 def test_parse_cyc3_workspace():
@@ -123,13 +124,24 @@ parse_failures = [
     ("scalar element", "complex C\ndeg -1 1 0\ndeg 0 1 0\ndiff [[2]]", "scalar alone"),
     ("diff shape", "complex C\ndeg -1 1 0\ndeg 0 1 0\ndiff [[a,a]]", "must be 1 x 1"),
     ("deg count", "complex C\ndeg -1 1", "multiplicities"),
+    ("diff off its Peirce block", "complex C\ndeg -1 1 0\ndeg 0 0 1\ndiff [[a]]", "Peirce block"),
+    (
+        "diff squares to nonzero",
+        A3 + "complex C\ndeg -2 0 0 1\ndeg -1 0 1 0\ndeg 0 1 0 0\ndiff -2 [[b]]\ndiff -1 [[a]]",
+        "square to zero",
+    ),
 ]
+
+
+def _workspace(frag):
+    # a fragment extends A2 unless it declares its own vertices
+    return frag if frag.startswith("vertex") else A2 + frag
 
 
 @pytest.mark.parametrize("label,frag,needle", parse_failures)
 def test_parse_errors(label, frag, needle):
     with pytest.raises(ParseError) as err:
-        wk.parse_workspace(A2 + frag)
+        wk.parse_workspace(_workspace(frag))
     assert needle in str(err.value)
     assert "line" in str(err.value)
 
@@ -139,6 +151,16 @@ def test_parse_error_line_number():
         wk.parse_workspace("vertex 1 2\narrow a 1 2\nmodule Y\ndim 1 1\nmap a [[7],[9]]")
     assert str(err.value).startswith("line 5:")
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize("label,frag,needle", parse_failures[-2:])
+def test_complex_block_error_names_the_block_line(label, frag, needle):
+    # the complex is validated when its block closes, at the end of the
+    # text; the error names the line of its complex directive
+    text = _workspace(frag)
+    with pytest.raises(ParseError, match=needle) as err:
+        wk.parse_workspace(text)
+    assert err.value.line == text.splitlines().index("complex C") + 1
 
 
 @pytest.mark.parametrize("block", ["pair X : M = 0 ; P = 0", "complex C", "module Y"])
