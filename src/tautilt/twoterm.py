@@ -649,64 +649,35 @@ def silting_leq(a, b):
 # -- approximations, completions, mutations -------------------------------------
 
 
-class ChainMap:
-    """A degree-zero chain map between two complexes, stored blockwise."""
+def _compose(alg, phis, phi_layout, f, f_layout, layout):
+    """Coordinates on layout of phi.f for each phi in phis, for degree-zero
+    maps f: x -> y on f_layout and phi: y -> z on phi_layout, where layout
+    is that of (x, z).
 
-    def __init__(self, source, target, blocks):
-        self.source = source
-        self.target = target
-        self.blocks = blocks
-
-    def validate(self):
-        vec = _blocks_to_vec(self.source, self.target, self.blocks)
-        chains, _, _ = chain_hom_data(self.source, self.target, 0)
-        solver = linalg.RowSolver(chains, self.source.algebra.field, len(vec))
-        if not solver.contains(vec):
-            raise TautiltError("blocks do not satisfy the chain condition")
-        return self
-
-
-def _blocks_to_vec(x, y, blocks):
-    """Inverse of vec_to_blocks for degree-zero maps."""
-    layout, total = _block_layout(x, y, 0)
-    field = x.algebra.field
-    vec = [field.zero] * total
-    for i, m, k, qs, off in layout:
-        bl = blocks.get(i)
-        if bl is None:
-            continue
-        elt = bl[m][k]
-        for pos, q in enumerate(qs):
-            c = elt.coeffs[q]
-            if c:
-                vec[off + pos] = c
-    return vec
-
-
-def _compose_blocks(second, first, src, mid, tgt):
-    """Blocks of (second ∘ first) for first: src -> mid, second: mid -> tgt."""
-    zero = src.algebra.zero_element()
-    out = {}
-    for i in src.support():
-        sv = src.term_vertices(i)
-        mv = mid.term_vertices(i)
-        tv = tgt.term_vertices(i)
-        if not sv or not tv or not mv:
-            continue
-        fb = first.get(i)
-        sb = second.get(i)
-        if fb is None or sb is None:
-            continue
-        rows = []
-        for m in range(len(tv)):
-            row = []
-            for k in range(len(sv)):
-                acc = zero
-                for l in range(len(mv)):
-                    acc = acc + sb[m][l] * fb[l][k]
-                row.append(acc)
-            rows.append(row)
-        out[i] = rows
+    Block (m, k) of degree i of phi.f is the sum over l of phi's block
+    (m, l) times f's block (l, k).  It runs over the nonzero coordinates
+    only, with products read from the structure constants; by Peirce
+    homogeneity each lands in its block.
+    """
+    mult, zero = alg.mult, alg.field.zero
+    position = {(i, m, k, q): off + p for i, m, k, qs, off in layout for p, q in enumerate(qs)}
+    # the nonzero coordinates of f, by degree and row l
+    rows = {}
+    for i, l, k, qs, off in f_layout:
+        for p, q in enumerate(qs):
+            if f[off + p]:
+                rows.setdefault((i, l), []).append((k, q, f[off + p]))
+    out = []
+    for phi in phis:
+        vec = [zero] * len(position)
+        for i, m, l, qs, off in phi_layout:
+            for p, q in enumerate(qs):
+                a = phi[off + p]
+                if a:
+                    for k, r, b in rows.get((i, l), ()):
+                        for t, c in mult.get((q, r), ()):
+                            vec[position[i, m, k, t]] += a * b * c
+        out.append(vec)
     return out
 
 
@@ -739,32 +710,33 @@ def min_left_approx(x, parts):
     form a left approximation.  Dropping only shrinks the spans, so a
     candidate found necessary stays necessary, and the pass keeps what a
     loop dropping one candidate and restarting keeps; Krull-Schmidt makes
-    that minimal.  Each phi.d is composed once, when first needed.
-    Mutation and Bongartz completion take the cone of this map.
+    that minimal.  Each phi.d is composed once, when first needed, in the
+    block coordinates of the Hom_K records (_compose).
+
+    Returns (target, blocks): U', the sum with one copy of U_j per kept
+    candidate of part j, in candidate order (the zero complex when none is
+    kept), and the per-degree blocks of f that cone reads.  Mutation and
+    Bongartz completion take the cone of this map.
     """
-    candidates, homotopic = [], []
-    for j, part in enumerate(parts):
-        reps, boundaries, layout = _hom_rep_basis(x, part)
-        homotopic.append(boundaries)
-        candidates += [(j, v, vec_to_blocks(x, part, 0, layout, v)) for v in reps]
+    alg = x.algebra
+    records = [_hom_rep_basis(x, part) for part in parts]
+    candidates = [(j, v) for j, (reps, _, _) in enumerate(records) for v in reps]
     kept = [True] * len(candidates)
-    maps, comps = {}, {}
-    for c, (j, vec, _) in enumerate(candidates):
-        rows = list(homotopic[j])
-        for d, (i, _, blocks) in enumerate(candidates):
+    comps = {}
+    for c, (j, vec) in enumerate(candidates):
+        rows = list(records[j][1])
+        for d, (i, f) in enumerate(candidates):
             if d == c or not kept[d]:
                 continue
-            if (i, j) not in maps:
-                reps, _, layout = _hom_rep_basis(parts[i], parts[j])
-                maps[i, j] = [vec_to_blocks(parts[i], parts[j], 0, layout, v) for v in reps]
             if (d, j) not in comps:
-                comps[d, j] = [
-                    _blocks_to_vec(x, parts[j], _compose_blocks(phi, blocks, x, parts[i], parts[j]))
-                    for phi in maps[i, j]
-                ]
+                phis, _, phi_layout = _hom_rep_basis(parts[i], parts[j])
+                comps[d, j] = _compose(alg, phis, phi_layout, f, records[i][2], records[j][2])
             rows += comps[d, j]
-        kept[c] = not linalg.RowSolver(rows, x.algebra.field, len(vec)).contains(vec)
-    return _assemble_into(x, [(parts[j], b) for (j, _, b), k in zip(candidates, kept) if k])
+        kept[c] = not linalg.RowSolver(rows, alg.field, len(vec)).contains(vec)
+    return _assemble_into(x, [
+        (parts[j], vec_to_blocks(x, parts[j], 0, records[j][2], v))
+        for (j, v), k in zip(candidates, kept) if k
+    ])
 
 
 def _assemble_into(x, pieces):
@@ -787,7 +759,7 @@ def _assemble_into(x, pieces):
                 bl = [[zero for _ in x.term_vertices(i)] for _ in pv]
             rows.extend(bl)
         blocks[i] = rows
-    return ChainMap(x, target, blocks)
+    return target, blocks
 
 
 def complex_dagger(t):
@@ -855,9 +827,9 @@ def left_completion_silting(u, t):
             if not any(hom_k(ti, c, 1) for c in u_parts):
                 alg.cache[key] = (ti,)
             else:
-                f = min_left_approx(ti.shift(-1), u_parts)
-                x = minimalize(cone(f.source, f.target, f.blocks))
-                alg.cache[key] = tuple(c for c, _ in decompose_complex(x))
+                x = ti.shift(-1)
+                y = minimalize(cone(x, *min_left_approx(x, u_parts)))
+                alg.cache[key] = tuple(c for c, _ in decompose_complex(y))
         cones.extend(alg.cache[key])
     return _join_by_g(u_parts, cones)
 
@@ -898,8 +870,7 @@ def mutate_complex(t, summand_index, direction):
     others = rest
     if direction == "right":
         x, others = complex_dagger(x), [complex_dagger(c) for c in rest]
-    f = min_left_approx(x, others)
-    y = minimalize(cone(x, f.target, f.blocks))
+    y = minimalize(cone(x, *min_left_approx(x, others)))
     # complex_dagger raises outside the window, so test before reading back
     if not y.is_two_term():
         return None

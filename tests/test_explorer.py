@@ -846,3 +846,90 @@ def test_verify_order_criteria_a2(a2):
     rep = ex.verify_order_criteria(a2)
     assert rep["suite"] == "order-criteria"
     assert rep["pass"], rep["failures"]
+
+
+# ---------------------------------------------------------------------------
+# each report fails, with its named check, when one step is patched wrong
+
+
+def _failed_checks(rep):
+    return {f["check"] for f in rep["failures"]}
+
+
+def _moved(u, graph):
+    # whether some window node is not its own left completion; where none
+    # is, completing to the node itself is right
+    return any(
+        to.left_bongartz(u, node).fingerprint() != node.fingerprint()
+        for node in graph.node_list()
+        if to.left_precondition(u, node)
+    )
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_compat_report_fails_on_a_wrong_completion(make, monkeypatch):
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    subpairs = ex.rigid_subpairs(graph, alg.n - 1)
+    moved = [_moved(u, graph) for u in subpairs]
+    monkeypatch.setattr(to, "left_bongartz", lambda u, node: node)
+    for u, wrong in zip(subpairs, moved):
+        rep = ex.verify_mutation_compat(u, graph)
+        assert rep["pass"] != wrong
+        assert _failed_checks(rep) <= {"identity-branch", "mutation-branch"}
+    assert any(moved)
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_silting_compat_report_fails_on_a_wrong_completion(make, monkeypatch):
+    # the completion returns U itself, which has fewer than n summands
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    monkeypatch.setattr(tw, "left_completion_silting", lambda u, t: u)
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        rep = ex.verify_silting_compat(u, graph)
+        assert not rep["pass"]
+        assert _failed_checks(rep) == {"silting"}
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_route_report_fails_on_a_wrong_fan_search(make, monkeypatch):
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    subpairs = ex.rigid_subpairs(graph, alg.n - 1)
+    moved = [_moved(u, graph) for u in subpairs]
+    monkeypatch.setattr(to, "fan_left_completion", lambda u, node, budget: node)
+    for u, wrong in zip(subpairs, moved):
+        rep = ex.verify_route(u, graph)
+        assert rep["pass"] != wrong
+        assert _failed_checks(rep) <= {"route"}
+    assert any(moved)
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_reduction_report_fails_on_swapped_images(make, monkeypatch):
+    # the images of two comparable pairs over U are swapped: the map stays
+    # a bijection but reverses their order
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    reduce_pair = ex.reduce_pair
+    checked = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        rd = ex.tau_reduction(u)
+        over = [p for p in graph.node_list() if to.contains_pair(p, u)]
+        comparable = [
+            (a, b) for a in over for b in over if a is not b and to.pair_leq(a, b)
+        ]
+        if not comparable:
+            continue
+        a, b = comparable[0]
+        swap = {a.fingerprint(): b, b.fingerprint(): a}
+        monkeypatch.setattr(
+            ex, "reduce_pair", lambda rd, p: reduce_pair(rd, swap.get(p.fingerprint(), p))
+        )
+        rep = ex.reduction_bijection_check(rd)
+        monkeypatch.setattr(ex, "reduce_pair", reduce_pair)
+        assert rep["bijective"] and not rep["pass"]
+        assert _failed_checks(rep) == {"order"}
+        checked += 1
+    assert checked > 10

@@ -33,6 +33,22 @@ def _cycle(n, field):
     return compile_bound_quiver(q, rels, field)
 
 
+def _preprojective(n, field):
+    # arrows a_i: i -> i+1 and b_i: i+1 -> i, with a1*b1 = 0,
+    # b_i*a_i = a_(i+1)*b_(i+1) and b_(n-1)*a_(n-1) = 0
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i - 1], labels[i]) for i in range(1, n)]
+    arrows += [(f"b{i}", labels[i], labels[i - 1]) for i in range(1, n)]
+    q = Quiver(labels, arrows)
+    rels = [Relation(q, [(1, ("a1", "b1"))])]
+    rels += [
+        Relation(q, [(1, (f"b{i}", f"a{i}")), (-1, (f"a{i + 1}", f"b{i + 1}"))])
+        for i in range(1, n - 1)
+    ]
+    rels.append(Relation(q, [(1, (f"b{n - 1}", f"a{n - 1}"))]))
+    return compile_bound_quiver(q, rels, field, length_bound=12)
+
+
 ALGEBRAS = {
     "A3": lambda: _linear(3, QQ),
     "cyc3": lambda: _cycle(3, QQ),
@@ -40,6 +56,8 @@ ALGEBRAS = {
     "A4": lambda: _linear(4, QQ),
     "cyc3/F2": lambda: _cycle(3, Field(2)),
     "A3/F3": lambda: _linear(3, Field(3)),
+    "Pi(A3)": lambda: _preprojective(3, QQ),
+    "Pi(A4)": lambda: _preprojective(4, QQ),
 }
 
 WALKS = {
@@ -49,6 +67,8 @@ WALKS = {
     "A4": "2bdfd18d6edba5d844ccbc79d88a13b0e5ca5cd2",
     "cyc3/F2": "334e49236dcd9a5920b59286473c7201263edbe3",
     "A3/F3": "c5e102fe07cc98d691d4169c7603cfe11fa95483",
+    "Pi(A3)": "4bdc390197e55fd8a6ace1617dcbd9a8c7c5caa5",
+    "Pi(A4)": "d79d818450f52c23d851212086d80d99e23d1c1f",
 }
 
 

@@ -483,28 +483,49 @@ def test_carried_completion_matches_searched_and_fan(a3, cyc3):
         assert checked > len(subs)
 
 
+def _block_product(alg, a, b, cols):
+    # the element matrix a times b, for b with cols columns
+    zero = alg.zero_element()
+    return [[sum((row[l] * b[l][k] for l in range(len(b))), zero) for k in range(cols)] for row in a]
+
+
+def _coordinates(alg, blocks, layout):
+    # the coordinates of per-degree blocks on a _block_layout
+    vec = [alg.field.zero] * sum(len(qs) for *_, qs, _ in layout)
+    for i, m, k, qs, off in layout:
+        if i in blocks:
+            for p, q in enumerate(qs):
+                vec[off + p] = blocks[i][m][k].coeffs[q]
+    return vec
+
+
 def _restart_greedy(x, parts):
     # reference for min_left_approx: from the same candidates, drop the
-    # first one whose removal leaves a left approximation, then start over
-    field = x.algebra.field
+    # first one whose removal leaves a left approximation, then start over;
+    # it composes maps as products of AlgebraElement blocks
+    alg = x.algebra
     candidates = []
     for part in parts:
         reps, _, layout = tt._hom_rep_basis(x, part)
         candidates += [(part, tt.vec_to_blocks(x, part, 0, layout, v)) for v in reps]
 
     def approximates(pieces):
-        f = tt._assemble_into(x, pieces)
+        target, blocks = tt._assemble_into(x, pieces)
         for part in parts:
-            chains, boundaries, _ = tt.chain_hom_data(x, part, 0)
+            chains, boundaries, layout = tt.chain_hom_data(x, part, 0)
             if not chains:
                 continue
-            phis, _, layout = tt.chain_hom_data(f.target, part, 0)
+            phis, _, phi_layout = tt.chain_hom_data(target, part, 0)
             comps = list(boundaries)
             for v in phis:
-                phi = tt.vec_to_blocks(f.target, part, 0, layout, v)
-                comp = tt._compose_blocks(phi, f.blocks, x, f.target, part)
-                comps.append(tt._blocks_to_vec(x, part, comp))
-            if rank(comps, field) < rank(boundaries + chains, field):
+                phi = tt.vec_to_blocks(target, part, 0, phi_layout, v)
+                comp = {
+                    i: _block_product(alg, phi[i], blocks[i], len(x.term_vertices(i)))
+                    for i in phi
+                    if i in blocks
+                }
+                comps.append(_coordinates(alg, comp, layout))
+            if rank(comps, alg.field) < rank(boundaries + chains, alg.field):
                 return False
         return True
 
@@ -571,6 +592,10 @@ def _hard_approximations():
     return out + [(p_a, [p_c, p_b])]
 
 
+def _coefficients(blocks):
+    return {i: [[e.coeffs for e in row] for row in rows] for i, rows in blocks.items()}
+
+
 def test_one_pass_approximation_matches_restart_greedy(monkeypatch):
     # every approximation made by the walks and the left_bongartz sweeps,
     # and the hard inputs above
@@ -592,11 +617,10 @@ def test_one_pass_approximation_matches_restart_greedy(monkeypatch):
     assert len(calls) > 100
     for x, parts in _hard_approximations():
         tt.min_left_approx(x, parts)
-    for x, parts, f in calls:
-        ref = _restart_greedy(x, parts)
-        assert f.target.key() == ref.target.key()
-        got = tt._blocks_to_vec(x, f.target, f.blocks)
-        assert got == tt._blocks_to_vec(x, ref.target, ref.blocks)
+    for x, parts, (target, blocks) in calls:
+        ref_target, ref_blocks = _restart_greedy(x, parts)
+        assert target.key() == ref_target.key()
+        assert _coefficients(blocks) == _coefficients(ref_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -1540,3 +1564,28 @@ def test_window_and_completion_are_lattice_operations(name):
             assert join == [to.left_bongartz(u, node).fingerprint()]
             windows += 1
     assert windows > len(graph)
+
+
+@pytest.mark.parametrize("name", ["A3", "A4", "cyc4", "PiA3", "cyc3/F3"])
+def test_compatible_sets_of_walked_summands_are_the_nodes(name):
+    # the flag complex: a set of walked summands is compatible when
+    # Hom_K(a, b[1]) = 0 for all a, b in it, read with hom_k; the
+    # compatible n-sets are exactly the walked nodes, and no n + 1
+    # summands are compatible, which the walk itself never checks
+    alg = _linear(4, QQ) if name == "A4" else FAN[name]()
+    graph = ex.build_exchange_graph(alg)
+    summands = {}
+    for node in graph.node_list():
+        for kind, rep, c in node.rows:
+            summands[md.summand_token(kind, rep)] = c
+    tokens = sorted(summands)
+    vanishing = {
+        (a, b) for a in tokens for b in tokens if tt.hom_k(summands[a], summands[b], 1) == 0
+    }
+
+    def compatible(subset):
+        return all((a, b) in vanishing for a in subset for b in subset)
+
+    cliques = {s for s in itertools.combinations(tokens, alg.n) if compatible(s)}
+    assert cliques == {node.fingerprint() for node in graph.node_list()}
+    assert not any(compatible(s) for s in itertools.combinations(tokens, alg.n + 1))
