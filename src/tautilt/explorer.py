@@ -696,29 +696,19 @@ def verify_mutation_compat(rel_u, graph):
         # Hom is additive: Hom(U, d) = 0 exactly when each Hom(U_i, d) = 0
         if not any(modules._hom_vectors(part, d) for part in rel_u.m_parts):
             mutation_steps += 1
+            check = "mutation-branch"
             ok = (
                 bs.fingerprint() != bt.fingerprint()
                 and tauops.pair_leq(bt, bs)
                 and (bs.fingerprint(), bt.fingerprint()) in edge_set
             )
-            if not ok:
-                failures.append(
-                    {
-                        "check": "mutation-branch",
-                        "edge": f"{modules.describe_pair(src)} -> "
-                        f"{modules.describe_pair(tgt)}",
-                    }
-                )
         else:
             identity_steps += 1
-            if bs.fingerprint() != bt.fingerprint():
-                failures.append(
-                    {
-                        "check": "identity-branch",
-                        "edge": f"{modules.describe_pair(src)} -> "
-                        f"{modules.describe_pair(tgt)}",
-                    }
-                )
+            check = "identity-branch"
+            ok = bs.fingerprint() == bt.fingerprint()
+        if not ok:
+            edge = f"{modules.describe_pair(src)} -> {modules.describe_pair(tgt)}"
+            failures.append({"check": check, "edge": edge})
     return {
         "suite": "compat",
         "pair": modules.describe_pair(rel_u),

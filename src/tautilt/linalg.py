@@ -15,6 +15,7 @@ occur constantly (vertex components of modules), so shapes of empty matrices
 are passed explicitly where they cannot be inferred.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import TautiltError
@@ -465,9 +466,7 @@ def rational_roots(coeffs, field):
             coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return roots
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
@@ -475,12 +474,6 @@ def rational_roots(coeffs, field):
                 if cand not in roots and not poly_eval(coeffs, cand, field):
                     roots.append(cand)
     return roots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

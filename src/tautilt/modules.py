@@ -483,11 +483,6 @@ class ProjSum:
     def __len__(self):
         return len(self.vertices)
 
-    def generator_position(self, s):
-        """(vertex, coordinate) of the idempotent generator of summand s."""
-        v = self.vertices[s]
-        return self.coords[s][v]
-
     def block_to_map(self, target, blocks):
         """ModuleMap from element blocks; blocks[l][s] in e_{w_l} A e_{v_s}."""
         alg, field = self.algebra, self.algebra.field
@@ -517,7 +512,7 @@ class ProjSum:
             for _ in range(len(target.vertices))
         ]
         for s, v in enumerate(self.vertices):
-            _, pos = self.generator_position(s)
+            _, pos = self.coords[s][v]
             img = f.mats[v][pos]
             for l in range(len(target.vertices)):
                 coeffs = [alg.field.zero] * alg.dim
@@ -1022,10 +1017,10 @@ class TauPair:
     Each indecomposable summand, with multiplicity, is one row (kind, rep,
     complex): kind "m" for a summand of M and "p" for a summand P_v of P,
     with its two-term complex, and one token (see summand_token).  A pair
-    built from its summands (pair_from_summands, the mutation walk) is
-    given its rows and its algebra, builds M, P and its complex from them
-    when first read, and groups the rows by token into summands with
-    multiplicity; on a tau-rigid pair the token determines the summand
+    built from its summands is the one shared pair of its rows
+    (carried_pair); it builds M, P and its complex from them when first
+    read, and groups the rows by token into summands with multiplicity;
+    on a tau-rigid pair the token determines the summand
     (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5).  A pair built from
     bare (M, P), as from a workspace, builds its rows when first asked,
     from the summands that decompose finds, and keeps decompose's grouping
@@ -1041,7 +1036,7 @@ class TauPair:
                 raise TautiltError("pair members live over different algebras")
             self.m, self.p = m, p
         self._rows = None if rows is None else tuple(rows)
-        self._summands = self._fingerprint = self._verdict = None
+        self._fingerprint = self._verdict = None
 
     @cached_property
     def m(self):
@@ -1084,16 +1079,16 @@ class TauPair:
         parts = [c for _, _, c in self.rows]
         return twoterm.sum_of_summands(parts) if parts else twoterm.zero_complex(self.algebra)
 
+    @cached_property
+    def _summands(self):
+        if self._rows is None:
+            return decompose(self.m), decompose(self.p)
+        return tuple(_group_rows(self.rows, self.tokens, kind) for kind in "mp")
+
     def m_summands(self):
-        if self._summands is None:
-            if self._rows is None:
-                self._summands = (decompose(self.m), decompose(self.p))
-            else:
-                self._summands = tuple(_group_rows(self.rows, self.tokens, kind) for kind in "mp")
         return self._summands[0]
 
     def p_summands(self):
-        self.m_summands()
         return self._summands[1]
 
     @cached_property
@@ -1174,15 +1169,29 @@ def sum_or_zero(algebra, parts):
     return _block_sum(parts) if parts else zero_rep(algebra)
 
 
+def carried_pair(algebra, rows):
+    """The one shared pair that carries the (kind, rep, complex) rows, per
+    content of the rows in their order: kinds, module and complex content
+    keys (family "pair").  Every pair built from its summands is built
+    here, so a completion, a dual or a reduced image with a walked node's
+    rows is that node, and tokens, keys and verdict are computed once."""
+    rows = tuple(rows)
+    key = ("pair", tuple((kind, rep.key(), c.key()) for kind, rep, c in rows))
+    if key not in algebra.cache:
+        algebra.cache[key] = TauPair(rows=rows, algebra=algebra)
+    return algebra.cache[key]
+
+
 def pair_from_summands(algebra, m_parts, p_parts):
-    """The pair (sum of m_parts, sum of p_parts), carrying the parts and
-    their complexes as its summands.  Each part must be indecomposable,
-    and each of p_parts some P_v."""
+    """The shared pair (sum of m_parts, sum of p_parts) that carries the
+    parts and their complexes as its rows, in the canonical order of the
+    complexes, as the walk's pairs list them (carried_pair).  Each part
+    must be indecomposable, and each of p_parts some P_v."""
     from . import twoterm  # twoterm builds on this module
 
     rows = [("m", rep, twoterm.summand_complex("m", rep)) for rep in m_parts]
     rows += [("p", rep, twoterm.summand_complex("p", rep)) for rep in p_parts]
-    return TauPair(rows=rows, algebra=algebra)
+    return carried_pair(algebra, sorted(rows, key=lambda row: twoterm._sort_key(row[2])))
 
 
 def check_pair(pair):

@@ -92,15 +92,16 @@ def dagger_pair(pair):
     P_v of M moves to the shift part, and the dual of the minimal
     presentation of a nonprojective summand X presents its transpose Tr X.
     The rows are read shift rows first, each kind in its order, and the
-    dual lists its module rows, then its shift rows, in that order.
-    Involutive, and order-reversing on support tau-tilting pairs.
+    shared dual (modules.carried_pair) lists its module rows, then its
+    shift rows.  Involutive, and order-reversing on support tau-tilting
+    pairs.
     """
     rows = [
         twoterm._summand_row(twoterm.complex_dagger(c))
         for _, _, c in sorted(pair.rows, key=lambda row: row[0] != "p")
     ]
-    return modules.TauPair(
-        rows=sorted(rows, key=lambda row: row[0] != "m"), algebra=pair.algebra.opposite()
+    return modules.carried_pair(
+        pair.algebra.opposite(), sorted(rows, key=lambda row: row[0] != "m")
     )
 
 
@@ -428,9 +429,10 @@ def right_bongartz(u_pair, anchor=None):
 
     anchor=None means (A, 0); that case is the classical Bongartz
     completion, with Fac equal to all of perp(tau U) ∩ perp(Q).  The left
-    completion of the duals is certified over A^op, and dagger_pair
-    carries its summands back in their order; cli._cmd_bongartz prints
-    them in the order the block has always had.
+    completion of the duals is certified over A^op, and the duals of its
+    summand complexes are read back as the walk reads a mutation, so the
+    result is the walked node; cli._cmd_bongartz prints them in the order
+    the block has always had.
     """
     alg = u_pair.algebra
     if anchor is None:
@@ -438,7 +440,8 @@ def right_bongartz(u_pair, anchor=None):
     _require_rigid(u_pair)
     _require_tilting(anchor)
     out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor))
-    result = dagger_pair(out)
+    back = [twoterm.complex_dagger(c) for _, _, c in out.rows]
+    result = twoterm.to_tau_pair(twoterm.sum_of_summands(back))
     _require_tilting(result)
     if not contains_pair(result, u_pair):
         raise CertificateFailure("dual completion lost a summand of the input")

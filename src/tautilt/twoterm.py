@@ -228,14 +228,14 @@ def summand_complex(kind, rep):
 def to_tau_pair(t):
     """Pair (H^0, shifted part) of a minimal two-term complex.
 
-    A complex that carries its summands (see sum_of_summands) gives a pair
-    that carries them too, one row per summand from _summand_row, and M
-    and P are the sums of its rows in the complex's part order (ascending
-    v for the P_v, by _sort_key), built when first read.
+    A complex that carries its summands (see sum_of_summands) gives the
+    shared pair of its rows (modules.carried_pair), one row per summand
+    from _summand_row, in the complex's part order (ascending v for the
+    P_v, by _sort_key).  Any other complex gives a bare pair (M, P).
     """
     alg = t.algebra
     if t.parts is not None:
-        return modules.TauPair(rows=[_summand_row(c) for c in t.parts], algebra=alg)
+        return modules.carried_pair(alg, [_summand_row(c) for c in t.parts])
     m, shift = _h0_and_shift(t)
     p = modules._proj_sum(alg, sorted(shift)).rep if shift else modules.zero_rep(alg)
     return modules.TauPair(m, p)
@@ -711,7 +711,8 @@ def min_left_approx(x, parts):
     candidate found necessary stays necessary, and the pass keeps what a
     loop dropping one candidate and restarting keeps; Krull-Schmidt makes
     that minimal.  Each phi.d is composed once, when first needed, in the
-    block coordinates of the Hom_K records (_compose).
+    block coordinates of the Hom_K records (_compose), read once per pair
+    of parts.
 
     Returns (target, blocks): U', the sum with one copy of U_j per kept
     candidate of part j, in candidate order (the zero complex when none is
@@ -722,14 +723,16 @@ def min_left_approx(x, parts):
     records = [_hom_rep_basis(x, part) for part in parts]
     candidates = [(j, v) for j, (reps, _, _) in enumerate(records) for v in reps]
     kept = [True] * len(candidates)
-    comps = {}
+    comps, between = {}, {}
     for c, (j, vec) in enumerate(candidates):
         rows = list(records[j][1])
         for d, (i, f) in enumerate(candidates):
             if d == c or not kept[d]:
                 continue
             if (d, j) not in comps:
-                phis, _, phi_layout = _hom_rep_basis(parts[i], parts[j])
+                if (i, j) not in between:
+                    between[i, j] = _hom_rep_basis(parts[i], parts[j])
+                phis, _, phi_layout = between[i, j]
                 comps[d, j] = _compose(alg, phis, phi_layout, f, records[i][2], records[j][2])
             rows += comps[d, j]
         kept[c] = not linalg.RowSolver(rows, alg.field, len(vec)).contains(vec)

@@ -615,3 +615,105 @@ def test_shared_objects_stay_as_built(monkeypatch):
             assert twin is not rep
             shared = tt.summand_complex(kind, rep)
             assert tt.summand_complex(kind, twin) is shared and shared.key() == c.key()
+
+
+# ---------------------------------------------------------------------------
+# one shared pair per row content
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_completions_are_the_walked_nodes(name, preprojective):
+    # every left completion at a window node and every right completion,
+    # for every rigid subpair with at most n - 1 summands, is the walked
+    # node itself, not a second pair with its rows
+    alg = _checked(name, preprojective)
+    graph = ex.build_exchange_graph(alg)
+    completed = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        right = to.right_bongartz(u)
+        assert right is graph.nodes[right.fingerprint()]
+        for node in graph.node_list():
+            if to.left_precondition(u, node):
+                left = to.left_bongartz(u, node)
+                assert left is graph.nodes[left.fingerprint()]
+                completed += 1
+    assert completed > 200
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_reduced_images_are_the_nodes_of_the_reduced_walk(name, preprojective):
+    # the images of reduce_pair are the walked nodes of the reduced algebra.
+    # At the empty pair of Pi(A3) the reduced algebra is A again, read in
+    # the basis of its Hom spaces, and some images carry a summand whose
+    # content differs from the walked one: there only the fingerprints
+    # meet, and a content twin stays a pair of its own
+    alg = _checked(name, preprojective)
+    graph = ex.build_exchange_graph(alg)
+    shared = 0
+    for u in ex.rigid_subpairs(graph, 1):
+        rd = ex.tau_reduction(u)
+        nodes = {p.fingerprint(): p for p in to.all_pairs(rd.quotient)}
+        for node in graph.node_list():
+            if not to.contains_pair(node, u):
+                continue
+            image = ex.reduce_pair(rd, node)
+            walked = nodes[image.fingerprint()]
+            if name == "PiA3" and not u.rows and image is not walked:
+                assert [r.key() for _, r, _ in image.rows] != [r.key() for _, r, _ in walked.rows]
+                continue
+            assert image is walked
+            shared += 1
+    assert shared > 50
+
+
+def _rescaled(rep, v):
+    # rep in the basis with the vectors at vertex v doubled: isomorphic to
+    # rep, with other matrices
+    alg, two = rep.algebra, rep.field(2)
+    mats = {}
+    for k in alg.radical_indices():
+        i, j = alg.peirce[k]
+        rows = [[c * two if i == v else c for c in row] for row in rep.mats[k]]
+        mats[k] = [[alg.field.div(c, two) if j == v else c for c in row] for row in rows]
+    return md.Representation(alg, rep.dims, mats)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_rows_that_differ_in_a_module_are_two_pairs(name, preprojective):
+    alg = _checked(name, preprojective)
+    graph = ex.build_exchange_graph(alg)
+    twins = 0
+    for node in graph.node_list():
+        rows = list(node.rows)
+        assert md.carried_pair(alg, rows) is node
+        for k, (kind, rep, c) in enumerate(rows):
+            if kind != "m":
+                continue
+            moved = [t for t in (_rescaled(rep, v) for v in range(alg.n)) if t.key() != rep.key()]
+            if not moved:
+                continue
+            twin = moved[0]
+            assert md.is_isomorphic(twin, rep)
+            other = rows[:k] + [(kind, twin, c)] + rows[k + 1:]
+            pair = md.carried_pair(alg, other)
+            assert pair is not node and md.carried_pair(alg, other) is pair
+            assert pair.fingerprint() == node.fingerprint()
+            assert pair.check_key != node.check_key
+            twins += 1
+    assert twins > 5
+
+
+def test_a_workspace_pair_is_not_shared():
+    # a pair built from a bare (M, P) finds its summands by decompose and
+    # is not the walked node; check_pair still classifies it
+    text = "field Q\n" + TEXT["cyc3"] + "pair Top : M = P1 P2 P3 ; P = 0\n"
+    ws = wk.parse_workspace(text)
+    alg, top = ws.algebra, ws.pair("Top")
+    graph = ex.build_exchange_graph(alg)
+    walked = graph.nodes[top.fingerprint()]
+    assert walked is to.free_pair(alg) and top is not walked
+    assert all(p is not top for key, p in alg.cache.items() if key[:1] == ("pair",))
+    assert md.check_pair(top) == md.check_pair(walked)
+    assert md.check_pair(top)["role"] == "tilting"
+    again = wk.parse_workspace(text).pair("Top")
+    assert again is not top and md.check_pair(again)["role"] == "tilting"

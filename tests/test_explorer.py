@@ -933,3 +933,92 @@ def test_reduction_report_fails_on_swapped_images(make, monkeypatch):
         assert _failed_checks(rep) == {"order"}
         checked += 1
     assert checked > 10
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+@pytest.mark.parametrize("fault", ["swap", "merge"])
+def test_dagger_report_fails_on_wrong_dual_images(make, fault, monkeypatch):
+    # swapping the duals of two nodes keeps the image set but breaks the
+    # involution; sending two nodes to one dual loses a node of the
+    # opposite graph
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    ex.build_exchange_graph(alg.opposite())
+    assert ex.verify_dagger(alg)["pass"]
+    dagger_pair = to.dagger_pair
+    a, b = graph.node_list()[:2]
+    images = {a.fingerprint(): b, b.fingerprint(): b if fault == "merge" else a}
+
+    def wrong(pair):
+        if pair.algebra is alg:
+            pair = images.get(pair.fingerprint(), pair)
+        return dagger_pair(pair)
+
+    monkeypatch.setattr(to, "dagger_pair", wrong)
+    rep = ex.verify_dagger(alg)
+    assert not rep["pass"]
+    checks = _failed_checks(rep)
+    if fault == "swap":
+        assert "involution" in checks and "node-bijection" not in checks
+    else:
+        assert "node-bijection" in checks
+    assert checks <= {"involution", "node-bijection", "edge-reversal", "order-reversal"}
+
+
+def _graph_with(graph, nodes, edges):
+    return ex.ExchangeGraph(graph.algebra, nodes, edges, graph.budget, graph.complete)
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_exchange_report_fails_on_a_lost_node(make, monkeypatch):
+    # without one inner node, the almost complete pairs under it have one
+    # completion left, and the graph loses its shape around it
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    gone = graph.node_list()[1].fingerprint()
+    nodes = {fp: p for fp, p in graph.nodes.items() if fp != gone}
+    edges = [e for e in graph.edges if gone not in e[:2]]
+    monkeypatch.setattr(
+        ex, "build_exchange_graph", lambda a, budget: _graph_with(graph, nodes, edges)
+    )
+    rep = ex.verify_exchange(alg)
+    assert not rep["pass"]
+    assert "two-completions" in _failed_checks(rep)
+    assert _failed_checks(rep) <= {"degree", "unique-source", "unique-sink", "two-completions"}
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_exchange_report_fails_on_a_repeated_summand(make, monkeypatch):
+    # a node whose first summand takes the place of its second has two
+    # equal g-vectors, so its g-matrix is singular
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    fp, node = next(iter(graph.nodes.items()))
+    rows = list(node.rows)
+    nodes = dict(graph.nodes)
+    nodes[fp] = md.carried_pair(alg, [rows[0], rows[0]] + rows[2:])
+    monkeypatch.setattr(
+        ex, "build_exchange_graph", lambda a, budget: _graph_with(graph, nodes, graph.edges)
+    )
+    rep = ex.verify_exchange(alg)
+    assert not rep["pass"]
+    assert "unimodular" in _failed_checks(rep)
+    assert _failed_checks(rep) <= {"unimodular", "two-completions"}
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_order_criteria_report_fails_on_a_wrong_window(make, monkeypatch):
+    # a window test that always holds disagrees with the other three
+    # criteria exactly where the window does not hold
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    outside = sum(
+        not to.left_precondition(u, node)
+        for u in ex.rigid_subpairs(graph, alg.n)
+        for node in graph.node_list()
+    )
+    monkeypatch.setattr(to, "left_precondition", lambda u, node: True)
+    rep = ex.verify_order_criteria(alg)
+    assert _failed_checks(rep) == {"criteria"}
+    assert len(rep["failures"]) == outside > 0
+    assert all(f["flags"][:3] == [False] * 3 for f in rep["failures"])

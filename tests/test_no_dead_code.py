@@ -12,6 +12,9 @@ attributes that users read.
 
 The README's list of cache families names exactly the families that
 src/ writes, so a deleted family cannot linger in the docs.
+
+A pair is built from its rows only in modules.carried_pair, the one
+shared pair per row content, so no second construction path comes back.
 """
 
 import ast
@@ -140,3 +143,31 @@ def test_readme_lists_every_cache_family_and_no_other():
     written = _cache_families()
     assert "hom_rep" in written and "window" in written
     assert sorted(listed) == sorted(written)
+
+
+def _pairs_built_from_rows():
+    """module.function of every TauPair call in src/ that passes rows,
+    by keyword or as the third argument."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "TauPair" and (
+                    len(child.args) > 2 or any(kw.arg == "rows" for kw in child.keywords)
+                ):
+                    found.append(where)
+            visit(child, inner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_pairs_are_built_from_rows_only_by_carried_pair():
+    assert _pairs_built_from_rows() == ["modules.carried_pair"]
