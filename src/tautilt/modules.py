@@ -615,6 +615,40 @@ def g_vector(x):
     return tuple(g)
 
 
+def _hom_to_tau_zero(x, y):
+    """Whether Hom(x, tau y) = 0, read off the minimal presentation
+    P1 -> P0 -> y -> 0 of y with no tau built: it holds exactly when
+    Hom(P0, x) -> Hom(P1, x) is onto (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Prop 2.4).  Hom(e_w A, x) is x_w, so the map sends
+    the rows (x_l) of (+)_l x_{w_l} to (sum_l x_l b_ls)_s in (+)_s x_{v_s},
+    b_ls = blocks[l][s] acting on x through its coefficients, all radical
+    in a minimal presentation, and the test is one rank test.  Cached per
+    (x, y) content."""
+    alg = x.algebra
+    key = ("tau_hom", x.key(), y.key())
+    if key not in alg.cache:
+        pres = min_proj_presentation(y)
+        field = x.field
+        width = sum(x.dims[v] for v in pres.p1.vertices)
+        rows = []
+        for l, w in enumerate(pres.p0.vertices):
+            block = [[field.zero] * width for _ in range(x.dims[w])]
+            col = 0
+            for s, v in enumerate(pres.p1.vertices):
+                elt = pres.blocks[l][s]
+                for q in elt.support():
+                    c = elt.coeffs[q]
+                    for r, mrow in enumerate(x.mats[q]):
+                        brow = block[r]
+                        for t, val in enumerate(mrow):
+                            if val:
+                                brow[col + t] = brow[col + t] + c * val
+                col += x.dims[v]
+            rows.extend(block)
+        alg.cache[key] = linalg.rank(rows, field) == width
+    return alg.cache[key]
+
+
 def transpose(x):
     """Auslander-Bridger transpose: cokernel of the dual of the presentation.
 
@@ -979,12 +1013,12 @@ def _image_rows(gens, x):
 def in_perp_pair(pair, x):
     """Whether x lies in perp(tau U) ∩ Q-perp of the pair (U, Q).  Hom is
     additive, so Hom(P_v, x) = x_v must vanish for each summand P_v of Q
-    and Hom(x, tau U_i) for each summand U_i of U, as tau_rigid_summands
-    tests them, with tau and the Hom spaces cached per summand."""
+    and Hom(x, tau U_i) for each summand U_i of U, read off the minimal
+    presentation of U_i (_hom_to_tau_zero) as tau_rigid_summands reads
+    it, so no tau is built."""
     if any(x.dims[_projective_vertex(rep)] for rep, _ in pair.p_summands()):
         return False
-    taus = (ar_translate(u) for u in pair.m_parts)
-    return not any(_hom_vectors(x, tau_u) for tau_u in taus if not tau_u.is_zero())
+    return all(_hom_to_tau_zero(x, u) for u in pair.m_parts)
 
 
 def in_wide(pair, x):
@@ -1216,7 +1250,7 @@ def check_pair(pair):
 def _check_pair(pair):
     """check_pair uncached: tau-rigidity summand by summand (see
     tau_rigid_summands), so a pair that carries its summands reads the
-    tau and Hom spaces its walk cached."""
+    answers its walk cached."""
     alg = pair.algebra
     if not pair.is_basic():
         raise PreconditionViolated("pair is not basic: a summand occurs more than once")
@@ -1259,7 +1293,9 @@ def tau_rigid_summands(new, rest=()):
     M = (+) X_i is tau-rigid when Hom(X_i, tau X_j) = 0 for every ordered
     pair of module summands, and Hom(P_v, X_i) = (X_i)_v vanishes for
     every shifted summand P_v; only the ordered pairs that meet new are
-    tested.  tau and the Hom spaces are cached per summand content.
+    tested.  Each Hom(X_i, tau X_j) = 0 is one rank test on the minimal
+    presentation of X_j (_hom_to_tau_zero), cached per summand content,
+    so no tau is built.
     """
     rows = list(new) + list(rest)
     self_rigid = hom_p_m_zero = True
@@ -1270,8 +1306,7 @@ def tau_rigid_summands(new, rest=()):
             if ki == "p":
                 hom_p_m_zero = hom_p_m_zero and not y.dims[_projective_vertex(x)]
             elif self_rigid:
-                tau_y = ar_translate(y)
-                self_rigid = tau_y.is_zero() or not _hom_vectors(x, tau_y)
+                self_rigid = _hom_to_tau_zero(x, y)
     return self_rigid, hom_p_m_zero
 
 

@@ -147,7 +147,10 @@ def _certify_exchange(pair, new_pair, fresh):
     tau-rigid, being part of the certified pair, so the new pair is
     tau-rigid when the tests of modules.tau_rigid_summands that involve Y
     pass: Hom(Y, tau Y), Hom(Y, tau R_M), Hom(R_M, tau Y) and Hom(R_P, Y)
-    if Y is a module, or (R_M)_v if Y is P_v[1].  With n summands of
+    if Y is a module, or (R_M)_v if Y is P_v[1].  Each Hom into a tau is
+    read off the minimal presentation of its second argument, with no
+    tau built, so the certificate stays module-side, independent of the
+    complex-side mutation it checks.  With n summands of
     distinct tokens it is then support tau-tilting, its summands pairwise
     non-isomorphic (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5), and
     its g-matrix must be unimodular.  What stands in for decomposing M: Y
@@ -177,17 +180,22 @@ def _certify_exchange(pair, new_pair, fresh):
 
 
 def _mutate_slot(pair, slot):
-    """Mutate a certified pair at its g-sorted slot, left first: the one
-    mutation step, shared by mutate_pair and the walk.
+    """Mutate a certified pair at its g-sorted slot, left first at a
+    module slot: the one mutation step, shared by mutate_pair and the walk.
 
-    The slot's row complex is found among the parts of the complex the
-    pair carries (TauPair.complex).  The result is certified by
-    _certify_exchange before it is returned, with the direction taken.
+    At a shifted slot P_v[1] only the right mutation is tried: the other
+    completion gains a module summand Y with Y_v != 0, while every summand
+    of Fac M vanishes at v, so Fac grows and the left mutation there
+    always leaves the two-term window.  The slot's row complex is found
+    among the parts of the complex the pair carries (TauPair.complex).
+    The result is certified by _certify_exchange before it is returned,
+    with the direction taken.
     """
+    kind, _, part = _summand_rows(pair)[slot]
     t = pair.complex
-    cindex = t.parts.index(_summand_rows(pair)[slot][2])
+    cindex = t.parts.index(part)
     kept = {c.key() for k, c in enumerate(t.parts) if k != cindex}
-    for direction in ("left", "right"):
+    for direction in ("right",) if kind == "p" else ("left", "right"):
         out = twoterm.mutate_complex(t, cindex, direction)
         if out is None:
             continue

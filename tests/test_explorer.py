@@ -1022,3 +1022,31 @@ def test_order_criteria_report_fails_on_a_wrong_window(make, monkeypatch):
     assert _failed_checks(rep) == {"criteria"}
     assert len(rep["failures"]) == outside > 0
     assert all(f["flags"][:3] == [False] * 3 for f in rep["failures"])
+
+
+def _linear(n, field):
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
+    return compile_bound_quiver(Quiver(labels, arrows), [], field)
+
+
+@pytest.mark.parametrize(
+    "make, count",
+    [(lambda: _linear(4, QQ), 155), (lambda: _cycle(4, QQ), 127)],
+    ids=["A4", "cyc4"],
+)
+def test_theorems_hold_on_every_proper_rigid_pair(make, count):
+    # the compat, route and reduction suites on every rigid pair with at
+    # most n - 1 summands, not only on the one-summand pairs of the CLI
+    alg = make()
+    graph = ex.build_exchange_graph(alg)
+    subpairs = ex.rigid_subpairs(graph, alg.n - 1)
+    assert len(subpairs) == count
+    for u in subpairs:
+        reports = [
+            ex.verify_mutation_compat(u, graph),
+            ex.verify_route(u, graph),
+            ex.reduction_bijection_check(ex.tau_reduction(u)),
+        ]
+        for rep in reports:
+            assert rep["pass"], (md.describe_pair(u), rep["failures"])

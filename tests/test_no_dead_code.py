@@ -15,6 +15,8 @@ src/ writes, so a deleted family cannot linger in the docs.
 
 A pair is built from its rows only in modules.carried_pair, the one
 shared pair per row content, so no second construction path comes back.
+tau is built (modules.ar_translate) only by the CLI tau command and the
+order-criteria report, so no certificate goes back to D Tr.
 """
 
 import ast
@@ -145,9 +147,9 @@ def test_readme_lists_every_cache_family_and_no_other():
     assert sorted(listed) == sorted(written)
 
 
-def _pairs_built_from_rows():
-    """module.function of every TauPair call in src/ that passes rows,
-    by keyword or as the third argument."""
+def _callers(name, picks=lambda call: True):
+    """module.function of every call in src/ to a function of that name,
+    bare or as an attribute, that picks accepts."""
     found = []
 
     def visit(node, where):
@@ -157,10 +159,8 @@ def _pairs_built_from_rows():
                 inner = f"{where}.{child.name}"
             elif isinstance(child, ast.Call):
                 func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "TauPair" and (
-                    len(child.args) > 2 or any(kw.arg == "rows" for kw in child.keywords)
-                ):
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name and picks(child):
                     found.append(where)
             visit(child, inner)
 
@@ -170,4 +170,14 @@ def _pairs_built_from_rows():
 
 
 def test_pairs_are_built_from_rows_only_by_carried_pair():
-    assert _pairs_built_from_rows() == ["modules.carried_pair"]
+    def passes_rows(call):
+        # rows by keyword or as the third argument
+        return len(call.args) > 2 or any(kw.arg == "rows" for kw in call.keywords)
+
+    assert _callers("TauPair", passes_rows) == ["modules.carried_pair"]
+
+
+def test_tau_is_taken_only_by_the_cli_and_the_order_criteria():
+    # the certificates test Hom(X, tau Y) = 0 from Y's presentation; D Tr
+    # stays the independent route of the tau command and of flag c
+    assert _callers("ar_translate") == ["cli._cmd_tau", "explorer.verify_order_criteria"]

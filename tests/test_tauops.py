@@ -789,6 +789,63 @@ def test_carried_tokens_match_a_fresh_decomposition(name):
         assert _whole_module_rigidity(bare) == (True, True)
 
 
+def _kronecker():
+    return compile_bound_quiver(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), [], QQ)
+
+
+TAU_HOM = {
+    "A3": (lambda: _linear(3, QQ), 10000),
+    "A4": (lambda: _linear(4, QQ), 10000),
+    "cyc3": (lambda: _cycle(3, QQ), 10000),
+    "cyc4": (lambda: _cycle(4, QQ), 10000),
+    "PiA3": (_preprojective_a3, 10000),
+    "cyc3/F2": (lambda: _cycle(3, Field(2)), 10000),
+    "cyc3/F3": (lambda: _cycle(3, Field(3)), 10000),
+    "Kronecker@20": (_kronecker, 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_HOM))
+def test_hom_to_tau_from_the_presentation_matches_d_tr(name):
+    # Hom(x, tau y) = 0 read off y's minimal presentation, against tau y
+    # built as D Tr y and its Hom space, on every ordered pair of walked
+    # module summands and simples; the Kronecker walk is capped
+    make, budget = TAU_HOM[name]
+    alg = make()
+    nodes, _, _ = to.silting_closure(alg, budget)
+    modules = {x.key(): x for node in nodes.values() for x in node.m_parts}
+    modules.update((md.simple(alg, v).key(), md.simple(alg, v)) for v in range(alg.n))
+    answers = Counter()
+    for x in modules.values():
+        for y in modules.values():
+            tau = md.ar_translate(y)
+            vanishes = tau.is_zero() or not md._hom_vectors(x, tau)
+            assert md._hom_to_tau_zero(x, y) == vanishes
+            answers[vanishes] += 1
+    assert answers[True] and answers[False]
+
+
+SHIFTED = ("A3", "cyc3", "cyc4", "PiA3", "cyc3/F3")
+
+
+@pytest.mark.parametrize("name", SHIFTED)
+def test_a_shifted_slot_mutates_only_to_the_right(name):
+    # at every P_v[1] of every node the left mutation leaves the two-term
+    # window and the right one makes Fac grow, so the walk tries only right
+    alg = TAU_HOM[name][0]()
+    shifted = 0
+    for node in to.all_pairs(alg):
+        for kind, _, c in node.rows:
+            if kind != "p":
+                continue
+            idx = node.complex.parts.index(c)
+            assert tt.mutate_complex(node.complex, idx, "left") is None
+            new = tt.to_tau_pair(tt.mutate_complex(node.complex, idx, "right"))
+            assert to.pair_leq(node, new) and not to.pair_leq(new, node)
+            shifted += 1
+    assert shifted
+
+
 SUBSETS = {
     "A3": (lambda: _linear(3, QQ), 129, 85),
     "cyc3": (lambda: _cycle(3, QQ), 129, 85),
