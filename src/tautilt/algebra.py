@@ -261,25 +261,22 @@ class BasicAlgebra:
 
     def radical_nilpotency(self):
         """Smallest m with rad^m = 0; raises NotBasic if the span never dies."""
-        key = "rad_nilpotency"
-        if key not in self.cache:
-            zero, one = self.field.zero, self.field.one
-            span = [list(self.basis_element(k).coeffs) for k in self.radical_indices()]
-            m = 1
-            while span:
-                if m > self.dim + 1:
-                    raise NotBasic("radical span is not nilpotent")
-                nxt = []
-                for vec in span:
-                    left = {i: c for i, c in enumerate(vec) if c}
-                    for k in self.radical_indices():
-                        prod = self._product(left, {k: one})
-                        if prod:
-                            nxt.append([prod.get(i, zero) for i in range(self.dim)])
-                span = linalg.row_space_basis(nxt, self.field) if nxt else []
-                m += 1
-            self.cache[key] = m
-        return self.cache[key]
+        zero, one = self.field.zero, self.field.one
+        span = [list(self.basis_element(k).coeffs) for k in self.radical_indices()]
+        m = 1
+        while span:
+            if m > self.dim + 1:
+                raise NotBasic("radical span is not nilpotent")
+            nxt = []
+            for vec in span:
+                left = {i: c for i, c in enumerate(vec) if c}
+                for k in self.radical_indices():
+                    prod = self._product(left, {k: one})
+                    if prod:
+                        nxt.append([prod.get(i, zero) for i in range(self.dim)])
+            span = linalg.row_space_basis(nxt, self.field) if nxt else []
+            m += 1
+        return m
 
     def _product(self, u, v):
         """Product of sparse elements {basis index: coeff}, zeros dropped."""

@@ -123,21 +123,13 @@ def zero_rep(algebra):
 
 def projective(algebra, i):
     """The indecomposable projective e_i A."""
-    key = ("projective", i)
-    if key not in algebra.cache:
-        algebra.cache[key] = canonical_rep(_proj_sum(algebra, [i]).rep)
-    return algebra.cache[key]
+    return canonical_rep(_proj_sum(algebra, [i]).rep)
 
 
 def simple(algebra, i):
     """The simple top of e_i A: one-dimensional at vertex i."""
-    key = ("simple", i)
-    if key not in algebra.cache:
-        dims = tuple(1 if v == i else 0 for v in range(algebra.n))
-        algebra.cache[key] = canonical_rep(
-            Representation(algebra, dims, {}, check=False)
-        )
-    return algebra.cache[key]
+    dims = tuple(1 if v == i else 0 for v in range(algebra.n))
+    return canonical_rep(Representation(algebra, dims, {}, check=False))
 
 
 class ModuleMap:

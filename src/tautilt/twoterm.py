@@ -179,36 +179,10 @@ def direct_sum_complexes(parts):
 # -- conversion with module pairs ---------------------------------------------
 
 
-def _presentation_complex(alg, pres, p_vertices):
-    """The two-term complex P1 -> P0 of a presentation, plus P_v[1] for
-    each listed vertex."""
-    lower = list(pres.p1.vertices) + list(p_vertices)
-    upper = list(pres.p0.vertices)
-    zero = alg.zero_element()
-    blocks = [
-        [pres.blocks[l][k] for k in range(len(pres.p1.vertices))]
-        + [zero] * len(p_vertices)
-        for l in range(len(upper))
-    ]
-    terms = {}
-    diffs = {}
-    if lower:
-        terms[-1] = lower
-    if upper:
-        terms[0] = upper
-    if lower and upper:
-        diffs[-1] = blocks
-    return ProjectiveComplex(alg, terms, diffs, check=False)
-
-
-def from_tau_pair(pair):
-    """Two-term complex of a pair: minimal presentation of M plus P[1]."""
-    p_vertices = []
-    for rep, mult in pair.p_summands():
-        p_vertices.extend([modules._projective_vertex(rep)] * mult)
-    return _presentation_complex(
-        pair.algebra, modules.min_proj_presentation(pair.m), p_vertices
-    )
+def _presentation_complex(alg, pres):
+    """The two-term complex P1 -> P0 of a presentation."""
+    terms = {-1: pres.p1.vertices, 0: pres.p0.vertices}
+    return ProjectiveComplex(alg, terms, {-1: pres.blocks}, check=False)
 
 
 def summand_complex(kind, rep):
@@ -219,7 +193,7 @@ def summand_complex(kind, rep):
     key = ("summand_complex", kind, rep.key())
     if key not in alg.cache:
         if kind == "m":
-            alg.cache[key] = _presentation_complex(alg, modules.min_proj_presentation(rep), [])
+            alg.cache[key] = _presentation_complex(alg, modules.min_proj_presentation(rep))
         else:
             alg.cache[key] = stalk_complex(alg, [modules._projective_vertex(rep)], -1)
     return alg.cache[key]

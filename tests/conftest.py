@@ -1,8 +1,66 @@
 import pytest
 
-from tautilt import modules
+from tautilt import linalg, modules
+from tautilt import twoterm as tt
 from tautilt.algebra import Quiver, Relation, compile_bound_quiver
 from tautilt.linalg import QQ
+
+
+def hom_maps(x, y):
+    """A basis of Hom(x, y), each map as its matrices at the vertices
+    (dims_x[v] rows of length dims_y[v], acting on row vectors).
+
+    A family (f_v) is a map when x_b f_j = f_i y_b for every radical
+    basis element b with Peirce pair (i, j).  The system is set up here
+    and solved by linalg alone, so the cross-checks that read it share no
+    code with the Hom routines of the package.
+    """
+    alg = x.algebra
+    field = alg.field
+    unknown = {}
+    for v in range(alg.n):
+        for r in range(x.dims[v]):
+            for c in range(y.dims[v]):
+                unknown[v, r, c] = len(unknown)
+    equations = []
+    for b in alg.radical_indices():
+        i, j = alg.peirce[b]
+        for r in range(x.dims[i]):
+            for c in range(y.dims[j]):
+                row = [field.zero] * len(unknown)
+                for s in range(x.dims[j]):
+                    row[unknown[j, s, c]] += x.mats[b][r][s]
+                for t in range(y.dims[i]):
+                    row[unknown[i, r, t]] -= y.mats[b][t][c]
+                equations.append(row)
+    return [
+        [
+            [[vec[unknown[v, r, c]] for c in range(y.dims[v])] for r in range(x.dims[v])]
+            for v in range(alg.n)
+        ]
+        for vec in linalg.right_nullspace(equations, field, cols=len(unknown))
+    ]
+
+
+def image_rows(gen, x):
+    """Per vertex of x, the rows of the images of the hom_maps gen -> x."""
+    maps = hom_maps(gen, x)
+    return [[row for f in maps for row in f[v]] for v in range(len(x.dims))]
+
+
+def whole_complex(pair):
+    """The two-term complex of a pair built from its whole modules: the
+    minimal presentation P1 -> P0 of M, plus P_v[1] for each summand P_v
+    of P.  It is a bare complex, carrying no parts."""
+    alg = pair.algebra
+    pres = modules.min_proj_presentation(pair.m)
+    shifted = [modules._projective_vertex(rep) for rep, k in pair.p_summands() for _ in range(k)]
+    pad = [alg.zero_element()] * len(shifted)
+    return tt.ProjectiveComplex(
+        alg,
+        {-1: list(pres.p1.vertices) + shifted, 0: pres.p0.vertices},
+        {-1: [list(row) + pad for row in pres.blocks]},
+    )
 
 
 @pytest.fixture(scope="session")

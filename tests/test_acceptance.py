@@ -19,6 +19,8 @@ from tautilt import twoterm as tt
 from tautilt.algebra import Quiver, compile_bound_quiver, is_isomorphic_algebra
 from tautilt.linalg import QQ
 
+from conftest import whole_complex
+
 
 def _report(num, label, body):
     try:
@@ -284,12 +286,12 @@ def test_criterion_8(a2, a3, cyc3, graphs):
         for name, alg in (("a2", a2), ("a3", a3), ("cyc3", cyc3)):
             g = graphs[name]
             nodes = list(g.nodes.values())
-            complexes = [tt.from_tau_pair(p) for p in nodes]
+            complexes = [whole_complex(p) for p in nodes]
 
             # higher-shift Homs vanish on 200 seeded random draws
             rng = random.Random(0)
             rigid = ex.rigid_subpairs(g, alg.n)
-            rigid_cx = [tt.from_tau_pair(p) for p in rigid]
+            rigid_cx = [whole_complex(p) for p in rigid]
             for _ in range(200):
                 u = rng.choice(rigid_cx)
                 t = rng.choice(complexes)

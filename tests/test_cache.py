@@ -18,6 +18,8 @@ from tautilt import twoterm as tt
 from tautilt import workspace as wk
 from tautilt.errors import PreconditionViolated
 
+from conftest import image_rows
+
 TEXT = {
     "A3": "vertex 1 2 3\narrow a 1 2\narrow b 2 3\n",
     "cyc3": (
@@ -260,6 +262,62 @@ def test_no_sweep_assembles_the_complex_of_a_pair(name, preprojective, monkeypat
     assert set(callers) == {"_assemble_into"}
 
 
+@pytest.mark.parametrize("name", CHECKED)
+def test_silting_compat_completes_each_window_node_once(name, preprojective, monkeypatch):
+    # one left_completion_silting per window node, with its verdict read
+    # by every edge at that node, not one per end of every window edge
+    alg = _checked(name, preprojective)
+    graph = ex.build_exchange_graph(alg)
+    complete, anchors = tt.left_completion_silting, Counter()
+
+    def counted(u, t):
+        anchors[t.key()] += 1
+        return complete(u, t)
+
+    monkeypatch.setattr(tt, "left_completion_silting", counted)
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        window = Counter(
+            node.complex.key()
+            for node in graph.node_list()
+            if tt.hom_k(u.complex, node.complex, 1) == 0
+        )
+        anchors.clear()
+        rep = ex.verify_silting_compat(u, graph)
+        assert rep["pass"] and rep["identity_steps"] + rep["mutation_steps"] > 0
+        assert anchors == window
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_order_criteria_builds_no_complex_after_the_walk(name, preprojective, monkeypatch):
+    # the pairs carry their complexes, and the complex of (M, 0) is the
+    # sum of the module rows' complexes, so after the walk the report
+    # builds no complex with a term and assembles no sum
+    alg = _checked(name, preprojective)
+    walked, built = [], Counter()
+    walk, init, direct_sum = ex.build_exchange_graph, tt.ProjectiveComplex.__init__, tt.direct_sum_complexes
+
+    def walk_once(algebra, budget):
+        walked.append(walk(algebra, budget=budget))
+        return walked[-1]
+
+    def recorded_init(self, algebra, terms, diffs, check=True):
+        if walked and any(terms.values()):
+            built[sys._getframe(1).f_code.co_name] += 1
+        init(self, algebra, terms, diffs, check)
+
+    def recorded_sum(parts):
+        if walked:
+            built["direct_sum_complexes"] += 1
+        return direct_sum(parts)
+
+    monkeypatch.setattr(ex, "build_exchange_graph", walk_once)
+    monkeypatch.setattr(tt.ProjectiveComplex, "__init__", recorded_init)
+    monkeypatch.setattr(tt, "direct_sum_complexes", recorded_sum)
+    rep = ex.verify_order_criteria(alg)
+    assert rep["pass"] and rep["checked"] == rep["pairs"] * len(walked[0]) > 0
+    assert not built
+
+
 @pytest.mark.parametrize("name", ["A3", "cyc3", "cyc3/F3"])
 def test_no_sweep_reads_the_sum_modules_of_a_pair(name, preprojective, monkeypatch):
     # the window, wide subcategory and torsion part of a pair (U, Q) are
@@ -352,17 +410,13 @@ def test_left_bongartz_sweep_reads_the_carried_complexes(name, monkeypatch):
             splitting.pop()
 
     monkeypatch.setattr(tt, "decompose_complex", split)
-    for fn in ("from_tau_pair", "summand_complex"):
-        real = getattr(tt, fn)
+    summand_complex = tt.summand_complex
 
-        def counted(*args, _real=real, _fn=fn):
-            if _fn == "summand_complex" and splitting and splitting[-1]:
-                from_cones.append(args)
-            else:
-                built.append(_fn)
-            return _real(*args)
+    def counted(*args):
+        (from_cones if splitting and splitting[-1] else built).append(args)
+        return summand_complex(*args)
 
-        monkeypatch.setattr(tt, fn, counted)
+    monkeypatch.setattr(tt, "summand_complex", counted)
     completed = 0
     for u in subs:
         for node in graph.node_list():
@@ -515,17 +569,15 @@ def test_q_scalars_are_ints_when_integral(preprojective):
 
 
 def _generic_quotient(gen, x):
-    # the images of the hom_basis maps closed into a submodule, then x
+    # the images of the maps gen -> x closed into a submodule, then x
     # modulo that submodule, closed again
-    spans = [[row for f in md.hom_basis(gen, x) for row in f.mats[v]] for v in range(len(x.dims))]
-    _, incl = md.submodule(x, spans)
+    _, incl = md.submodule(x, image_rows(gen, x))
     return md.quotient(x, incl.mats)[0]
 
 
 def _in_trace(gen, x):
-    # whether the images of the hom_basis maps gen -> x span x at every vertex
-    for v, d in enumerate(x.dims):
-        rows = [row for f in md.hom_basis(gen, x) for row in f.mats[v]]
+    # whether the images of the maps gen -> x span x at every vertex
+    for d, rows in zip(x.dims, image_rows(gen, x)):
         if d and (not rows or linalg.rank(rows, x.field) != d):
             return False
     return True

@@ -20,6 +20,8 @@ from tautilt.errors import (
 )
 from tautilt.linalg import QQ, Field
 
+from conftest import image_rows
+
 
 def P(alg, i):
     return md.projective(alg, i)
@@ -440,21 +442,17 @@ def _cycle(n, field):
     return compile_bound_quiver(q, rels, field)
 
 
-def _images(gen, x):
-    # per vertex, the rows of the images of the hom_basis maps gen -> x
-    return [[row for f in md.hom_basis(gen, x) for row in f.mats[v]] for v in range(len(x.dims))]
-
-
 def _fac_by_maps(gen, x):
-    # x lies in Fac(gen) when those images span x at every vertex
-    return all(linalg.rank(rows, x.field) == d for rows, d in zip(_images(gen, x), x.dims))
+    # x lies in Fac(gen) when the images of the maps gen -> x span x at
+    # every vertex
+    return all(linalg.rank(rows, x.field) == d for rows, d in zip(image_rows(gen, x), x.dims))
 
 
 def _whole_quotient(gen, x):
     # x modulo the trace of gen: the image rows closed into a submodule
     if gen.is_zero():
         return x
-    _, incl = md.submodule(x, _images(gen, x))
+    _, incl = md.submodule(x, image_rows(gen, x))
     return md.quotient(x, incl.mats)[0]
 
 
@@ -1050,3 +1048,79 @@ def test_theorems_hold_on_every_proper_rigid_pair(make, count):
         ]
         for rep in reports:
             assert rep["pass"], (md.describe_pair(u), rep["failures"])
+
+
+# -- the g-vector fan ------------------------------------------------------------
+
+
+def _det(rows):
+    # Laplace expansion along the first row, in integers; the walk's
+    # certificate uses linalg.int_det, so the oracle does not
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** k * a * _det([row[:k] + row[k + 1 :] for row in rows[1:]])
+        for k, a in enumerate(rows[0])
+        if a
+    )
+
+
+def _fan_failures(g_matrices, n):
+    # the checks of the g-vector fan (Demonet-Iyama-Jasso, arXiv:1503.00285;
+    # Asai, arXiv:1905.01148) that the nodes' g-matrices fail: (a) each is
+    # unimodular; (b) each wall, the n - 1 g-vectors of a node left when
+    # one is dropped, lies in exactly two nodes; (c) the two g-vectors
+    # completing a wall lie on opposite sides of it; (d) theta = (1, ..., 1)
+    # lies in the closed cone of the free pair and of no other node.
+    # (b)-(d) make every generic theta lie in exactly one cone, so the fan
+    # is complete and its cones have disjoint interiors
+    failures = set()
+    walls = {}
+    for gs in g_matrices:
+        if abs(_det(gs)) != 1:
+            failures.add("unimodular")
+        for k, g in enumerate(gs):
+            walls.setdefault(tuple(sorted(gs[:k] + gs[k + 1 :])), []).append(g)
+    for wall, ends in walls.items():
+        if len(ends) != 2:
+            failures.add("wall")
+        elif _det(list(wall) + [ends[0]]) * _det(list(wall) + [ends[1]]) != -1:
+            failures.add("sides")
+    theta = (1,) * n
+    holders = []
+    for gs in g_matrices:
+        # by Cramer's rule theta = sum c_k g_k with c_k = det(gs, g_k -> theta) / det(gs)
+        d = _det(gs)
+        if all(d * _det(gs[:k] + [theta] + gs[k + 1 :]) >= 0 for k in range(n)):
+            holders.append(sorted(gs))
+    free = sorted(tuple(int(w == v) for w in range(n)) for v in range(n))
+    if holders != [free]:
+        failures.add("theta")
+    return failures
+
+
+FAN = {
+    "A3": lambda pre: _linear(3, QQ),
+    "A4": lambda pre: _linear(4, QQ),
+    "cyc4": lambda pre: _cycle(4, QQ),
+    "PiA3": lambda pre: pre(3),
+    "cyc3/F3": lambda pre: _cycle(3, Field(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAN))
+def test_g_vectors_of_the_nodes_form_a_complete_fan(name, preprojective):
+    # read off the tokens the walked nodes carry, in exact integers with
+    # no sampling; dropping any one node, or negating any one g-vector of
+    # one node, breaks the fan
+    alg = FAN[name](preprojective)
+    graph = ex.build_exchange_graph(alg)
+    g_matrices = [[token[1] for token in node.tokens] for node in graph.node_list()]
+    assert len(g_matrices) == len(graph.nodes) > alg.n
+    assert not _fan_failures(g_matrices, alg.n)
+    for k in range(len(g_matrices)):
+        assert "wall" in _fan_failures(g_matrices[:k] + g_matrices[k + 1 :], alg.n)
+    for k, g in enumerate(g_matrices[1]):
+        negated = g_matrices[1][:k] + [tuple(-c for c in g)] + g_matrices[1][k + 1 :]
+        failed = _fan_failures([g_matrices[0], negated] + g_matrices[2:], alg.n)
+        assert {"wall", "sides"} <= failed

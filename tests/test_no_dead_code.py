@@ -16,7 +16,9 @@ src/ writes, so a deleted family cannot linger in the docs.
 A pair is built from its rows only in modules.carried_pair, the one
 shared pair per row content, so no second construction path comes back.
 tau is built (modules.ar_translate) only by the CLI tau command and the
-order-criteria report, so no certificate goes back to D Tr.
+order-criteria report, so no certificate goes back to D Tr.  A
+presentation becomes a complex only in twoterm.summand_complex, one
+summand at a time, so no whole-module complex route comes back.
 """
 
 import ast
@@ -181,3 +183,8 @@ def test_tau_is_taken_only_by_the_cli_and_the_order_criteria():
     # the certificates test Hom(X, tau Y) = 0 from Y's presentation; D Tr
     # stays the independent route of the tau command and of flag c
     assert _callers("ar_translate") == ["cli._cmd_tau", "explorer.verify_order_criteria"]
+
+
+def test_presentation_complexes_are_built_one_summand_at_a_time():
+    # a pair's complex is the sum of the complexes of its summands
+    assert _callers("_presentation_complex") == ["twoterm.summand_complex"]

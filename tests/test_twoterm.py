@@ -19,6 +19,8 @@ from tautilt.algebra import (
 from tautilt.errors import PreconditionViolated, SearchBudgetExceeded, TautiltError
 from tautilt.linalg import QQ, Field, det
 
+from conftest import whole_complex
+
 
 def P(alg, i):
     return md.projective(alg, i)
@@ -33,7 +35,7 @@ def pair(alg, m_parts, p_parts=()):
 
 
 def cplx(alg, m_parts, p_parts=()):
-    return tt.from_tau_pair(pair(alg, m_parts, p_parts))
+    return whole_complex(pair(alg, m_parts, p_parts))
 
 
 def free_silting(alg):
@@ -307,7 +309,7 @@ def _named(alg, names):
 @pytest.mark.parametrize("m_names,p_names", A2_PAIRS)
 def test_pair_complex_roundtrip_a2(a2, m_names, p_names):
     pr = pair(a2, _named(a2, m_names), _named(a2, p_names))
-    t = tt.from_tau_pair(pr)
+    t = whole_complex(pr)
     t.validate()
     assert tt.is_silting(t)
     back = tt.to_tau_pair(t)
@@ -325,7 +327,7 @@ def test_pair_complex_roundtrip_cyc3(cyc3):
     ]
     for m_parts, p_parts in rows:
         pr = pair(cyc3, m_parts, p_parts)
-        t = tt.from_tau_pair(pr)
+        t = whole_complex(pr)
         assert tt.is_silting(t)
         assert tt.to_tau_pair(t).fingerprint() == pr.fingerprint()
 
@@ -333,7 +335,7 @@ def test_pair_complex_roundtrip_cyc3(cyc3):
 def test_g_matrices_of_a2_pairs(a2):
     got = {}
     for m_names, p_names in A2_PAIRS:
-        t = tt.from_tau_pair(pair(a2, _named(a2, m_names), _named(a2, p_names)))
+        t = whole_complex(pair(a2, _named(a2, m_names), _named(a2, p_names)))
         got[(tuple(m_names), tuple(p_names))] = g_matrix(t)
     assert got[("P1", "P2"), ()] == [(0, 1), (1, 0)]
     assert got[("P1", "S1"), ()] == [(1, -1), (1, 0)]
