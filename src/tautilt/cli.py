@@ -143,8 +143,8 @@ def _cmd_bongartz(args):
             rel, anchor = anchor, tauops.free_pair(ws.algebra)
         tauops.right_bongartz(rel, anchor)
         # print the summands in the order decompose finds them in the bare
-        # dual of the certified op-side completion (a cache hit there), the
-        # order this block has always had
+        # dual of the op-side left completion, the order this block has
+        # always had; right_bongartz above certified the result on A
         dual = tauops.left_bongartz(tauops.dagger_pair(rel), tauops.dagger_pair(anchor))
         out = tauops.dagger_pair(modules.TauPair(dual.m, dual.p))
     block = workspace.pair_block(f"{args.anchor}_{side}", out)

@@ -432,27 +432,75 @@ def fan_left_completion(u_pair, anchor=None, budget=10000):
     return top
 
 
-def right_bongartz(u_pair, anchor=None):
-    """Right Bongartz completion, computed through the duality.
+def _certify_right(u_pair, anchor, result):
+    """Certify result as the largest completion of (U, Q) below the
+    anchor (see right_bongartz), with Fac tests and certified mutations
+    on A only.  A module summand X of result outside (U, Q) and not in Fac
+    of its other module summands mutates down (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Def-Prop 2.28) and passes with no mutation built;
+    every other slot outside (U, Q), a module in that Fac or a P_v[1],
+    mutates up, and its mutation must not lie below the anchor."""
+    _require_tilting(result)
+    if not contains_pair(result, u_pair):
+        raise CertificateFailure("completion lost a summand of the input pair")
+    if not pair_leq(result, anchor):
+        raise CertificateFailure("completion leaves the anchor torsion class")
+    held = u_pair.token_counts
+    for slot, k in enumerate(_g_order(result)):
+        kind, rep, _ = result.rows[k]
+        if held[result.tokens[k]]:
+            continue
+        if kind == "m":
+            others = result.m_keys - {rep.key()}
+            gens = [r for r in result.m_parts if r.key() in others]
+            if not modules.fac_contains(gens, others, [rep]):
+                continue
+        if pair_leq(_mutate_slot(result, slot)[0], anchor):
+            raise CertificateFailure("a larger completion lies below the anchor")
 
-    anchor=None means (A, 0); that case is the classical Bongartz
-    completion, with Fac equal to all of perp(tau U) ∩ perp(Q).  The left
-    completion of the duals is certified over A^op, and the duals of its
-    summand complexes are read back as the walk reads a mutation, so the
-    result is the walked node; cli._cmd_bongartz prints them in the order
-    the block has always had.
+
+def _dual_sum(pair):
+    """The dual over A^op of the complex a nonempty pair carries, as the
+    sum of the duals of its row complexes."""
+    return twoterm.sum_of_summands([twoterm.complex_dagger(c) for _, _, c in pair.rows])
+
+
+def right_bongartz(u_pair, anchor=None):
+    """Right Bongartz completion of a tau-rigid pair relative to an anchor.
+
+    Returns the support tau-tilting pair generating the largest torsion
+    class among the completions of (U, Q) that lie below the anchor;
+    defined when each module summand of U lies in Fac M of the anchor.
+    anchor=None means (A, 0), the classical Bongartz completion, with Fac
+    equal to all of perp(tau U) ∩ perp(Q).  An anchor that holds (U, Q) is
+    its own completion.  Otherwise the left completion of the duals of the
+    complexes both pairs carry is taken over A^op
+    (twoterm.left_completion_silting), and the duals of its parts are read
+    back as the walk reads a mutation, so the result is the walked node.
+
+    The result is certified on A, and no pair over A^op is built.  The
+    completions of (U, Q) are the pairs T with Fac U <= Fac T <=
+    perp(tau U) ∩ perp(Q) (Jasso, arXiv:1302.2709, Sect. 3), and a pair
+    strictly below another has a right mutation that stays below it
+    (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 2.35).  So a completion
+    below the anchor is the largest one exactly when none of its up
+    mutations at slots outside (U, Q) stays below the anchor
+    (_certify_right).  Below (A, 0) every pair lies, so there a right
+    answer has no such slot and no mutation is built.
     """
     alg = u_pair.algebra
     if anchor is None:
         anchor = free_pair(alg)
     _require_rigid(u_pair)
     _require_tilting(anchor)
-    out = left_bongartz(dagger_pair(u_pair), dagger_pair(anchor))
-    back = [twoterm.complex_dagger(c) for _, _, c in out.rows]
+    if not pair_leq(u_pair, anchor):
+        raise PreconditionViolated("a summand of U leaves the anchor torsion class")
+    if contains_pair(anchor, u_pair):
+        return anchor
+    out = twoterm.left_completion_silting(_dual_sum(u_pair), _dual_sum(anchor))
+    back = [twoterm.complex_dagger(c) for c in out.parts]
     result = twoterm.to_tau_pair(twoterm.sum_of_summands(back))
-    _require_tilting(result)
-    if not contains_pair(result, u_pair):
-        raise CertificateFailure("dual completion lost a summand of the input")
+    _certify_right(u_pair, anchor, result)
     return result
 
 

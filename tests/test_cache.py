@@ -614,11 +614,30 @@ def test_torsion_free_part_matches_the_generic_quotient(name, preprojective):
     assert partial > 0
 
 
+def test_right_bongartz_writes_no_op_side_pair_or_test():
+    # after the walk of cyc3, the right completion of every rigid subpair,
+    # at (A, 0) and at every anchor whose Fac holds U, is certified on A:
+    # the cache of A^op gets no pair, module-side test or completion
+    alg = _fresh("cyc3")
+    graph = ex.build_exchange_graph(alg)
+    families = {"pair", "check_pair", "window", "left_bongartz", "fac", "torsion_free"}
+    completed = 0
+    for u in ex.rigid_subpairs(graph, alg.n):
+        to.right_bongartz(u)
+        for anchor in graph.node_list():
+            if to.pair_leq(u, anchor):
+                to.right_bongartz(u, anchor)
+                completed += 1
+    written = [key for key in alg.opposite().cache if isinstance(key, tuple) and key[0] in families]
+    assert written == [] and completed > 200
+
+
 def test_shared_objects_stay_as_built(monkeypatch):
     # Hom bases, ProjSums and summand complexes are built once per content
-    # and shared; after a walk, a compat sweep, a tau_reduction and a brick
-    # label on the reduced graph no shared map has changed, and callers get
-    # a list of their own
+    # and shared; after a walk, a compat sweep, a tau_reduction, a brick
+    # label on the reduced graph and the duality check, which walks A^op
+    # and takes the dual of every node, no shared map has changed, and
+    # callers get a list of their own
     alg = _fresh("cyc3")
     first, built = {}, Counter()
     hom_basis, proj_sum = md.hom_basis, md.ProjSum
@@ -646,6 +665,7 @@ def test_shared_objects_stay_as_built(monkeypatch):
     reduced = ex.build_exchange_graph(rd.quotient)
     s, t, _ = reduced.edges[0]
     to.brick_label(reduced.nodes[s], reduced.nodes[t])
+    assert ex.verify_dagger(alg)["pass"]
 
     assert len(first) > 10 and {a for a, _ in first} > {alg}
     for (algebra, key), mats in first.items():
@@ -658,6 +678,7 @@ def test_shared_objects_stay_as_built(monkeypatch):
     assert [f.mats for f in md.hom_basis(x, x)] == want
 
     assert len(built) > 5 and max(built.values()) == 1
+    assert {a for a, _ in built} >= {alg, alg.opposite()}
     for c in [c for node in graph.node_list() for c in node.complex.parts]:
         for i in (-1, 0):
             assert c.projsum(i) is md._proj_sum(alg, list(c.term_vertices(i)))

@@ -185,6 +185,12 @@ def test_tau_is_taken_only_by_the_cli_and_the_order_criteria():
     assert _callers("ar_translate") == ["cli._cmd_tau", "explorer.verify_order_criteria"]
 
 
+def test_op_side_pairs_are_built_only_by_the_duality_check_and_the_cli():
+    # right_bongartz certifies its completion on A; only the duality check
+    # and the printed order of the bongartz command build pairs over A^op
+    assert sorted(set(_callers("dagger_pair"))) == ["cli._cmd_bongartz", "explorer.verify_dagger"]
+
+
 def test_presentation_complexes_are_built_one_summand_at_a_time():
     # a pair's complex is the sum of the complexes of its summands
     assert _callers("_presentation_complex") == ["twoterm.summand_complex"]

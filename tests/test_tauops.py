@@ -747,14 +747,23 @@ RIGHT_WORKSPACES = {
 
 @pytest.mark.parametrize("name", sorted(RIGHT_WORKSPACES))
 def test_right_bongartz_carries_the_dual_summands_back(name, monkeypatch):
-    # the op-side completion carries its summands, so dualizing it back
-    # needs no decomposition or isomorphism search
+    # the completion over A^op carries its summands, so dualizing it back
+    # and certifying it on A need no decomposition or isomorphism search.
+    # Only the cones over A^op are split, through their H^0, once per
+    # content; they are split before the count, at every walked rigid pair
+    # that (A, 0) does not hold
     text = f"field Q\n{RIGHT_WORKSPACES[name]}pair PairP1 : M = P1 ; P = 0\n"
     ws = wk.parse_workspace(text)
-    ex.build_exchange_graph(ws.algebra)
+    graph = ex.build_exchange_graph(ws.algebra)
+    top = to.free_pair(ws.algebra)
+    subs = [u for u in ex.rigid_subpairs(graph, 2) if not to.contains_pair(top, u)]
+    for u in subs:
+        tt.left_completion_silting(to._dual_sum(u), to._dual_sum(top))
     calls = _count_searches(monkeypatch)
     to.right_bongartz(ws.pair("PairP1"))
-    assert calls == []
+    for u in subs:
+        to.right_bongartz(u)
+    assert calls == [] and len(subs) == 24
 
 
 CROSS = {
@@ -1540,6 +1549,76 @@ def test_right_bongartz_is_the_largest_completion(name, pairs):
         assert len(tops) == 1
         assert to.right_bongartz(u).fingerprint() == tops[0].fingerprint()
     assert len(subs) == pairs
+
+
+@pytest.mark.parametrize(
+    "name, completed, refused",
+    [("A3", 225, 209), ("cyc3", 221, 213), ("cyc4", 1636, 2682), ("PiA3", 472, 752),
+     ("cyc3/F3", 221, 213)],
+)
+def test_relative_right_bongartz_is_the_largest_completion_below_the_anchor(
+    name, completed, refused
+):
+    # at every walked anchor T, the right completion of (U, Q) is the
+    # largest walked node that holds U and lies below T, found by
+    # containment and the torsion order, with no duality.  It is refused
+    # exactly when a summand of U leaves Fac M_T, read as a whole-module
+    # trace quotient, and that is exactly when no node holding U lies below T
+    alg = FAN[name]()
+    graph = ex.build_exchange_graph(alg)
+    nodes = graph.node_list()
+    counts = Counter()
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        holding = [node for node in nodes if to.contains_pair(node, u)]
+        for anchor in nodes:
+            below = [c for c in holding if to.pair_leq(c, anchor)]
+            outside = not _whole_trace_quotient(anchor.m, u.m).is_zero()
+            assert outside == (not below)
+            if outside:
+                with pytest.raises(PreconditionViolated):
+                    to.right_bongartz(u, anchor)
+                counts["refused"] += 1
+                continue
+            tops = [c for c in below if all(to.pair_leq(d, c) for d in below)]
+            assert len(tops) == 1
+            assert to.right_bongartz(u, anchor) is tops[0]
+            counts["completed"] += 1
+    assert counts == {"completed": completed, "refused": refused}
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_right_bongartz_rejects_a_wrong_completion(name, monkeypatch):
+    # the silting side returns the dual of another walked node that holds
+    # U; the certificate on A refuses it.  Below (A, 0), and below any
+    # anchor above the wrong node, an up-slot of the wrong node mutates to
+    # a larger completion that stays below the anchor; at an anchor not
+    # above it, the order test refuses it.  An anchor that holds U is its
+    # own completion, read without the silting route, so it is skipped
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    nodes = graph.node_list()
+    top = to.free_pair(alg)
+    rejected = Counter()
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        for anchor in nodes:
+            if not to.pair_leq(u, anchor) or to.contains_pair(anchor, u):
+                continue
+            right = to.right_bongartz(u, anchor)
+            for other in nodes:
+                if other is right or not to.contains_pair(other, u):
+                    continue
+                wrong = to._dual_sum(other)
+                monkeypatch.setattr(tt, "left_completion_silting", lambda *a: wrong)
+                below = to.pair_leq(other, anchor)
+                message = "larger completion" if below else "leaves the anchor"
+                with pytest.raises(CertificateFailure, match=message):
+                    to.right_bongartz(u, anchor)
+                monkeypatch.undo()
+                rejected["at (A, 0)" if anchor is top else message] += 1
+    assert rejected == {
+        "A3": {"at (A, 0)": 40, "larger completion": 73, "leaves the anchor": 112},
+        "cyc3": {"at (A, 0)": 39, "larger completion": 66, "leaves the anchor": 117},
+    }[name]
 
 
 def _exact_inverse(rows):
