@@ -19,7 +19,6 @@ counterexample, 1 on any error.
 """
 
 import argparse
-import functools
 import json
 import sys
 
@@ -141,12 +140,7 @@ def _cmd_bongartz(args):
     else:
         if rel is None:
             rel, anchor = anchor, tauops.free_pair(ws.algebra)
-        tauops.right_bongartz(rel, anchor)
-        # print the summands in the order decompose finds them in the bare
-        # dual of the op-side left completion, the order this block has
-        # always had; right_bongartz above certified the result on A
-        dual = tauops.left_bongartz(tauops.dagger_pair(rel), tauops.dagger_pair(anchor))
-        out = tauops.dagger_pair(modules.TauPair(dual.m, dual.p))
+        out = tauops.right_bongartz(rel, anchor)
     block = workspace.pair_block(f"{args.anchor}_{side}", out)
     report = {
         "command": "bongartz",
@@ -294,7 +288,7 @@ def _cmd_verify(args):
         fn = {
             "compat": explorer.verify_mutation_compat,
             "silting-compat": explorer.verify_silting_compat,
-            "route": functools.partial(explorer.verify_route, budget=args.budget),
+            "route": explorer.verify_route,
         }[suite]
         g = explorer.build_exchange_graph(alg, budget=args.budget)
         if args.rel is not None:

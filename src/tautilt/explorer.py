@@ -9,8 +9,6 @@ sequences through the reduction, and the verification sweeps used by the
 command line driver.
 """
 
-from collections import Counter
-
 from . import linalg, modules, tauops, twoterm
 from .errors import (
     CertificateFailure,
@@ -740,7 +738,7 @@ def verify_silting_compat(rel_u, graph):
         if twoterm.hom_k(u_c, node.complex, 1) == 0:
             c = twoterm.left_completion_silting(u_c, node.complex)
             # silting summands are determined by their g-vectors (AIR Thm 5.5)
-            tokens = Counter(twoterm.complex_fingerprint(c)) if twoterm.is_silting(c) else None
+            tokens = twoterm.to_tau_pair(c).token_counts if twoterm.is_silting(c) else None
             completion[fp] = c, tokens
     failures = []
     identity_steps = 0
@@ -778,9 +776,10 @@ def verify_silting_compat(rel_u, graph):
     }
 
 
-def verify_route(rel_u, graph, budget=10000):
+def verify_route(rel_u, graph):
     """The cone construction and the fan search must return the same
-    completion at every node inside the window."""
+    completion at every node inside the window; the fan search runs under
+    the graph's node budget."""
     tauops._require_rigid(rel_u)
     if not graph.complete:
         raise IncompleteGraph("route sweep needs a complete graph")
@@ -791,7 +790,7 @@ def verify_route(rel_u, graph, budget=10000):
             continue
         checked += 1
         via_cone = tauops.left_bongartz(rel_u, node)
-        via_fan = tauops.fan_left_completion(rel_u, node, budget=budget)
+        via_fan = tauops.fan_left_completion(rel_u, node, budget=graph.budget)
         if via_cone.fingerprint() != via_fan.fingerprint():
             failures.append(
                 {"check": "route", "node": modules.describe_pair(node)}

@@ -86,23 +86,15 @@ def contains_pair(big, small):
 def dagger_pair(pair):
     """The dual pair over the opposite algebra, carrying its summands.
 
-    Each row's complex is sent through twoterm.complex_dagger and read back
-    as a row over the opposite algebra (twoterm._summand_row), as right
-    mutation does: P_v[1] comes back as the projective P_v, a projective
-    P_v of M moves to the shift part, and the dual of the minimal
-    presentation of a nonprojective summand X presents its transpose Tr X.
-    The rows are read shift rows first, each kind in its order, and the
-    shared dual (modules.carried_pair) lists its module rows, then its
-    shift rows.  Involutive, and order-reversing on support tau-tilting
-    pairs.
+    The duals of the row complexes (_dual_sum) are read back as rows over
+    the opposite algebra (twoterm.to_tau_pair), as right mutation does:
+    P_v[1] comes back as the projective P_v, a projective P_v of M moves
+    to the shift part, and the dual of the minimal presentation of a
+    nonprojective summand X presents its transpose Tr X.  The rows follow
+    the canonical order of the dual complexes.  Involutive, and
+    order-reversing on support tau-tilting pairs.
     """
-    rows = [
-        twoterm._summand_row(twoterm.complex_dagger(c))
-        for _, _, c in sorted(pair.rows, key=lambda row: row[0] != "p")
-    ]
-    return modules.carried_pair(
-        pair.algebra.opposite(), sorted(rows, key=lambda row: row[0] != "m")
-    )
+    return twoterm.to_tau_pair(_dual_sum(pair))
 
 
 # -- mutation -----------------------------------------------------------------
@@ -460,9 +452,12 @@ def _certify_right(u_pair, anchor, result):
 
 
 def _dual_sum(pair):
-    """The dual over A^op of the complex a nonempty pair carries, as the
-    sum of the duals of its row complexes."""
-    return twoterm.sum_of_summands([twoterm.complex_dagger(c) for _, _, c in pair.rows])
+    """The dual over A^op of the complex a pair carries, as the sum of the
+    duals of its row complexes; the zero complex for the empty pair."""
+    parts = [twoterm.complex_dagger(c) for _, _, c in pair.rows]
+    if not parts:
+        return twoterm.zero_complex(pair.algebra.opposite())
+    return twoterm.sum_of_summands(parts)
 
 
 def right_bongartz(u_pair, anchor=None):

@@ -200,19 +200,15 @@ def summand_complex(kind, rep):
 
 
 def to_tau_pair(t):
-    """Pair (H^0, shifted part) of a minimal two-term complex.
-
-    A complex that carries its summands (see sum_of_summands) gives the
-    shared pair of its rows (modules.carried_pair), one row per summand
-    from _summand_row, in the complex's part order (ascending v for the
-    P_v, by _sort_key).  Any other complex gives a bare pair (M, P).
+    """Pair (H^0, shifted part) of a minimal two-term complex: the shared
+    pair (modules.carried_pair) of one row per summand from _summand_row,
+    in the order decompose_complex gives the summands.  A complex that
+    carries its parts (see sum_of_summands) gives them in its part order
+    (ascending v for the P_v, by _sort_key); any other is split through
+    H^0.
     """
-    alg = t.algebra
-    if t.parts is not None:
-        return modules.carried_pair(alg, [_summand_row(c) for c in t.parts])
-    m, shift = _h0_and_shift(t)
-    p = modules._proj_sum(alg, sorted(shift)).rep if shift else modules.zero_rep(alg)
-    return modules.TauPair(m, p)
+    rows = [_summand_row(c) for c, mult in decompose_complex(t) for _ in range(mult)]
+    return modules.carried_pair(t.algebra, rows)
 
 
 def _h0_and_shift(t):
@@ -854,12 +850,3 @@ def mutate_complex(t, summand_index, direction):
     if direction == "right":
         y = complex_dagger(y)
     return sum_of_summands(rest + [y])
-
-
-def complex_fingerprint(t):
-    """Canonical token multiset matching TauPair.fingerprint."""
-    out = []
-    for c, mult in decompose_complex(t):
-        kind, rep, _ = _summand_row(c)
-        out.extend([modules.summand_token(kind, rep)] * mult)
-    return tuple(sorted(out))

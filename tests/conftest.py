@@ -6,6 +6,43 @@ from tautilt.algebra import Quiver, Relation, compile_bound_quiver
 from tautilt.linalg import QQ
 
 
+def linear(n, field=QQ):
+    """Linear A_n quiver 1 -> 2 -> ... -> n, no relations."""
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
+    return compile_bound_quiver(Quiver(labels, arrows), [], field)
+
+
+def cycle(n, field=QQ, length=2):
+    """The oriented n-cycle (a loop for n = 1) with all paths of the given
+    length killed; length two gives a radical-square-zero Nakayama
+    algebra."""
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
+    q = Quiver(labels, arrows)
+    rels = [
+        Relation(q, [(1, tuple(f"a{(i + k) % n}" for k in range(length)))]) for i in range(n)
+    ]
+    return compile_bound_quiver(q, rels, field)
+
+
+def preprojective_algebra(n, field=QQ, bound=12):
+    """The preprojective algebra of A_n, with arrows a_i: i -> i+1 and
+    b_i: i+1 -> i, a1*b1 = 0, b_i*a_i = a_(i+1)*b_(i+1) and
+    b_(n-1)*a_(n-1) = 0; its dimension is n(n+1)(n+2)/6."""
+    labels = [str(i + 1) for i in range(n)]
+    arrows = [(f"a{i}", labels[i - 1], labels[i]) for i in range(1, n)]
+    arrows += [(f"b{i}", labels[i], labels[i - 1]) for i in range(1, n)]
+    q = Quiver(labels, arrows)
+    rels = [Relation(q, [(1, ("a1", "b1"))])]
+    rels += [
+        Relation(q, [(1, (f"b{i}", f"a{i}")), (-1, (f"a{i + 1}", f"b{i + 1}"))])
+        for i in range(1, n - 1)
+    ]
+    rels.append(Relation(q, [(1, (f"b{n - 1}", f"a{n - 1}"))]))
+    return compile_bound_quiver(q, rels, field, length_bound=bound)
+
+
 def hom_maps(x, y):
     """A basis of Hom(x, y), each map as its matrices at the vertices
     (dims_x[v] rows of length dims_y[v], acting on row vectors).
@@ -109,24 +146,9 @@ def pi_a3(preprojective):
 
 @pytest.fixture(scope="session")
 def preprojective():
-    """Builds the preprojective algebra of A_n over Q, with arrows
-    a_i: i -> i+1 and b_i: i+1 -> i, a1*b1 = 0, b_i*a_i = a_(i+1)*b_(i+1)
-    and b_(n-1)*a_(n-1) = 0; its dimension is n(n+1)(n+2)/6."""
-
-    def build(n, bound=12):
-        labels = [str(i + 1) for i in range(n)]
-        arrows = [(f"a{i}", labels[i - 1], labels[i]) for i in range(1, n)]
-        arrows += [(f"b{i}", labels[i], labels[i - 1]) for i in range(1, n)]
-        q = Quiver(labels, arrows)
-        rels = [Relation(q, [(1, ("a1", "b1"))])]
-        rels += [
-            Relation(q, [(1, (f"b{i}", f"a{i}")), (-1, (f"a{i + 1}", f"b{i + 1}"))])
-            for i in range(1, n - 1)
-        ]
-        rels.append(Relation(q, [(1, (f"b{n - 1}", f"a{n - 1}"))]))
-        return compile_bound_quiver(q, rels, QQ, length_bound=bound)
-
-    return build
+    """The builder preprojective_algebra, for tests that take it as a
+    fixture."""
+    return preprojective_algebra
 
 
 @pytest.fixture(scope="session")

@@ -301,7 +301,7 @@ def test_criterion_8(a2, a3, cyc3, graphs):
 
             # unimodular g-matrix on every node
             for c in complexes:
-                mat = [list(token[1]) for token in tt.complex_fingerprint(c)]
+                mat = [list(token[1]) for token in tt.to_tau_pair(c).fingerprint()]
                 det = linalg.det([[QQ(x) for x in row] for row in mat], QQ)
                 assert det in (QQ(1), QQ(-1))
 

@@ -20,7 +20,7 @@ from tautilt.errors import (
 )
 from tautilt.linalg import QQ, Field
 
-from conftest import image_rows
+from conftest import cycle, image_rows, linear
 
 
 def P(alg, i):
@@ -433,15 +433,6 @@ def test_bijection_two_summands(cyc3):
     assert rep["ambient_count"] == 2
 
 
-def _cycle(n, field):
-    # the oriented n-cycle with all paths of length two killed
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
-    q = Quiver(labels, arrows)
-    rels = [Relation(q, [(1, (f"a{i}", f"a{(i + 1) % n}"))]) for i in range(n)]
-    return compile_bound_quiver(q, rels, field)
-
-
 def _fac_by_maps(gen, x):
     # x lies in Fac(gen) when the images of the maps gen -> x span x at
     # every vertex
@@ -459,7 +450,7 @@ def _whole_quotient(gen, x):
 PARTNERS = {
     "A3": lambda pre: _linear_a3(QQ),
     "cyc3": lambda pre: _cycle3(QQ),
-    "cyc4": lambda pre: _cycle(4, QQ),
+    "cyc4": lambda pre: cycle(4, QQ),
     "cyc3/F3": lambda pre: _cycle3(Field(3)),
     "PiA3": lambda pre: pre(3),
 }
@@ -1022,15 +1013,9 @@ def test_order_criteria_report_fails_on_a_wrong_window(make, monkeypatch):
     assert all(f["flags"][:3] == [False] * 3 for f in rep["failures"])
 
 
-def _linear(n, field):
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
-    return compile_bound_quiver(Quiver(labels, arrows), [], field)
-
-
 @pytest.mark.parametrize(
     "make, count",
-    [(lambda: _linear(4, QQ), 155), (lambda: _cycle(4, QQ), 127)],
+    [(lambda: linear(4, QQ), 155), (lambda: cycle(4, QQ), 127)],
     ids=["A4", "cyc4"],
 )
 def test_theorems_hold_on_every_proper_rigid_pair(make, count):
@@ -1100,11 +1085,11 @@ def _fan_failures(g_matrices, n):
 
 
 FAN = {
-    "A3": lambda pre: _linear(3, QQ),
-    "A4": lambda pre: _linear(4, QQ),
-    "cyc4": lambda pre: _cycle(4, QQ),
+    "A3": lambda pre: linear(3, QQ),
+    "A4": lambda pre: linear(4, QQ),
+    "cyc4": lambda pre: cycle(4, QQ),
     "PiA3": lambda pre: pre(3),
-    "cyc3/F3": lambda pre: _cycle(3, Field(3)),
+    "cyc3/F3": lambda pre: cycle(3, Field(3)),
 }
 
 

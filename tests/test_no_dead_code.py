@@ -14,7 +14,9 @@ The README's list of cache families names exactly the families that
 src/ writes, so a deleted family cannot linger in the docs.
 
 A pair is built from its rows only in modules.carried_pair, the one
-shared pair per row content, so no second construction path comes back.
+shared pair per row content, so no second construction path comes back;
+a bare pair (M, P) only from a workspace file, and a pair over the
+opposite algebra only by the duality check.
 tau is built (modules.ar_translate) only by the CLI tau command and the
 order-criteria report, so no certificate goes back to D Tr.  A
 presentation becomes a complex only in twoterm.summand_complex, one
@@ -179,16 +181,22 @@ def test_pairs_are_built_from_rows_only_by_carried_pair():
     assert _callers("TauPair", passes_rows) == ["modules.carried_pair"]
 
 
+def test_bare_pairs_are_built_only_from_workspace_text():
+    # a complex becomes a pair only through carried_pair; a bare (M, P)
+    # comes only from the modules a workspace file names
+    assert sorted(set(_callers("TauPair"))) == ["modules.carried_pair", "workspace.parse_workspace"]
+
+
 def test_tau_is_taken_only_by_the_cli_and_the_order_criteria():
     # the certificates test Hom(X, tau Y) = 0 from Y's presentation; D Tr
     # stays the independent route of the tau command and of flag c
     assert _callers("ar_translate") == ["cli._cmd_tau", "explorer.verify_order_criteria"]
 
 
-def test_op_side_pairs_are_built_only_by_the_duality_check_and_the_cli():
-    # right_bongartz certifies its completion on A; only the duality check
-    # and the printed order of the bongartz command build pairs over A^op
-    assert sorted(set(_callers("dagger_pair"))) == ["cli._cmd_bongartz", "explorer.verify_dagger"]
+def test_op_side_pairs_are_built_only_by_the_duality_check():
+    # right_bongartz certifies its completion on A and the bongartz
+    # command prints it; only the duality check builds pairs over A^op
+    assert sorted(set(_callers("dagger_pair"))) == ["explorer.verify_dagger"]
 
 
 def test_presentation_complexes_are_built_one_summand_at_a_time():

@@ -7,57 +7,31 @@ file as a script to print the digests of the current tree.
 """
 
 import hashlib
+import json
 import sys
 
 import pytest
 
 from tautilt import cli
+from tautilt import explorer as ex
+from tautilt import modules as md
 from tautilt import tauops as to
+from tautilt import twoterm as tt
 from tautilt import workspace as wk
-from tautilt.algebra import Quiver, Relation, compile_bound_quiver
 from tautilt.linalg import QQ, Field
 
-
-def _linear(n, field):
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
-    return compile_bound_quiver(Quiver(labels, arrows), [], field)
-
-
-def _cycle(n, field):
-    # the oriented n-cycle with all paths of length two killed
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
-    q = Quiver(labels, arrows)
-    rels = [Relation(q, [(1, (f"a{i}", f"a{(i + 1) % n}"))]) for i in range(n)]
-    return compile_bound_quiver(q, rels, field)
-
-
-def _preprojective(n, field):
-    # arrows a_i: i -> i+1 and b_i: i+1 -> i, with a1*b1 = 0,
-    # b_i*a_i = a_(i+1)*b_(i+1) and b_(n-1)*a_(n-1) = 0
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i - 1], labels[i]) for i in range(1, n)]
-    arrows += [(f"b{i}", labels[i], labels[i - 1]) for i in range(1, n)]
-    q = Quiver(labels, arrows)
-    rels = [Relation(q, [(1, ("a1", "b1"))])]
-    rels += [
-        Relation(q, [(1, (f"b{i}", f"a{i}")), (-1, (f"a{i + 1}", f"b{i + 1}"))])
-        for i in range(1, n - 1)
-    ]
-    rels.append(Relation(q, [(1, (f"b{n - 1}", f"a{n - 1}"))]))
-    return compile_bound_quiver(q, rels, field, length_bound=12)
+from conftest import cycle, linear, preprojective_algebra
 
 
 ALGEBRAS = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "A4": lambda: _linear(4, QQ),
-    "cyc3/F2": lambda: _cycle(3, Field(2)),
-    "A3/F3": lambda: _linear(3, Field(3)),
-    "Pi(A3)": lambda: _preprojective(3, QQ),
-    "Pi(A4)": lambda: _preprojective(4, QQ),
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "A4": lambda: linear(4, QQ),
+    "cyc3/F2": lambda: cycle(3, Field(2)),
+    "A3/F3": lambda: linear(3, Field(3)),
+    "Pi(A3)": lambda: preprojective_algebra(3, QQ),
+    "Pi(A4)": lambda: preprojective_algebra(4, QQ),
 }
 
 WALKS = {
@@ -134,8 +108,8 @@ def cli_runs(name):
 
 
 CLI = {
-    "A3": "b74bb6debaa9da2555e3887f151b97a06b198499",
-    "cyc3": "ebb91e141c76c7408bd79b14d423bc0955a86730",
+    "A3": "a23807021a11a9328817c213ac9036976acd2fe9",
+    "cyc3": "7fcd18fe574ddecfc6891f6d62cee2ff3aaea13e",
 }
 
 
@@ -197,6 +171,57 @@ def test_cli_json_is_pinned(name, tmp_path, capsys):
     path = tmp_path / f"{name}.alg"
     path.write_text(WORKSPACES[name], encoding="utf-8")
     assert cli_digest(name, str(path), lambda: capsys.readouterr().out) == CLI[name]
+
+
+# successful bongartz runs among the pinned ones, both sides together
+COMPLETIONS = {"A3": 16, "cyc3": 12}
+
+
+@pytest.mark.parametrize("name", sorted(CLI))
+def test_bongartz_prints_the_walked_node(name, tmp_path, capsys):
+    # both sides print the completion as the walk built it, in its row
+    # order, so --left and --right print one pair in one basis
+    path = tmp_path / f"{name}.alg"
+    path.write_text(WORKSPACES[name], encoding="utf-8")
+    graph = ex.build_exchange_graph(wk.parse_workspace(WORKSPACES[name]).algebra)
+    nodes = {md.describe_pair(node): node for node in graph.node_list()}
+    assert len(nodes) == len(graph)
+    done = 0
+    for argv in cli_runs(name):
+        if argv[0] != "bongartz":
+            continue
+        code = cli.main([str(path) if a == "{ws}" else a for a in argv])
+        out = capsys.readouterr().out
+        if code == 0:
+            report = json.loads(out)
+            node = nodes[report["result"]]
+            assert report["block"] == wk.pair_block(f"{report['anchor']}_{report['side']}", node)
+            done += 1
+    assert done == COMPLETIONS[name]
+
+
+def test_right_bongartz_command_runs_one_completion(tmp_path, capsys, monkeypatch):
+    # the command prints the completion right_bongartz certified on A: no
+    # op-side left completion and no pair over A^op is built for the print
+    path = tmp_path / "A3.alg"
+    path.write_text(WORKSPACES["A3"], encoding="utf-8")
+    calls = {"left_bongartz": 0, "dagger_pair": 0, "left_completion_silting": 0}
+
+    def counted(module, fn):
+        real = getattr(module, fn)
+
+        def wrapper(*args, **kwargs):
+            calls[fn] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, wrapper)
+
+    counted(to, "left_bongartz")
+    counted(to, "dagger_pair")
+    counted(tt, "left_completion_silting")
+    assert cli.main(["bongartz", str(path), "PairS2", "--right", "--json"]) == 0
+    capsys.readouterr()
+    assert calls == {"left_bongartz": 0, "dagger_pair": 0, "left_completion_silting": 1}
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY))

@@ -13,43 +13,16 @@ import hashlib
 import pytest
 
 from tautilt import explorer as ex
-from tautilt.algebra import Quiver, Relation, compile_bound_quiver
 from tautilt.linalg import QQ, Field
 
-
-def _linear(n, field):
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
-    return compile_bound_quiver(Quiver(labels, arrows), [], field)
-
-
-def _cycle(n, field):
-    # the oriented n-cycle with all paths of length two killed
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
-    q = Quiver(labels, arrows)
-    rels = [Relation(q, [(1, (f"a{i}", f"a{(i + 1) % n}"))]) for i in range(n)]
-    return compile_bound_quiver(q, rels, field)
-
-
-def _preprojective_a3():
-    q = Quiver(
-        ["1", "2", "3"],
-        [("a1", "1", "2"), ("a2", "2", "3"), ("b1", "2", "1"), ("b2", "3", "2")],
-    )
-    rels = [
-        Relation(q, [(1, ("a1", "b1"))]),
-        Relation(q, [(1, ("b1", "a1")), (-1, ("a2", "b2"))]),
-        Relation(q, [(1, ("b2", "a2"))]),
-    ]
-    return compile_bound_quiver(q, rels, QQ)
+from conftest import cycle, linear, preprojective_algebra
 
 
 ALGEBRAS = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "PiA3": _preprojective_a3,
-    "cyc4/F3": lambda: _cycle(4, Field(3)),
+    "A3": lambda: linear(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "PiA3": lambda: preprojective_algebra(3),
+    "cyc4/F3": lambda: cycle(4, Field(3)),
 }
 
 REDUCTIONS = {

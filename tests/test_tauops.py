@@ -24,7 +24,7 @@ from tautilt.errors import (
 )
 from tautilt.linalg import QQ, Field, rank
 
-from conftest import hom_maps, image_rows, whole_complex
+from conftest import cycle, hom_maps, image_rows, linear, preprojective_algebra, whole_complex
 
 
 def P(alg, i):
@@ -159,35 +159,44 @@ def test_dagger_preserves_tilting(cyc3):
 
 
 DUAL = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "PiA3": lambda: _preprojective_a3(),
-    "cyc3/F3": lambda: _cycle(3, Field(3)),
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "PiA3": lambda: preprojective_algebra(3),
+    "cyc3/F3": lambda: cycle(3, Field(3)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DUAL))
 def test_dagger_pair_matches_the_transpose(name):
     # modules.transpose as the reference: a nonprojective module row X
-    # becomes the row of Tr X, a module row P_v and a shift row P_v[1]
-    # trade places, and the rows keep their order, shift rows first, with
-    # the module rows of the dual before its shift rows
+    # becomes the row of Tr X, and a module row P_v and a shift row P_v[1]
+    # trade places; the rows follow the canonical order of the dual
+    # complexes, the order of the dual's complex parts
     alg = DUAL[name]()
     op = alg.opposite()
     for node in ex.build_exchange_graph(alg).node_list():
         want = []
-        for kind, rep, _ in sorted(node.rows, key=lambda row: row[0] != "p"):
+        for kind, rep, _ in sorted(
+            node.rows, key=lambda row: tt._sort_key(tt.complex_dagger(row[2]))
+        ):
             tr = md.transpose(rep)
             if kind == "m" and not tr.is_zero():
                 want.append(("m", tr.key()))
             else:
                 dual_kind = "m" if kind == "p" else "p"
                 want.append((dual_kind, P(op, md._projective_vertex(rep)).key()))
-        want.sort(key=lambda row: row[0] != "m")
         dual = to.dagger_pair(node)
         assert [(kind, rep.key()) for kind, rep, _ in dual.rows] == want
         assert to.dagger_pair(dual).fingerprint() == node.fingerprint()
+
+
+def test_dagger_of_the_empty_pair_is_the_empty_pair(a2):
+    empty = md.carried_pair(a2, [])
+    dual = to.dagger_pair(empty)
+    assert dual.algebra is a2.opposite()
+    assert dual.rows == ()
+    assert to.dagger_pair(dual) is empty
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +440,6 @@ def test_left_and_right_agree_on_completions(a2):
         assert to.right_bongartz(pr, pr).fingerprint() == pr.fingerprint()
 
 
-def _linear(n, field):
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[i + 1]) for i in range(n - 1)]
-    return compile_bound_quiver(Quiver(labels, arrows), [], field)
-
-
-def _cycle(n, field, length=2):
-    # the oriented n-cycle (a loop for n = 1) with all paths of the given
-    # length killed
-    labels = [str(i + 1) for i in range(n)]
-    arrows = [(f"a{i}", labels[i], labels[(i + 1) % n]) for i in range(n)]
-    q = Quiver(labels, arrows)
-    rels = [
-        Relation(q, [(1, tuple(f"a{(i + k) % n}" for k in range(length)))]) for i in range(n)
-    ]
-    return compile_bound_quiver(q, rels, field)
-
-
 def _contains_by_isomorphism(big, small):
     # reference for contains_pair: match summands up to isomorphism
     have = [("m", r) for r, mult in big.m_summands() for _ in range(mult)]
@@ -465,7 +456,7 @@ def test_carried_completion_matches_searched_and_fan(a3, cyc3):
     # left_bongartz completes from the pairs' carried summands; the same
     # completion from freshly searched complexes and the fan search must
     # agree at every window node of every rigid subpair, the empty one too
-    for alg in (a3, cyc3, _cycle(3, Field(3))):
+    for alg in (a3, cyc3, cycle(3, Field(3))):
         graph = ex.build_exchange_graph(alg)
         subs = ex.rigid_subpairs(graph, alg.n - 1)
         assert subs[0].m.is_zero() and subs[0].p.is_zero()
@@ -540,19 +531,6 @@ def _restart_greedy(x, parts):
             return tt._assemble_into(x, keep)
 
 
-def _preprojective_a3():
-    q = Quiver(
-        ["1", "2", "3"],
-        [("a1", "1", "2"), ("a2", "2", "3"), ("b1", "2", "1"), ("b2", "3", "2")],
-    )
-    rels = [
-        Relation(q, [(1, ("a1", "b1"))]),
-        Relation(q, [(1, ("b1", "a1")), (-1, ("a2", "b2"))]),
-        Relation(q, [(1, ("b2", "a2"))]),
-    ]
-    return compile_bound_quiver(q, rels, QQ)
-
-
 def _hard_approximations():
     # inputs on which wrong variants of the one pass differ from the
     # restart loop; the A3, cyc3 and cyc3/F_3 sweeps have none.  First
@@ -560,7 +538,7 @@ def _hard_approximations():
     # candidates into one part (x = P2, whose endomorphisms modulo homotopy
     # are e_2 and b1*a1), then the two of that sweep whose drop needs the
     # null-homotopic maps, rebuilt instead of swept.
-    alg = _preprojective_a3()
+    alg = preprojective_algebra(3)
 
     def stalk(v):
         return tt.stalk_complex(alg, [v])
@@ -608,7 +586,7 @@ def test_one_pass_approximation_matches_restart_greedy(monkeypatch):
         return f
 
     monkeypatch.setattr(tt, "min_left_approx", recorded)
-    for alg in (_linear(3, QQ), _cycle(3, QQ), _cycle(3, Field(3))):
+    for alg in (linear(3, QQ), cycle(3, QQ), cycle(3, Field(3))):
         graph = ex.build_exchange_graph(alg)
         for u in ex.rigid_subpairs(graph, alg.n - 1):
             for node in graph.node_list():
@@ -628,10 +606,10 @@ def test_one_pass_approximation_matches_restart_greedy(monkeypatch):
 
 # freshly compiled algebras, so no earlier test has cached a walk on them
 FRESH = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "A3/F3": lambda: _linear(3, Field(3)),
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "A3/F3": lambda: linear(3, Field(3)),
 }
 
 
@@ -707,9 +685,9 @@ def test_walk_rejects_a_third_completion(monkeypatch):
 # the walk carries summands and certifies only the new one
 
 NO_SEARCH = {
-    "A5": lambda: _linear(5, QQ),
-    "cyc5": lambda: _cycle(5, QQ),
-    "PiA3": lambda: _preprojective_a3(),
+    "A5": lambda: linear(5, QQ),
+    "cyc5": lambda: cycle(5, QQ),
+    "PiA3": lambda: preprojective_algebra(3),
 }
 
 
@@ -768,9 +746,9 @@ def test_right_bongartz_carries_the_dual_summands_back(name, monkeypatch):
 
 CROSS = {
     **FRESH,
-    "A4": lambda: _linear(4, QQ),
-    "cyc3/F3": lambda: _cycle(3, Field(3)),
-    "A3/F2": lambda: _linear(3, Field(2)),
+    "A4": lambda: linear(4, QQ),
+    "cyc3/F3": lambda: cycle(3, Field(3)),
+    "A3/F2": lambda: linear(3, Field(2)),
 }
 
 
@@ -803,13 +781,13 @@ def _kronecker():
 
 
 TAU_HOM = {
-    "A3": (lambda: _linear(3, QQ), 10000),
-    "A4": (lambda: _linear(4, QQ), 10000),
-    "cyc3": (lambda: _cycle(3, QQ), 10000),
-    "cyc4": (lambda: _cycle(4, QQ), 10000),
-    "PiA3": (_preprojective_a3, 10000),
-    "cyc3/F2": (lambda: _cycle(3, Field(2)), 10000),
-    "cyc3/F3": (lambda: _cycle(3, Field(3)), 10000),
+    "A3": (lambda: linear(3, QQ), 10000),
+    "A4": (lambda: linear(4, QQ), 10000),
+    "cyc3": (lambda: cycle(3, QQ), 10000),
+    "cyc4": (lambda: cycle(4, QQ), 10000),
+    "PiA3": (lambda: preprojective_algebra(3), 10000),
+    "cyc3/F2": (lambda: cycle(3, Field(2)), 10000),
+    "cyc3/F3": (lambda: cycle(3, Field(3)), 10000),
     "Kronecker@20": (_kronecker, 20),
 }
 
@@ -862,10 +840,10 @@ def test_a_shifted_slot_mutates_only_to_the_right(name):
 
 
 SUBSETS = {
-    "A3": (lambda: _linear(3, QQ), 129, 85),
-    "cyc3": (lambda: _cycle(3, QQ), 129, 85),
-    "cyc3/F3": (lambda: _cycle(3, Field(3)), 129, 85),
-    "A4": (lambda: _linear(4, QQ), 469, 315),
+    "A3": (lambda: linear(3, QQ), 129, 85),
+    "cyc3": (lambda: cycle(3, QQ), 129, 85),
+    "cyc3/F3": (lambda: cycle(3, Field(3)), 129, 85),
+    "A4": (lambda: linear(4, QQ), 469, 315),
 }
 
 
@@ -907,7 +885,7 @@ def test_torsion_order_of_linear_an_counts_tamari_intervals(n):
     m = n + 1
     f = math.factorial
     intervals = 2 * f(4 * m + 1) // (f(m + 1) * f(3 * m + 2))
-    nodes = ex.build_exchange_graph(_linear(n, QQ)).node_list()
+    nodes = ex.build_exchange_graph(linear(n, QQ)).node_list()
     assert sum(to.pair_leq(a, b) for a in nodes for b in nodes) == intervals
     assert intervals == {3: 68, 4: 399}[n]
 
@@ -961,7 +939,7 @@ def test_torsion_order_is_reachability_along_left_mutations(name):
 def test_check_pair_of_a_walked_node_reads_the_walk_caches(name):
     # the walk cached tau and the Hom spaces of every summand, so the
     # summand-by-summand check of its nodes computes nothing new
-    alg = {"A3": lambda: _linear(3, QQ), "A4": lambda: _linear(4, QQ)}[name]()
+    alg = {"A3": lambda: linear(3, QQ), "A4": lambda: linear(4, QQ)}[name]()
     graph = ex.build_exchange_graph(alg)
     caches = (alg.cache, alg.opposite().cache)
     before = [len(c) for c in caches]
@@ -1088,11 +1066,11 @@ def _searched_name(x):
 
 
 NAMED = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "A4": lambda: _linear(4, QQ),
-    "PiA3": lambda: _preprojective_a3(),
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "A4": lambda: linear(4, QQ),
+    "PiA3": lambda: preprojective_algebra(3),
 }
 
 
@@ -1232,11 +1210,11 @@ def _fan_per_anchor(u, anchor):
 
 
 FAN = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "cyc3/F3": lambda: _cycle(3, Field(3)),
-    "PiA3": _preprojective_a3,
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "cyc3/F3": lambda: cycle(3, Field(3)),
+    "PiA3": lambda: preprojective_algebra(3),
 }
 
 
@@ -1347,7 +1325,7 @@ def test_route_sweep_reduces_each_summand_modulo_u_once(name, monkeypatch):
 
 
 def test_fan_caches_nothing_when_the_walk_hits_its_budget():
-    alg = _cycle(3, QQ)
+    alg = cycle(3, QQ)
     u = pair(alg, [P(alg, 0)])
     with pytest.raises(SearchBudgetExceeded):
         to.fan_left_completion(u, budget=3)
@@ -1404,14 +1382,14 @@ def _asai_label(old, new):
 
 
 ASAI = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "PiA3": lambda: _preprojective_a3(),
-    "cyc3/F3": lambda: _cycle(3, Field(3)),
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "PiA3": lambda: preprojective_algebra(3),
+    "cyc3/F3": lambda: cycle(3, Field(3)),
     # End(X) is not k for some exchanged X, so rad End(X)·X is not 0
-    "k[x]/x^2": lambda: _cycle(1, QQ, 2),
-    "cyc2/len4/F2": lambda: _cycle(2, Field(2), 4),
+    "k[x]/x^2": lambda: cycle(1, QQ, 2),
+    "cyc2/len4/F2": lambda: cycle(2, Field(2), 4),
 }
 
 
@@ -1462,9 +1440,9 @@ def test_brick_labels_are_bricks(cyc3):
 # a pair that carries its rows builds M, P and its complex only when read
 
 LAZY = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc3/F3": lambda: _cycle(3, Field(3)),
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc3/F3": lambda: cycle(3, Field(3)),
 }
 
 
@@ -1493,7 +1471,7 @@ def test_lazy_m_and_p_match_the_eager_construction(name):
 
 
 def test_walk_builds_no_module_sum_or_fraction_determinant(monkeypatch):
-    alg = _linear(4, QQ)
+    alg = linear(4, QQ)
     calls = []
     # every module sum goes through _block_sum
     for mod, fn in ((md, "_block_sum"), (linalg, "det")):
@@ -1522,12 +1500,12 @@ def test_integer_determinant_matches_the_fraction_one_on_walked_g_matrices(name)
 
 
 CLASSICAL = {
-    "A3": lambda: _linear(3, QQ),
-    "cyc3": lambda: _cycle(3, QQ),
-    "cyc4": lambda: _cycle(4, QQ),
-    "A4": lambda: _linear(4, QQ),
-    "PiA3": _preprojective_a3,
-    "cyc3/F3": lambda: _cycle(3, Field(3)),
+    "A3": lambda: linear(3, QQ),
+    "cyc3": lambda: cycle(3, QQ),
+    "cyc4": lambda: cycle(4, QQ),
+    "A4": lambda: linear(4, QQ),
+    "PiA3": lambda: preprojective_algebra(3),
+    "cyc3/F3": lambda: cycle(3, Field(3)),
 }
 
 
@@ -1713,7 +1691,7 @@ def test_compatible_sets_of_walked_summands_are_the_nodes(name):
     # Hom_K(a, b[1]) = 0 for all a, b in it, read with hom_k; the
     # compatible n-sets are exactly the walked nodes, and no n + 1
     # summands are compatible, which the walk itself never checks
-    alg = _linear(4, QQ) if name == "A4" else FAN[name]()
+    alg = linear(4, QQ) if name == "A4" else FAN[name]()
     graph = ex.build_exchange_graph(alg)
     summands = {}
     for node in graph.node_list():

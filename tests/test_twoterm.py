@@ -50,7 +50,7 @@ def shifted_silting(alg):
 
 def g_matrix(t):
     # the g-vectors of the indecomposable summands, sorted
-    return sorted(token[1] for token in tt.complex_fingerprint(t))
+    return sorted(token[1] for token in tt.to_tau_pair(t).fingerprint())
 
 
 def assert_silting(t):
@@ -278,7 +278,7 @@ def test_minimalize_universal_extension(a2):
     )
     m = tt.minimalize(big)
     assert dict(m.terms) == {-1: [1], 0: [0]}
-    assert tt.complex_fingerprint(m) == pair(a2, [S(a2, 0)]).fingerprint()
+    assert tt.to_tau_pair(m).fingerprint() == pair(a2, [S(a2, 0)]).fingerprint()
 
 
 def test_minimalize_keeps_minimal(a2):
@@ -314,7 +314,7 @@ def test_pair_complex_roundtrip_a2(a2, m_names, p_names):
     assert tt.is_silting(t)
     back = tt.to_tau_pair(t)
     assert back.fingerprint() == pr.fingerprint()
-    assert tt.complex_fingerprint(t) == pr.fingerprint()
+    assert tt.to_tau_pair(t).fingerprint() == pr.fingerprint()
 
 
 def test_pair_complex_roundtrip_cyc3(cyc3):
@@ -379,8 +379,9 @@ def test_iso_invariant_under_basis_change(a2):
     a = a2.basis_element(a2.names.index("a"))
     c1 = tt.ProjectiveComplex(a2, {-1: [1], 0: [0]}, {-1: [[a]]})
     c2 = tt.ProjectiveComplex(a2, {-1: [1], 0: [0]}, {-1: [[a.scale(7)]]})
-    assert tt.complex_fingerprint(c1) == tt.complex_fingerprint(c2)
-    assert tt.complex_fingerprint(c1) != tt.complex_fingerprint(tt.stalk_complex(a2, [0]))
+    fp = tt.to_tau_pair(c1).fingerprint()
+    assert fp == tt.to_tau_pair(c2).fingerprint()
+    assert fp != tt.to_tau_pair(tt.stalk_complex(a2, [0])).fingerprint()
 
 
 def test_isomorphic_complexes_by_their_pieces(a2):
@@ -389,7 +390,7 @@ def test_isomorphic_complexes_by_their_pieces(a2):
     a = tt.stalk_complex(a2, [0, 1])
     b = tt.stalk_complex(a2, [1, 0])
     assert md.is_isomorphic(tt.to_tau_pair(a).m, tt.to_tau_pair(b).m)
-    assert tt.complex_fingerprint(a) == tt.complex_fingerprint(b)
+    assert tt.to_tau_pair(a).fingerprint() == tt.to_tau_pair(b).fingerprint()
 
 
 def test_decompose_complex_raises_when_end_is_a_larger_field(sqrt2_module):
@@ -466,7 +467,7 @@ def test_decompose_complex_splits_through_h0(field):
     assert t.key() != tt.direct_sum_complexes(parts).key()
     assert not tt.is_presilting(t)
     assert sorted(mult for _, mult in tt.decompose_complex(t)) == [1, 2, 2]
-    assert tt.complex_fingerprint(t) == pr.fingerprint()
+    assert tt.to_tau_pair(t).fingerprint() == pr.fingerprint()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F2", "F3"])
@@ -511,7 +512,7 @@ def test_silting_order_incomparable(a2):
 
 def _mutation_closure(alg):
     t0 = free_silting(alg)
-    seen = {tt.complex_fingerprint(t0): t0}
+    seen = {tt.to_tau_pair(t0).fingerprint(): t0}
     frontier = [t0]
     while frontier:
         t = frontier.pop()
@@ -520,7 +521,7 @@ def _mutation_closure(alg):
                 m = tt.mutate_complex(t, idx, direction)
                 if m is None:
                     continue
-                fp = tt.complex_fingerprint(m)
+                fp = tt.to_tau_pair(m).fingerprint()
                 if fp not in seen:
                     seen[fp] = m
                     frontier.append(m)
@@ -547,10 +548,10 @@ def test_single_mutations_of_free(a2):
     by_g = {c.g_vec(): idx for idx, (c, _) in enumerate(parts)}
     m_at_p1 = tt.mutate_complex(free, by_g[(1, 0)], "left")
     m_at_p2 = tt.mutate_complex(free, by_g[(0, 1)], "left")
-    assert tt.complex_fingerprint(m_at_p1) == pair(
+    assert tt.to_tau_pair(m_at_p1).fingerprint() == pair(
         a2, [P(a2, 1)], [P(a2, 0)]
     ).fingerprint()
-    assert tt.complex_fingerprint(m_at_p2) == pair(
+    assert tt.to_tau_pair(m_at_p2).fingerprint() == pair(
         a2, [P(a2, 0), S(a2, 0)]
     ).fingerprint()
     # right mutation of the free object leaves the window
@@ -587,7 +588,7 @@ def test_mutation_is_involutive(a2, a3, cyc3):
                 back = tt.mutate_complex(m, new.index(True), "right")
                 assert back is not None
                 assert back.algebra is t.algebra
-                assert tt.complex_fingerprint(back) == tt.complex_fingerprint(t)
+                assert tt.to_tau_pair(back).fingerprint() == tt.to_tau_pair(t).fingerprint()
                 moves += 1
         assert moves > 0
 
@@ -604,13 +605,13 @@ def test_mutation_exchanges_exactly_one_summand(a3, cyc3):
         assert len(seen) == 14
         mutated = 0
         for t in seen.values():
-            before = Counter(tt.complex_fingerprint(t))
+            before = Counter(tt.to_tau_pair(t).fingerprint())
             for idx in range(alg.n):
                 for direction in ("left", "right"):
                     m = tt.mutate_complex(t, idx, direction)
                     if m is None:
                         continue
-                    after = Counter(tt.complex_fingerprint(m))
+                    after = Counter(tt.to_tau_pair(m).fingerprint())
                     assert sum(after.values()) == alg.n
                     assert sum((before & after).values()) == alg.n - 1
                     mutated += 1
@@ -672,7 +673,7 @@ def test_left_completion_values_a2(a2):
         out = tt.left_completion_silting(u, t)
         em, ep = expect[(tuple(m_names), tuple(p_names))]
         want = pair(a2, _named(a2, em), _named(a2, ep)).fingerprint()
-        assert tt.complex_fingerprint(out) == want
+        assert tt.to_tau_pair(out).fingerprint() == want
         assert_silting(out)
 
 
@@ -682,13 +683,13 @@ def test_left_completion_minimal_cyc3(cyc3):
     u = tt.stalk_complex(cyc3, [0])
     out = tt.left_completion_silting(u, shifted_silting(cyc3))
     want = pair(cyc3, [P(cyc3, 0), S(cyc3, 0)], [P(cyc3, 2)]).fingerprint()
-    assert tt.complex_fingerprint(out) == want
+    assert tt.to_tau_pair(out).fingerprint() == want
 
 
 def test_left_completion_bongartz_cyc3(cyc3):
     u = tt.stalk_complex(cyc3, [0])
     out = tt.left_completion_silting(u, free_silting(cyc3))
-    assert tt.complex_fingerprint(out) == pair(
+    assert tt.to_tau_pair(out).fingerprint() == pair(
         cyc3, [P(cyc3, 0), P(cyc3, 1), P(cyc3, 2)]
     ).fingerprint()
 
@@ -753,7 +754,7 @@ def test_min_left_approx_split_case(a2):
     x = tt.stalk_complex(a2, [1])
     target, blocks = tt.min_left_approx(x, _summands(free_silting(a2)))
     _assert_chain_map(x, target, blocks)
-    assert tt.complex_fingerprint(target) == tt.complex_fingerprint(x)
+    assert tt.to_tau_pair(target).fingerprint() == tt.to_tau_pair(x).fingerprint()
 
 
 def test_min_left_approx_can_be_zero(a2):
@@ -767,7 +768,7 @@ def test_min_left_approx_minimal_target(a2):
     u = cplx(a2, [S(a2, 0)])
     target, blocks = tt.min_left_approx(x, _summands(u))
     _assert_chain_map(x, target, blocks)
-    assert tt.complex_fingerprint(target) == tt.complex_fingerprint(u)
+    assert tt.to_tau_pair(target).fingerprint() == tt.to_tau_pair(u).fingerprint()
     assert len(tt.decompose_complex(target)) == 1
 
 
@@ -783,7 +784,8 @@ def test_dagger_involution(a3, cyc3):
 
 def test_dagger_swaps_extremes(a2):
     d = tt.complex_dagger(free_silting(a2))
-    assert tt.complex_fingerprint(d) == tt.complex_fingerprint(shifted_silting(a2.opposite()))
+    want = tt.to_tau_pair(shifted_silting(a2.opposite())).fingerprint()
+    assert tt.to_tau_pair(d).fingerprint() == want
 
 
 def test_dagger_transpose_on_modules(a2):
