@@ -530,8 +530,6 @@ def find_vertex_matchings(a, b):
     """Vertex bijections preserving all Peirce block dimensions."""
     if a.n != b.n or a.dim != b.dim:
         return []
-    import itertools
-
     out = []
     for perm in itertools.permutations(range(b.n)):
         if all(

@@ -25,15 +25,18 @@ import sys
 from . import explorer, modules, tauops, workspace
 from .errors import TautiltError
 
-SUITES = (
-    "exchange",
-    "compat",
-    "silting-compat",
-    "route",
-    "dagger",
-    "reduction",
-    "order-criteria",
-)
+# each verification suite: its explorer function, and whether it is an
+# edge suite, run per relative pair over the exchange graph (--rel picks one)
+_VERIFIERS = {
+    "exchange": (explorer.verify_exchange, False),
+    "compat": (explorer.verify_mutation_compat, True),
+    "silting-compat": (explorer.verify_silting_compat, True),
+    "route": (explorer.verify_route, True),
+    "dagger": (explorer.verify_dagger, False),
+    "reduction": (explorer.verify_reduction, False),
+    "order-criteria": (explorer.verify_order_criteria, False),
+}
+SUITES = tuple(_VERIFIERS)
 
 
 class _UsageError(Exception):
@@ -135,12 +138,8 @@ def _cmd_bongartz(args):
     anchor = ws.pair(args.anchor)
     rel = None if args.rel is None else ws.pair(args.rel)
     side = "left" if args.left else "right"
-    if side == "left":
-        out = tauops.left_bongartz(anchor) if rel is None else tauops.left_bongartz(rel, anchor)
-    else:
-        if rel is None:
-            rel, anchor = anchor, tauops.free_pair(ws.algebra)
-        out = tauops.right_bongartz(rel, anchor)
+    fn = tauops.left_bongartz if args.left else tauops.right_bongartz
+    out = fn(anchor) if rel is None else fn(rel, anchor)
     block = workspace.pair_block(f"{args.anchor}_{side}", out)
     report = {
         "command": "bongartz",
@@ -271,26 +270,15 @@ def _cmd_transport(args):
 
 
 def _cmd_verify(args):
-    ws = _load(args)
-    alg = ws.algebra
     suite = args.suite
-    if suite == "exchange":
-        report = explorer.verify_exchange(alg, budget=args.budget)
-    elif suite == "dagger":
-        report = explorer.verify_dagger(alg, budget=args.budget)
-    elif suite == "reduction":
-        report = explorer.verify_reduction(alg, budget=args.budget)
-    elif suite == "order-criteria":
-        report = explorer.verify_order_criteria(
-            alg, budget=args.budget
-        )
+    fn, per_pair = _VERIFIERS[suite]
+    if args.rel is not None and not per_pair:
+        raise _UsageError(f"tautilt verify: --rel does not apply to the {suite} suite")
+    ws = _load(args)
+    if not per_pair:
+        report = fn(ws.algebra, budget=args.budget)
     else:
-        fn = {
-            "compat": explorer.verify_mutation_compat,
-            "silting-compat": explorer.verify_silting_compat,
-            "route": explorer.verify_route,
-        }[suite]
-        g = explorer.build_exchange_graph(alg, budget=args.budget)
+        g = explorer.build_exchange_graph(ws.algebra, budget=args.budget)
         if args.rel is not None:
             report = fn(ws.pair(args.rel), g)
             report["rel"] = args.rel
@@ -387,7 +375,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--rel", help="restrict edge suites to this pair")
+    p.add_argument("--rel", help="restrict an edge suite (compat, silting-compat, route) to this pair")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

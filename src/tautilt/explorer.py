@@ -10,6 +10,7 @@ command line driver.
 """
 
 from . import linalg, modules, tauops, twoterm
+from .algebra import BasicAlgebra
 from .errors import (
     CertificateFailure,
     IncompleteGraph,
@@ -205,8 +206,6 @@ class ReductionData:
 
 
 def _build_basic(field, labels, names, peirce, mult):
-    from .algebra import BasicAlgebra
-
     alg = BasicAlgebra(field, labels, names, peirce, mult)
     alg.validate()
     return alg

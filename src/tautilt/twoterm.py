@@ -387,32 +387,6 @@ def hom_k(x, y, shift=0):
     return alg.cache[key]
 
 
-def vec_to_blocks(x, y, shift, layout, vec):
-    """Decode a coordinate vector into per-degree block matrices."""
-    alg = x.algebra
-    zero = alg.zero_element()
-    out = {}
-    for i, m, k, qs, off in layout:
-        blocks = out.get(i)
-        if blocks is None:
-            # build the zero block lazily; setdefault would rebuild it per row
-            blocks = [
-                [zero] * len(x.term_vertices(i))
-                for _ in y.term_vertices(i + shift)
-            ]
-            out[i] = blocks
-        coeffs = [alg.field.zero] * alg.dim
-        nonzero = False
-        for pos, q in enumerate(qs):
-            c = vec[off + pos]
-            if c:
-                coeffs[q] = c
-                nonzero = True
-        if nonzero:
-            blocks[m][k] = blocks[m][k] + AlgebraElement(alg, coeffs)
-    return out
-
-
 # -- cones and minimalization ----------------------------------------------------
 
 
@@ -706,32 +680,24 @@ def min_left_approx(x, parts):
                 comps[d, j] = _compose(alg, phis, phi_layout, f, records[i][2], records[j][2])
             rows += comps[d, j]
         kept[c] = not linalg.RowSolver(rows, alg.field, len(vec)).contains(vec)
-    return _assemble_into(x, [
-        (parts[j], vec_to_blocks(x, parts[j], 0, records[j][2], v))
-        for (j, v), k in zip(candidates, kept) if k
-    ])
-
-
-def _assemble_into(x, pieces):
-    """Stack maps x -> part_i into one map x -> (+) part_i."""
-    target = (
-        direct_sum_complexes([p for p, _ in pieces])
-        if pieces
-        else zero_complex(x.algebra)
-    )
-    zero = x.algebra.zero_element()
-    blocks = {}
-    for i in x.support():
-        if not target.term_vertices(i):
-            continue
-        rows = []
-        for part, pblocks in pieces:
-            pv = part.term_vertices(i)
-            bl = pblocks.get(i)
-            if bl is None:
-                bl = [[zero for _ in x.term_vertices(i)] for _ in pv]
-            rows.extend(bl)
-        blocks[i] = rows
+    pieces = [(parts[j], records[j][2], v) for (j, v), k in zip(candidates, kept) if k]
+    if not pieces:
+        return zero_complex(alg), {}
+    target = direct_sum_complexes([part for part, _, _ in pieces])
+    # each kept candidate's coordinates go into its part's rows, below the
+    # rows of the parts kept before it; every other block is zero
+    zero, field_zero = alg.zero_element(), alg.field.zero
+    blocks = {i: [] for i in x.support() if target.term_vertices(i)}
+    for part, layout, vec in pieces:
+        base = {i: len(rows) for i, rows in blocks.items()}
+        for i, rows in blocks.items():
+            rows += [[zero] * len(x.term_vertices(i)) for _ in part.term_vertices(i)]
+        for i, m, k, qs, off in layout:
+            if any(vec[off:off + len(qs)]):
+                coeffs = [field_zero] * alg.dim
+                for p, q in enumerate(qs):
+                    coeffs[q] = vec[off + p] or field_zero
+                blocks[i][base[i] + m][k] = AlgebraElement(alg, coeffs)
     return target, blocks
 
 

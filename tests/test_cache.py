@@ -259,7 +259,7 @@ def test_no_sweep_assembles_the_complex_of_a_pair(name, preprojective, monkeypat
             assert ex.transport_mgs(rd, chain)
             transported += 1
     assert transported > 9
-    assert set(callers) == {"_assemble_into"}
+    assert set(callers) == {"min_left_approx"}
 
 
 @pytest.mark.parametrize("name", CHECKED)

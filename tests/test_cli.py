@@ -195,11 +195,27 @@ def test_verify_rel(ws3, capsys):
     assert report["mutation_steps"] > 0
 
 
+@pytest.mark.parametrize("suite", ["exchange", "dagger", "reduction", "order-criteria"])
+def test_verify_rel_outside_the_edge_suites_is_a_usage_error(ws3, capsys, suite):
+    # these suites check the whole algebra, so a pair to restrict to is a
+    # mistake, not something to ignore
+    code, out, err = run(capsys, ["verify", ws3, suite, "--rel", "PairP1"])
+    assert code == 1
+    assert out == ""
+    assert "--rel" in err
+
+
+def test_verify_suites_are_the_dispatch_table():
+    assert cli.SUITES == ("exchange", "compat", "silting-compat", "route", "dagger",
+                          "reduction", "order-criteria")
+    assert cli.SUITES == tuple(cli._VERIFIERS)
+
+
 def test_verify_counterexample_exit(ws2, capsys, monkeypatch):
     def fake(algebra, budget=10000):
         return {"suite": "exchange", "failures": [["boom"]], "pass": False}
 
-    monkeypatch.setattr(explorer, "verify_exchange", fake)
+    monkeypatch.setitem(cli._VERIFIERS, "exchange", (fake, False))
     code, out, _ = run(capsys, ["verify", ws2, "exchange"])
     assert code == 2
     assert "False" in out
