@@ -9,6 +9,8 @@ sequences through the reduction, and the verification sweeps used by the
 command line driver.
 """
 
+from collections import Counter
+
 from . import linalg, modules, tauops, twoterm
 from .algebra import BasicAlgebra
 from .errors import (
@@ -468,40 +470,50 @@ def _summand_image(rd, x):
 
 
 def reduction_bijection_check(rd, budget=10000):
-    """Certify the order bijection between pairs over the rigid pair and
-    pairs of the reduced algebra; returns a JSON-ready report."""
-    ambient = [
-        p
+    """Certify the order bijection of the reduction from its images,
+    walking only the ambient algebra; returns a JSON-ready report.
+
+    The images are support tau-tilting (reduce_pair).  An almost complete
+    pair (a rest: the sorted tokens left after removing one) has exactly
+    two completions (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 2.18), so
+    distinct images in which every rest occurs twice are closed under
+    mutation, hence all pairs (Cor 2.38).  The covers of the interval over
+    the rigid pair are the walked left mutations in it (Thm 2.33); each
+    must map to a left mutation, and they must be as many as the rests.
+    """
+    images = {
+        p.fingerprint(): reduce_pair(rd, p)
         for p in tauops.all_pairs(rd.pair.algebra, budget=budget)
         if tauops.contains_pair(p, rd.pair)
+    }
+    distinct = {im.fingerprint(): im for im in images.values()}
+    rests = {fp: [fp[:k] + fp[k + 1:] for k in range(len(fp))] for fp in distinct}
+    count = Counter(r for rs in rests.values() for r in rs)
+    closure = [
+        {"check": "closure", "pair": modules.describe_pair(distinct[fp])}
+        for fp, rs in rests.items()
+        if any(count[r] != 2 for r in rs)
     ]
-    reduced = {c.fingerprint() for c in tauops.all_pairs(rd.quotient, budget=budget)}
-    images = [reduce_pair(rd, p) for p in ambient]
-    image_fps = {im.fingerprint() for im in images}
-    bijective = len(image_fps) == len(ambient) and image_fps == reduced
-    failures = []
-    for a in range(len(ambient)):
-        for b in range(len(ambient)):
-            if a == b:
-                continue
-            if tauops.pair_leq(ambient[a], ambient[b]) != tauops.pair_leq(
-                images[a], images[b]
-            ):
-                failures.append(
-                    {
-                        "check": "order",
-                        "left": modules.describe_pair(ambient[a]),
-                        "right": modules.describe_pair(ambient[b]),
-                    }
-                )
+    nodes, edges, _ = tauops.silting_closure(rd.pair.algebra, budget)
+    covers = [(s, t) for s, t, _ in edges if s in images and t in images]
+    order = [
+        {"check": "order", "left": modules.describe_pair(nodes[t]),
+         "right": modules.describe_pair(nodes[s])}
+        for s, t in covers
+        if not _one_exchange(images[t], images[s])
+        or not tauops.pair_leq(images[t], images[s])
+    ]
+    if not closure and len(covers) != len(count):
+        order.append({"check": "covers", "edges": len(covers), "rests": len(count)})
+    bijective = not closure and len(distinct) == len(images) > 0
     return {
         "pair": modules.describe_pair(rd.pair),
-        "ambient_count": len(ambient),
-        "reduced_count": len(reduced),
+        "ambient_count": len(images),
+        "reduced_count": None if closure else len(distinct),
         "bijective": bijective,
-        "order_preserved": not failures,
-        "failures": failures,
-        "pass": bijective and not failures,
+        "order_preserved": not order,
+        "failures": closure + order,
+        "pass": bijective and not order,
     }
 
 
@@ -879,14 +891,7 @@ def verify_reduction(algebra, budget=10000):
     for cand in candidates:
         rd = tau_reduction(cand)
         rep = reduction_bijection_check(rd, budget=budget)
-        reports.append(
-            {
-                "pair": rep["pair"],
-                "ambient_count": rep["ambient_count"],
-                "reduced_count": rep["reduced_count"],
-                "pass": rep["pass"],
-            }
-        )
+        reports.append({k: rep[k] for k in ("pair", "ambient_count", "reduced_count", "pass")})
         if not rep["pass"]:
             failures.append({"check": "bijection", "pair": rep["pair"]})
     return {

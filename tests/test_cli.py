@@ -4,7 +4,11 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,20 @@ def test_verify_counterexample_exit(ws2, capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", ws2, "exchange"])
     assert code == 2
     assert "False" in out
+
+
+def test_python_m_tautilt_runs_the_cli_from_a_checkout(ws3, capsys):
+    # python -m tautilt with the package on PYTHONPATH, no install
+    argv = ["verify", ws3, "reduction", "--json"]
+    src = str(Path(tautilt.__file__).parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tautilt", *argv], capture_output=True, text=True, env=env
+    )
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert (proc.returncode, proc.stdout) == (code, out)
 
 
 def test_json_deterministic(ws3, capsys):

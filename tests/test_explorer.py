@@ -504,6 +504,68 @@ def test_transport_never_walks_the_reduced_algebra(monkeypatch):
     assert not any(a is q for a in walked for q in quotients)
 
 
+@pytest.mark.parametrize("name", ["A3", "cyc4", "PiA3", "cyc3/F3"])
+def test_bijection_check_agrees_with_the_reduced_walk(name, preprojective):
+    # the check reads closure and covers off the images; the test walks
+    # the reduced algebra and compares the order on every ordered pair
+    # over U, on every rigid subpair, the full ones included
+    alg = PARTNERS[name](preprojective)
+    graph = ex.build_exchange_graph(alg)
+    subpairs = ex.rigid_subpairs(graph, alg.n)
+    for u in subpairs:
+        rd = ex.tau_reduction(u)
+        rep = ex.reduction_bijection_check(rd)
+        assert rep["pass"], (md.describe_pair(u), rep["failures"])
+        walked = {c.fingerprint() for c in to.all_pairs(rd.quotient)}
+        assert rep["reduced_count"] == len(walked)
+        over = [p for p in graph.node_list() if to.contains_pair(p, u)]
+        images = [ex.reduce_pair(rd, p) for p in over]
+        assert {im.fingerprint() for im in images} == walked
+        for a, x in zip(over, images):
+            for b, y in zip(over, images):
+                if a is not b:
+                    assert to.pair_leq(a, b) == to.pair_leq(x, y)
+    assert len(subpairs) > len(graph)
+
+
+def test_bijection_check_never_walks_the_reduced_algebra(monkeypatch):
+    # on fresh reductions at every rigid subpair of cyc3, the check walks
+    # only the ambient algebra
+    alg = _cycle3(QQ)
+    graph = ex.build_exchange_graph(alg)
+    walked = []
+    closure = to.silting_closure
+
+    def recorded(algebra, budget=10000):
+        walked.append(algebra)
+        return closure(algebra, budget)
+
+    monkeypatch.setattr(to, "silting_closure", recorded)
+    for u in ex.rigid_subpairs(graph, alg.n):
+        assert ex.reduction_bijection_check(ex.tau_reduction(u))["pass"]
+    assert walked and all(a is alg for a in walked)
+
+
+def test_bijection_check_tests_the_order_once_per_interval_edge(monkeypatch):
+    # at the empty pair of A4 the interval is the whole graph: one Fac
+    # test per edge, not one per ordered pair of its 42 nodes
+    alg = linear(4, QQ)
+    graph = ex.build_exchange_graph(alg)
+    zero = md.zero_rep(alg)
+    rd = ex.tau_reduction(md.TauPair(zero, zero))
+    calls = []
+    pair_leq = to.pair_leq
+
+    def counted(a, b):
+        calls.append((a, b))
+        return pair_leq(a, b)
+
+    monkeypatch.setattr(to, "pair_leq", counted)
+    rep = ex.reduction_bijection_check(rd)
+    assert rep["pass"] and rep["reduced_count"] == len(graph) == 42
+    assert 0 < len(calls) <= len(graph.edges) == 84
+
+
 def _affine_a2():
     # the acyclic triangle 1 -> 2 -> 3, 1 -> 3: tau-tilting infinite
     q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")])
@@ -922,6 +984,98 @@ def test_reduction_report_fails_on_swapped_images(make, monkeypatch):
         assert _failed_checks(rep) == {"order"}
         checked += 1
     assert checked > 10
+
+
+def test_reduction_report_fails_on_a_hidden_ambient_node(monkeypatch):
+    # one node over U and its edges left out of a walk reported complete:
+    # the images of the others are not closed under mutation, at every
+    # rigid subpair of cyc3 and every node over it
+    alg = _cycle3(QQ)
+    graph = ex.build_exchange_graph(alg)
+    nodes, edges, _ = to.silting_closure(alg)
+    checked = 0
+    for u in ex.rigid_subpairs(graph, alg.n):
+        rd = ex.tau_reduction(u)
+        for hide in [fp for fp, p in nodes.items() if to.contains_pair(p, u)]:
+            kept = {fp: p for fp, p in nodes.items() if fp != hide}
+            walk = (kept, [e for e in edges if hide not in e[:2]], True)
+            monkeypatch.setattr(to, "silting_closure", lambda algebra, budget=10000: walk)
+            rep = ex.reduction_bijection_check(rd)
+            monkeypatch.undo()
+            assert not rep["pass"] and not rep["bijective"]
+            if rep["ambient_count"]:
+                assert rep["reduced_count"] is None
+                assert _failed_checks(rep) == {"closure"}
+            checked += 1
+    assert checked > 98
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_reduction_report_fails_on_merged_images(make, monkeypatch):
+    # two pairs over U sent to one image: not injective
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    reduce_pair = ex.reduce_pair
+    checked = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        rd = ex.tau_reduction(u)
+        a, b = [p for p in graph.node_list() if to.contains_pair(p, u)][:2]
+        monkeypatch.setattr(
+            ex, "reduce_pair", lambda rd, p: reduce_pair(rd, a if p is b else p)
+        )
+        rep = ex.reduction_bijection_check(rd)
+        monkeypatch.setattr(ex, "reduce_pair", reduce_pair)
+        assert not rep["bijective"] and not rep["pass"]
+        checked += 1
+    assert checked > 10
+
+
+@pytest.mark.parametrize("fault", ["dropped", "skipping"])
+def test_reduction_report_fails_on_a_wrong_walked_edge(fault, monkeypatch):
+    # at the empty pair of cyc3, the first walked edge s -> t left out, or
+    # replaced by s -> t' for a t' below t.  The images stay closed; a
+    # dropped cover leaves an exchange of the reduced algebra that no
+    # cover over U maps to, and s, t' map to comparable pairs two
+    # exchanges apart
+    alg = _cycle3(QQ)
+    rd = ex.tau_reduction(md.TauPair(md.zero_rep(alg), md.zero_rep(alg)))
+    nodes, edges, _ = to.silting_closure(alg)
+    s, t, slot = edges[0]
+    below = next(e[1] for e in edges if e[0] == t)
+    walked = edges[1:] if fault == "dropped" else [(s, below, slot)] + edges[1:]
+    monkeypatch.setattr(
+        to, "silting_closure", lambda algebra, budget=10000: (nodes, walked, True)
+    )
+    rep = ex.reduction_bijection_check(rd)
+    assert rep["bijective"] and not rep["pass"] and not rep["order_preserved"]
+    want = {"check": "covers", "edges": 20, "rests": 21}
+    if fault == "skipping":
+        names = md.describe_pair(nodes[below]), md.describe_pair(nodes[s])
+        want = {"check": "order", "left": names[0], "right": names[1]}
+    assert rep["failures"] == [want]
+
+
+def test_reduction_report_fails_on_an_extra_preimage(monkeypatch):
+    # a pair that does not hold U let into the interval and sent to an
+    # image already hit: the images stay closed, but the map is not
+    # injective
+    alg = _cycle3(QQ)
+    graph = ex.build_exchange_graph(alg)
+    u = pair(alg, [P(alg, 0)])
+    rd = ex.tau_reduction(u)
+    over = [p for p in graph.node_list() if to.contains_pair(p, u)]
+    extra = next(p for p in graph.node_list() if not to.contains_pair(p, u))
+    contains_pair, reduce_pair = to.contains_pair, ex.reduce_pair
+    monkeypatch.setattr(
+        to, "contains_pair", lambda big, small: big is extra or contains_pair(big, small)
+    )
+    monkeypatch.setattr(
+        ex, "reduce_pair", lambda rd, p: reduce_pair(rd, over[0] if p is extra else p)
+    )
+    rep = ex.reduction_bijection_check(rd)
+    assert rep["ambient_count"] == len(over) + 1 and rep["reduced_count"] == len(over)
+    assert not rep["bijective"] and not rep["pass"]
+    assert "closure" not in _failed_checks(rep)
 
 
 @pytest.mark.parametrize("make", [_linear_a3, _cycle3])
