@@ -480,6 +480,7 @@ def reduction_bijection_check(rd, budget=10000):
     mutation, hence all pairs (Cor 2.38).  The covers of the interval over
     the rigid pair are the walked left mutations in it (Thm 2.33); each
     must map to a left mutation, and they must be as many as the rests.
+    Every failed check has a record, "empty" and "injective" included.
     """
     images = {
         p.fingerprint(): reduce_pair(rd, p)
@@ -505,14 +506,17 @@ def reduction_bijection_check(rd, budget=10000):
     ]
     if not closure and len(covers) != len(count):
         order.append({"check": "covers", "edges": len(covers), "rests": len(count)})
-    bijective = not closure and len(distinct) == len(images) > 0
+    injective = [] if images else [{"check": "empty"}]
+    if len(distinct) != len(images):
+        injective.append({"check": "injective", "pairs": len(images), "images": len(distinct)})
+    bijective = not closure and not injective
     return {
         "pair": modules.describe_pair(rd.pair),
         "ambient_count": len(images),
         "reduced_count": None if closure else len(distinct),
         "bijective": bijective,
         "order_preserved": not order,
-        "failures": closure + order,
+        "failures": closure + injective + order,
         "pass": bijective and not order,
     }
 
@@ -541,22 +545,37 @@ def _check_green_chain(chain):
 
 
 def _completed_path(rel_u, path):
-    """Left completion of rel_u at each node of the path, with consecutive
-    repeats dropped."""
-    out = []
-    for node in path:
-        c = tauops.left_bongartz(rel_u, node)
-        if not out or c.fingerprint() != out[-1].fingerprint():
+    """Left completion of rel_u = (U, Q) at each node of a mutation path
+    inside the window of rel_u, with consecutive repeats dropped.
+
+    Only path[-1] is completed by left_bongartz (on a transport chain,
+    the window top, which holds U: no cone).  Relative left Bongartz
+    completions are compatible with mutations: along one mutation in the
+    window the completion stays or moves by one mutation, at a slot
+    outside (U, Q).  So, walking back, each node's completion is the next
+    node's or a neighbour of it (tauops._neighbour), whichever passes
+    tauops._left_failure, else CertificateFailure.  Those tests are
+    complete: a result that holds U with Fac M <= Fac result contains the
+    smallest torsion class T containing Fac U and Fac M; if also each
+    X / t_U X lies in Fac M, every summand lies in Fac U * Fac M <= T, so
+    Fac result = T, and Fac determines the pair (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Thm 2.7).
+    """
+    out = [tauops.left_bongartz(rel_u, path[-1])]
+    for node in reversed(path[:-1]):
+        c = tauops._left_bongartz_near(rel_u, node, out[-1])
+        if c.fingerprint() != out[-1].fingerprint():
             out.append(c)
-    return out
+    return out[::-1]
 
 
 def transport_mgs(rd, mgs):
     """Push a maximal green sequence for the window torsion class down to
     the reduced algebra.
 
-    Applies the left completion pointwise, drops consecutive duplicates,
-    maps the strict chain through the reduction bijection (reduce_pair,
+    Reads the left completion at each node from the one at the node
+    above it (_completed_path), drops consecutive duplicates, maps the
+    strict chain through the reduction bijection (reduce_pair,
     summand by summand), and certifies the image chain: it runs from the
     shifted pair to the free pair of the reduced algebra, and every step is
     a left mutation by exchange and order (_check_green_chain), so no
@@ -589,10 +608,9 @@ def transport_mgs(rd, mgs):
 def connect_fixed_summand(path, rel_u):
     """Rewrite a mutation path so a fixed projective pair survives it.
 
-    rel_u must be (U, 0) with U projective; the completion is then defined
-    at every node.  Identity steps produced by the completion are removed
-    and the result is certified to be a mutation path; left_bongartz
-    certifies that each of its nodes contains rel_u.
+    rel_u must be (U, 0) with U projective; then tau U = 0, so the window
+    is every pair.  The completions (_completed_path) hold rel_u; identity
+    steps are removed and the result is certified to be a mutation path.
     """
     if rel_u.p_summands():
         raise PreconditionViolated("fixed summand must have the form (U, 0)")

@@ -1092,6 +1092,12 @@ class TauPair:
         return tuple(summand_token(kind, rep) for kind, rep, _ in self.rows)
 
     @cached_property
+    def g_order(self):
+        """The row positions by g-vector, a total order on the summands of a
+        presilting pair: the mutation slots, stable across presentations."""
+        return sorted(range(len(self.rows)), key=lambda k: self.tokens[k][1])
+
+    @cached_property
     def token_counts(self):
         """The tokens as a Counter, a multiset of the summands."""
         return Counter(self.tokens)

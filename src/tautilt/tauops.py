@@ -7,6 +7,7 @@ approximation or split cannot silently produce a wrong pair.
 """
 
 from collections import deque
+from itertools import chain
 
 from . import linalg, modules, twoterm
 from .errors import (
@@ -106,23 +107,9 @@ def summand_g_vector(kind, rep):
 
 
 def pair_summand_list(pair):
-    """Indecomposable summands as (kind, rep) rows in canonical order.
-
-    Rows are sorted by g-vector (ascending lexicographic), which is a total
-    order on the summands of any presilting pair, so mutation slots are
-    stable across runs and presentations.
-    """
-    return [row[:2] for row in _summand_rows(pair)]
-
-
-def _g_order(pair):
-    """The positions of the pair's rows in g-vector order."""
-    return sorted(range(len(pair.rows)), key=lambda k: pair.tokens[k][1])
-
-
-def _summand_rows(pair):
-    """(kind, rep, complex) per summand, in the order of pair_summand_list."""
-    return [pair.rows[k] for k in _g_order(pair)]
+    """Indecomposable summands as (kind, rep) rows in canonical order: by
+    g-vector (TauPair.g_order), the order of the mutation slots."""
+    return [pair.rows[k][:2] for k in pair.g_order]
 
 
 def _det_pm_one(pair):
@@ -173,7 +160,8 @@ def _certify_exchange(pair, new_pair, fresh):
 
 def _mutate_slot(pair, slot):
     """Mutate a certified pair at its g-sorted slot, left first at a
-    module slot: the one mutation step, shared by mutate_pair and the walk.
+    module slot: the one mutation step, built by mutate_pair and by
+    _neighbour, which records it.
 
     At a shifted slot P_v[1] only the right mutation is tried: the other
     completion gains a module summand Y with Y_v != 0, while every summand
@@ -183,7 +171,7 @@ def _mutate_slot(pair, slot):
     The result is certified by _certify_exchange before it is returned,
     with the direction taken.
     """
-    kind, _, part = _summand_rows(pair)[slot]
+    kind, _, part = pair.rows[pair.g_order[slot]]
     t = pair.complex
     cindex = t.parts.index(part)
     kept = {c.key() for k, c in enumerate(t.parts) if k != cindex}
@@ -212,27 +200,40 @@ def mutate_pair(pair, index):
     return _mutate_slot(pair, index)
 
 
+def _neighbour(pair, slot):
+    """(other, direction): the other completion of the rest (the almost
+    complete pair left) of a certified pair at its g-sorted slot, and the
+    direction to it.  A rest has two completions (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Thm 2.18) and its sorted tokens (Thm 5.5) key one
+    record per rest on the algebra (family "exchange"); an unrecorded one
+    is built and certified by _mutate_slot.  A third raises CertificateFailure."""
+    fp = pair.fingerprint()
+    gone = fp.index(pair.tokens[pair.g_order[slot]])
+    key = ("exchange", fp[:gone] + fp[gone + 1:])
+    if key not in pair.algebra.cache:
+        pair.algebra.cache[key] = (pair, *_mutate_slot(pair, slot))
+    first, other, direction = pair.algebra.cache[key]
+    if fp == first.fingerprint():
+        return other, direction
+    if fp != other.fingerprint():
+        raise CertificateFailure("an almost complete pair has a third completion")
+    return first, "right" if direction == "left" else "left"
+
+
 # -- the exchange graph -------------------------------------------------------
 
 
 def silting_closure(algebra, budget=10000):
     """The mutation closure of the free pair: the exchange graph, walked once.
 
-    Breadth-first from the free pair, building and certifying each edge
-    once, from the end that reaches it first.  An almost complete pair is
-    a summand of exactly two support tau-tilting pairs (Adachi-Iyama-Reiten,
-    arXiv:1210.1036, Thm 2.18) and is determined by the tokens of its
-    summands (Thm 5.5), so each exchange is recorded under the sorted
-    tokens left after removing one slot.  The other end reads its
-    neighbour from that record, with the direction reversed, and raises
-    CertificateFailure if it is not the recorded result, since the almost
-    complete pair would then have a third completion.  Every node is
-    certified once, when it is first built.  Returns (nodes, edges,
-    complete): nodes maps fingerprints to support tilting pairs in
-    discovery order, edges lists the left mutations as (source, target,
-    slot) with slot the g-sorted summand index on the source side, and
-    complete is False when a new node beyond the budget was skipped.  The
-    walk is cached per budget on the algebra.
+    Breadth-first from the free pair, reading each neighbour through
+    _neighbour, so each edge is built and certified once, by the end that
+    reaches it first in any walk.  Returns (nodes, edges, complete): nodes
+    maps fingerprints to support tilting pairs in discovery order, edges
+    lists the left mutations as (source, target, slot) with slot the
+    g-sorted summand index on the source side, and complete is False when
+    a new node beyond the budget was skipped.  The walk is cached per
+    budget on the algebra.
     """
     key = ("closure", budget)
     if key not in algebra.cache:
@@ -240,33 +241,20 @@ def silting_closure(algebra, budget=10000):
         _require_tilting(top)
         nodes = {top.fingerprint(): top}
         edges = []
-        exchanges = {}
         queue = deque([top])
         complete = True
         while queue:
             pair = queue.popleft()
             src_fp = pair.fingerprint()
-            tokens = [pair.tokens[k] for k in _g_order(pair)]
-            for slot in range(len(tokens)):
-                rest = tuple(sorted(tokens[:slot] + tokens[slot + 1:]))
-                if rest in exchanges:
-                    first, other, first_direction = exchanges[rest]
-                    if other != src_fp:
-                        raise CertificateFailure(
-                            "an almost complete pair has a third completion"
-                        )
-                    fp = first
-                    direction = "right" if first_direction == "left" else "left"
-                else:
-                    neighbour, direction = _mutate_slot(pair, slot)
-                    fp = neighbour.fingerprint()
-                    exchanges[rest] = (src_fp, fp, direction)
-                    if fp not in nodes:
-                        if len(nodes) >= budget:
-                            complete = False
-                            continue
-                        nodes[fp] = neighbour
-                        queue.append(neighbour)
+            for slot in range(len(pair.rows)):
+                neighbour, direction = _neighbour(pair, slot)
+                fp = neighbour.fingerprint()
+                if fp not in nodes:
+                    if len(nodes) >= budget:
+                        complete = False
+                        continue
+                    nodes[fp] = neighbour
+                    queue.append(neighbour)
                 if direction == "left":
                     edges.append((src_fp, fp, slot))
         algebra.cache[key] = (nodes, edges, complete)
@@ -309,16 +297,18 @@ def _star_quotient(u_pair, x):
     return modules.torsion_free_part(u_pair.m_parts, u_pair.m_keys, x)
 
 
-def _certify_left(u_pair, anchor, result):
-    _require_tilting(result)
+def _left_failure(u_pair, anchor, result):
+    """The first test that a support tau-tilting result fails as the left
+    completion of u_pair at anchor, or None (see explorer._completed_path)."""
     if not contains_pair(result, u_pair):
-        raise CertificateFailure("completion lost a summand of the input pair")
+        return "completion lost a summand of the input pair"
     if not pair_leq(anchor, result):
-        raise CertificateFailure("completion does not cover the anchor torsion class")
+        return "completion does not cover the anchor torsion class"
     # x lies in Fac(U) * Fac(M) iff x / t_U(x) lies in Fac(M), U tau-rigid
     quotients = (_star_quotient(u_pair, rep) for rep in result.m_parts)
     if not _in_fac(anchor, quotients):
-        raise CertificateFailure("a summand of the completion escapes Fac(U) * Fac(M)")
+        return "a summand of the completion escapes Fac(U) * Fac(M)"
+    return None
 
 
 def left_bongartz(u_pair, anchor=None):
@@ -342,17 +332,40 @@ def left_bongartz(u_pair, anchor=None):
     _require_rigid(u_pair)
     _require_tilting(anchor)
     if not left_precondition(u_pair, anchor):
-        raise PreconditionViolated(
-            "anchor torsion class leaves perp(tau U) ∩ perp(Q)"
-        )
+        raise PreconditionViolated("anchor torsion class leaves perp(tau U) ∩ perp(Q)")
     if contains_pair(anchor, u_pair):
         out = twoterm._join_by_g([c for _, _, c in u_pair.rows], [c for _, _, c in anchor.rows])
     else:
         out = twoterm.left_completion_silting(u_pair.complex, anchor.complex)
     result = twoterm.to_tau_pair(out)
-    _certify_left(u_pair, anchor, result)
+    _require_tilting(result)
+    failure = _left_failure(u_pair, anchor, result)
+    if failure:
+        raise CertificateFailure(failure)
     alg.cache[key] = result
     return result
+
+
+def _left_bongartz_near(u_pair, anchor, near):
+    """left_bongartz(u_pair, anchor) read off near, the completion at a
+    mutation of the anchor in the window: near or its neighbour at a slot
+    outside (U, Q), whichever passes _left_failure (explorer._completed_path),
+    cached as left_bongartz's.  The answer holds U and contains Fac M, so
+    it lies below near if near contains Fac M, else above: one side is tested."""
+    alg = u_pair.algebra
+    key = ("left_bongartz", u_pair.fingerprint(), anchor.fingerprint())
+    if key not in alg.cache:
+        side = "left" if pair_leq(anchor, near) else "right"
+        held = u_pair.token_counts
+        outside = (s for s, k in enumerate(near.g_order) if not held[near.tokens[k]])
+        sided = (nb for nb, d in (_neighbour(near, s) for s in outside) if d == side)
+        for cand in chain([near], sided):
+            if _left_failure(u_pair, anchor, cand) is None:
+                alg.cache[key] = cand
+                break
+        else:
+            raise CertificateFailure("no mutation of the next completion completes the node")
+    return alg.cache[key]
 
 
 def _fan_candidates(u_pair, budget):
@@ -431,14 +444,15 @@ def _certify_right(u_pair, anchor, result):
     of its other module summands mutates down (Adachi-Iyama-Reiten,
     arXiv:1210.1036, Def-Prop 2.28) and passes with no mutation built;
     every other slot outside (U, Q), a module in that Fac or a P_v[1],
-    mutates up, and its mutation must not lie below the anchor."""
+    mutates up, and its mutation, read from the exchange record
+    (_neighbour), must not lie below the anchor."""
     _require_tilting(result)
     if not contains_pair(result, u_pair):
         raise CertificateFailure("completion lost a summand of the input pair")
     if not pair_leq(result, anchor):
         raise CertificateFailure("completion leaves the anchor torsion class")
     held = u_pair.token_counts
-    for slot, k in enumerate(_g_order(result)):
+    for slot, k in enumerate(result.g_order):
         kind, rep, _ = result.rows[k]
         if held[result.tokens[k]]:
             continue
@@ -447,7 +461,7 @@ def _certify_right(u_pair, anchor, result):
             gens = [r for r in result.m_parts if r.key() in others]
             if not modules.fac_contains(gens, others, [rep]):
                 continue
-        if pair_leq(_mutate_slot(result, slot)[0], anchor):
+        if pair_leq(_neighbour(result, slot)[0], anchor):
             raise CertificateFailure("a larger completion lies below the anchor")
 
 

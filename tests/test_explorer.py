@@ -16,6 +16,7 @@ from tautilt.errors import (
     IncompleteGraph,
     MatchFailure,
     NotInWide,
+    NotProjective,
     PreconditionViolated,
 )
 from tautilt.linalg import QQ, Field
@@ -757,6 +758,107 @@ def test_every_mgs_transports_and_steps_are_the_graph_edges(make):
             assert accepted == ((hi.fingerprint(), lo.fingerprint()) in edges)
 
 
+def _cones(twin_of, u, path):
+    # the oracle: the left completion of u at every node of the path by
+    # one cone each (left_completion_silting, read by to_tau_pair) over a
+    # cold twin algebra, its pairs found by fingerprint; repeats dropped
+    twin_u = twin_of[u.fingerprint()]
+    out = []
+    for node in path:
+        cone = tw.left_completion_silting(twin_u.complex, twin_of[node.fingerprint()].complex)
+        fp = tw.to_tau_pair(cone).fingerprint()
+        if not out or fp != out[-1]:
+            out.append(fp)
+    return out
+
+
+def _is_projective_pair(u):
+    # (U, 0) with U projective: the pairs connect_fixed_summand accepts
+    try:
+        for x in u.m_parts:
+            md._projective_vertex(x)
+    except NotProjective:
+        return False
+    return not u.p_summands()
+
+
+@pytest.mark.parametrize("name", sorted(PARTNERS))
+def test_completions_along_a_path_are_the_cones_on_a_cold_twin(name, preprojective):
+    # every maximal green sequence down from the free pair for each
+    # projective (U, 0), read first so that nothing is cached for U, and
+    # every one up to the window top of every rigid subpair: the
+    # completions read off the next node's match one cone per node on a
+    # freshly compiled copy of the algebra
+    alg = PARTNERS[name](preprojective)
+    graph = ex.build_exchange_graph(alg)
+    twin = PARTNERS[name](preprojective)
+    twin_graph = ex.build_exchange_graph(twin)
+    twin_of = {p.fingerprint(): p for p in ex.rigid_subpairs(twin_graph, twin.n)}
+    downs = [chain[::-1] for chain in ex.maximal_green_sequences(graph, to.free_pair(alg))]
+    paths = moved = connected = 0
+    for u in ex.rigid_subpairs(graph, alg.n):
+        if _is_projective_pair(u):
+            for path in downs:
+                got = [c.fingerprint() for c in ex.connect_fixed_summand(path, u)]
+                assert got == _cones(twin_of, u, path)
+                connected += 1
+        chains = ex.maximal_green_sequences(graph, to.right_bongartz(u))
+        for chain in chains:
+            got = [c.fingerprint() for c in ex._completed_path(u, chain)]
+            assert got == _cones(twin_of, u, chain)
+            moved += len(got) > 1
+        paths += len(chains)
+    assert paths > len(graph) and moved > 0 and connected > 0
+
+
+def test_completions_along_the_affine_a2_chain_are_the_cones_on_a_cold_twin():
+    # tau-tilting infinite: no walk, so the neighbours are built on demand
+    rd, chain = _affine_a2_at_s2()
+    twin = _affine_a2()
+    twin_chain = [to.shifted_pair(twin)]
+    for slot in (1, 1, 0):
+        twin_chain.append(to.mutate_pair(twin_chain[-1], slot)[0])
+    twin_of = {p.fingerprint(): p for p in twin_chain + [pair(twin, [S(twin, 1)])]}
+    got = [c.fingerprint() for c in ex._completed_path(rd.pair, chain)]
+    assert got == _cones(twin_of, rd.pair, chain)
+    assert len(got) == 3
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_transport_builds_no_cone_and_no_mutation_after_the_walk(make, monkeypatch):
+    # after the walk and the reductions, the completions along every chain
+    # are read from the window top and the exchange record
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    reductions = [ex.tau_reduction(u) for u in ex.rigid_subpairs(graph, alg.n - 1)]
+    built = []
+    for fn in ("left_completion_silting", "mutate_complex"):
+        real = getattr(tw, fn)
+
+        def counted(*args, _real=real, _fn=fn):
+            built.append(_fn)
+            return _real(*args)
+
+        monkeypatch.setattr(tw, fn, counted)
+    chains = 0
+    for rd in reductions:
+        for chain in ex.maximal_green_sequences(graph, rd.bongartz):
+            ex.transport_mgs(rd, chain)
+            chains += 1
+    assert built == [] and chains > 9
+
+
+def test_transport_refuses_a_neighbour_that_hides_the_completion(monkeypatch):
+    # every neighbour read as the pair itself: where the completion moves,
+    # no candidate passes
+    alg = _cycle3(QQ)
+    rd = ex.tau_reduction(md.TauPair(P(alg, 0), md.zero_rep(alg)))
+    chain = green_chain(alg)
+    monkeypatch.setattr(to, "_neighbour", lambda p, slot: (p, "left"))
+    with pytest.raises(CertificateFailure, match="no mutation of the next completion"):
+        ex.transport_mgs(rd, chain)
+
+
 # ---------------------------------------------------------------------------
 # connecting paths with a fixed projective summand
 
@@ -1006,6 +1108,8 @@ def test_reduction_report_fails_on_a_hidden_ambient_node(monkeypatch):
             if rep["ambient_count"]:
                 assert rep["reduced_count"] is None
                 assert _failed_checks(rep) == {"closure"}
+            else:
+                assert rep["failures"] == [{"check": "empty"}]
             checked += 1
     assert checked > 98
 
@@ -1026,6 +1130,8 @@ def test_reduction_report_fails_on_merged_images(make, monkeypatch):
         rep = ex.reduction_bijection_check(rd)
         monkeypatch.setattr(ex, "reduce_pair", reduce_pair)
         assert not rep["bijective"] and not rep["pass"]
+        assert {"check": "injective", "pairs": rep["ambient_count"],
+                "images": rep["ambient_count"] - 1} in rep["failures"]
         checked += 1
     assert checked > 10
 
@@ -1076,6 +1182,7 @@ def test_reduction_report_fails_on_an_extra_preimage(monkeypatch):
     assert rep["ambient_count"] == len(over) + 1 and rep["reduced_count"] == len(over)
     assert not rep["bijective"] and not rep["pass"]
     assert "closure" not in _failed_checks(rep)
+    assert {"check": "injective", "pairs": len(over) + 1, "images": len(over)} in rep["failures"]
 
 
 @pytest.mark.parametrize("make", [_linear_a3, _cycle3])

@@ -17,6 +17,8 @@ A pair is built from its rows only in modules.carried_pair, the one
 shared pair per row content, so no second construction path comes back;
 a bare pair (M, P) only from a workspace file, and a pair over the
 opposite algebra only by the duality check.
+A mutation is built (tauops._mutate_slot) only by the neighbour function,
+which records it, and by mutate_pair, the unmemoised reference.
 tau is built (modules.ar_translate) only by the CLI tau command and the
 order-criteria report, so no certificate goes back to D Tr.  A
 presentation becomes a complex only in twoterm.summand_complex, one
@@ -197,6 +199,12 @@ def test_op_side_pairs_are_built_only_by_the_duality_check():
     # right_bongartz certifies its completion on A and the bongartz
     # command prints it; only the duality check builds pairs over A^op
     assert sorted(set(_callers("dagger_pair"))) == ["explorer.verify_dagger"]
+
+
+def test_mutations_are_built_only_by_the_neighbour_function_and_mutate_pair():
+    # every other reader of a neighbour goes through the exchange record;
+    # mutate_pair stays the unmemoised reference
+    assert sorted(set(_callers("_mutate_slot"))) == ["tauops._neighbour", "tauops.mutate_pair"]
 
 
 def test_presentation_complexes_are_built_one_summand_at_a_time():

@@ -711,6 +711,72 @@ def test_walk_rejects_a_third_completion(monkeypatch):
         to.silting_closure(alg)
 
 
+def _count_mutations(monkeypatch):
+    # the arguments of every _mutate_slot call from here on
+    calls = []
+    mutate_slot = to._mutate_slot
+
+    def counted(*args):
+        calls.append(args)
+        return mutate_slot(*args)
+
+    monkeypatch.setattr(to, "_mutate_slot", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3", "cyc4"])
+def test_a_second_walk_builds_no_mutation(name, monkeypatch):
+    # every exchange of the first walk is recorded on the algebra, so a
+    # walk under another budget reads them all, and still matches the
+    # unmemoised reference
+    alg = FRESH[name]()
+    full = to.silting_closure(alg)
+    calls = _count_mutations(monkeypatch)
+    walks = {budget: to.silting_closure(alg, budget=budget) for budget in (7, 20, 9999)}
+    assert calls == []
+    monkeypatch.undo()
+    assert list(walks[9999][0]) == list(full[0]) and walks[9999][1:] == full[1:]
+    for budget, (nodes, edges, complete) in walks.items():
+        assert (list(nodes), edges, complete) == _reference_walk(alg, budget)
+
+
+def test_mutate_pair_builds_its_mutation_after_a_walk(monkeypatch):
+    # mutate_pair is the unmemoised reference: it never reads the record
+    alg = FRESH["cyc3"]()
+    graph = ex.build_exchange_graph(alg)
+    calls = _count_mutations(monkeypatch)
+    for node in graph.node_list():
+        for slot in range(alg.n):
+            before = len(calls)
+            nb, direction = to.mutate_pair(node, slot)
+            assert len(calls) == before + 1
+            assert nb.fingerprint() in graph.nodes
+    assert len(calls) == alg.n * len(graph)
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_right_bongartz_reads_its_up_mutations_from_the_walk(name, monkeypatch):
+    # at every walked anchor, after the walk, the certificate reads each up
+    # mutation it tests from the exchange record and builds none
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    calls = _count_mutations(monkeypatch)
+    neighbour = getattr(to, "_neighbour", None)
+    read = []
+
+    def counted(pair, slot):
+        read.append(slot)
+        return neighbour(pair, slot)
+
+    monkeypatch.setattr(to, "_neighbour", counted, raising=False)
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        for anchor in graph.node_list():
+            if to.pair_leq(u, anchor):
+                to.right_bongartz(u, anchor)
+    assert calls == []
+    assert read
+
+
 # ---------------------------------------------------------------------------
 # the walk carries summands and certifies only the new one
 
@@ -981,7 +1047,7 @@ def test_check_pair_of_a_walked_node_reads_the_walk_caches(name):
 def _exchange_with(monkeypatch, pair, slot, pick):
     # mutate pair at slot with the new summand replaced by pick(rest, x),
     # rest the kept summands' complexes and x the exchanged one
-    x = to._summand_rows(pair)[slot][2]
+    x = pair.rows[pair.g_order[slot]][2]
     rest = [c for c in pair.complex.parts if c is not x]
 
     def patched(*args, **kwargs):
@@ -1010,7 +1076,7 @@ def test_exchange_certificate_rejects_a_kept_or_returned_summand(name, monkeypat
             # complex of new content, whose token repeats a kept one
             t = node.complex
             for c in t.parts:
-                if c is to._summand_rows(node)[slot][2] or -1 not in c.diffs:
+                if c is node.rows[node.g_order[slot]][2] or -1 not in c.diffs:
                     continue
                 diffs = {-1: [[e.scale(two) for e in row] for row in c.diffs[-1]]}
                 copy = tt.ProjectiveComplex(alg, c.terms, diffs)
