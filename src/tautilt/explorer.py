@@ -549,11 +549,12 @@ def _completed_path(rel_u, path):
     inside the window of rel_u, with consecutive repeats dropped.
 
     Only path[-1] is completed by left_bongartz (on a transport chain,
-    the window top, which holds U: no cone).  Relative left Bongartz
-    completions are compatible with mutations: along one mutation in the
-    window the completion stays or moves by one mutation, at a slot
-    outside (U, Q).  So, walking back, each node's completion is the next
-    node's or a neighbour of it (tauops._neighbour), whichever passes
+    the window top, which holds U and is its own completion, as is every
+    node that holds U).  Relative left Bongartz completions are compatible
+    with mutations: along one mutation in the window the completion stays
+    or moves by one mutation, at a slot outside (U, Q).  So, walking back,
+    each other node's completion is the next node's or a neighbour of it
+    (tauops._neighbour, read by _left_bongartz_near), whichever passes
     tauops._left_failure, else CertificateFailure.  Those tests are
     complete: a result that holds U with Fac M <= Fac result contains the
     smallest torsion class T containing Fac U and Fac M; if also each
@@ -683,11 +684,12 @@ def verify_mutation_compat(rel_u, graph):
 
     Per edge the exchange brick predicts whether the two completions
     coincide or differ by one left mutation.  Each window node is
-    completed once, by left_bongartz (a node that holds U is read as its
-    own completion, with no approximation), which certifies its answer
-    against the module-side characterization (it contains U, covers Fac M,
-    and its summands lie in Fac U * Fac M); verify_route compares it with
-    the fan search.  The window itself is tested on both sides."""
+    completed once, by left_bongartz.  A node that holds (U, Q) is its
+    own completion, returned with no cone and no certificate; every other
+    answer is certified against the module-side characterization (it
+    contains U, covers Fac M, and its summands lie in Fac U * Fac M).
+    verify_route compares each with the fan search, which tests the rule
+    at the nodes that hold U.  The window itself is tested on both sides."""
     tauops._require_rigid(rel_u)
     if not graph.complete:
         raise IncompleteGraph("compatibility sweep needs a complete graph")

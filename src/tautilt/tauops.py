@@ -317,11 +317,15 @@ def left_bongartz(u_pair, anchor=None):
     Returns the support tau-tilting pair generating the smallest torsion
     class containing Fac U together with Fac M of the anchor; defined when
     Fac M sits inside perp(tau U) ∩ perp(Q).  anchor=None means (0, A),
-    the absolute left completion with Fac equal to Fac U.  The answer is
-    computed on the silting side from the complexes both pairs carry
-    (TauPair.complex) and certified back on the module side.  An anchor
-    holding U has Hom(t_i, u[1]) = 0 for its parts t_i, each its own cone,
-    so the silting route is read as the join of their parts (_join_by_g).
+    the absolute left completion with Fac equal to Fac U.  An anchor (in
+    the window) that holds (U, Q) is its own completion, returned with no
+    cache entry: the completion generates Fac U * (W ∩ Fac M), W the wide
+    subcategory of (U, Q); here Fac U <= Fac M, and each X in Fac M has
+    X / t_U X in W ∩ Fac M (Jasso, arXiv:1302.2709, Sect. 3), so that
+    class is Fac M, and Fac determines the pair (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Thm 2.7).  Otherwise the answer is computed on the
+    silting side from the complexes both pairs carry (TauPair.complex)
+    and certified back on the module side (_left_failure).
     """
     alg = u_pair.algebra
     if anchor is None:
@@ -331,13 +335,11 @@ def left_bongartz(u_pair, anchor=None):
         return alg.cache[key]
     _require_rigid(u_pair)
     _require_tilting(anchor)
+    if contains_pair(anchor, u_pair):
+        return anchor
     if not left_precondition(u_pair, anchor):
         raise PreconditionViolated("anchor torsion class leaves perp(tau U) ∩ perp(Q)")
-    if contains_pair(anchor, u_pair):
-        out = twoterm._join_by_g([c for _, _, c in u_pair.rows], [c for _, _, c in anchor.rows])
-    else:
-        out = twoterm.left_completion_silting(u_pair.complex, anchor.complex)
-    result = twoterm.to_tau_pair(out)
+    result = twoterm.to_tau_pair(twoterm.left_completion_silting(u_pair.complex, anchor.complex))
     _require_tilting(result)
     failure = _left_failure(u_pair, anchor, result)
     if failure:
@@ -348,10 +350,13 @@ def left_bongartz(u_pair, anchor=None):
 
 def _left_bongartz_near(u_pair, anchor, near):
     """left_bongartz(u_pair, anchor) read off near, the completion at a
-    mutation of the anchor in the window: near or its neighbour at a slot
-    outside (U, Q), whichever passes _left_failure (explorer._completed_path),
-    cached as left_bongartz's.  The answer holds U and contains Fac M, so
-    it lies below near if near contains Fac M, else above: one side is tested."""
+    mutation of the anchor in the window: the anchor if it holds (U, Q),
+    else near or its neighbour at a slot outside (U, Q), whichever passes
+    _left_failure (explorer._completed_path), cached as left_bongartz's.
+    The answer holds U and contains Fac M, so it lies below near if near
+    contains Fac M, else above: one side is tested."""
+    if contains_pair(anchor, u_pair):
+        return anchor
     alg = u_pair.algebra
     key = ("left_bongartz", u_pair.fingerprint(), anchor.fingerprint())
     if key not in alg.cache:
@@ -518,14 +523,9 @@ def right_bongartz(u_pair, anchor=None):
 
 def exchanged_summands(old, new):
     """The summand tokens separating two pairs (old only, new only), each
-    sorted, with multiplicity."""
-    old_fp, new_fp = old.token_counts, new.token_counts
-    return _surplus(old_fp, new_fp), _surplus(new_fp, old_fp)
-
-
-def _surplus(have, other):
-    """The tokens of the multiset have beyond those of other, sorted."""
-    return sorted(t for t, count in have.items() for _ in range(count - other[t]))
+    sorted, with multiplicity: the two Counter differences."""
+    have, other = old.token_counts, new.token_counts
+    return sorted((have - other).elements()), sorted((other - have).elements())
 
 
 def brick_label(old, new):

@@ -745,12 +745,15 @@ def left_completion_silting(u, t):
     approximation of t[-1], and any left approximation is the minimal one
     plus a summand 0 -> U'' with U'' in add(u), so its cone is the minimal
     cone plus U'', which u already holds.  The cones' summands are merged
-    into u's by _join_by_g, so u must be presilting.  A summand with
+    into u's by g-vector, keeping u's copy on a tie: exact on a presilting
+    join, whose summands the g-vectors determine (Adachi-Iyama-Reiten,
+    arXiv:1210.1036, Thm 5.5), so u must be presilting.  A summand with
     Hom(t_i[-1], u) = Hom(t_i, u[1]) = 0 has the zero map as its
     approximation, so it is its own cone and is neither approximated nor
     split.  The split cone of each summand is cached once, per content of
     t_i and of u's parts, so anchors that share a summand share its cone
-    and u's terms are never assembled.
+    and u's terms are never assembled.  Neither Bongartz completion in
+    tauops calls it at an anchor that holds u, its own completion.
     """
     if not is_presilting(u):
         raise PreconditionViolated("completion expects a presilting u")
@@ -759,7 +762,7 @@ def left_completion_silting(u, t):
     alg = u.algebra
     u_parts = [c for c, _ in decompose_complex(u)]
     u_keys = tuple(c.key() for c in u_parts)
-    cones = []
+    merged = {c.g_vec(): c for c in u_parts}
     for ti, _ in decompose_complex(t):
         key = ("left_cone", u_keys, ti.key())
         if key not in alg.cache:
@@ -769,17 +772,8 @@ def left_completion_silting(u, t):
                 x = ti.shift(-1)
                 y = minimalize(cone(x, *min_left_approx(x, u_parts)))
                 alg.cache[key] = tuple(c for c, _ in decompose_complex(y))
-        cones.extend(alg.cache[key])
-    return _join_by_g(u_parts, cones)
-
-
-def _join_by_g(u_parts, parts):
-    """The sum of u_parts and parts merged by g-vector, keeping u's copy on
-    a tie: exact on a presilting join, whose summands the g-vectors
-    determine (Adachi-Iyama-Reiten, arXiv:1210.1036, Thm 5.5)."""
-    merged = {c.g_vec(): c for c in u_parts}
-    for c in parts:
-        merged.setdefault(c.g_vec(), c)
+        for c in alg.cache[key]:
+            merged.setdefault(c.g_vec(), c)
     return sum_of_summands(list(merged.values()))
 
 

@@ -30,6 +30,8 @@ pair PairP1 : M = P1 ; P = 0
 pair PairS3 : M = S3 ; P = P1 P2
 pair Top : M = P1 P2 P3 ; P = 0
 pair Bottom : M = 0 ; P = P1 P2 P3
+pair PairP2 : M = P2 ; P = 0
+pair TopRev : M = P3 P2 P1 ; P = 0
 """
 
 A2 = """
@@ -103,6 +105,21 @@ def test_bongartz_block_reparses(ws3, capsys):
     again = wk.parse_workspace(CYC3 + "\n" + report["block"])
     emitted = again.pairs["PairS3_left"]
     assert md.describe_pair(emitted) == "(P1+P3+S1 | 0)"
+
+
+def test_bongartz_prints_an_anchor_that_holds_rel_as_given_on_both_sides(ws3, capsys):
+    # TopRev is (A, 0) with its summands in reverse order; it holds
+    # PairP2, so it is its own completion on both sides, in its own basis
+    blocks = {}
+    for side in ("left", "right"):
+        argv = ["bongartz", ws3, "TopRev", f"--{side}", "--rel", "PairP2", "--json"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"] == "(P1+P2+P3 | 0)"
+        blocks[side] = report["block"].replace(f"TopRev_{side}", "TopRev_out")
+    assert blocks["left"] == blocks["right"]
+    assert "map a3 [[0,0],[0,1]]" in blocks["left"]
 
 
 def test_graph(ws3, capsys, tmp_path):

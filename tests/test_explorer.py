@@ -1045,6 +1045,118 @@ def test_silting_compat_report_fails_on_a_wrong_completion(make, monkeypatch):
         assert _failed_checks(rep) == {"silting"}
 
 
+def _window_target(u, graph):
+    # a window node that a window node mutates down to, or None
+    for s, t, _ in graph.edges:
+        if to.left_precondition(u, graph.nodes[s]):
+            return graph.nodes[t]
+    return None
+
+
+def _edges_into(u, graph, target):
+    # the left edges into target from window nodes
+    fp = target.fingerprint()
+    return sum(
+        1 for s, t, _ in graph.edges if t == fp and to.left_precondition(u, graph.nodes[s])
+    )
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_compat_report_fails_when_the_window_tests_disagree(make, monkeypatch):
+    # the complex side puts every node in the window of U: each node
+    # outside the module-side window is named, and nothing else fails
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    hom_k = tw.hom_k
+    failed = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        outside = [n for n in graph.node_list() if not to.left_precondition(u, n)]
+        u_c = u.complex
+        monkeypatch.setattr(
+            tw, "hom_k", lambda x, y, shift=0: 0 if x is u_c else hom_k(x, y, shift)
+        )
+        rep = ex.verify_mutation_compat(u, graph)
+        monkeypatch.undo()
+        assert [f["node"] for f in rep["failures"]] == [md.describe_pair(n) for n in outside]
+        assert _failed_checks(rep) == ({"window"} if outside else set())
+        failed += bool(outside)
+    assert failed > 5
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_compat_report_fails_when_the_window_shrinks_along_an_edge(make, monkeypatch):
+    # both window tests drop one window node t that a window node mutates
+    # down to: each edge into t from the window is named, and nothing else
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    left_precondition, hom_k = to.left_precondition, tw.hom_k
+    failed = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        t = _window_target(u, graph)
+        if t is None:
+            continue
+        into = _edges_into(u, graph, t)
+        monkeypatch.setattr(
+            to, "left_precondition", lambda a, b: b is not t and left_precondition(a, b)
+        )
+        monkeypatch.setattr(
+            tw, "hom_k", lambda x, y, shift=0: 1 if y is t.complex else hom_k(x, y, shift)
+        )
+        rep = ex.verify_mutation_compat(u, graph)
+        monkeypatch.undo()
+        assert [f["check"] for f in rep["failures"]] == ["window-shrink"] * into
+        assert _failed_checks(rep) == {"window-shrink"}
+        failed += 1
+    assert failed > 5
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_silting_compat_report_fails_when_the_window_shrinks_along_an_edge(make, monkeypatch):
+    # the complex-side window test drops one window node t that a window
+    # node mutates down to: each edge into t from the window is named
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    hom_k = tw.hom_k
+    failed = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        t = _window_target(u, graph)
+        if t is None:
+            continue
+        into = _edges_into(u, graph, t)
+        u_c = u.complex
+        monkeypatch.setattr(
+            tw,
+            "hom_k",
+            lambda x, y, shift=0: 1 if x is u_c and y is t.complex else hom_k(x, y, shift),
+        )
+        rep = ex.verify_silting_compat(u, graph)
+        monkeypatch.undo()
+        assert [f["check"] for f in rep["failures"]] == ["window-shrink"] * into
+        assert _failed_checks(rep) == {"window-shrink"}
+        failed += 1
+    assert failed > 5
+
+
+@pytest.mark.parametrize("make", [_linear_a3, _cycle3])
+def test_silting_compat_report_fails_on_a_reversed_order(make, monkeypatch):
+    # the silting order reads the wrong way round: every step where the
+    # completion moves is named, and nothing else fails
+    alg = make(QQ)
+    graph = ex.build_exchange_graph(alg)
+    silting_leq = tw.silting_leq
+    failed = 0
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        moves = ex.verify_silting_compat(u, graph)["mutation_steps"]
+        monkeypatch.setattr(tw, "silting_leq", lambda a, b: silting_leq(b, a))
+        rep = ex.verify_silting_compat(u, graph)
+        monkeypatch.undo()
+        assert rep["mutation_steps"] == moves
+        assert [f["check"] for f in rep["failures"]] == ["mutation-branch"] * moves
+        assert _failed_checks(rep) == ({"mutation-branch"} if moves else set())
+        failed += bool(moves)
+    assert failed > 5
+
+
 @pytest.mark.parametrize("make", [_linear_a3, _cycle3])
 def test_route_report_fails_on_a_wrong_fan_search(make, monkeypatch):
     alg = make(QQ)

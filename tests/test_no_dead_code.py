@@ -18,7 +18,10 @@ shared pair per row content, so no second construction path comes back;
 a bare pair (M, P) only from a workspace file, and a pair over the
 opposite algebra only by the duality check.
 A mutation is built (tauops._mutate_slot) only by the neighbour function,
-which records it, and by mutate_pair, the unmemoised reference.
+which records it, and by mutate_pair, the unmemoised reference.  A
+completion cone (twoterm.left_completion_silting) is taken only by the
+two Bongartz completions, past their rule that an anchor holding the
+pair is its own completion, and by the complex-side compat sweep.
 tau is built (modules.ar_translate) only by the CLI tau command and the
 order-criteria report, so no certificate goes back to D Tr.  A
 presentation becomes a complex only in twoterm.summand_complex, one
@@ -205,6 +208,18 @@ def test_mutations_are_built_only_by_the_neighbour_function_and_mutate_pair():
     # every other reader of a neighbour goes through the exchange record;
     # mutate_pair stays the unmemoised reference
     assert sorted(set(_callers("_mutate_slot"))) == ["tauops._neighbour", "tauops.mutate_pair"]
+
+
+def test_completion_cones_are_taken_only_by_the_completions_and_the_silting_sweep():
+    # left_bongartz and right_bongartz return an anchor that holds (U, Q)
+    # before they take a cone, so no other route takes a cone for a
+    # completion the anchor already is; the complex-side sweep keeps the
+    # cone at every window node, as its independent check
+    assert sorted(set(_callers("left_completion_silting"))) == [
+        "explorer.verify_silting_compat",
+        "tauops.left_bongartz",
+        "tauops.right_bongartz",
+    ]
 
 
 def test_presentation_complexes_are_built_one_summand_at_a_time():

@@ -1215,27 +1215,28 @@ def test_compat_completes_each_window_node_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["A3", "cyc3"])
 def test_left_bongartz_rejects_a_wrong_completion(name, monkeypatch):
-    # the silting side returns another node that contains U; the
-    # module-side certificate, which the compat sweep relies on, refuses it.
-    # An anchor that holds U is read without the silting route, so only
-    # the anchors that do not hold U are patched
+    # the silting side returns another node; the module-side certificate,
+    # which the compat sweep relies on, refuses it, by its first test when
+    # the node does not hold U.  An anchor that holds U is its own
+    # completion, read without the silting route, so it is skipped
     alg = FRESH[name]()
     graph = ex.build_exchange_graph(alg)
-    rejected = 0
+    rejected = Counter()
     for u in ex.rigid_subpairs(graph, 1):
         for anchor in graph.node_list():
             if not to.left_precondition(u, anchor) or to.contains_pair(anchor, u):
                 continue
             right = to.fan_left_completion(u, anchor).fingerprint()
             for other in graph.node_list():
-                if other.fingerprint() == right or not to.contains_pair(other, u):
+                if other.fingerprint() == right:
                     continue
                 wrong = other.complex
                 monkeypatch.setattr(tt, "left_completion_silting", lambda *a: wrong)
-                with pytest.raises(CertificateFailure):
+                holds = to.contains_pair(other, u)
+                with pytest.raises(CertificateFailure, match=None if holds else "lost a summand"):
                     to.left_bongartz(u, anchor)
-                rejected += 1
-    assert rejected > 100
+                rejected[holds] += 1
+    assert rejected[True] > 100 and rejected[False] > 100
 
 
 def _whole_trace_quotient(gen, x):
@@ -1316,9 +1317,9 @@ FAN = {
 
 @pytest.mark.parametrize("name", sorted(FAN))
 def test_left_bongartz_reads_an_anchor_that_holds_u(name):
-    # a node that holds (U, Q) lies in its window and is read as the join
-    # of the parts of U and of the node, with no approximation; the
-    # silting route gives the same rows, kind, content and order
+    # a node that holds (U, Q) lies in its window and is its own
+    # completion; the silting route, which left_bongartz skips there,
+    # gives the same rows, kind, content and order
     alg = FAN[name]()
     graph = ex.build_exchange_graph(alg)
     read = 0
@@ -1334,6 +1335,34 @@ def test_left_bongartz_reads_an_anchor_that_holds_u(name):
             ]
             read += 1
     assert read > len(graph)
+
+
+@pytest.mark.parametrize("name", sorted(FAN))
+def test_an_anchor_that_holds_u_is_its_own_completion(name, monkeypatch):
+    # every rigid subpair (the empty and the complete ones included) at
+    # every walked node that holds it: left_bongartz, and the read off the
+    # completion at any walked node, return the node itself, with no pair
+    # built, no cone taken and no certificate run
+    alg = FAN[name]()
+    graph = ex.build_exchange_graph(alg)
+    nodes = graph.node_list()
+    subpairs = ex.rigid_subpairs(graph, alg.n)
+
+    def refuse(*args):
+        raise AssertionError("an anchor that holds U was completed again")
+
+    monkeypatch.setattr(tt, "to_tau_pair", refuse)
+    monkeypatch.setattr(tt, "left_completion_silting", refuse)
+    monkeypatch.setattr(to, "_left_failure", refuse)
+    read = 0
+    for u in subpairs:
+        for node in nodes:
+            if not to.contains_pair(node, u):
+                continue
+            assert to.left_bongartz(u, node) is node
+            assert all(to._left_bongartz_near(u, node, near) is node for near in nodes)
+            read += 1
+    assert read > len(subpairs) > len(graph)
 
 
 @pytest.mark.parametrize("name", sorted(FAN))
@@ -1662,10 +1691,11 @@ def test_relative_right_bongartz_is_the_largest_completion_below_the_anchor(
 
 @pytest.mark.parametrize("name", ["A3", "cyc3"])
 def test_right_bongartz_rejects_a_wrong_completion(name, monkeypatch):
-    # the silting side returns the dual of another walked node that holds
-    # U; the certificate on A refuses it.  Below (A, 0), and below any
-    # anchor above the wrong node, an up-slot of the wrong node mutates to
-    # a larger completion that stays below the anchor; at an anchor not
+    # the silting side returns the dual of another walked node; the
+    # certificate on A refuses it.  A node that does not hold U fails the
+    # first test.  For one that does: below (A, 0), and below any anchor
+    # above the wrong node, an up-slot of the wrong node mutates to a
+    # larger completion that stays below the anchor; at an anchor not
     # above it, the order test refuses it.  An anchor that holds U is its
     # own completion, read without the silting route, so it is skipped
     alg = FRESH[name]()
@@ -1679,20 +1709,50 @@ def test_right_bongartz_rejects_a_wrong_completion(name, monkeypatch):
                 continue
             right = to.right_bongartz(u, anchor)
             for other in nodes:
-                if other is right or not to.contains_pair(other, u):
+                if other is right:
                     continue
                 wrong = to._dual_sum(other)
                 monkeypatch.setattr(tt, "left_completion_silting", lambda *a: wrong)
-                below = to.pair_leq(other, anchor)
-                message = "larger completion" if below else "leaves the anchor"
+                if not to.contains_pair(other, u):
+                    message = "lost a summand"
+                elif to.pair_leq(other, anchor):
+                    message = "larger completion"
+                else:
+                    message = "leaves the anchor"
                 with pytest.raises(CertificateFailure, match=message):
                     to.right_bongartz(u, anchor)
                 monkeypatch.undo()
-                rejected["at (A, 0)" if anchor is top else message] += 1
+                at_top = anchor is top and message != "lost a summand"
+                rejected["at (A, 0)" if at_top else message] += 1
     assert rejected == {
-        "A3": {"at (A, 0)": 40, "larger completion": 73, "leaves the anchor": 112},
-        "cyc3": {"at (A, 0)": 39, "larger completion": 66, "leaves the anchor": 117},
+        "A3": {"at (A, 0)": 40, "larger completion": 73, "leaves the anchor": 112,
+               "lost a summand": 1426},
+        "cyc3": {"at (A, 0)": 39, "larger completion": 66, "leaves the anchor": 117,
+                 "lost a summand": 1377},
     }[name]
+
+
+@pytest.mark.parametrize("name", ["A3", "cyc3"])
+def test_fan_completion_rejects_keepers_with_no_maximum(name, monkeypatch):
+    # under the discrete order no pair lies below another: where the fan
+    # keeps two completions or more they have no maximum and the search
+    # refuses; a single keeper is its own maximum
+    alg = FRESH[name]()
+    graph = ex.build_exchange_graph(alg)
+    counts = Counter()
+    for u in ex.rigid_subpairs(graph, alg.n - 1):
+        for anchor in graph.node_list():
+            kept = [c for c, qs in to._fan_candidates(u, 10000) if to._in_fac(anchor, qs)]
+            monkeypatch.setattr(to, "pair_leq", lambda a, b: a.fingerprint() == b.fingerprint())
+            if len(kept) > 1:
+                with pytest.raises(CertificateFailure, match="no maximum"):
+                    to.fan_left_completion(u, anchor)
+                counts["refused"] += 1
+            else:
+                assert to.fan_left_completion(u, anchor) is kept[0]
+                counts["single"] += 1
+            monkeypatch.undo()
+    assert counts["refused"] > 100 and counts["single"] > 0
 
 
 def _exact_inverse(rows):
